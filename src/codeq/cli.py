@@ -13,7 +13,12 @@ import argparse
 import json
 import sys
 
-from .constacyclic import build_constacyclic, lane_cosets, palfy_classify
+from .constacyclic import (
+    build_constacyclic,
+    lane_cosets,
+    lane_elements,
+    palfy_classify,
+)
 from .cosets import DefiningSet, coset_table
 from .cyclic import build_cyclic, certify_equivalence, classify_cyclic
 from .linear import min_distance
@@ -43,15 +48,7 @@ def parse_budget(text: str) -> int:
 def _consta_elements(n: int, text: str) -> frozenset:
     if text.startswith("full:"):
         return frozenset(int(x) % (3 * n) for x in text[5:].split(",") if x)
-    want = {int(x) for x in text.split(",") if x}
-    out: set[int] = set()
-    for c in lane_cosets(n):
-        if min(c) in want:
-            out.update(c)
-            want.discard(min(c))
-    if want:
-        raise ValueError(f"not coset leaders at length {n}: {sorted(want)}")
-    return frozenset(out)
+    return lane_elements(n, (int(x) for x in text.split(",") if x))
 
 
 def _cmd_cosets(args) -> tuple[dict, int]:

@@ -15,6 +15,7 @@ from .cosets import (
     DefiningSet,
     apply_map,
     coset_table,
+    coset_unions,
     enumerate_affine_witnesses,
     multiplier,
     shift_divisibility_constacyclic,
@@ -77,12 +78,22 @@ def all_lane_defining_sets(n: int):
     cosets = lane_cosets(n)
     if len(cosets) > 20:
         raise ValueError(f"{len(cosets)} cosets is too many to enumerate")
-    for mask in range(1 << len(cosets)):
-        els = []
-        for i, c in enumerate(cosets):
-            if mask >> i & 1:
-                els.extend(c)
-        yield tuple(sorted(els))
+    return coset_unions(cosets)
+
+
+def lane_elements(n: int, leaders) -> frozenset:
+    """The union of the lane cosets mod 3n led by ``leaders``.
+
+    Raises ValueError when a value is not the least element of a lane coset.
+    """
+    table = coset_table(3 * n, 4)
+    want = {int(x) for x in leaders}
+    bad = sorted(x for x in want
+                 if not (0 <= x < 3 * n and x % 3 == 1
+                         and table.leader_of(x) == x))
+    if bad:
+        raise ValueError(f"not coset leaders at length {n}: {bad}")
+    return frozenset(table.closure(want))
 
 
 def _coerce_lane_set(n: int, A, lane: int = 1) -> DefiningSet:
@@ -125,14 +136,6 @@ def build_constacyclic(n: int, A) -> ConstacyclicCode:
         raise AssertionError("generator rows are not independent")
     return ConstacyclicCode(n=n, shift_constant=GF4_OMEGA, defining_set=A,
                             generator_poly=gen, base=base, root=ctx)
-
-
-def isometry_note(C: ConstacyclicCode) -> str | None:
-    """Report-level note for lengths coprime to 3 (no construction here)."""
-    if math.gcd(C.n, 3) == 1:
-        return ("length is coprime to 3, so this code is isometric to a "
-                "cyclic code of the same length")
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -315,6 +318,10 @@ def _totient(m: int) -> int:
 def palfy_classify(n: int) -> list[MultiplierOrbit]:
     """Partition all length-n defining sets into multiplier orbits.
 
+    The orbits are the search engine's multiplier-only orbits; each leader
+    is the orbit's least element tuple, and each witness is a multiplier
+    carrying the leader to its member.
+
     Requires gcd(3n, phi(3n)) = 1.  In that range, codes-with-shared-orbit
     are exactly the isometrically (monomially) equivalent ones: the
     multiplier action is realized on codewords by the power substitution,
@@ -323,27 +330,27 @@ def palfy_classify(n: int) -> list[MultiplierOrbit]:
     an orbit may join codes that no scale-free permutation links (n=5,
     {1,4} vs {7,13} is such a pair).
     """
+    # the search engine imports this module, so it is imported here
+    from .search import SearchJob, enumerate_orbits
+
     m = 3 * n
     if math.gcd(m, _totient(m)) != 1:
         raise ValueError(f"classification needs gcd(3n, phi(3n)) = 1 at n={n}")
-    mults = [e for e in range(1, m, 3) if math.gcd(e, m) == 1]
-    sets = sorted(all_lane_defining_sets(n))
-    unseen = set(sets)
     orbits = []
-    for A in sets:  # already in lexicographic order
-        if A not in unseen:
-            continue
-        members = {}
-        for e in mults:
-            image = tuple(sorted(e * a % m for a in A))
-            if image not in members:
-                members[image] = e
-        for im in members:
-            unseen.discard(im)
-        ordered = tuple(sorted(members))
-        orbits.append(MultiplierOrbit(leader=A, members=ordered,
-                                      witnesses=dict(members)))
-    return orbits
+    for o in enumerate_orbits(SearchJob("constacyclic", n,
+                                        prune=("multiplier",))):
+        # each chain is a product of multipliers carrying its member to the
+        # engine's representative
+        to_rep = {tuple(sorted(lane_elements(n, leaders))):
+                  math.prod(step[1] for step in o.chains[leaders]) % m
+                  for leaders in o.members}
+        leader = min(to_rep)
+        witnesses = {member: to_rep[leader] * pow(e, -1, m) % m
+                     for member, e in to_rep.items()}
+        orbits.append(MultiplierOrbit(leader=leader,
+                                      members=tuple(sorted(to_rep)),
+                                      witnesses=witnesses))
+    return sorted(orbits, key=lambda o: o.leader)
 
 
 # ---------------------------------------------------------------------------

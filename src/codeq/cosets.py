@@ -327,16 +327,24 @@ def enumerate_affine_witnesses(A: DefiningSet, B: DefiningSet,
     return out
 
 
+def union_of_cosets(cosets, mask: int) -> tuple[int, ...]:
+    """Sorted union of the cosets whose bits are set in ``mask``."""
+    return tuple(sorted(x for i, c in enumerate(cosets) if mask >> i & 1
+                        for x in c))
+
+
+def coset_unions(cosets):
+    """Yield the union of every subset of ``cosets`` as a sorted tuple.
+
+    Subsets are visited in mask order: bit i selects ``cosets[i]``.
+    """
+    for mask in range(1 << len(cosets)):
+        yield union_of_cosets(cosets, mask)
+
+
 def all_defining_sets(n: int, q: int):
     """Yield every union of q-cyclotomic cosets mod n as a sorted tuple.
 
     There are 2^(number of cosets) of them, so keep n small or break early.
     """
-    table = coset_table(n, q)
-    count = len(table.cosets)
-    for mask in range(1 << count):
-        els: list[int] = []
-        for i in range(count):
-            if mask >> i & 1:
-                els.extend(table.cosets[i])
-        yield tuple(sorted(els))
+    return coset_unions(coset_table(n, q).cosets)

@@ -251,49 +251,6 @@ def cyclic_from_generator(n: int, q: int, poly) -> CyclicCode:
     return build_cyclic(n, q, DefiningSet(n, q, members))
 
 
-def extend_length(code: CyclicCode, m: int) -> CyclicCode:
-    """Length n*m cyclic code generated by the same polynomial."""
-    if m < 1:
-        raise ValueError("extension factor must be positive")
-    if m == 1:
-        return code
-    N = code.n * m
-    if math.gcd(N, code.q) != 1:
-        raise ValueError("extension factor shares a factor with the field size")
-    return cyclic_from_generator(N, code.q, list(code.generator_poly))
-
-
-# ---------------------------------------------------------------------------
-# generalized parity checks
-
-@dataclass(frozen=True)
-class GeneralizedParityCheck:
-    """Rows (1, alpha^s, alpha^(2s), ...) over the extension, s in the set."""
-
-    ctx: RootContext
-    exponents: tuple[int, ...]
-
-    def rows(self) -> list[list[int]]:
-        return [[self.ctx.alpha_pow(s * j) for j in range(self.ctx.n)]
-                for s in self.exponents]
-
-    def annihilates(self, word) -> bool:
-        K = self.ctx.ext
-        fwd = self.ctx.fwd
-        for s in self.exponents:
-            acc = 0
-            for j, c in enumerate(word):
-                if c:
-                    acc = K.add(acc, K.mul(fwd[int(c)], self.ctx.alpha_pow(s * j)))
-            if acc != 0:
-                return False
-        return True
-
-
-def generalized_parity_check(code: CyclicCode) -> GeneralizedParityCheck:
-    return GeneralizedParityCheck(code.root, code.defining_set.elements)
-
-
 # ---------------------------------------------------------------------------
 # the three transform families
 
@@ -739,79 +696,14 @@ def classify_cyclic(n: int, q: int,
                     ) -> list[tuple[tuple[int, ...], ...]]:
     """Partition all defining sets at (n, q) into certificate-closure classes.
 
-    Edges come from combinatorial certificate patterns only; classes are
-    returned sorted, each class a sorted tuple of element tuples.
+    The classes are the search engine's orbits under the ``use`` kinds (any
+    of ``codeq.search.CYCLIC_KINDS``); they are returned sorted, each class
+    a sorted tuple of element tuples.
     """
+    # the search engine imports this module, so it is imported here
+    from .search import SearchJob, enumerate_orbits
+
     table = coset_table(n, q)
-    count = len(table.cosets)
-    if count > 20:
-        raise ValueError(f"too many cosets ({count}) to enumerate all sets")
-    sets = []
-    for mask in range(1 << count):
-        els = []
-        for i in range(count):
-            if mask >> i & 1:
-                els.extend(table.cosets[i])
-        sets.append(frozenset(els))
-    index = {s: i for i, s in enumerate(sets)}
-    parent = list(range(len(sets)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def join(a: frozenset, b: frozenset) -> None:
-        if b not in index:
-            return
-        ra, rb = find(index[a]), find(index[b])
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
-    mult_list = units(n)
-    try:
-        p_n, m_n = prime_power_split(n)
-    except ValueError:
-        p_n, m_n = 0, 0
-    for S in sets:
-        size = len(S)
-        if "multiplier" in use:
-            for c in mult_list:
-                join(S, frozenset(c * x % n for x in S))
-        if "generalized_multiplier" in use and p_n > 2:
-            for k_cut in range(1, m_n + 1):
-                pk = p_n ** k_cut
-                for d in range(2, pk):
-                    if math.gcd(d, p_n) != 1:
-                        continue
-                    g = generalized_multiplier(n, d, k_cut)
-                    img = frozenset(g(x) for x in S)
-                    if img in index:
-                        join(S, img)
-        if "affine" in use and size:
-            for b in range(n):
-                if size * (q - 1) * b % n:
-                    continue
-                for e in mult_list:
-                    img = frozenset((e * x + b) % n for x in S)
-                    if img in index:
-                        join(S, img)
-        if "half_twist" in use and n % 8 == 0 and q % 2:
-            partner = _half_twist_partner(S, n)
-            if partner is not None:
-                join(S, partner)
-        if "odd_step" in use and n % 8 == 0 and q % 4 == 1:
-            partner = _odd_step_partner(S, n)
-            if partner is not None:
-                join(S, partner)
-        if "triple_step" in use and q == 4 and n % 2 and n % 27 == 0:
-            partner = _triple_step_partner(S, n, table)
-            if partner is not None:
-                join(S, partner)
-    groups: dict[int, list] = {}
-    for i, s in enumerate(sets):
-        groups.setdefault(find(i), []).append(tuple(sorted(s)))
-    classes = [tuple(sorted(v)) for v in groups.values()]
-    classes.sort()
-    return classes
+    orbits = enumerate_orbits(SearchJob("cyclic", n, q, prune=tuple(use)))
+    return sorted(tuple(sorted(table.closure(m) for m in o.members))
+                  for o in orbits)

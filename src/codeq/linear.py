@@ -126,21 +126,6 @@ def gf_matmul(F: GaloisField, A, B) -> np.ndarray:
     return out
 
 
-def nullspace(F: GaloisField, mat, n: int | None = None) -> np.ndarray:
-    """Rows spanning {x : mat @ x = 0} over F."""
-    A = as_matrix(F, mat, n)
-    R, pivots = rref(F, A)
-    T = tables(F)
-    cols = A.shape[1]
-    free = [c for c in range(cols) if c not in set(pivots)]
-    out = np.zeros((len(free), cols), dtype=np.uint8)
-    for row, f in enumerate(free):
-        out[row, f] = 1
-        for i, p in enumerate(pivots):
-            out[row, p] = T.neg[R[i, f]]
-    return out
-
-
 class LinearCode:
     """A k-dimensional length-n code over a small field, stored as RREF rows."""
 
@@ -940,7 +925,9 @@ def brute_force_equivalence(code1: LinearCode, code2: LinearCode,
             for l in range(H2.shape[0]):
                 rows.append([F.mul(int(H2[l, j]), int(G1[i, perm_inv[j]]))
                              for j in range(n)])
-        basis = nullspace(F, np.array(rows, dtype=np.uint8), n)
+        # diagonals d with rows @ d = 0: the dual of the rows' span
+        basis = LinearCode.from_rows(F, np.array(rows, dtype=np.uint8),
+                                     n).parity_check()
         t = basis.shape[0]
         if q ** t > 1 << 16:
             status["skipped_diagonal"] = True

@@ -186,8 +186,11 @@ def nearly_self_orthogonal(C: LinearCode, strategy: str = "auto",
         if lo > d_lb:
             d_lb = lo
             note += f"; floor min({dC.lb}, {dS.lb}+1) = {lo}"
+    if d_lb > d_ub:
+        raise RuntimeError(f"unsound distance bounds: floor {d_lb} exceeds "
+                           f"the witness weight {d_ub} ({note})")
     qp = QuantumParameters(
-        n_q=E.n, k_q=2 * C.k - C.n + e, d_lb=d_lb, d_ub=max(d_ub, d_lb),
+        n_q=E.n, k_q=2 * C.k - C.n + e, d_lb=d_lb, d_ub=d_ub,
         source=C, e=e, construction="nearly_self_orthogonal", note=note)
     assert qp.k_q == 2 * E.k - E.n, "logical dimension arithmetic broke"
     return E, qp

@@ -18,20 +18,35 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constacyclic import build_constacyclic, lane_cosets
-from .cosets import coset_table, units
+from .constacyclic import build_constacyclic, lane_cosets, lane_elements
+from .cosets import (
+    IndexMap,
+    coset_table,
+    generalized_multiplier,
+    multiplier,
+    shift_divisibility_constacyclic,
+    shift_divisibility_cyclic,
+    shift_map,
+    union_of_cosets,
+    units,
+)
 from .cyclic import (
     _half_twist_partner,
     _odd_step_partner,
     _triple_step_partner,
     build_cyclic,
 )
+from .fields import prime_power_split
 from .linear import min_distance, weight_distribution
 from .quantum import nearly_self_orthogonal
 
 CYCLIC_KINDS = ("multiplier", "affine", "half_twist", "odd_step",
-                "triple_step")
+                "triple_step", "generalized_multiplier")
 CONSTA_KINDS = ("multiplier", "affine")
+# generalized multipliers join only prime-power lengths and are opt-in, so
+# the default cyclic search keeps its orbits
+_DEFAULT_CYCLIC = CYCLIC_KINDS[:-1]
+_INDEX_KINDS = ("multiplier", "shift", "generalized_multiplier")
 _SPOT_CHECK_CAP = 1 << 16
 _MASK_CAP = 20
 
@@ -69,7 +84,8 @@ class SearchJob:
         if not 0 <= self.k_min <= k_max <= self.n:
             raise ValueError("bad dimension window")
         allowed = CYCLIC_KINDS if self.family == "cyclic" else CONSTA_KINDS
-        prune = allowed if self.prune is None else tuple(self.prune)
+        default = _DEFAULT_CYCLIC if self.family == "cyclic" else CONSTA_KINDS
+        prune = default if self.prune is None else tuple(self.prune)
         bad = sorted(set(prune) - set(allowed))
         if bad:
             raise ValueError(f"unknown certificate kinds for {self.family}: "
@@ -162,41 +178,40 @@ class SearchRecord:
 
 
 class _Space:
-    """Coset structure for one job: masks, sizes, membership matrix."""
+    """Coset structure for one job: masks, sizes, membership matrix.
+
+    Row r of ``membership`` marks the elements of the defining set whose
+    coset mask is ``masks[r]``; masks ascend, so a mask's row is found by
+    binary search.
+    """
 
     def __init__(self, job: SearchJob):
         self.job = job
         self.modulus = job.modulus
-        if job.family == "cyclic":
-            self.table = coset_table(job.n, job.q)
-            self.cosets = sorted(self.table.cosets, key=min)
-        else:
-            self.table = None
-            self.cosets = sorted(lane_cosets(job.n), key=min)
-        if len(self.cosets) > _MASK_CAP:
-            raise ValueError(f"too many cosets ({len(self.cosets)}) "
-                             f"to enumerate all defining sets")
-        self.leaders = np.array([min(c) for c in self.cosets])
-        self.coset_of_element = {}
-        for i, c in enumerate(self.cosets):
-            for x in c:
-                self.coset_of_element[x] = i
+        self.cosets = (coset_table(job.n, job.q).cosets
+                       if job.family == "cyclic" else lane_cosets(job.n))
         count = len(self.cosets)
+        if count > _MASK_CAP:
+            raise ValueError(f"too many cosets ({count}) "
+                             f"to enumerate all defining sets")
+        self.leaders = np.array([c[0] for c in self.cosets])
+        self.coset_of_element = {x: i for i, c in enumerate(self.cosets)
+                                 for x in c}
+        self.weights = np.int64(1) << np.arange(count, dtype=np.int64)
         all_masks = np.arange(1 << count, dtype=np.int64)
-        sizes = np.zeros(1 << count, dtype=np.int64)
-        for i, c in enumerate(self.cosets):
-            sizes += ((all_masks >> i) & 1) * len(c)
+        bits = (all_masks[:, None] & self.weights) != 0
+        sizes = bits @ np.array([len(c) for c in self.cosets], dtype=np.int64)
         lo, hi = job.n - job.k_max, job.n - job.k_min
         keep = (sizes >= lo) & (sizes <= hi)
         self.masks = all_masks[keep]
         self.sizes = sizes[keep]
-        self.pos = {int(m): i for i, m in enumerate(self.masks)}
-        self.membership = np.zeros((len(self.masks), self.modulus),
-                                   dtype=bool)
+        column = np.full(self.modulus, count)
         for i, c in enumerate(self.cosets):
-            rows = ((self.masks >> i) & 1).astype(bool)
-            for x in c:
-                self.membership[rows, x] = True
+            column[list(c)] = i
+        # the extra all-False column stands for elements of other lanes
+        padded = np.hstack([bits[keep], np.zeros((len(self.masks), 1), bool)])
+        self.membership = padded[:, column]
+        self.times_q = np.arange(self.modulus) * job.q % self.modulus
 
     def mask_of_set(self, elements) -> int:
         mask = 0
@@ -205,138 +220,168 @@ class _Space:
         return mask
 
     def set_of_mask(self, mask: int) -> frozenset:
-        out = set()
-        for i, c in enumerate(self.cosets):
-            if mask >> i & 1:
-                out.update(c)
-        return frozenset(out)
+        return frozenset(union_of_cosets(self.cosets, mask))
 
     def leaders_of_mask(self, mask: int) -> tuple[int, ...]:
         return tuple(int(self.leaders[i]) for i in range(len(self.cosets))
                      if mask >> i & 1)
 
-    def multiplier_values(self) -> tuple[int, ...]:
-        if self.job.family == "cyclic":
-            return units(self.job.n)
-        return tuple(e for e in units(self.modulus) if e % 3 == 1)
+    def position(self, mask: int) -> int | None:
+        """Row of ``mask``, or None when it lies outside the window."""
+        i = int(np.searchsorted(self.masks, mask))
+        return i if i < len(self.masks) and self.masks[i] == mask else None
 
-    def multiplier_coset_perm(self, e: int) -> np.ndarray:
-        return np.array([self.coset_of_element[e * int(l) % self.modulus]
-                         for l in self.leaders])
+    def image_edges(self, imap: IndexMap, admissible=True):
+        """Rows that ``imap`` moves onto another admissible set, and targets.
 
-    def shift_ok(self, size: int, b: int) -> bool:
-        if self.job.family == "cyclic":
-            return size * (self.job.q - 1) * b % self.job.n == 0
-        return b % 3 == 0 and size * b % self.job.n == 0
+        The image of row r is ``membership[r, imap^-1]``; it counts when it
+        is coset-closed, differs from the row, lies in the dimension window
+        and the row meets the kind's side condition ``admissible``.
+        """
+        inverse = np.array([imap.inverse()(x) for x in range(self.modulus)])
+        image = self.membership[:, inverse]
+        closed = (image == image[:, self.times_q]).all(axis=1)
+        image_masks = image[:, self.leaders] @ self.weights
+        rows = np.flatnonzero(closed & admissible
+                              & (image_masks != self.masks))
+        targets = np.searchsorted(self.masks, image_masks[rows])
+        found = targets < len(self.masks)
+        found[found] = self.masks[targets[found]] == image_masks[rows[found]]
+        return rows[found], targets[found]
 
 
-def _union_phase(space: _Space, job: SearchJob):
-    """Union-find closure with a spanning forest of witness edges."""
-    n_nodes = len(space.masks)
-    parent = list(range(n_nodes))
+class _Forest:
+    """Union-find over 0..size-1 that records the edges joining two classes.
 
-    def find(x: int) -> int:
+    Every class is rooted at its least node, so roots do not depend on the
+    order of the unions.
+    """
+
+    def __init__(self, size: int):
+        self.parent = list(range(size))
+        self.edges: list[tuple[int, int, object]] = []
+
+    def find(self, x: int) -> int:
+        parent = self.parent
         while parent[x] != x:
             parent[x] = parent[parent[x]]
             x = parent[x]
         return x
 
-    forest: list[tuple[int, int, tuple]] = []
+    def union(self, a: int, b: int, label) -> bool:
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        self.parent[max(ra, rb)] = min(ra, rb)
+        self.edges.append((a, b, label))
+        return True
 
-    def union(a: int, b: int, step: tuple) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-            forest.append((a, b, step))
+    def roots(self) -> np.ndarray:
+        root = np.array(self.parent, dtype=np.int64)
+        while True:
+            up = root[root]
+            if np.array_equal(up, root):
+                return root
+            root = up
 
-    masks = space.masks
-    count = len(space.cosets)
+    def union_all(self, a: np.ndarray, b: np.ndarray, label) -> None:
+        """union(a[i], b[i], label) in order of i.
 
-    want_mult = "multiplier" in job.prune or "affine" in job.prune
-    if want_mult and n_nodes:
-        for e in space.multiplier_values():
-            if e == 1:
-                continue
-            p = space.multiplier_coset_perm(e)
-            images = np.zeros_like(masks)
-            for i in range(count):
-                images |= ((masks >> i) & 1) << int(p[i])
-            for a in np.flatnonzero(images != masks):
-                b = space.pos.get(int(images[a]))
-                if b is not None:
-                    union(int(a), b, ("multiplier", e))
+        Pairs already joined when the call starts are dropped up front;
+        they would not join anything, so the recorded edges are the same.
+        """
+        root = self.roots()
+        keep = root[a] != root[b]
+        for x, y in zip(a[keep].tolist(), b[keep].tolist()):
+            self.union(x, y, label)
 
-    if "affine" in job.prune and job.family == "cyclic" and n_nodes:
+    def classes(self) -> dict[int, list[int]]:
+        out: dict[int, list[int]] = {}
+        for i, r in enumerate(self.roots().tolist()):
+            out.setdefault(r, []).append(i)
+        return out
+
+
+def _generalized_multipliers(n: int) -> list[IndexMap]:
+    try:
+        p, m = prime_power_split(n)
+    except ValueError:
+        return []
+    if p == 2:
+        return []
+    return [generalized_multiplier(n, d, k) for k in range(1, m + 1)
+            for d in range(2, p ** k) if d % p]
+
+
+def _index_maps(space: _Space, job: SearchJob):
+    """The index-map certificates of the job, each with its side condition."""
+    m = space.modulus
+    if "multiplier" in job.prune or "affine" in job.prune:
+        # constacyclic multipliers must keep the lane 1 mod 3
+        for e in units(m):
+            if e != 1 and (job.family == "cyclic" or e % 3 == 1):
+                yield multiplier(m, e), True
+    if job.family != "cyclic":
+        return
+    if "generalized_multiplier" in job.prune:
+        for g in _generalized_multipliers(job.n):
+            yield g, True
+    if "affine" in job.prune:
         # every affine map factors as an admissible shift followed by a
         # multiplier, so shift edges complete the affine closure
-        M = space.membership
-        q, n = job.q, job.n
-        for b in range(1, n):
-            c = (q - 1) * b % n
-            invariant = (M == np.roll(M, c, axis=1)).all(axis=1)
-            divisible = (space.sizes * (q - 1) * b) % n == 0
-            rows = np.flatnonzero(invariant & divisible)
-            if not rows.size:
-                continue
-            shifted = np.roll(M[rows], b, axis=1)
-            images = np.zeros(rows.size, dtype=np.int64)
-            for i in range(count):
-                images |= shifted[:, int(space.leaders[i])].astype(
-                    np.int64) << i
-            for j, a in enumerate(rows):
-                if int(images[j]) != int(masks[a]):
-                    t = space.pos.get(int(images[j]))
-                    if t is not None:
-                        union(int(a), t, ("shift", b))
+        for b in range(1, job.n):
+            yield shift_map(m, b), shift_divisibility_cyclic(
+                job.n, job.q, space.sizes, b)
 
-    transform_kinds = [k for k in ("half_twist", "odd_step", "triple_step")
-                       if k in job.prune]
-    if transform_kinds and job.family == "cyclic":
-        n, q = job.n, job.q
-        enabled = {
-            "half_twist": n % 8 == 0 and q % 2 == 1,
-            "odd_step": n % 8 == 0 and q % 4 == 1,
-            "triple_step": q == 4 and n % 2 == 1 and n % 27 == 0,
-        }
-        if any(enabled[k] for k in transform_kinds):
-            for a in range(n_nodes):
-                S = space.set_of_mask(int(masks[a]))
-                for kind in transform_kinds:
-                    if not enabled[kind]:
-                        continue
-                    if kind == "half_twist":
-                        T = _half_twist_partner(S, n)
-                    elif kind == "odd_step":
-                        T = _odd_step_partner(S, n)
-                    else:
-                        T = _triple_step_partner(S, n, space.table)
-                    if T is not None and T != S:
-                        t = space.pos.get(space.mask_of_set(T))
-                        if t is not None:
-                            union(a, t, (kind,))
 
-    roots: dict[int, list[int]] = {}
-    for i in range(n_nodes):
-        roots.setdefault(find(i), []).append(i)
-    return roots, forest
+def _transform_enabled(job: SearchJob, kind: str) -> bool:
+    n, q = job.n, job.q
+    if kind == "half_twist":
+        return n % 8 == 0 and q % 2 == 1
+    if kind == "odd_step":
+        return n % 8 == 0 and q % 4 == 1
+    return q == 4 and n % 2 == 1 and n % 27 == 0
+
+
+def _union_phase(space: _Space, job: SearchJob):
+    """Union-find closure with a spanning forest of witness edges."""
+    forest = _Forest(len(space.masks))
+    for imap, admissible in _index_maps(space, job):
+        rows, targets = space.image_edges(imap, admissible)
+        forest.union_all(rows, targets, (imap.kind,) + imap.params)
+
+    kinds = [k for k in ("half_twist", "odd_step", "triple_step")
+             if k in job.prune and _transform_enabled(job, k)]
+    # these partners depend on the shape of the set, so each set is visited
+    for a in range(len(space.masks)) if kinds else ():
+        S = space.set_of_mask(int(space.masks[a]))
+        for kind in kinds:
+            T = apply_step(job, S, (kind,))
+            if T is not None and T != S:
+                t = space.position(space.mask_of_set(T))
+                if t is not None:
+                    forest.union(a, t, (kind,))
+    return forest.classes(), forest.edges
+
+
+def _step_map(step: tuple, modulus: int) -> IndexMap:
+    return IndexMap(step[0], modulus, tuple(step[1:]))
 
 
 def _invert_step(step: tuple, modulus: int) -> tuple:
-    if step[0] == "multiplier":
-        return ("multiplier", pow(step[1], -1, modulus))
-    if step[0] == "shift":
-        return ("shift", (modulus - step[1]) % modulus)
+    if step[0] in _INDEX_KINDS:
+        inverse = _step_map(step, modulus).inverse()
+        return (inverse.kind,) + inverse.params
+    # the set transforms are involutions
     return step
 
 
 def apply_step(job: SearchJob, elements: frozenset, step: tuple) -> frozenset:
     """Apply one witness step to a defining set."""
-    m = job.modulus
     kind = step[0]
-    if kind == "multiplier":
-        return frozenset(step[1] * x % m for x in elements)
-    if kind == "shift":
-        return frozenset((x + step[1]) % m for x in elements)
+    if kind in _INDEX_KINDS:
+        imap = _step_map(step, job.modulus)
+        return frozenset(imap(x) for x in elements)
     if kind == "half_twist":
         return _half_twist_partner(elements, job.n)
     if kind == "odd_step":
@@ -417,70 +462,40 @@ def group_orbits(job: SearchJob, orbits: list[Orbit]) -> list[EvalGroup]:
                           {o.orbit_id: None})
                 for i, o in enumerate(orbits)]
 
-    space = _Space(job)
-    owner = {}
-    for o in orbits:
-        for leaders in o.members:
-            owner[leaders] = o.orbit_id
-    by_id = {o.orbit_id: o for o in orbits}
-
-    parent = {o.orbit_id: o.orbit_id for o in orbits}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
+    table = coset_table(job.modulus, job.q)
+    m = job.modulus
+    owner = {leaders: i for i, o in enumerate(orbits) for leaders in o.members}
+    forest = _Forest(len(orbits))
+    for i, o in enumerate(orbits):
+        rep_set = table.closure(o.representative)
+        for b in range(3, m, 3):
+            if not shift_divisibility_constacyclic(job.n, len(rep_set), b):
+                continue
+            T = [(x + b) % m for x in rep_set]
+            if not table.is_union(T):
+                continue
+            t_leaders = tuple(sorted({table.leader_of(x) for x in T}))
+            target = owner.get(t_leaders)
+            if target is not None:
+                forest.union(i, target, {"kind": "shift", "b": b,
+                                         "from": list(o.representative),
+                                         "image": list(t_leaders)})
 
     links: dict[int, dict | None] = {o.orbit_id: None for o in orbits}
-    m = space.modulus
-    for o in orbits:
-        rep_set = set()
-        for l in o.representative:
-            rep_set.update(space.cosets[space.coset_of_element[l]])
-        size = len(rep_set)
-        for b in range(3, m, 3):
-            if not space.shift_ok(size, b):
-                continue
-            T = frozenset((x + b) % m for x in rep_set)
-            if any(4 * x % m not in T for x in T):
-                continue
-            t_leaders = tuple(sorted(min(space.cosets[i])
-                                     for i in {space.coset_of_element[x]
-                                               for x in T}))
-            target = owner.get(t_leaders)
-            if target is None or find(target) == find(o.orbit_id):
-                continue
-            ra, rb = find(o.orbit_id), find(target)
-            parent[max(ra, rb)] = min(ra, rb)
-            links[target] = {"kind": "shift", "b": b,
-                             "from": list(o.representative),
-                             "image": list(t_leaders)}
-
-    grouped: dict[int, list[int]] = {}
-    for o in orbits:
-        grouped.setdefault(find(o.orbit_id), []).append(o.orbit_id)
+    for _, target, link in forest.edges:
+        links[orbits[target].orbit_id] = link
     out = []
-    for gid, (root, ids) in enumerate(sorted(grouped.items())):
-        ids = tuple(sorted(ids))
-        out.append(EvalGroup(gid, ids, by_id[ids[0]].representative,
+    for gid, members in enumerate(forest.classes().values()):
+        ids = tuple(orbits[i].orbit_id for i in members)
+        out.append(EvalGroup(gid, ids, orbits[members[0]].representative,
                              {i: links[i] for i in ids}))
     return out
 
 
 def _expand_leaders(job: SearchJob, leaders) -> frozenset:
     if job.family == "cyclic":
-        table = coset_table(job.n, job.q)
-        return frozenset(table.closure(leaders))
-    want = set(int(x) for x in leaders)
-    out = set()
-    for c in lane_cosets(job.n):
-        if min(c) in want:
-            out.update(c)
-            want.discard(min(c))
-    if want:
-        raise ValueError(f"unknown leaders: {sorted(want)}")
-    return frozenset(out)
+        return frozenset(coset_table(job.n, job.q).closure(leaders))
+    return lane_elements(job.n, leaders)
 
 
 def _build_base(job: SearchJob, elements: frozenset):

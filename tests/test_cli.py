@@ -160,6 +160,22 @@ def test_invalid_values_exit_two(capsys):
     assert "error" in json.loads(err)
 
 
+def test_classify_unknown_kind_exits_two(capsys):
+    code = main(["classify", "--n", "8", "--q", "3", "--use", "bogus"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "bogus" in json.loads(captured.err)["error"]
+
+
+def test_classify_accepts_generalized_multiplier(capsys):
+    _, default = run(capsys, ["classify", "--n", "25", "--q", "4"])
+    code, narrow = run(capsys, ["classify", "--n", "25", "--q", "4", "--use",
+                                "multiplier,affine,generalized_multiplier"])
+    assert code == 0
+    assert default["class_count"] == narrow["class_count"] == 18
+
+
 def test_missing_arguments_exit_two():
     with pytest.raises(SystemExit) as exc:
         main(["gen", "--n", "8"])

@@ -11,7 +11,6 @@ from codeq.constacyclic import (
     build_constacyclic,
     conjugate_code,
     embed_as_cyclic,
-    isometry_note,
     lane_cosets,
     palfy_classify,
     power_substitution,
@@ -99,11 +98,6 @@ def test_lane_cosets_n5():
     assert sorted(all_lane_defining_sets(5)) == sorted([
         (), (1, 4), (7, 13), (10,), (1, 4, 7, 13), (1, 4, 10),
         (7, 10, 13), (1, 4, 7, 10, 13)])
-
-
-def test_isometry_note():
-    assert isometry_note(build_constacyclic(5, ())) is not None
-    assert isometry_note(build_constacyclic(9, ())) is None
 
 
 # ---------------------------------------------------------------------------

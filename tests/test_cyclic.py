@@ -18,8 +18,6 @@ from codeq.cyclic import (
     certify_equivalence,
     cyclic_from_generator,
     dual_defining_set,
-    extend_length,
-    generalized_parity_check,
     half_twist_pair,
     half_twist_transform,
     hermitian_dual_defining_set,
@@ -42,7 +40,6 @@ from codeq.linear import (
     LinearCode,
     apply_monomial,
     brute_force_equivalence,
-    min_distance,
     weight_distribution,
 )
 
@@ -129,24 +126,6 @@ def test_hermitian_dual_defining_set():
         assert D.base == C.base.hermitian_dual()
     with pytest.raises(ValueError):
         hermitian_dual_defining_set(DefiningSet(8, 3, (0,)))
-
-
-# ---------------------------------------------------------------------------
-# generalized parity checks
-
-
-def test_generalized_parity_check_classifies_words():
-    C = build_cyclic(8, 3, leaders_set(8, 3, (1, 2)))
-    H = generalized_parity_check(C)
-    assert len(H.rows()) == len(C.defining_set)
-    words = C.base.codewords()
-    in_code = {bytes(w) for w in words}
-    for w in words[:50]:
-        assert H.annihilates(w)
-    rng = np.random.default_rng(5)
-    for _ in range(50):
-        v = rng.integers(0, 3, size=8, dtype=np.uint8)
-        assert H.annihilates(v) == (bytes(v) in in_code)
 
 
 # ---------------------------------------------------------------------------
@@ -394,44 +373,6 @@ def test_listed_pairs_not_affine_or_multiplier():
     for c in range(1, 27):
         if np.gcd(c, 27) == 1:
             assert apply_map(multiplier(27, c), A1) != A2.elements
-
-
-# ---------------------------------------------------------------------------
-# length extension
-
-
-def test_extend_length_identity():
-    C = build_cyclic(8, 3, leaders_set(8, 3, (0, 1, 4)))
-    assert extend_length(C, 1) is C
-
-
-def test_extend_length_dimension():
-    C = build_cyclic(8, 3, DefiningSet(8, 3, (0, 1, 3, 4)))
-    E = extend_length(C, 2)
-    assert (E.n, E.k) == (16, 12)
-    assert E.generator_poly == C.generator_poly
-
-
-def test_extended_code_has_distance_at_most_two():
-    C = build_cyclic(8, 3, DefiningSet(8, 3, (0, 1, 3, 4)))
-    E = extend_length(C, 2)
-    res = min_distance(E.base)
-    assert res.complete and res.ub <= 2
-
-
-def test_extension_preserves_weight_distribution_of_equivalent_pair():
-    # necessary condition for the extension conjecture, at n*m = 16
-    C1 = build_cyclic(8, 3, DefiningSet(8, 3, (0, 1, 3, 4)))
-    C2 = build_cyclic(8, 3, DefiningSet(8, 3, (2, 5, 6, 7)))
-    E1 = extend_length(C1, 2)
-    E2 = extend_length(C2, 2)
-    assert weight_distribution(E1.base).counts == weight_distribution(E2.base).counts
-
-
-def test_extend_length_rejects_shared_factor():
-    C = build_cyclic(8, 3, DefiningSet(8, 3, (0,)))
-    with pytest.raises(ValueError):
-        extend_length(C, 3)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ from codeq.linear import (
     gf_matmul,
     min_distance,
     min_weight_outside,
-    nullspace,
     rref,
     weight_distribution,
 )
@@ -104,9 +103,15 @@ def test_parity_check_annihilates():
     assert not gf_matmul(F4, H, C.generator.T).any()
 
 
-def test_nullspace_matches_parity():
+def test_parity_check_is_nullspace_of_redundant_rows():
+    # brute-force equivalence solves for diagonals this way: rows with
+    # repeats and dependent combinations, nullspace read off parity_check()
     C = _random_code(F3, 8, 3, 17)
-    N = nullspace(F3, C.generator, 8)
+    rows = np.vstack([C.generator, C.generator[:1],
+                      gf_matmul(F3, [[1, 2, 0]], C.generator)])
+    N = LinearCode.from_rows(F3, rows, 8).parity_check()
+    assert N.shape == (8 - 3, 8)
+    assert not gf_matmul(F3, rows, N.T).any()
     assert LinearCode.from_rows(F3, N) == C.euclidean_dual()
 
 

@@ -6,7 +6,14 @@ import pytest
 from codeq.cosets import DefiningSet
 from codeq.cyclic import build_cyclic
 from codeq.fields import GF4_OMEGA, gf4
-from codeq.linear import GF4_CONJ, LinearCode, min_distance, min_weight_outside, tables
+from codeq.linear import (
+    GF4_CONJ,
+    DistanceResult,
+    LinearCode,
+    min_distance,
+    min_weight_outside,
+    tables,
+)
 from codeq.quantum import (
     QuantumParameters,
     _hermitian_inner,
@@ -144,6 +151,17 @@ def test_floor_flag_changes_note_not_soundness():
     _, without = nearly_self_orthogonal(C, floor=False)
     assert with_floor.d_lb >= without.d_lb
     assert with_floor.d_ub == without.d_ub
+
+
+def test_floor_above_witness_weight_raises(monkeypatch):
+    # a floor no word of the code can meet must surface, not be clamped
+    def impossible(code, **kwargs):
+        return DistanceResult(10 ** 6, 10 ** 6, "fake", None, 0.0, 0, True)
+
+    monkeypatch.setattr("codeq.quantum.min_distance", impossible)
+    C = cyclic_base(15, [0, 1])
+    with pytest.raises(RuntimeError, match="unsound distance bounds"):
+        nearly_self_orthogonal(C, floor=True)
 
 
 def test_parameters_to_dict_and_exactness():

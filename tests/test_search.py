@@ -2,16 +2,25 @@
 
 import hashlib
 import json
+import math
 
+import numpy as np
 import pytest
 
-from codeq.constacyclic import lane_cosets, palfy_classify
-from codeq.cosets import coset_table
-from codeq.cyclic import build_cyclic, classify_cyclic
+from codeq.constacyclic import all_lane_defining_sets
+from codeq.cosets import all_defining_sets, coset_table, generalized_multiplier
+from codeq.cyclic import (
+    _half_twist_partner,
+    _odd_step_partner,
+    _triple_step_partner,
+    build_cyclic,
+)
+from codeq.fields import prime_power_split
 from codeq.linear import min_distance
 from codeq.search import (
     SearchJob,
     SearchRecord,
+    _Forest,
     _expand_leaders,
     apply_chain,
     enumerate_orbits,
@@ -64,18 +73,121 @@ def test_dimension_window_filters_sets():
             assert 4 <= k <= 6
 
 
-def test_cyclic_orbits_match_classification():
-    kinds = ("multiplier", "affine", "half_twist", "odd_step", "triple_step")
-    for n, q in ((8, 3), (9, 2), (8, 5)):
-        job = SearchJob("cyclic", n, q)
-        table = coset_table(n, q)
-        got = {
-            frozenset(tuple(sorted(_expand_leaders(job, m)))
+def _loop_closure(sets, images):
+    """Classes of ``sets`` joined to each of their ``images(S)``, one set at
+    a time; images outside ``sets`` are ignored."""
+    index = {s: i for i, s in enumerate(sets)}
+    parent = list(range(len(sets)))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for S in sets:
+        for img in images(S):
+            if img in index:
+                ra, rb = find(index[S]), find(index[img])
+                parent[max(ra, rb)] = min(ra, rb)
+    groups = {}
+    for i, s in enumerate(sets):
+        groups.setdefault(find(i), []).append(tuple(sorted(s)))
+    return {frozenset(v) for v in groups.values()}
+
+
+def reference_cyclic_classes(n, q, use):
+    """Certificate closure at (n, q) by a loop over every defining set."""
+    table = coset_table(n, q)
+    sets = [frozenset(els) for els in all_defining_sets(n, q)]
+    mults = [c for c in range(1, n) if math.gcd(c, n) == 1]
+    gmults = []
+    if "generalized_multiplier" in use:
+        try:
+            p, m = prime_power_split(n)
+        except ValueError:
+            p, m = 2, 0
+        if p > 2:
+            gmults = [generalized_multiplier(n, d, k)
+                      for k in range(1, m + 1)
+                      for d in range(2, p ** k) if d % p]
+
+    def images(S):
+        if "multiplier" in use:
+            for c in mults:
+                yield frozenset(c * x % n for x in S)
+        for g in gmults:
+            yield frozenset(g(x) for x in S)
+        if "affine" in use:
+            for b in range(n):
+                if len(S) * (q - 1) * b % n == 0:
+                    for e in mults:
+                        yield frozenset((e * x + b) % n for x in S)
+        if "half_twist" in use and n % 8 == 0 and q % 2:
+            yield _half_twist_partner(S, n)
+        if "odd_step" in use and n % 8 == 0 and q % 4 == 1:
+            yield _odd_step_partner(S, n)
+        if "triple_step" in use and q == 4 and n % 2 and n % 27 == 0:
+            yield _triple_step_partner(S, n, table)
+
+    return _loop_closure(sets, images)
+
+
+def reference_multiplier_classes(n):
+    """Lane defining sets at length n joined by the 1-mod-3 multipliers."""
+    m = 3 * n
+    mults = [e for e in range(1, m, 3) if math.gcd(e, m) == 1]
+    sets = [frozenset(els) for els in all_lane_defining_sets(n)]
+    return _loop_closure(
+        sets, lambda S: (frozenset(e * a % m for a in S) for e in mults))
+
+
+def engine_classes(job, orbits):
+    return {frozenset(tuple(sorted(_expand_leaders(job, m)))
                       for m in o.members)
-            for o in enumerate_orbits(job)
-        }
-        want = {frozenset(cls) for cls in classify_cyclic(n, q, use=kinds)}
-        assert got == want
+            for o in orbits}
+
+
+def assert_chains_reach_representatives(job, orbits):
+    for o in orbits:
+        rep_set = _expand_leaders(job, o.representative)
+        for leaders in o.members:
+            start = _expand_leaders(job, leaders)
+            assert apply_chain(job, start, o.chains[leaders]) == rep_set
+
+
+def test_cyclic_orbits_match_classification():
+    # the generalized multiplier is opt-in: the default search at (25,4)
+    # keeps 20 orbits, and adding it joins them into 18
+    with_gm = ("multiplier", "affine", "generalized_multiplier")
+    for n, q, prune, count in ((8, 3, None, 14), (9, 2, None, 8),
+                               (8, 5, None, 15), (16, 3, None, 47),
+                               (25, 4, None, 20), (25, 4, with_gm, 18),
+                               (49, 2, with_gm, 18)):
+        job = SearchJob("cyclic", n, q, prune=prune)
+        orbits = enumerate_orbits(job)
+        assert len(orbits) == count
+        assert engine_classes(job, orbits) == reference_cyclic_classes(
+            n, q, job.prune)
+        assert_chains_reach_representatives(job, orbits)
+        steps = {step[0] for o in orbits for chain in o.chains.values()
+                 for step in chain}
+        assert ("generalized_multiplier" in steps) == (prune == with_gm)
+
+
+def test_forest_batches_record_the_sequential_edges():
+    a = np.array([3, 2, 0, 1, 4, 0, 5])
+    b = np.array([4, 3, 2, 0, 2, 4, 5])
+    one_by_one = _Forest(7)
+    for x, y in zip(a.tolist(), b.tolist()):
+        one_by_one.union(x, y, "e")
+    batched = _Forest(7)
+    batched.union_all(a[:3], b[:3], "e")
+    batched.union_all(a[3:], b[3:], "e")
+    assert batched.edges == one_by_one.edges
+    # node 4 still points at the old root 3 after 3's class joins 0's
+    assert batched.parent[4] != 0
+    assert batched.classes() == {0: [0, 1, 2, 3, 4], 5: [5], 6: [6]}
 
 
 def test_half_twist_pairs_share_an_orbit():
@@ -105,19 +217,12 @@ def test_criterion_orbit_at_fifty_one():
 
 
 def test_constacyclic_orbits_match_multiplier_classes():
-    # palfy members are full lane sets; convert them to leader tuples
-    for n in (5, 11):
-        job = SearchJob("constacyclic", n)
-        got = {o.members for o in enumerate_orbits(job)}
-        cosets = lane_cosets(n)
-
-        def to_leaders(member):
-            s = set(member)
-            return tuple(sorted(min(c) for c in cosets if set(c) <= s))
-
-        want = {tuple(sorted(to_leaders(m) for m in po.members))
-                for po in palfy_classify(n)}
-        assert got == want
+    for n in (5, 11, 15):
+        # the affine kind only groups constacyclic orbits for evaluation
+        for prune in (("multiplier",), None):
+            job = SearchJob("constacyclic", n, prune=prune)
+            assert engine_classes(job, enumerate_orbits(job)) == \
+                reference_multiplier_classes(n)
 
 
 def test_consta_111_orbit_of_criterion_set():
@@ -149,11 +254,7 @@ def test_consta_shift_images_stay_inside_multiplier_orbits():
 def test_chains_verify_for_every_member():
     for job in (SearchJob("cyclic", 8, 3), SearchJob("cyclic", 9, 2),
                 SearchJob("constacyclic", 15)):
-        for o in enumerate_orbits(job):
-            rep_set = _expand_leaders(job, o.representative)
-            for leaders in o.members:
-                start = _expand_leaders(job, leaders)
-                assert apply_chain(job, start, o.chains[leaders]) == rep_set
+        assert_chains_reach_representatives(job, enumerate_orbits(job))
 
 
 def test_search_records_inherit_bounds(tmp_path):
