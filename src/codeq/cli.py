@@ -11,6 +11,7 @@ produce identical outputs on any machine.
 
 import argparse
 import json
+import os
 import sys
 
 from .constacyclic import (
@@ -37,12 +38,16 @@ def parse_budget(text: str) -> int:
     text = text.strip()
     try:
         if text.endswith("s"):
-            return int(float(text[:-1]) * WORK_UNITS_PER_SECOND)
-        return int(text)
-    except ValueError:
+            units = int(float(text[:-1]) * WORK_UNITS_PER_SECOND)
+        else:
+            units = int(text)
+    except (ValueError, OverflowError):
+        units = None
+    if units is None or units < 0:
         raise argparse.ArgumentTypeError(
-            f"bad budget {text!r}: use work units (e.g. 4000000) "
-            f"or seconds (e.g. 300s)")
+            f"bad budget {text!r}: use a non-negative number of work units "
+            f"(e.g. 4000000) or seconds (e.g. 300s)")
+    return units
 
 
 def _consta_elements(n: int, text: str) -> frozenset:
@@ -319,7 +324,15 @@ def main(argv=None) -> int:
     except ValueError as ex:
         print(json.dumps({"error": str(ex)}), file=sys.stderr)
         return EXIT_USAGE
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    try:
+        print(json.dumps(payload, indent=2, sort_keys=True))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader went away; point stdout at devnull so the flush at
+        # interpreter shutdown cannot raise a second time
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return code
 
 

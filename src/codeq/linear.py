@@ -11,6 +11,15 @@ enumeration when q^k is small, a syndrome-space dynamic program when
 q^(n-k) fits in memory (exact distances for things like [54,43] over
 GF(4)), and for the rest a meet-in-the-middle ladder that certifies lower
 bounds plus a seeded information-set search for upper bounds.
+
+The dynamic program keeps one uint8 table of least weights per syndrome
+and builds no index array of table size.  It starts in closed form from
+the unit columns of the parity check (a syndrome's count of nonzero
+digits) and then adds the pivot columns.  In characteristic 2 the
+multiples of a column span an F2-subspace, so each column costs m
+butterflies min(t[x], t[x ^ s]) over XOR views of the table; in odd
+characteristic each multiple is a shift by digit arithmetic, one take per
+nonzero digit along that digit's axis.
 """
 
 from __future__ import annotations
@@ -26,6 +35,7 @@ from codeq.fields import GaloisField
 
 _TABLE_CAP = 256
 EXHAUSTIVE_CAP = 1 << 22
+EXHAUSTIVE_CEILING = 1 << 28
 DP_CAP_CHAR2 = 1 << 24
 DP_CAP_ODD = 1 << 18
 MITM_SIDE_CAP = 1 << 23
@@ -371,17 +381,25 @@ def _sentinel(code: LinearCode, strategy: str, t0: float) -> DistanceResult:
 
 
 def _exhaustive_min(code: LinearCode, exclude: LinearCode | None,
-                    cap: int) -> tuple[int, tuple[int, ...] | None, int]:
-    """Exact min weight over code (minus exclude) by full enumeration."""
+                    budget: int | None
+                    ) -> tuple[int, tuple[int, ...] | None, int, bool]:
+    """Min weight over code (minus exclude) by codeword enumeration.
+
+    Returns (weight, witness, work, complete).  With a budget below q^k only
+    the first `budget` codewords are read and complete is False; the weight
+    is then the lowest seen (n+1 when none qualified), an upper bound only.
+    """
     q = code.field.order
     total = q ** code.k
-    if total > cap:
-        raise ValueError(f"too large: {total} codewords exceeds cap {cap}")
+    if budget is None and total > EXHAUSTIVE_CEILING:
+        raise ValueError(f"too large: {total} codewords exceeds cap "
+                         f"{EXHAUSTIVE_CEILING}")
+    stop_at = total if budget is None else min(total, budget)
     Hx = exclude.parity_check().T if exclude is not None else None
     best, witness, work = code.n + 1, None, 0
     chunk = 1 << 16
-    for start in range(0, total, chunk):
-        stop = min(start + chunk, total)
+    for start in range(0, stop_at, chunk):
+        stop = min(start + chunk, stop_at)
         words = gf_matmul(code.field, _messages(q, code.k, start, stop),
                           code.generator)
         work += words.shape[0]
@@ -395,9 +413,7 @@ def _exhaustive_min(code: LinearCode, exclude: LinearCode | None,
         if int(w[i]) < best:
             best = int(w[i])
             witness = tuple(int(x) for x in words[i])
-    if best > code.n:
-        return code.n + 1, None, work
-    return best, witness, work
+    return best, witness, work, stop_at == total
 
 
 class _SyndromeSpace:
@@ -409,21 +425,14 @@ class _SyndromeSpace:
         self.q = F.order
         self.size = self.q ** r
         self.char2 = F.p == 2
-        if self.char2:
-            self.bits = F.m
-            self.base = np.arange(self.size, dtype=np.int64)
-        else:
-            base = np.arange(self.size, dtype=np.int64)
-            self.digits = [(base // self.q ** i) % self.q for i in range(r)]
-            self.T = tables(F)
+        self.T = tables(F)
 
     def pack(self, vec) -> int:
-        """Index of one syndrome vector."""
-        if self.char2:
-            s = 0
-            for i, v in enumerate(vec):
-                s |= int(v) << (i * self.bits)
-            return s
+        """Index of one syndrome vector: its base-q digits, row 0 lowest.
+
+        In characteristic 2 digit i sits in bits [i*m, (i+1)*m) and adding
+        syndromes is XOR of indices.
+        """
         s = 0
         for i, v in enumerate(vec):
             s += int(v) * self.q ** i
@@ -452,43 +461,100 @@ class _SyndromeSpace:
         return out
 
     def shifted_gather(self, dist: np.ndarray, vec_idx: int) -> np.ndarray:
-        """dist re-indexed so entry t reads dist[t - syndrome(vec_idx)]."""
-        if self.char2:
-            return dist[self.base ^ vec_idx]
+        """dist re-indexed so entry t reads dist[t - syndrome(vec_idx)].
+
+        Odd characteristic only (characteristic 2 uses _XorBlocks): one take
+        along each nonzero digit's axis of the (q,)*r view, indexed by the
+        field's addition table.
+        """
+        q, r = self.q, self.r
+        out = dist.reshape((q,) * r)
         neg = self.neg_index(vec_idx)
-        perm = np.zeros(self.size, dtype=np.int64)
-        for i in range(self.r):
-            v = (neg // self.q ** i) % self.q
-            perm += self.T.add[self.digits[i], np.uint8(v)].astype(np.int64) * self.q ** i
-        return dist[perm]
+        for i in range(r):
+            v = neg // q ** i % q
+            if v:
+                out = np.take(out, self.T.add[:, v], axis=r - 1 - i)
+        return out.reshape(-1)
+
+
+class _XorBlocks:
+    """Butterflies out[x] = min(src[x], src[x ^ s]) over a 2^bits uint8 table.
+
+    Tables are viewed as (2,)*(bits-8) + (256,): XOR by the low byte of s
+    is one take along the 256-cell block axis, XOR by the rest reverses the
+    leading axes of its set bits, so no index array of table size is built.
+    """
+
+    def __init__(self, bits: int):
+        low = min(bits, 8)
+        self.low = low
+        self.lead = bits - low
+        self.shape = (2,) * self.lead + (1 << low,)
+        self.cells = np.arange(1 << low, dtype=np.intp)
+        self.tmp = np.empty(self.shape, dtype=np.uint8)
+
+    def butterfly(self, src: np.ndarray, s: int, out: np.ndarray) -> None:
+        """Write min(src[x], src[x ^ s]) into out; out must not alias src."""
+        other = src
+        lo = s & ((1 << self.low) - 1)
+        if lo:
+            np.take(src, self.cells ^ lo, axis=-1, out=self.tmp, mode="clip")
+            other = self.tmp
+        hi = s >> self.low
+        flip = tuple(slice(None, None, -1) if hi >> (self.lead - 1 - a) & 1
+                     else slice(None) for a in range(self.lead))
+        np.minimum(src, other[flip], out=out)
 
 
 def _dp_tables(code: LinearCode):
-    """Column-by-column syndrome DP; returns (d, dist, space, packed_cols)."""
+    """Column-by-column syndrome DP; returns (d, dist, space, packed_cols).
+
+    The free columns of parity_check() are the unit vectors e_0..e_{r-1},
+    so after them a syndrome's distance is its number of nonzero digits;
+    the loop then adds the pivot columns one at a time.  Every nonzero
+    codeword has a pivot in its support, so d is read at its last pivot.
+    """
     F = code.field
+    q = F.order
     H = code.parity_check()
     r, n = H.shape
     space = _SyndromeSpace(F, r)
-    packed = [[0] * F.order for _ in range(n)]
+    packed = [[0] * q for _ in range(n)]
     for j in range(n):
         col = H[:, j]
-        for c in range(1, F.order):
+        for c in range(1, q):
             packed[j][c] = space.pack([F.mul(c, int(x)) for x in col])
-    dist = np.full(space.size, 0xFF, dtype=np.uint8)
-    dist[0] = 0
+    dist = np.zeros(1, dtype=np.uint8)
+    nonzero = (np.arange(q) != 0).astype(np.uint8)
+    for _ in range(r):
+        dist = np.add.outer(nonzero, dist).reshape(-1)
+    if space.char2:
+        xor = _XorBlocks(r * F.m)
+        dist = dist.reshape(xor.shape)
+        pair = (np.empty_like(dist), np.empty_like(dist))
+    flat = dist.reshape(-1)
     best = code.n + 1
-    for j in range(n):
-        shifted = None
-        for c in range(1, F.order):
-            arr = space.shifted_gather(dist, packed[j][c])
-            shifted = arr if shifted is None else np.minimum(shifted, arr)
-        if int(shifted[0]) + 1 < best:
-            best = int(shifted[0]) + 1
-        bumped = shifted + 1
-        bumped[shifted == 0xFF] = 0xFF
-        dist = np.minimum(dist, bumped)
-        dist[0] = 0
-    return best, dist, space, packed
+    for j in code.pivots:
+        best = min(best, 1 + min(int(flat[packed[j][c]]) for c in range(1, q)))
+        if not packed[j][1]:
+            continue  # a zero column reaches no new syndrome
+        if space.char2:
+            # {c * h_j : c != 0} is the nonzero part of the F2-span of
+            # the m packed basis multiples, one butterfly each
+            src = dist
+            for i in range(F.m):
+                out = pair[i & 1]
+                xor.butterfly(src, packed[j][1 << i], out)
+                src = out
+            shifted = src
+        else:
+            shifted = None
+            for c in range(1, q):
+                arr = space.shifted_gather(flat, packed[j][c])
+                shifted = arr if shifted is None else np.minimum(shifted, arr)
+        np.add(shifted, 1, out=shifted)
+        np.minimum(dist, shifted, out=dist)
+    return best, flat, space, packed
 
 
 def _dp_enumerate(code: LinearCode, t: int, dist, space, packed,
@@ -789,10 +855,12 @@ def _distance_engine(code: LinearCode, exclude: LinearCode | None, strategy: str
         raise ValueError(f"unknown strategy {strategy!r}")
 
     if strategy == "exhaustive" or (strategy == "auto" and q ** k <= EXHAUSTIVE_CAP):
-        cap = budget if budget is not None else 1 << 28
-        d, witness, work = _exhaustive_min(code, exclude, cap)
-        return DistanceResult(d, d, "exhaustive", None,
-                              time.perf_counter() - t0, work, True, witness)
+        ub, witness, work, done = _exhaustive_min(code, exclude, budget)
+        lb = ub if done else 1
+        return DistanceResult(lb, ub, "exhaustive", None,
+                              time.perf_counter() - t0, work, lb == ub, witness,
+                              "" if done else f"budget ran out after {work} "
+                                              f"of {q ** k} codewords")
 
     dp_cap = DP_CAP_CHAR2 if F.p == 2 else DP_CAP_ODD
     if strategy == "auto" and q ** r <= dp_cap:

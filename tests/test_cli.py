@@ -1,10 +1,16 @@
 """End-to-end tests for the command-line interface."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
 from codeq.cli import main, parse_budget, WORK_UNITS_PER_SECOND
+from codeq.cosets import coset_table
+from codeq.cyclic import build_cyclic
 
 
 def run(capsys, argv):
@@ -153,6 +159,36 @@ def test_mindist_open_bounds_exit_three(capsys):
     assert d["lb"] < d["ub"]
 
 
+def test_mindist_exhaustive_out_of_budget_exit_three(capsys):
+    code, d = run(capsys, ["mindist", "--n", "15", "--q", "4",
+                           "--leaders", "1,3", "--distance-budget", "1000"])
+    assert code == 3
+    assert d["strategy"] == "exhaustive" and d["complete"] is False
+    assert d["work"] == 1000
+    assert 1 <= d["lb"] <= d["ub"] <= 15
+    C = build_cyclic(15, 4, coset_table(15, 4).closure((1, 3))).base
+    assert C.contains(d["witness"])
+    assert sum(1 for x in d["witness"] if x) == d["ub"]
+
+
+def test_closed_stdout_prints_no_traceback():
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(src), env.get("PYTHONPATH")) if p)
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # nobody will read what the child writes
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "codeq.cli", "cosets", "--n", "51",
+             "--q", "4"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert "Traceback" not in proc.stderr.decode()
+    assert proc.returncode == 0
+
+
 def test_invalid_values_exit_two(capsys):
     code = main(["gen", "--n", "8", "--q", "2", "--leaders", "0"])
     err = capsys.readouterr().err
@@ -187,5 +223,6 @@ def test_budget_strings():
     assert parse_budget("12345") == 12345
     assert parse_budget("1.5s") == int(1.5 * WORK_UNITS_PER_SECOND)
     import argparse
-    with pytest.raises(argparse.ArgumentTypeError):
-        parse_budget("threehundred")
+    for bad in ("threehundred", "-5", "-1s", "infs"):
+        with pytest.raises(argparse.ArgumentTypeError):
+            parse_budget(bad)

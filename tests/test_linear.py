@@ -1,5 +1,8 @@
 """Linear-code engine: RREF, duals, distances, monomial maps, equivalence."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -185,24 +188,96 @@ def test_min_distance_zero_dim_sentinel():
     assert (r.lb, r.ub) == (8, 8) and r.complete
 
 
+def _coset_leader_weights(C):
+    """Least weight of a vector with each syndrome, by weight-ordered search."""
+    F, n = C.field, C.n
+    H = C.parity_check()
+    q, r = F.order, H.shape[0]
+    place = np.array([q ** i for i in range(r)], dtype=np.int64)
+    best = np.full(q ** r, -1, dtype=np.int64)
+    best[0] = 0
+    for w in range(1, n + 1):
+        if (best >= 0).all():
+            break
+        supports = np.array(list(itertools.combinations(range(n), w)))
+        scalars = np.array(list(itertools.product(range(1, q), repeat=w)))
+        E = np.zeros((len(supports) * len(scalars), n), dtype=np.uint8)
+        rows = np.arange(E.shape[0])
+        for slot in range(w):
+            E[rows, np.repeat(supports[:, slot], len(scalars))] = \
+                np.tile(scalars[:, slot], len(supports))
+        idx = gf_matmul(F, E, H.T).astype(np.int64) @ place
+        fresh = np.unique(idx[best[idx] < 0])
+        best[fresh] = w
+    return best
+
+
+def _check_dp_table(C):
+    ex = min_distance(C, strategy="exhaustive")
+    assert ex.exact and ex.complete
+    d0, dist, space, packed = _dp_tables(C)
+    assert d0 == ex.lb
+    assert dist.dtype == np.uint8 and dist.shape == (space.size,)
+    assert np.array_equal(dist, _coset_leader_weights(C))
+    word, done = _dp_enumerate(C, d0, dist, space, packed,
+                               lambda w: True, 1 << 20)
+    assert done and word is not None
+    assert C.contains(word)
+    assert sum(1 for x in word if x) == d0
+
+
 def test_min_distance_exhaustive_matches_dp():
+    # GF(2), GF(4), GF(8), GF(16) run one to four butterflies per column
     rng = np.random.default_rng(15)
-    for _ in range(20):
-        n = int(rng.integers(4, 12))
-        k = int(rng.integers(1, min(n, 7) + 1))
-        for F in (F3, F4):
-            C = LinearCode.from_rows(F, rng.integers(0, F.order, size=(k, n)))
+    for F in (build_field(2, 1), F3, F4, build_field(2, 3), build_field(2, 4)):
+        q = F.order
+        r_max = round(math.log(4096, q))  # tables of at most 4096 cells
+        k_max = min(7, round(math.log(1 << 14, q)))
+        for trial in range(12):
+            n = int(rng.integers(4, min(12, r_max + k_max + 1)))
+            k = int(rng.integers(max(1, n - r_max), min(n, k_max) + 1))
+            rows = rng.integers(0, q, size=(k, n))
+            if trial % 3 == 1:
+                rows[:, 0] = 0  # a zero column: weight-1 word
+            if trial % 3 == 2:
+                rows[:, n - 1] = rows[:, n - 2]  # a repeated column
+            C = LinearCode.from_rows(F, rows)
             if C.k == 0:
                 continue
-            ex = min_distance(C, strategy="exhaustive")
-            assert ex.exact and ex.complete
-            d0, dist, space, packed = _dp_tables(C)
-            assert d0 == ex.lb
-            word, done = _dp_enumerate(C, d0, dist, space, packed,
-                                       lambda w: True, 1 << 20)
-            assert done and word is not None
-            assert C.contains(word)
-            assert sum(1 for x in word if x) == d0
+            _check_dp_table(C)
+        # pivot column 0 of the parity check equals the unit column of
+        # free column 2; its weight-2 words must survive
+        C = LinearCode.from_rows(F, [[1, 0, F.neg(1), 0, 0], [0, 1, 0, 1, 1]])
+        H = C.parity_check()
+        assert 0 in C.pivots and np.array_equal(H[:, 0], H[:, 2])
+        _check_dp_table(C)
+
+
+def test_dp_with_no_parity_rows():
+    C = LinearCode.full(F4, 12)
+    got = min_distance(C)
+    assert got.strategy == "syndrome_dp"
+    assert (got.lb, got.ub) == (1, 1) and got.complete
+    d0, dist, _, _ = _dp_tables(C)
+    assert d0 == 1 and dist.tolist() == [0]
+
+
+def test_exhaustive_without_budget_keeps_its_cap():
+    with pytest.raises(ValueError, match="too large"):
+        min_distance(LinearCode.full(F4, 15), strategy="exhaustive")
+
+
+def test_exhaustive_budget_gives_open_bounds():
+    C = _random_code(F4, 10, 6, 41)
+    full = min_distance(C, strategy="exhaustive")
+    cut = min_distance(C, strategy="exhaustive", budget=100)
+    assert cut.work == 100 and not cut.complete and cut.lb == 1
+    assert full.lb <= cut.ub <= C.n and C.contains(cut.witness)
+    assert sum(1 for x in cut.witness if x) == cut.ub
+    none_seen = min_distance(C, strategy="exhaustive", budget=1)
+    assert (none_seen.lb, none_seen.ub, none_seen.witness) == (1, 11, None)
+    again = min_distance(C, strategy="exhaustive", budget=4 ** 6)
+    assert again.complete and (again.lb, again.ub) == (full.lb, full.ub)
 
 
 def test_min_distance_witness_is_codeword():
