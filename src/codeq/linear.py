@@ -230,24 +230,27 @@ class LinearCode:
 
     def codewords(self, cap: int = EXHAUSTIVE_CAP) -> np.ndarray:
         """All q^k codewords as a (q^k, n) array; guarded by cap."""
-        q = self.field.order
-        total = q ** self.k
+        total = self.field.order ** self.k
         if total > cap:
             raise ValueError(f"too large: {total} codewords exceeds cap {cap}")
-        msgs = _messages(q, self.k, 0, total)
-        return gf_matmul(self.field, msgs, self.generator)
+        return np.concatenate(list(_codeword_chunks(self)))
 
     def _check_context(self, other: "LinearCode") -> None:
         if self.field.key != other.field.key or self.n != other.n:
             raise ValueError("codes live in different ambient spaces")
 
 
-def _messages(q: int, k: int, start: int, stop: int) -> np.ndarray:
-    idx = np.arange(start, stop, dtype=np.int64)
-    out = np.empty((idx.size, k), dtype=np.uint8)
-    for i in range(k):
-        out[:, i] = (idx // q ** i) % q
-    return out
+def _codeword_chunks(code: LinearCode, stop: int | None = None):
+    """Codewords of messages 0 .. stop-1 (all q^k by default), 2^16 rows at
+    a time; message digits are base q, coordinate 0 lowest."""
+    q, k = code.field.order, code.k
+    stop = q ** k if stop is None else stop
+    for start in range(0, stop, 1 << 16):
+        idx = np.arange(start, min(start + (1 << 16), stop), dtype=np.int64)
+        msgs = np.empty((idx.size, k), dtype=np.uint8)
+        for i in range(k):
+            msgs[:, i] = (idx // q ** i) % q
+        yield gf_matmul(code.field, msgs, code.generator)
 
 
 @dataclass(frozen=True)
@@ -262,18 +265,12 @@ class WeightDistribution:
 
 def weight_distribution(code: LinearCode, budget: int = 1 << 28) -> WeightDistribution:
     """Exact weight enumerator by message-space enumeration."""
-    q = code.field.order
-    total = q ** code.k
+    total = code.field.order ** code.k
     if total > budget:
         raise ValueError(f"too large: q^k = {total} exceeds budget {budget}")
-    counts = np.zeros(code.n + 1, dtype=np.int64)
-    chunk = 1 << 16
-    for start in range(0, total, chunk):
-        stop = min(start + chunk, total)
-        words = gf_matmul(code.field, _messages(q, code.k, start, stop),
-                          code.generator)
-        w = np.count_nonzero(words, axis=1)
-        counts += np.bincount(w, minlength=code.n + 1)
+    counts = sum(np.bincount(np.count_nonzero(words, axis=1),
+                             minlength=code.n + 1)
+                 for words in _codeword_chunks(code))
     return WeightDistribution(code.n, tuple(int(c) for c in counts))
 
 
@@ -380,44 +377,66 @@ def _sentinel(code: LinearCode, strategy: str, t0: float) -> DistanceResult:
                           True, None, "zero-dimensional: sentinel n+1")
 
 
-def _exhaustive_min(code: LinearCode, exclude: LinearCode | None,
-                    budget: int | None
-                    ) -> tuple[int, tuple[int, ...] | None, int, bool]:
-    """Min weight over code (minus exclude) by codeword enumeration.
+def _outside_test(code: LinearCode, exclude: LinearCode | None):
+    """The subcode filter every engine shares: None when there is no subcode,
+    else a map from an (N, n) word array to a mask of rows outside it."""
+    if exclude is None:
+        return None
+    Hx = exclude.parity_check().T
+    return lambda words: gf_matmul(code.field, words, Hx).any(axis=1)
 
-    Returns (weight, witness, work, complete).  With a budget below q^k only
-    the first `budget` codewords are read and complete is False; the weight
-    is then the lowest seen (n+1 when none qualified), an upper bound only.
+
+def _lightest(words: np.ndarray, w: np.ndarray, best: int, outside) -> int | None:
+    """First row of least weight among rows with 0 < w < best outside the
+    subcode; None when there is none."""
+    rows = np.nonzero((w > 0) & (w < best))[0]
+    if outside is not None and rows.size:
+        rows = rows[outside(words[rows])]
+    return int(rows[np.argmin(w[rows])]) if rows.size else None
+
+
+def _exhaustive(code: LinearCode, outside, budget: int | None, seed: int,
+                iters: int):
+    """Min weight by codeword enumeration.
+
+    With a budget below q^k only the first `budget` codewords are read: the
+    bounds stay open (lb = 1) and ub is the lowest weight seen (n+1 when
+    none qualified).
     """
-    q = code.field.order
-    total = q ** code.k
+    total = code.field.order ** code.k
     if budget is None and total > EXHAUSTIVE_CEILING:
         raise ValueError(f"too large: {total} codewords exceeds cap "
                          f"{EXHAUSTIVE_CEILING}")
-    stop_at = total if budget is None else min(total, budget)
-    Hx = exclude.parity_check().T if exclude is not None else None
-    best, witness, work = code.n + 1, None, 0
-    chunk = 1 << 16
-    for start in range(0, stop_at, chunk):
-        stop = min(start + chunk, stop_at)
-        words = gf_matmul(code.field, _messages(q, code.k, start, stop),
-                          code.generator)
-        work += words.shape[0]
-        w = np.count_nonzero(words, axis=1).astype(np.int64)
-        w[w == 0] = code.n + 2
-        if Hx is not None:
-            syn = gf_matmul(code.field, words, Hx)
-            inside = ~syn.any(axis=1)
-            w[inside] = code.n + 2
-        i = int(np.argmin(w))
-        if int(w[i]) < best:
-            best = int(w[i])
-            witness = tuple(int(x) for x in words[i])
-    return best, witness, work, stop_at == total
+    stop = total if budget is None else min(total, budget)
+    best, witness = code.n + 1, None
+    for words in _codeword_chunks(code, stop):
+        w = np.count_nonzero(words, axis=1)
+        i = _lightest(words, w, best, outside)
+        if i is not None:
+            best, witness = int(w[i]), tuple(int(x) for x in words[i])
+    if stop < total:
+        return (1, best, witness, stop,
+                f"budget ran out after {stop} of {total} codewords")
+    return best, best, witness, stop, ""
+
+
+def _column_syndromes(code: LinearCode) -> np.ndarray:
+    """(q, n) int64 array: entry [c, j] packs c * H[:, j] as base-q digits,
+    row 0 lowest, for H = parity_check().
+
+    In characteristic 2 digit i sits in bits [i*m, (i+1)*m), so adding
+    syndromes is XOR of packed values.  Callers make sure q^(n-k) fits.
+    """
+    q = code.field.order
+    H = code.parity_check()
+    place = np.int64(q) ** np.arange(H.shape[0], dtype=np.int64)
+    digits = tables(code.field).mul[:, H].astype(np.int64)
+    return (digits * place[None, :, None]).sum(axis=1)
 
 
 class _SyndromeSpace:
-    """Indexing of GF(q)^r syndromes plus vector-add as an index op."""
+    """GF(q)^r syndromes indexed by their packed digits; vector add as an
+    index operation."""
 
     def __init__(self, F: GaloisField, r: int):
         self.F = F
@@ -426,17 +445,6 @@ class _SyndromeSpace:
         self.size = self.q ** r
         self.char2 = F.p == 2
         self.T = tables(F)
-
-    def pack(self, vec) -> int:
-        """Index of one syndrome vector: its base-q digits, row 0 lowest.
-
-        In characteristic 2 digit i sits in bits [i*m, (i+1)*m) and adding
-        syndromes is XOR of indices.
-        """
-        s = 0
-        for i, v in enumerate(vec):
-            s += int(v) * self.q ** i
-        return s
 
     def add_index(self, idx: int, vec_idx: int) -> int:
         """Index of syndrome(idx) + syndrome(vec_idx), scalar version."""
@@ -507,23 +515,19 @@ class _XorBlocks:
 
 
 def _dp_tables(code: LinearCode):
-    """Column-by-column syndrome DP; returns (d, dist, space, packed_cols).
+    """Column-by-column syndrome DP; returns (d, dist, space, cols).
 
-    The free columns of parity_check() are the unit vectors e_0..e_{r-1},
-    so after them a syndrome's distance is its number of nonzero digits;
-    the loop then adds the pivot columns one at a time.  Every nonzero
-    codeword has a pivot in its support, so d is read at its last pivot.
+    cols is _column_syndromes(code).  Its free (unit) columns reach every
+    syndrome, so after them a syndrome's distance is its number of nonzero
+    digits; the loop then adds the pivot columns one at a time.  Every
+    nonzero codeword has a pivot in its support, so d is read at its last
+    pivot.
     """
     F = code.field
     q = F.order
-    H = code.parity_check()
-    r, n = H.shape
+    r = code.n - code.k
     space = _SyndromeSpace(F, r)
-    packed = [[0] * q for _ in range(n)]
-    for j in range(n):
-        col = H[:, j]
-        for c in range(1, q):
-            packed[j][c] = space.pack([F.mul(c, int(x)) for x in col])
+    cols = _column_syndromes(code)
     dist = np.zeros(1, dtype=np.uint8)
     nonzero = (np.arange(q) != 0).astype(np.uint8)
     for _ in range(r):
@@ -535,8 +539,8 @@ def _dp_tables(code: LinearCode):
     flat = dist.reshape(-1)
     best = code.n + 1
     for j in code.pivots:
-        best = min(best, 1 + min(int(flat[packed[j][c]]) for c in range(1, q)))
-        if not packed[j][1]:
+        best = min(best, 1 + int(flat[cols[1:, j]].min()))
+        if not cols[1, j]:
             continue  # a zero column reaches no new syndrome
         if space.char2:
             # {c * h_j : c != 0} is the nonzero part of the F2-span of
@@ -544,25 +548,25 @@ def _dp_tables(code: LinearCode):
             src = dist
             for i in range(F.m):
                 out = pair[i & 1]
-                xor.butterfly(src, packed[j][1 << i], out)
+                xor.butterfly(src, int(cols[1 << i, j]), out)
                 src = out
             shifted = src
         else:
             shifted = None
             for c in range(1, q):
-                arr = space.shifted_gather(flat, packed[j][c])
+                arr = space.shifted_gather(flat, int(cols[c, j]))
                 shifted = arr if shifted is None else np.minimum(shifted, arr)
         np.add(shifted, 1, out=shifted)
         np.minimum(dist, shifted, out=dist)
-    return best, flat, space, packed
+    return best, flat, space, cols
 
 
-def _dp_enumerate(code: LinearCode, t: int, dist, space, packed,
-                  accept, node_cap: int) -> tuple[tuple[int, ...] | None, bool]:
-    """DFS for a weight-t codeword passing accept(); returns (word, complete)."""
-    F = code.field
+def _dp_enumerate(code: LinearCode, t: int, dist, space, cols, outside,
+                  node_cap: int) -> tuple[tuple[int, ...] | None, bool]:
+    """DFS for a weight-t codeword outside the subcode; returns (word, complete)."""
     n = code.n
-    q = F.order
+    q = code.field.order
+    packed = cols.tolist()
     nodes = 0
 
     def rec(start: int, sidx: int, chosen: list) -> tuple | None:
@@ -576,7 +580,7 @@ def _dp_enumerate(code: LinearCode, t: int, dist, space, packed,
                 word = [0] * n
                 for j, c in chosen:
                     word[j] = c
-                if accept(word):
+                if outside is None or outside(np.array([word], dtype=np.uint8))[0]:
                     return tuple(word)
             return None
         need = t - u
@@ -584,7 +588,7 @@ def _dp_enumerate(code: LinearCode, t: int, dist, space, packed,
             return None
         for j in range(start, n - need + 1):
             for c in range(1, q):
-                got = rec(j + 1, space.add_index(sidx, packed[j][c]),
+                got = rec(j + 1, space.add_index(sidx, packed[c][j]),
                           chosen + [(j, c)])
                 if got is not None:
                     return got
@@ -600,41 +604,44 @@ class _NodeBudget(Exception):
     pass
 
 
-def _pack_columns_u64(F: GaloisField, H: np.ndarray) -> np.ndarray | None:
-    """(q, n) uint64 with packed syndromes of c * column j; None if unpackable."""
-    if F.p != 2:
-        return None
-    r, n = H.shape
-    if r * F.m > 63:
-        return None
-    out = np.zeros((F.order, n), dtype=np.uint64)
-    for j in range(n):
-        for c in range(1, F.order):
-            s = 0
-            for i in range(r):
-                s |= F.mul(c, int(H[i, j])) << (i * F.m)
-            out[c, j] = s
-    return out
+def _syndrome_dp(code: LinearCode, outside, budget: int | None, seed: int,
+                 iters: int):
+    """Exact min weight from the syndrome DP; a DFS fetches the witness.
+
+    With a subcode, weights from the code's distance up are searched in
+    turn; the budget caps the DFS nodes of each weight.
+    """
+    d0, dist, space, cols = _dp_tables(code)
+    n = code.n
+    work = n * (code.field.order - 1) * space.size
+    node_cap = 1 << 22 if outside is None or budget is None else budget
+    for t in range(d0, n + 1):
+        word, complete = _dp_enumerate(code, t, dist, space, cols, outside,
+                                       node_cap)
+        if word is not None or outside is None:
+            return t, t, word, work, "exact by syndrome dynamic program"
+        if not complete:
+            return t, n + 1, None, work, "node budget hit while filtering"
+    raise AssertionError("no codeword outside a proper subcode")
 
 
-def _mitm_ladder(code: LinearCode, wmax: int, exclude: LinearCode | None,
+def _mitm_ladder(code: LinearCode, wmax: int, outside,
                  side_cap: int = MITM_SIDE_CAP) -> tuple[int, int | None,
                                                          tuple[int, ...] | None, int]:
     """Prove lower bounds by meet-in-the-middle over split supports.
 
     Returns (proved_lb, exact_weight_or_None, witness, work).  Weights are
     tried in ascending order; the first weight with a verified codeword
-    (outside `exclude` if given) is the exact minimum of that filtered set.
+    (outside the subcode if given) is the exact minimum of that filtered
+    set.  Runs in characteristic 2 with packed syndromes of at most 63 bits.
     """
     F = code.field
-    H = code.parity_check()
-    packed = _pack_columns_u64(F, H)
-    if packed is None:
-        return 1, None, None, 0
     n = code.n
+    if F.p != 2 or (n - code.k) * F.m > 63:
+        return 1, None, None, 0
+    packed = _column_syndromes(code)
     q = F.order
     work = 0
-    scalars = list(range(1, q))
     for t in range(1, wmax + 1):
         ta = t // 2
         tb = t - ta
@@ -665,7 +672,7 @@ def _mitm_ladder(code: LinearCode, wmax: int, exclude: LinearCode | None,
                 continue
             if wt < t:
                 continue
-            if exclude is not None and exclude.contains(word):
+            if outside is not None and not outside(np.array([word], dtype=np.uint8))[0]:
                 continue
             return t, t, tuple(word), work
     return wmax + 1, None, None, work
@@ -689,7 +696,7 @@ def _mitm_side(packed: np.ndarray, n: int, t: int,
     meta_parts = []
     for combo_scalars in scalar_sets:
         cs = ((1,) + combo_scalars) if normalize_first else combo_scalars
-        syn = np.zeros(combos.shape[0], dtype=np.uint64)
+        syn = np.zeros(combos.shape[0], dtype=np.int64)
         for slot in range(t):
             syn ^= packed[cs[slot]][combos[:, slot]]
         meta = np.empty((combos.shape[0], 2 * t), dtype=np.int64)
@@ -699,7 +706,7 @@ def _mitm_side(packed: np.ndarray, n: int, t: int,
         syn_parts.append(syn)
         meta_parts.append(meta)
     if not syn_parts:
-        return (np.zeros(0, dtype=np.uint64), np.zeros((0, 0), dtype=np.int64))
+        return (np.zeros(0, dtype=np.int64), np.zeros((0, 0), dtype=np.int64))
     return np.concatenate(syn_parts), np.vstack(meta_parts)
 
 
@@ -714,111 +721,48 @@ def _mitm_reconstruct(F: GaloisField, n: int, ma, mb) -> list[int]:
     return word
 
 
-def _bitplanes(F: GaloisField, rows: np.ndarray) -> np.ndarray:
-    """(rows, 2, W) uint64 planes for GF(4) vectors: low bit, high bit."""
-    k, n = rows.shape
-    W = (n + 63) // 64
-    out = np.zeros((k, 2, W), dtype=np.uint64)
-    for i in range(k):
-        for j in range(n):
-            v = int(rows[i, j])
-            if v & 1:
-                out[i, 0, j >> 6] |= np.uint64(1 << (j & 63))
-            if v & 2:
-                out[i, 1, j >> 6] |= np.uint64(1 << (j & 63))
-    return out
-
-
-def _plane_weights(planes: np.ndarray) -> np.ndarray:
-    return np.bitwise_count(planes[:, 0, :] | planes[:, 1, :]).sum(axis=1)
-
-
 def _infoset_upper(code: LinearCode, iters: int, seed: int,
-                   exclude: LinearCode | None) -> tuple[int, tuple[int, ...] | None, int]:
+                   outside) -> tuple[int, tuple[int, ...] | None, int]:
     """Seeded information-set search for low-weight codewords.
 
-    Enumerates all combinations of up to three generator rows of each
-    re-drawn systematic form.  GF(4) runs on packed bitplanes; other small
-    fields fall back to direct table arithmetic (fine at small k).
+    Each iteration re-draws a systematic form (RREF after a random column
+    permutation), moves its rows R back to code coordinates once and reads
+    every combination of up to three rows in blocks: the rows, then for
+    each scalar b the pairs R_i + b R_j (i < j, ordered by j), then for
+    each l and scalar c those pairs with j < l plus c R_l.  Rows add by XOR
+    in characteristic 2 and by the addition table otherwise.
     """
     F = code.field
-    rng = np.random.default_rng(seed)
     T = tables(F)
+    rng = np.random.default_rng(seed)
     n, k = code.n, code.k
+    add = np.bitwise_xor if F.p == 2 else (lambda a, b: T.add[a, b])
+    ii, jj = np.triu_indices(k, 1)
+    blocks = np.argsort(jj, kind="stable")
+    ii, jj = ii[blocks], jj[blocks]
+    prefix = np.cumsum(np.bincount(jj, minlength=k + 1))
     best, witness, work = n + 1, None, 0
-    if k == 0:
-        return best, witness, work
 
-    def consider(word_row: np.ndarray, wt: int) -> None:
-        nonlocal best, witness
-        if wt == 0 or wt >= best:
-            return
-        if exclude is not None and exclude.contains(word_row):
-            return
-        best = wt
-        witness = tuple(int(x) for x in word_row)
+    def scan(words: np.ndarray) -> None:
+        nonlocal best, witness, work
+        w = np.count_nonzero(words, axis=1)
+        work += w.size
+        x = _lightest(words, w, best, outside)
+        if x is not None:
+            best, witness = int(w[x]), tuple(int(v) for v in words[x])
 
     for _ in range(iters):
         perm = rng.permutation(n)
-        R, _ = rref(F, code.generator[:, perm])
-        inv = np.empty(n, dtype=np.int64)
-        inv[perm] = np.arange(n)
-
-        def unpermute(row: np.ndarray) -> np.ndarray:
-            return row[inv]
-
-        if F.order == 4:
-            planes = {c: _bitplanes(F, T.mul[np.uint8(c), R]) for c in (1, 2, 3)}
-            w1 = _plane_weights(planes[1])
-            work += k
-            for i in np.nonzero(w1 < best)[0]:
-                consider(unpermute(R[int(i)]), int(w1[int(i)]))
-            if k >= 2:
-                ii, jj = np.triu_indices(k, 1)
-                blocks = np.argsort(jj, kind="stable")
-                ii, jj = ii[blocks], jj[blocks]
-                prefix = np.cumsum(np.bincount(jj, minlength=k + 1))
-                for b in (1, 2, 3):
-                    P = planes[1][ii] ^ planes[b][jj]
-                    wp = _plane_weights(P)
-                    work += wp.size
-                    for x in np.nonzero(wp < best)[0]:
-                        row = T.add[R[int(ii[x])], T.mul[np.uint8(b), R[int(jj[x])]]]
-                        consider(unpermute(row), int(wp[int(x)]))
-                    if k >= 3:
-                        for l in range(2, k):
-                            stop = int(prefix[l])
-                            if stop == 0:
-                                continue
-                            for c in (1, 2, 3):
-                                Y = P[:stop] ^ planes[c][l]
-                                wy = _plane_weights(Y)
-                                work += wy.size
-                                for x in np.nonzero(wy < best)[0]:
-                                    row = T.add[T.add[R[int(ii[x])],
-                                                      T.mul[np.uint8(b), R[int(jj[x])]]],
-                                                T.mul[np.uint8(c), R[l]]]
-                                    consider(unpermute(row), int(wy[int(x)]))
-        else:
-            scal = list(range(1, F.order))
-            w1 = np.count_nonzero(R, axis=1)
-            work += k
-            for i in np.nonzero(w1 < best)[0]:
-                consider(unpermute(R[int(i)]), int(w1[int(i)]))
-            for i, j in itertools.combinations(range(k), 2):
-                for b in scal:
-                    row = T.add[R[i], T.mul[np.uint8(b), R[j]]]
-                    wt = int(np.count_nonzero(row))
-                    work += 1
-                    consider(unpermute(row), wt)
-            for i, j, l in itertools.combinations(range(k), 3):
-                for b in scal:
-                    rb = T.add[R[i], T.mul[np.uint8(b), R[j]]]
-                    for c in scal:
-                        row = T.add[rb, T.mul[np.uint8(c), R[l]]]
-                        wt = int(np.count_nonzero(row))
-                        work += 1
-                        consider(unpermute(row), wt)
+        R = rref(F, code.generator[:, perm])[0][:, np.argsort(perm)]
+        scaled = T.mul[:, R]
+        scan(R)
+        for b in range(1, F.order):
+            P = add(R[ii], scaled[b][jj])
+            scan(P)
+            for l in range(2, k):
+                stop = int(prefix[l] if F.order == 4 else prefix[l - 1])
+                for c in range(1, F.order):
+                    scan(add(P[:stop], scaled[c][l]))
     return best, witness, work
 
 
@@ -842,67 +786,49 @@ def min_weight_outside(code: LinearCode, subcode: LinearCode,
     return _distance_engine(code, subcode, strategy, budget, seed, iters)
 
 
+def _information_set(code: LinearCode, outside, budget: int | None, seed: int,
+                     iters: int):
+    """Certified lb by the meet-in-the-middle ladder, ub by seeded
+    information-set enumeration."""
+    lb, exact_w, word, work = _mitm_ladder(code, 6, outside)
+    if exact_w is not None:
+        return (exact_w, exact_w, word, work,
+                "exact: meet-in-the-middle ladder")
+    ub, witness, iwork = _infoset_upper(code, iters, seed, outside)
+    return (lb, ub, witness, work + iwork,
+            f"lb by meet-in-the-middle ladder to weight {lb - 1}")
+
+
+_ENGINES = {"exhaustive": _exhaustive, "syndrome_dp": _syndrome_dp,
+            "information_set": _information_set}
+
+
+def _auto_engine(code: LinearCode) -> str:
+    F = code.field
+    q = F.order
+    if q ** code.k <= EXHAUSTIVE_CAP:
+        return "exhaustive"
+    dp_cap = DP_CAP_CHAR2 if F.p == 2 else DP_CAP_ODD
+    return "syndrome_dp" if q ** (code.n - code.k) <= dp_cap else "information_set"
+
+
 def _distance_engine(code: LinearCode, exclude: LinearCode | None, strategy: str,
                      budget: int | None, seed: int, iters: int) -> DistanceResult:
     t0 = time.perf_counter()
-    F = code.field
-    q = F.order
-    n, k = code.n, code.k
-    if k == 0:
+    if code.k == 0:
         return _sentinel(code, "trivial", t0)
-    r = n - k
     if strategy not in ("auto", "exhaustive", "information_set"):
         raise ValueError(f"unknown strategy {strategy!r}")
-
-    if strategy == "exhaustive" or (strategy == "auto" and q ** k <= EXHAUSTIVE_CAP):
-        ub, witness, work, done = _exhaustive_min(code, exclude, budget)
-        lb = ub if done else 1
-        return DistanceResult(lb, ub, "exhaustive", None,
-                              time.perf_counter() - t0, work, lb == ub, witness,
-                              "" if done else f"budget ran out after {work} "
-                                              f"of {q ** k} codewords")
-
-    dp_cap = DP_CAP_CHAR2 if F.p == 2 else DP_CAP_ODD
-    if strategy == "auto" and q ** r <= dp_cap:
-        d0, dist, space, packed = _dp_tables(code)
-        work = n * (q - 1) * space.size
-        if exclude is None:
-            word, _ = _dp_enumerate(code, d0, dist, space, packed,
-                                    lambda w: True, 1 << 22)
-            return DistanceResult(d0, d0, "syndrome_dp", None,
-                                  time.perf_counter() - t0, work, True,
-                                  word, "exact by syndrome dynamic program")
-        node_cap = budget if budget is not None else 1 << 22
-        for t in range(d0, n + 1):
-            word, complete = _dp_enumerate(code, t, dist, space, packed,
-                                           lambda w: not exclude.contains(w),
-                                           node_cap)
-            if word is not None:
-                return DistanceResult(t, t, "syndrome_dp", None,
-                                      time.perf_counter() - t0, work, True,
-                                      word, "exact by syndrome dynamic program")
-            if not complete:
-                return DistanceResult(t, n + 1, "syndrome_dp", None,
-                                      time.perf_counter() - t0, work, False,
-                                      None, "node budget hit while filtering")
-        return _sentinel(code, "syndrome_dp", t0)
-
-    # information-set territory: certified lb by meet-in-the-middle ladder,
-    # ub by seeded information-set enumeration
-    ladder_max = 6
-    lb, exact_w, word, work = _mitm_ladder(code, ladder_max, exclude)
-    if exact_w is not None:
-        return DistanceResult(exact_w, exact_w, "information_set", seed,
-                              time.perf_counter() - t0, work, True, word,
-                              "exact: meet-in-the-middle ladder")
-    ub, witness, iwork = _infoset_upper(code, iters, seed, exclude)
-    work += iwork
-    complete = lb >= ub
-    if complete:
-        lb = ub
-    return DistanceResult(lb, ub, "information_set", seed,
-                          time.perf_counter() - t0, work, complete, witness,
-                          f"lb by meet-in-the-middle ladder to weight {lb - 1}")
+    name = _auto_engine(code) if strategy == "auto" else strategy
+    lb, ub, witness, work, note = _ENGINES[name](
+        code, _outside_test(code, exclude), budget, seed, iters)
+    if lb > ub:
+        raise RuntimeError(f"{name}: lower bound {lb} exceeds the weight {ub} "
+                           f"of a witness")
+    return DistanceResult(lb, ub, name,
+                          seed if name == "information_set" else None,
+                          time.perf_counter() - t0, work, lb == ub, witness,
+                          note)
 
 
 @dataclass

@@ -219,8 +219,7 @@ def _check_dp_table(C):
     assert d0 == ex.lb
     assert dist.dtype == np.uint8 and dist.shape == (space.size,)
     assert np.array_equal(dist, _coset_leader_weights(C))
-    word, done = _dp_enumerate(C, d0, dist, space, packed,
-                               lambda w: True, 1 << 20)
+    word, done = _dp_enumerate(C, d0, dist, space, packed, None, 1 << 20)
     assert done and word is not None
     assert C.contains(word)
     assert sum(1 for x in word if x) == d0
