@@ -760,9 +760,8 @@ def _infoset_upper(code: LinearCode, iters: int, seed: int,
             P = add(R[ii], scaled[b][jj])
             scan(P)
             for l in range(2, k):
-                stop = int(prefix[l] if F.order == 4 else prefix[l - 1])
                 for c in range(1, F.order):
-                    scan(add(P[:stop], scaled[c][l]))
+                    scan(add(P[:prefix[l - 1]], scaled[c][l]))
     return best, witness, work
 
 

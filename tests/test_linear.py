@@ -18,7 +18,13 @@ from codeq.linear import (
     rref,
     weight_distribution,
 )
-from codeq.linear import _dp_enumerate, _dp_tables, _infoset_upper, _mitm_ladder
+from codeq.linear import (
+    _dp_enumerate,
+    _dp_tables,
+    _infoset_upper,
+    _mitm_ladder,
+    _outside_test,
+)
 
 
 F3 = build_field(3, 1)
@@ -289,35 +295,56 @@ def test_min_distance_witness_is_codeword():
 
 def test_mitm_ladder_agrees_with_exhaustive():
     rng = np.random.default_rng(23)
-    for _ in range(15):
-        n = int(rng.integers(6, 13))
-        k = int(rng.integers(1, min(n, 6) + 1))
-        C = LinearCode.from_rows(F4, rng.integers(0, 4, size=(k, n)))
-        if C.k == 0:
-            continue
-        ex = min_distance(C, strategy="exhaustive")
-        lb, exact, word, _ = _mitm_ladder(C, 6, None)
-        if ex.lb <= 6:
-            assert exact == ex.lb
-            assert C.contains(word)
-        else:
-            assert lb == 7 and exact is None
+    for F in (F4, build_field(2, 1), build_field(2, 3)):
+        for _ in range(15):
+            n = int(rng.integers(6, 13))
+            k = int(rng.integers(1, min(n, 6) + 1))
+            C = LinearCode.from_rows(F, rng.integers(0, F.order, size=(k, n)))
+            if C.k == 0:
+                continue
+            ex = min_distance(C, strategy="exhaustive")
+            lb, exact, word, _ = _mitm_ladder(C, 6, None)
+            if ex.lb <= 6:
+                assert exact == ex.lb
+                assert C.contains(word)
+            else:
+                assert lb == 7 and exact is None
+            if C.k < 2:
+                continue
+            # the subcode filter: the ladder's first verified weight is the
+            # least weight outside S
+            S = LinearCode.from_rows(F, C.generator[:C.k // 2], n)
+            ex = min_weight_outside(C, S, strategy="exhaustive")
+            lb, exact, word, _ = _mitm_ladder(C, 6, _outside_test(C, S))
+            if ex.lb <= 6:
+                assert exact == ex.lb
+                assert C.contains(word) and not S.contains(word)
+                assert sum(1 for x in word if x) == exact
+            else:
+                assert lb == 7 and exact is None
 
 
 def test_infoset_upper_bound_sound():
     rng = np.random.default_rng(29)
-    for _ in range(8):
-        n = int(rng.integers(8, 14))
-        k = int(rng.integers(2, min(n, 7)))
-        C = LinearCode.from_rows(F4, rng.integers(0, 4, size=(k, n)))
-        if C.k < 2:
-            continue
-        ex = min_distance(C, strategy="exhaustive")
-        ub, wit, _ = _infoset_upper(C, 6, 3, None)
-        assert ub >= ex.lb
-        if wit is not None:
-            assert C.contains(wit)
-            assert sum(1 for x in wit if x) == ub
+    # GF(4) and GF(2), GF(8) add rows by XOR, GF(3) and GF(5) by table
+    for F in (F4, build_field(2, 1), F3, build_field(5, 1), build_field(2, 3)):
+        q = F.order
+        for _ in range(8):
+            n = int(rng.integers(8, 14))
+            k = int(rng.integers(2, min(n, 7)))
+            C = LinearCode.from_rows(F, rng.integers(0, q, size=(k, n)))
+            if C.k < 2:
+                continue
+            ex = min_distance(C, strategy="exhaustive")
+            ub, wit, work = _infoset_upper(C, 6, 3, None)
+            assert ub >= ex.lb
+            if wit is not None:
+                assert C.contains(wit)
+                assert sum(1 for x in wit if x) == ub
+            # every combination of at most three rows is read once
+            k = C.k
+            assert work == 6 * (k + (q - 1) * math.comb(k, 2)
+                                + (q - 1) ** 2 * math.comb(k, 3))
 
 
 def test_infoset_deterministic_given_seed():
