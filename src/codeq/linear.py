@@ -803,12 +803,17 @@ _ENGINES = {"exhaustive": _exhaustive, "syndrome_dp": _syndrome_dp,
 
 
 def _auto_engine(code: LinearCode) -> str:
+    """The DP when its table fits and has fewer cells than the code has
+    codewords; else enumeration up to EXHAUSTIVE_CAP codewords; else the DP
+    when it fits; else information sets."""
     F = code.field
-    q = F.order
+    q, r = F.order, code.n - code.k
+    dp_fits = q ** r <= (DP_CAP_CHAR2 if F.p == 2 else DP_CAP_ODD)
+    if dp_fits and r < code.k:
+        return "syndrome_dp"
     if q ** code.k <= EXHAUSTIVE_CAP:
         return "exhaustive"
-    dp_cap = DP_CAP_CHAR2 if F.p == 2 else DP_CAP_ODD
-    return "syndrome_dp" if q ** (code.n - code.k) <= dp_cap else "information_set"
+    return "syndrome_dp" if dp_fits else "information_set"
 
 
 def _distance_engine(code: LinearCode, exclude: LinearCode | None, strategy: str,

@@ -161,7 +161,8 @@ def test_mindist_open_bounds_exit_three(capsys):
 
 def test_mindist_exhaustive_out_of_budget_exit_three(capsys):
     code, d = run(capsys, ["mindist", "--n", "15", "--q", "4",
-                           "--leaders", "1,3", "--distance-budget", "1000"])
+                           "--leaders", "1,3", "--distance-budget", "1000",
+                           "--strategy", "exhaustive"])
     assert code == 3
     assert d["strategy"] == "exhaustive" and d["complete"] is False
     assert d["work"] == 1000

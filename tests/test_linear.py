@@ -267,6 +267,17 @@ def test_dp_with_no_parity_rows():
     assert d0 == 1 and dist.tolist() == [0]
 
 
+def test_auto_picks_the_smaller_of_table_and_codeword_space():
+    # [15,11]: a 4^4-cell syndrome table against 4^11 codewords
+    C = _random_code(F4, 15, 11, 43)
+    got = min_distance(C)
+    assert got.strategy == "syndrome_dp" and got.exact
+    assert C.contains(got.witness)
+    assert sum(1 for x in got.witness if x) == got.lb
+    # a table no smaller than the codeword space keeps enumeration
+    assert min_distance(_random_code(F4, 12, 6, 44)).strategy == "exhaustive"
+
+
 def test_exhaustive_without_budget_keeps_its_cap():
     with pytest.raises(ValueError, match="too large"):
         min_distance(LinearCode.full(F4, 15), strategy="exhaustive")
