@@ -34,11 +34,10 @@ from .linear import (
     LinearCode,
     MonomialTransform,
     apply_monomial,
-    weight_distribution,
+    weight_distributions_equal,
 )
 
 _CONJ = {0: 0, 1: 1, GF4_OMEGA: GF4_OMEGA2, GF4_OMEGA2: GF4_OMEGA}
-_WD_CAP = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -211,12 +210,11 @@ def power_substitution(C: ConstacyclicCode, e: int) -> ConstacyclicCode:
 
 
 def _wd_note(C1: ConstacyclicCode, C2: ConstacyclicCode) -> str:
-    if 4 ** C1.k <= _WD_CAP:
-        w1 = weight_distribution(C1.base).counts
-        w2 = weight_distribution(C2.base).counts
-        assert w1 == w2, "same-parameters certificate with unequal weights"
-        return "weight distributions compared equal"
-    return "parameters asserted by the shift divisibility rule"
+    same = weight_distributions_equal(C1.base, C2.base)
+    if same is None:
+        return "parameters asserted by the shift divisibility rule"
+    assert same, "same-parameters certificate with unequal weights"
+    return "weight distributions compared equal"
 
 
 def shift_same_parameters(C1: ConstacyclicCode, C2: ConstacyclicCode,

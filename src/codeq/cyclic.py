@@ -48,7 +48,7 @@ from codeq.linear import (
     MonomialTransform,
     apply_monomial,
     brute_force_equivalence,
-    weight_distribution,
+    weight_distributions_equal,
 )
 
 
@@ -429,15 +429,6 @@ def triple_step_pair(n: int, thirds, e_list) -> tuple[CyclicCode, CyclicCode,
 # ---------------------------------------------------------------------------
 # certificate search between two cyclic codes
 
-def _wd_equal_if_cheap(C1: CyclicCode, C2: CyclicCode,
-                       cap: int = 1 << 16) -> bool | None:
-    q = C1.q
-    if q ** C1.k > cap or q ** C2.k > cap:
-        return None
-    return (weight_distribution(C1.base).counts
-            == weight_distribution(C2.base).counts)
-
-
 def certify_equivalence(C1: CyclicCode, C2: CyclicCode, depth: int = 2,
                         composition_cap: int = 2500,
                         upgrade_budget: int = 1 << 18,
@@ -511,7 +502,7 @@ def certify_equivalence(C1: CyclicCode, C2: CyclicCode, depth: int = 2,
     for w in enumerate_affine_witnesses(A1, A2, mode="cyclic"):
         e, b = w.params
         if wd_ok is None:
-            wd_ok = _wd_equal_if_cheap(C1, C2)
+            wd_ok = weight_distributions_equal(C1.base, C2.base)
         kind = "shift" if e == 1 else "affine"
         if wd_ok is True:
             add(kind, (e, b), True, None,
@@ -580,7 +571,8 @@ def certify_equivalence(C1: CyclicCode, C2: CyclicCode, depth: int = 2,
                         continue
                     Cmid = build_cyclic(n, q, DefiningSet(n, q, tuple(img)))
                     leg = matrix_leg(Cmid, C2)
-                    if leg is not None and _wd_equal_if_cheap(C1, Cmid) is not False:
+                    if leg is not None and weight_distributions_equal(
+                            C1.base, Cmid.base) is not False:
                         add("composition", (f"affine({e},{b})", leg), True,
                             None, "affine isometry then matrix step")
             # matrix step first, then affine: candidate intermediates are
@@ -612,7 +604,8 @@ def certify_equivalence(C1: CyclicCode, C2: CyclicCode, depth: int = 2,
                     continue
                 wits = enumerate_affine_witnesses(Cmid.defining_set, A2,
                                                   mode="cyclic")
-                if wits and _wd_equal_if_cheap(Cmid, C2) is not False:
+                if wits and weight_distributions_equal(
+                        Cmid.base, C2.base) is not False:
                     e, b = wits[0].params
                     add("composition", (leg, f"affine({e},{b})"), True,
                         None, "matrix step then affine isometry")

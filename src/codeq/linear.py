@@ -40,6 +40,7 @@ DP_CAP_CHAR2 = 1 << 24
 DP_CAP_ODD = 1 << 18
 MITM_SIDE_CAP = 1 << 23
 INFOSET_DEFAULT_ITERS = 8
+WD_COMPARE_CAP = 1 << 16
 GF4_CONJ = np.array([0, 1, 3, 2], dtype=np.uint8)
 
 
@@ -272,6 +273,15 @@ def weight_distribution(code: LinearCode, budget: int = 1 << 28) -> WeightDistri
                              minlength=code.n + 1)
                  for words in _codeword_chunks(code))
     return WeightDistribution(code.n, tuple(int(c) for c in counts))
+
+
+def weight_distributions_equal(c1: LinearCode, c2: LinearCode) -> bool | None:
+    """Whether two codes share a weight distribution; None, uncompared,
+    when either has more than WD_COMPARE_CAP codewords."""
+    q = c1.field.order
+    if q ** c1.k > WD_COMPARE_CAP or q ** c2.k > WD_COMPARE_CAP:
+        return None
+    return weight_distribution(c1).counts == weight_distribution(c2).counts
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,11 @@ from .cyclic import (
     build_cyclic,
 )
 from .fields import prime_power_split
-from .linear import min_distance, weight_distribution
+from .linear import (
+    WD_COMPARE_CAP,
+    min_distance,
+    weight_distributions_equal,
+)
 from .quantum import nearly_self_orthogonal
 
 CYCLIC_KINDS = ("multiplier", "affine", "half_twist", "odd_step",
@@ -47,7 +51,6 @@ CONSTA_KINDS = ("multiplier", "affine")
 # the default cyclic search keeps its orbits
 _DEFAULT_CYCLIC = CYCLIC_KINDS[:-1]
 _INDEX_KINDS = ("multiplier", "shift", "generalized_multiplier")
-_SPOT_CHECK_CAP = 1 << 16
 _MASK_CAP = 20
 
 
@@ -543,7 +546,7 @@ def _spot_check(job: SearchJob, orbits: list[Orbit]) -> None:
         if o.size < 2:
             continue
         k = job.n - len(_expand_leaders(job, o.representative))
-        if 0 < k and job.q ** k <= _SPOT_CHECK_CAP:
+        if 0 < k and job.q ** k <= WD_COMPARE_CAP:
             feasible.append(o)
     if not feasible:
         return
@@ -552,9 +555,8 @@ def _spot_check(job: SearchJob, orbits: list[Orbit]) -> None:
     c1 = _build_base(job, _expand_leaders(job, o.representative))
     c2 = _build_base(job, _expand_leaders(job, other))
     assert c1.k == c2.k, "orbit members disagree on dimension"
-    w1 = weight_distribution(c1)
-    w2 = weight_distribution(c2)
-    assert w1 == w2, "orbit members disagree on weight distribution"
+    assert weight_distributions_equal(c1, c2), \
+        "orbit members disagree on weight distribution"
 
 
 def search(job: SearchJob) -> tuple[list[SearchRecord], dict]:
