@@ -10,7 +10,11 @@ Minimum-distance work picks between three engines: full codeword
 enumeration when q^k is small, a syndrome-space dynamic program when
 q^(n-k) fits in memory (exact distances for things like [54,43] over
 GF(4)), and for the rest a meet-in-the-middle ladder that certifies lower
-bounds plus a seeded information-set search for upper bounds.
+bounds plus a seeded information-set search for upper bounds.  The
+engines share one arithmetic layer: codewords come from one chunked
+enumerator, column syndromes from one packing (base-q digits, XOR in
+characteristic 2), and each engine returns (lb, ub, witness, work, note)
+after filtering a subcode with one shared test.
 
 The dynamic program keeps one uint8 table of least weights per syndrome
 and builds no index array of table size.  It starts in closed form from
@@ -387,6 +391,11 @@ def _sentinel(code: LinearCode, strategy: str, t0: float) -> DistanceResult:
                           True, None, "zero-dimensional: sentinel n+1")
 
 
+# Every engine takes (code, outside, budget, seed, iters), where outside is
+# _outside_test's subcode filter, and returns (lb, ub, witness, work, note).
+_Bounds = tuple[int, int, "tuple[int, ...] | None", int, str]
+
+
 def _outside_test(code: LinearCode, exclude: LinearCode | None):
     """The subcode filter every engine shares: None when there is no subcode,
     else a map from an (N, n) word array to a mask of rows outside it."""
@@ -396,7 +405,8 @@ def _outside_test(code: LinearCode, exclude: LinearCode | None):
     return lambda words: gf_matmul(code.field, words, Hx).any(axis=1)
 
 
-def _lightest(words: np.ndarray, w: np.ndarray, best: int, outside) -> int | None:
+def _lightest(words: np.ndarray, w: np.ndarray, best: int,
+              outside) -> int | None:
     """First row of least weight among rows with 0 < w < best outside the
     subcode; None when there is none."""
     rows = np.nonzero((w > 0) & (w < best))[0]
@@ -406,7 +416,7 @@ def _lightest(words: np.ndarray, w: np.ndarray, best: int, outside) -> int | Non
 
 
 def _exhaustive(code: LinearCode, outside, budget: int | None, seed: int,
-                iters: int):
+                iters: int) -> _Bounds:
     """Min weight by codeword enumeration.
 
     With a budget below q^k only the first `budget` codewords are read: the
@@ -468,18 +478,8 @@ class _SyndromeSpace:
             out += F.add(int(a), int(b)) * self.q ** i
         return out
 
-    def neg_index(self, idx: int) -> int:
-        if self.char2:
-            return idx
-        F = self.F
-        out = 0
-        for i in range(self.r):
-            a = (idx // self.q ** i) % self.q
-            out += F.neg(int(a)) * self.q ** i
-        return out
-
     def shifted_gather(self, dist: np.ndarray, vec_idx: int) -> np.ndarray:
-        """dist re-indexed so entry t reads dist[t - syndrome(vec_idx)].
+        """dist re-indexed so entry t reads dist[t + syndrome(vec_idx)].
 
         Odd characteristic only (characteristic 2 uses _XorBlocks): one take
         along each nonzero digit's axis of the (q,)*r view, indexed by the
@@ -487,9 +487,8 @@ class _SyndromeSpace:
         """
         q, r = self.q, self.r
         out = dist.reshape((q,) * r)
-        neg = self.neg_index(vec_idx)
         for i in range(r):
-            v = neg // q ** i % q
+            v = vec_idx // q ** i % q
             if v:
                 out = np.take(out, self.T.add[:, v], axis=r - 1 - i)
         return out.reshape(-1)
@@ -527,11 +526,11 @@ class _XorBlocks:
 def _dp_tables(code: LinearCode):
     """Column-by-column syndrome DP; returns (d, dist, space, cols).
 
-    cols is _column_syndromes(code).  Its free (unit) columns reach every
-    syndrome, so after them a syndrome's distance is its number of nonzero
-    digits; the loop then adds the pivot columns one at a time.  Every
-    nonzero codeword has a pivot in its support, so d is read at its last
-    pivot.
+    cols is _column_syndromes(code).  The free columns of parity_check()
+    are the unit vectors e_0..e_{r-1}, so after them a syndrome's distance
+    is its number of nonzero digits; the loop then adds the pivot columns
+    one at a time.  Every nonzero codeword has a pivot in its support, so d
+    is read at its last pivot.
     """
     F = code.field
     q = F.order
@@ -562,6 +561,7 @@ def _dp_tables(code: LinearCode):
                 src = out
             shifted = src
         else:
+            # min over c of dist[t + c h_j] is min over c of dist[t - c h_j]
             shifted = None
             for c in range(1, q):
                 arr = space.shifted_gather(flat, int(cols[c, j]))
@@ -573,7 +573,11 @@ def _dp_tables(code: LinearCode):
 
 def _dp_enumerate(code: LinearCode, t: int, dist, space, cols, outside,
                   node_cap: int) -> tuple[tuple[int, ...] | None, bool]:
-    """DFS for a weight-t codeword outside the subcode; returns (word, complete)."""
+    """DFS for a weight-t codeword outside the subcode; returns (word, complete).
+
+    A syndrome and its negative have the same least weight, so the columns
+    still to choose can reach -sidx in dist[sidx] of them.
+    """
     n = code.n
     q = code.field.order
     packed = cols.tolist()
@@ -590,11 +594,12 @@ def _dp_enumerate(code: LinearCode, t: int, dist, space, cols, outside,
                 word = [0] * n
                 for j, c in chosen:
                     word[j] = c
-                if outside is None or outside(np.array([word], dtype=np.uint8))[0]:
+                if (outside is None
+                        or outside(np.array([word], dtype=np.uint8))[0]):
                     return tuple(word)
             return None
         need = t - u
-        if int(dist[space.neg_index(sidx)]) > need:
+        if int(dist[sidx]) > need:
             return None
         for j in range(start, n - need + 1):
             for c in range(1, q):
@@ -615,7 +620,7 @@ class _NodeBudget(Exception):
 
 
 def _syndrome_dp(code: LinearCode, outside, budget: int | None, seed: int,
-                 iters: int):
+                 iters: int) -> _Bounds:
     """Exact min weight from the syndrome DP; a DFS fetches the witness.
 
     With a subcode, weights from the code's distance up are searched in
@@ -678,11 +683,10 @@ def _mitm_ladder(code: LinearCode, wmax: int, outside,
         for ma, mb in cand:
             word = _mitm_reconstruct(F, n, ma, mb)
             wt = sum(1 for x in word if x)
-            if wt == 0:
-                continue
             if wt < t:
                 continue
-            if outside is not None and not outside(np.array([word], dtype=np.uint8))[0]:
+            if (outside is not None
+                    and not outside(np.array([word], dtype=np.uint8))[0]):
                 continue
             return t, t, tuple(word), work
     return wmax + 1, None, None, work
@@ -715,18 +719,13 @@ def _mitm_side(packed: np.ndarray, n: int, t: int,
             meta[:, 2 * slot + 1] = cs[slot]
         syn_parts.append(syn)
         meta_parts.append(meta)
-    if not syn_parts:
-        return (np.zeros(0, dtype=np.int64), np.zeros((0, 0), dtype=np.int64))
     return np.concatenate(syn_parts), np.vstack(meta_parts)
 
 
 def _mitm_reconstruct(F: GaloisField, n: int, ma, mb) -> list[int]:
     word = [0] * n
     for m in (ma, mb):
-        flat = np.asarray(m).reshape(-1)
-        for s in range(0, flat.size, 2):
-            j = int(flat[s])
-            c = int(flat[s + 1])
+        for j, c in np.asarray(m).reshape(-1, 2).tolist():
             word[j] = F.add(word[j], c)
     return word
 
@@ -775,28 +774,8 @@ def _infoset_upper(code: LinearCode, iters: int, seed: int,
     return best, witness, work
 
 
-def min_distance(code: LinearCode, strategy: str = "auto",
-                 budget: int | None = None, seed: int = 1,
-                 iters: int = INFOSET_DEFAULT_ITERS) -> DistanceResult:
-    """Certified (lb, ub) bounds on the minimum distance; equal means exact."""
-    return _distance_engine(code, None, strategy, budget, seed, iters)
-
-
-def min_weight_outside(code: LinearCode, subcode: LinearCode,
-                       strategy: str = "auto", budget: int | None = None,
-                       seed: int = 1,
-                       iters: int = INFOSET_DEFAULT_ITERS) -> DistanceResult:
-    """Bounds on the minimum weight over codewords of `code` not in `subcode`."""
-    if not code.contains_code(subcode):
-        raise ValueError("subcode is not contained in the code")
-    if subcode.k == code.k:
-        t0 = time.perf_counter()
-        return _sentinel(code, "trivial", t0)
-    return _distance_engine(code, subcode, strategy, budget, seed, iters)
-
-
-def _information_set(code: LinearCode, outside, budget: int | None, seed: int,
-                     iters: int):
+def _information_set(code: LinearCode, outside, budget: int | None,
+                     seed: int, iters: int) -> _Bounds:
     """Certified lb by the meet-in-the-middle ladder, ub by seeded
     information-set enumeration."""
     lb, exact_w, word, work = _mitm_ladder(code, 6, outside)
@@ -824,6 +803,25 @@ def _auto_engine(code: LinearCode) -> str:
     if q ** code.k <= EXHAUSTIVE_CAP:
         return "exhaustive"
     return "syndrome_dp" if dp_fits else "information_set"
+
+
+def min_distance(code: LinearCode, strategy: str = "auto",
+                 budget: int | None = None, seed: int = 1,
+                 iters: int = INFOSET_DEFAULT_ITERS) -> DistanceResult:
+    """Certified (lb, ub) bounds on the minimum distance; equal means exact."""
+    return _distance_engine(code, None, strategy, budget, seed, iters)
+
+
+def min_weight_outside(code: LinearCode, subcode: LinearCode,
+                       strategy: str = "auto", budget: int | None = None,
+                       seed: int = 1,
+                       iters: int = INFOSET_DEFAULT_ITERS) -> DistanceResult:
+    """Bounds on the minimum weight over codewords of `code` not in `subcode`."""
+    if not code.contains_code(subcode):
+        raise ValueError("subcode is not contained in the code")
+    if subcode.k == code.k:
+        return _sentinel(code, "trivial", time.perf_counter())
+    return _distance_engine(code, subcode, strategy, budget, seed, iters)
 
 
 def _distance_engine(code: LinearCode, exclude: LinearCode | None, strategy: str,
