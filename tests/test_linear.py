@@ -19,6 +19,7 @@ from codeq.linear import (
     weight_distribution,
 )
 from codeq.linear import (
+    _ENGINES,
     _dp_enumerate,
     _dp_tables,
     _infoset_upper,
@@ -276,6 +277,13 @@ def test_auto_picks_the_smaller_of_table_and_codeword_space():
     assert sum(1 for x in got.witness if x) == got.lb
     # a table no smaller than the codeword space keeps enumeration
     assert min_distance(_random_code(F4, 12, 6, 44)).strategy == "exhaustive"
+
+
+def test_lower_bound_above_witness_weight_raises(monkeypatch):
+    monkeypatch.setitem(_ENGINES, "exhaustive",
+                        lambda *args: (5, 3, None, 0, ""))
+    with pytest.raises(RuntimeError, match="exceeds"):
+        min_distance(_random_code(F4, 8, 3, 5), strategy="exhaustive")
 
 
 def test_exhaustive_without_budget_keeps_its_cap():
