@@ -24,6 +24,12 @@ multiples of a column span an F2-subspace, so each column costs m
 butterflies min(t[x], t[x ^ s]) over XOR views of the table; in odd
 characteristic each multiple is a shift by digit arithmetic, one take per
 nonzero digit along that digit's axis.
+
+The meet-in-the-middle ladder keeps no per-entry metadata: a side is its
+syndromes plus its t-subsets and scalar tuples, and entry s*C + i is the
+i-th subset carrying the s-th tuple.  Colliding pairs are expanded in
+bounded chunks; pairs with overlapping supports (weight below t) are
+dropped, and the rest become words for one subcode test per chunk.
 """
 
 from __future__ import annotations
@@ -43,6 +49,7 @@ EXHAUSTIVE_CEILING = 1 << 28
 DP_CAP_CHAR2 = 1 << 24
 DP_CAP_ODD = 1 << 18
 MITM_SIDE_CAP = 1 << 23
+MITM_CHUNK = 1 << 20
 INFOSET_DEFAULT_ITERS = 8
 WD_COMPARE_CAP = 1 << 16
 GF4_CONJ = np.array([0, 1, 3, 2], dtype=np.uint8)
@@ -129,7 +136,8 @@ def rref(F: GaloisField, mat) -> tuple[np.ndarray, tuple[int, ...]]:
 
 
 def gf_matmul(F: GaloisField, A, B) -> np.ndarray:
-    """Matrix product over F via accumulated table lookups."""
+    """Matrix product over F: for each l, gather the multiples of row B[l]
+    by column A[:, l] and add them up (XOR in characteristic 2)."""
     T = tables(F)
     A = as_matrix(F, A)
     B = as_matrix(F, B)
@@ -137,7 +145,11 @@ def gf_matmul(F: GaloisField, A, B) -> np.ndarray:
         raise ValueError(f"shape mismatch {A.shape} x {B.shape}")
     out = np.zeros((A.shape[0], B.shape[1]), dtype=np.uint8)
     for l in range(A.shape[1]):
-        out = T.add[out, T.mul[A[:, l][:, None], B[l][None, :]]]
+        rows = T.mul[:, B[l]][A[:, l]]
+        if F.p == 2:
+            np.bitwise_xor(out, rows, out=out)
+        else:
+            out = T.add[out, rows]
     return out
 
 
@@ -624,8 +636,13 @@ def _syndrome_dp(code: LinearCode, outside, budget: int | None, seed: int,
     """Exact min weight from the syndrome DP; a DFS fetches the witness.
 
     With a subcode, weights from the code's distance up are searched in
-    turn; the budget caps the DFS nodes of each weight.
+    turn; the budget caps the DFS nodes of each weight.  A table of more
+    than _dp_cap cells is refused before anything is allocated.
     """
+    cells, cap = code.field.order ** (code.n - code.k), _dp_cap(code.field)
+    if cells > cap:
+        raise ValueError(f"too large: syndrome table of {cells} cells "
+                         f"exceeds cap {cap}")
     d0, dist, space, cols = _dp_tables(code)
     n = code.n
     work = n * (code.field.order - 1) * space.size
@@ -649,6 +666,11 @@ def _mitm_ladder(code: LinearCode, wmax: int, outside,
     tried in ascending order; the first weight with a verified codeword
     (outside the subcode if given) is the exact minimum of that filtered
     set.  Runs in characteristic 2 with packed syndromes of at most 63 bits.
+
+    Weight t splits into an A side of t // 2 positions, whose first scalar
+    is pinned to 1, and a B side of the rest, sorted stably by syndrome.
+    Candidates are the pairs with equal syndromes, A entry ascending, then
+    B entries in sorted order; see _mitm_first for the filter.
     """
     F = code.field
     n = code.n
@@ -664,70 +686,91 @@ def _mitm_ladder(code: LinearCode, wmax: int, outside,
         na = math.comb(n, ta) * (q - 1) ** max(ta - 1, 0)
         if na + nb > side_cap:
             return t, None, None, work
-        syn_b, meta_b = _mitm_side(packed, n, tb, normalize_first=False)
+        syn_b, sub_b, scal_b = _mitm_side(packed, n, tb, normalize_first=False)
         order = np.argsort(syn_b, kind="stable")
         syn_b = syn_b[order]
-        meta_b = meta_b[order]
-        if ta == 0:
-            hits = np.nonzero(syn_b == 0)[0]
-            cand = [(np.zeros(0, dtype=np.int64), meta_b[h]) for h in hits]
-        else:
-            syn_a, meta_a = _mitm_side(packed, n, ta, normalize_first=True)
-            lo = np.searchsorted(syn_b, syn_a, side="left")
-            hi = np.searchsorted(syn_b, syn_a, side="right")
-            cand = []
-            for ia in np.nonzero(hi > lo)[0]:
-                for ib in range(int(lo[ia]), int(hi[ia])):
-                    cand.append((meta_a[ia], meta_b[ib]))
+        syn_a, sub_a, scal_a = _mitm_side(packed, n, ta, normalize_first=True)
+        lo = np.searchsorted(syn_b, syn_a, side="left")
+        hi = np.searchsorted(syn_b, syn_a, side="right")
         work += int(na + nb)
-        for ma, mb in cand:
-            word = _mitm_reconstruct(F, n, ma, mb)
-            wt = sum(1 for x in word if x)
-            if wt < t:
-                continue
-            if (outside is not None
-                    and not outside(np.array([word], dtype=np.uint8))[0]):
-                continue
-            return t, t, tuple(word), work
+        word = _mitm_first(n, lo, hi, order, (sub_a, scal_a), (sub_b, scal_b),
+                           outside)
+        if word is not None:
+            return t, t, word, work
     return wmax + 1, None, None, work
 
 
-def _mitm_side(packed: np.ndarray, n: int, t: int,
-               normalize_first: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Syndromes of all t-subsets with nonzero scalars, one row of metadata each.
+def _mitm_side(packed: np.ndarray, n: int, t: int, normalize_first: bool
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Syndromes of all t-subsets of positions with nonzero scalars.
 
-    Metadata rows hold (j_0, c_0, ..., j_{t-1}, c_{t-1}).  When
+    Returns (syn, subsets, scalars): the (C, t) t-subsets in lexicographic
+    order, the (S, t) scalar tuples in product order, and syn, whose entry
+    s*C + i is the syndrome of subsets[i] carrying scalars[s].  When
     normalize_first is set the scalar at the subset's smallest position is
-    pinned to 1, cutting the scalar space by q-1.
+    pinned to 1, cutting the scalar space by q-1.  For t = 0 the side is
+    one empty entry with syndrome 0.
     """
     q = packed.shape[0]
-    combos = np.array(list(itertools.combinations(range(n), t)), dtype=np.int64)
-    if combos.size == 0:
-        combos = combos.reshape(0, t)
-    free = t - 1 if normalize_first else t
-    scalar_sets = list(itertools.product(range(1, q), repeat=free))
-    syn_parts = []
-    meta_parts = []
-    for combo_scalars in scalar_sets:
-        cs = ((1,) + combo_scalars) if normalize_first else combo_scalars
-        syn = np.zeros(combos.shape[0], dtype=np.int64)
-        for slot in range(t):
-            syn ^= packed[cs[slot]][combos[:, slot]]
-        meta = np.empty((combos.shape[0], 2 * t), dtype=np.int64)
-        for slot in range(t):
-            meta[:, 2 * slot] = combos[:, slot]
-            meta[:, 2 * slot + 1] = cs[slot]
-        syn_parts.append(syn)
-        meta_parts.append(meta)
-    return np.concatenate(syn_parts), np.vstack(meta_parts)
+    combos = list(itertools.combinations(range(n), t))
+    subsets = np.array(combos, dtype=np.intp).reshape(len(combos), t)
+    free = t - 1 if normalize_first and t else t
+    tuples = list(itertools.product(range(1, q), repeat=free))
+    scalars = np.array(tuples, dtype=np.uint8).reshape(len(tuples), free)
+    if free < t:
+        scalars = np.hstack([np.ones((len(tuples), 1), dtype=np.uint8),
+                             scalars])
+    syn = np.zeros((len(tuples), len(combos)), dtype=np.int64)
+    for s, cs in enumerate(scalars.tolist()):
+        for slot, c in enumerate(cs):
+            syn[s] ^= packed[c][subsets[:, slot]]
+    return syn.reshape(-1), subsets, scalars
 
 
-def _mitm_reconstruct(F: GaloisField, n: int, ma, mb) -> list[int]:
-    word = [0] * n
-    for m in (ma, mb):
-        for j, c in np.asarray(m).reshape(-1, 2).tolist():
-            word[j] = F.add(word[j], c)
-    return word
+def _mitm_first(n: int, lo: np.ndarray, hi: np.ndarray, order: np.ndarray,
+                side_a, side_b, outside) -> tuple[int, ...] | None:
+    """First colliding pair whose supports are disjoint and whose word is
+    outside the subcode, as a word; None when there is none.
+
+    A entry ia collides with the B entries order[lo[ia]:hi[ia]].  Pairs are
+    expanded MITM_CHUNK at a time in that order.  Overlapping supports give
+    weight below t, so those pairs are dropped; the rest are scattered into
+    words and filtered by one subcode test per chunk.
+    """
+    (sub_a, scal_a), (sub_b, scal_b) = side_a, side_b
+    ca, cb = sub_a.shape[0], sub_b.shape[0]
+    hit = np.nonzero(hi > lo)[0]
+    count = (hi - lo)[hit]
+    ends = np.cumsum(count)
+    total = int(ends[-1]) if ends.size else 0
+    for p0 in range(0, total, MITM_CHUNK):
+        p1 = min(p0 + MITM_CHUNK, total)
+        # hits h0 .. h1-1 hold pairs p0 .. p1-1; trim the first and last
+        h0 = int(np.searchsorted(ends, p0, side="right"))
+        h1 = int(np.searchsorted(ends, p1 - 1, side="right")) + 1
+        first = lo[hit[h0:h1]].copy()
+        last = hi[hit[h0:h1]].copy()
+        first[0] += p0 - (ends[h0] - count[h0])
+        last[-1] -= ends[h1 - 1] - p1
+        lens = last - first
+        ia = np.repeat(hit[h0:h1], lens)
+        ib = order[np.repeat(first - (np.cumsum(lens) - lens), lens)
+                   + np.arange(p1 - p0)]
+        pos_a = sub_a[ia % ca]
+        pos_b = sub_b[ib % cb]
+        rows = np.nonzero(~(pos_a[:, :, None] == pos_b[:, None, :])
+                          .any(axis=(1, 2)))[0]
+        if outside is None:
+            rows = rows[:1]
+        words = np.zeros((rows.size, n), dtype=np.uint8)
+        at = np.arange(rows.size)[:, None]
+        words[at, pos_a[rows]] = scal_a[ia[rows] // ca]
+        words[at, pos_b[rows]] = scal_b[ib[rows] // cb]
+        if outside is not None and rows.size:
+            words = words[outside(words)]
+        if words.shape[0]:
+            return tuple(int(x) for x in words[0])
+    return None
 
 
 def _infoset_upper(code: LinearCode, iters: int, seed: int,
@@ -791,13 +834,18 @@ _ENGINES = {"exhaustive": _exhaustive, "syndrome_dp": _syndrome_dp,
             "information_set": _information_set}
 
 
+def _dp_cap(F: GaloisField) -> int:
+    """Most syndrome-table cells the DP may allocate over F."""
+    return DP_CAP_CHAR2 if F.p == 2 else DP_CAP_ODD
+
+
 def _auto_engine(code: LinearCode) -> str:
     """The DP when its table fits and has fewer cells than the code has
     codewords; else enumeration up to EXHAUSTIVE_CAP codewords; else the DP
     when it fits; else information sets."""
     F = code.field
     q, r = F.order, code.n - code.k
-    dp_fits = q ** r <= (DP_CAP_CHAR2 if F.p == 2 else DP_CAP_ODD)
+    dp_fits = q ** r <= _dp_cap(F)
     if dp_fits and r < code.k:
         return "syndrome_dp"
     if q ** code.k <= EXHAUSTIVE_CAP:
@@ -829,7 +877,7 @@ def _distance_engine(code: LinearCode, exclude: LinearCode | None, strategy: str
     t0 = time.perf_counter()
     if code.k == 0:
         return _sentinel(code, "trivial", t0)
-    if strategy not in ("auto", "exhaustive", "information_set"):
+    if strategy != "auto" and strategy not in _ENGINES:
         raise ValueError(f"unknown strategy {strategy!r}")
     name = _auto_engine(code) if strategy == "auto" else strategy
     lb, ub, witness, work, note = _ENGINES[name](

@@ -172,6 +172,24 @@ def test_mindist_exhaustive_out_of_budget_exit_three(capsys):
     assert sum(1 for x in d["witness"] if x) == d["ub"]
 
 
+def test_mindist_accepts_syndrome_dp_strategy(capsys):
+    code, d = run(capsys, ["mindist", "--n", "15", "--q", "4",
+                           "--leaders", "1,3", "--strategy", "syndrome_dp"])
+    assert code == 0
+    assert d["strategy"] == "syndrome_dp" and d["complete"] is True
+    assert (d["n"], d["k"]) == (15, 11)
+
+
+def test_mindist_over_cap_syndrome_dp_exits_two(capsys):
+    # [51,25] over GF(4) needs a 4^26-cell table
+    code = main(["mindist", "--n", "51", "--q", "4", "--leaders",
+                 "0,1,3,5,7,11,17,19", "--strategy", "syndrome_dp"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "exceeds cap" in json.loads(captured.err)["error"]
+
+
 def test_closed_stdout_prints_no_traceback():
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ)

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from codeq import linear
 from codeq.fields import build_field, gf4
 from codeq.linear import (
     LinearCode,
@@ -20,6 +21,7 @@ from codeq.linear import (
 )
 from codeq.linear import (
     _ENGINES,
+    _column_syndromes,
     _dp_enumerate,
     _dp_tables,
     _infoset_upper,
@@ -123,6 +125,25 @@ def test_parity_check_is_nullspace_of_redundant_rows():
     assert N.shape == (8 - 3, 8)
     assert not gf_matmul(F3, rows, N.T).any()
     assert LinearCode.from_rows(F3, N) == C.euclidean_dual()
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3),
+                                 (3, 2)])
+def test_gf_matmul_matches_scalar_arithmetic(p, m):
+    F = build_field(p, m)
+    rng = np.random.default_rng(p * 10 + m)
+    for rows, inner, cols in ((7, 5, 6), (1, 1, 1), (0, 4, 3), (4, 0, 3),
+                              (4, 3, 0), (0, 0, 0)):
+        A = rng.integers(0, F.order, size=(rows, inner))
+        B = rng.integers(0, F.order, size=(inner, cols))
+        want = np.zeros((rows, cols), dtype=np.uint8)
+        for i, j in itertools.product(range(rows), range(cols)):
+            for l in range(inner):
+                want[i, j] = F.add(int(want[i, j]),
+                                   F.mul(int(A[i, l]), int(B[l, j])))
+        got = gf_matmul(F, A, B)
+        assert got.dtype == np.uint8 and got.shape == (rows, cols)
+        assert np.array_equal(got, want)
 
 
 def test_intersection_and_sum_dims():
@@ -279,6 +300,19 @@ def test_auto_picks_the_smaller_of_table_and_codeword_space():
     assert min_distance(_random_code(F4, 12, 6, 44)).strategy == "exhaustive"
 
 
+def test_every_engine_name_is_a_strategy():
+    C = _random_code(F4, 12, 8, 43)
+    got = {name: min_distance(C, strategy=name) for name in _ENGINES}
+    assert got["syndrome_dp"].strategy == "syndrome_dp"
+    assert got["syndrome_dp"].exact
+    assert got["syndrome_dp"].lb == got["exhaustive"].lb
+    with pytest.raises(ValueError, match="unknown strategy"):
+        min_distance(C, strategy="dp")
+    # [30,11] over GF(4): a 4^19-cell table is refused, not allocated
+    with pytest.raises(ValueError, match="exceeds cap"):
+        min_distance(_random_code(F4, 30, 11, 45), strategy="syndrome_dp")
+
+
 def test_lower_bound_above_witness_weight_raises(monkeypatch):
     monkeypatch.setitem(_ENGINES, "exhaustive",
                         lambda *args: (5, 3, None, 0, ""))
@@ -341,6 +375,114 @@ def test_mitm_ladder_agrees_with_exhaustive():
                 assert sum(1 for x in word if x) == exact
             else:
                 assert lb == 7 and exact is None
+
+
+def _reference_ladder(code, wmax, outside, side_cap=linear.MITM_SIDE_CAP):
+    """The ladder as a Python loop over candidates: sides carry one
+    (j_0, c_0, ..., j_{t-1}, c_{t-1}) metadata row per entry, and every
+    colliding pair is rebuilt and weighed before the subcode test."""
+    F, n = code.field, code.n
+    if F.p != 2 or (n - code.k) * F.m > 63:
+        return 1, None, None, 0
+    packed = _column_syndromes(code)
+    q = F.order
+
+    def side(t, normalize_first):
+        combos = np.array(list(itertools.combinations(range(n), t)),
+                          dtype=np.int64).reshape(-1, t)
+        free = t - 1 if normalize_first else t
+        syn_parts, meta_parts = [], []
+        for scalars in itertools.product(range(1, q), repeat=free):
+            cs = (1,) + scalars if normalize_first else scalars
+            syn = np.zeros(combos.shape[0], dtype=np.int64)
+            meta = np.empty((combos.shape[0], 2 * t), dtype=np.int64)
+            for slot in range(t):
+                syn ^= packed[cs[slot]][combos[:, slot]]
+                meta[:, 2 * slot] = combos[:, slot]
+                meta[:, 2 * slot + 1] = cs[slot]
+            syn_parts.append(syn)
+            meta_parts.append(meta)
+        return np.concatenate(syn_parts), np.vstack(meta_parts)
+
+    work = 0
+    for t in range(1, wmax + 1):
+        ta, tb = t // 2, t - t // 2
+        nb = math.comb(n, tb) * (q - 1) ** tb
+        na = math.comb(n, ta) * (q - 1) ** max(ta - 1, 0)
+        if na + nb > side_cap:
+            return t, None, None, work
+        syn_b, meta_b = side(tb, False)
+        order = np.argsort(syn_b, kind="stable")
+        syn_b = syn_b[order]
+        meta_b = meta_b[order]
+        if ta == 0:
+            cand = [([], meta_b[h]) for h in np.nonzero(syn_b == 0)[0]]
+        else:
+            syn_a, meta_a = side(ta, True)
+            lo = np.searchsorted(syn_b, syn_a, side="left")
+            hi = np.searchsorted(syn_b, syn_a, side="right")
+            cand = [(meta_a[ia], meta_b[ib])
+                    for ia in np.nonzero(hi > lo)[0]
+                    for ib in range(int(lo[ia]), int(hi[ia]))]
+        work += int(na + nb)
+        for ma, mb in cand:
+            word = [0] * n
+            for m in (ma, mb):
+                for j, c in np.asarray(m).reshape(-1, 2).tolist():
+                    word[j] = F.add(word[j], c)
+            if sum(1 for x in word if x) < t:
+                continue
+            if (outside is not None
+                    and not outside(np.array([word], dtype=np.uint8))[0]):
+                continue
+            return t, t, tuple(word), work
+    return wmax + 1, None, None, work
+
+
+def _ladder_codes(F, rng):
+    """Random codes plus duals of parity checks with zero columns (weight-1
+    words, the t = 1 path with an empty A side) and with repeated or scaled
+    columns (weight-2 words, whose A entries also meet their own copies)."""
+    q = F.order
+    for _ in range(6):
+        n = int(rng.integers(6, 12))
+        k = int(rng.integers(2, min(n, 6) + 1))
+        yield LinearCode.from_rows(F, rng.integers(0, q, size=(k, n)))
+    for zeros, repeats in ((1, 0), (2, 1), (0, 2), (0, 3)):
+        n = int(rng.integers(8, 12))
+        r = int(rng.integers(4, 7))
+        H = rng.integers(0, q, size=(r, n))
+        for j in range(zeros):
+            H[:, j] = 0
+        for j in range(zeros, zeros + repeats):
+            c = int(rng.integers(1, q))
+            H[:, n - 1 - j] = linear.tables(F).mul[c, H[:, j]]
+        C = LinearCode.from_rows(F, H, n).euclidean_dual()
+        if C.k >= 2:
+            yield C
+
+
+def test_mitm_ladder_matches_reference_loop(monkeypatch):
+    rng = np.random.default_rng(41)
+    for F in (build_field(2, 1), F4, build_field(2, 3)):
+        for C in _ladder_codes(F, rng):
+            filters = [None]
+            for split in (1, C.k // 2, C.k - 1):
+                S = LinearCode.from_rows(F, C.generator[:split], C.n)
+                filters.append(_outside_test(C, S))
+            for outside in filters:
+                want = _reference_ladder(C, 6, outside)
+                if want[1] is not None:
+                    assert C.contains(want[2])
+                # chunks of 3 pairs cross chunk boundaries and split one
+                # A entry's collisions between chunks
+                for chunk in (3, linear.MITM_CHUNK):
+                    with monkeypatch.context() as m:
+                        m.setattr(linear, "MITM_CHUNK", chunk)
+                        assert _mitm_ladder(C, 6, outside) == want
+            # a side cap hit midway stops at the same rung
+            assert (_mitm_ladder(C, 6, None, side_cap=200)
+                    == _reference_ladder(C, 6, None, side_cap=200))
 
 
 def test_infoset_upper_bound_sound():
