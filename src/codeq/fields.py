@@ -441,11 +441,6 @@ def build_field(p: int, m: int) -> GaloisField:
     return GaloisField(p, m)
 
 
-def field_for_order(q: int) -> GaloisField:
-    p, e = prime_power_split(q)
-    return build_field(p, e)
-
-
 def splitting_field(q: int, n: int) -> GaloisField:
     """Smallest GF(q^m) containing a primitive n-th root of unity."""
     p, e = prime_power_split(q)

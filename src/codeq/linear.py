@@ -668,9 +668,13 @@ def _mitm_ladder(code: LinearCode, wmax: int, outside,
     set.  Runs in characteristic 2 with packed syndromes of at most 63 bits.
 
     Weight t splits into an A side of t // 2 positions, whose first scalar
-    is pinned to 1, and a B side of the rest, sorted stably by syndrome.
-    Candidates are the pairs with equal syndromes, A entry ascending, then
-    B entries in sorted order; see _mitm_first for the filter.
+    is pinned to 1, and a B side of the rest.  Each side is sorted by
+    syndrome with equal syndromes in index order (_mitm_side's run-key
+    sort).  Candidates are the pairs with equal syndromes, A entry
+    ascending, then B entries in sorted order; see _mitm_first for the
+    filter.  Weights 2j-1 and 2j share the B side of j positions, and
+    weights 2j and 2j+1 the A side of j positions, so each side is built
+    once and kept for the next rung.
     """
     F = code.field
     n = code.n
@@ -679,6 +683,7 @@ def _mitm_ladder(code: LinearCode, wmax: int, outside,
     packed = _column_syndromes(code)
     q = F.order
     work = 0
+    side_a = side_b = None
     for t in range(1, wmax + 1):
         ta = t // 2
         tb = t - ta
@@ -686,12 +691,20 @@ def _mitm_ladder(code: LinearCode, wmax: int, outside,
         na = math.comb(n, ta) * (q - 1) ** max(ta - 1, 0)
         if na + nb > side_cap:
             return t, None, None, work
-        syn_b, sub_b, scal_b = _mitm_side(packed, n, tb, normalize_first=False)
-        order = np.argsort(syn_b, kind="stable")
-        syn_b = syn_b[order]
-        syn_a, sub_a, scal_a = _mitm_side(packed, n, ta, normalize_first=True)
-        lo = np.searchsorted(syn_b, syn_a, side="left")
-        hi = np.searchsorted(syn_b, syn_a, side="right")
+        # a side that changes is dropped before its successor is built, so
+        # the two never share the peak memory
+        if t % 2:
+            side_b = None
+            side_b = _mitm_side(packed, n, tb, normalize_first=False)
+        if t % 2 == 0 or side_a is None:
+            side_a = None
+            side_a = _mitm_side(packed, n, ta, normalize_first=True)
+        syn_b, order, sub_b, scal_b = side_b
+        syn_a, order_a, sub_a, scal_a = side_a
+        lo = np.empty_like(order_a)
+        hi = np.empty_like(order_a)
+        lo[order_a] = np.searchsorted(syn_b, syn_a, side="left")
+        hi[order_a] = np.searchsorted(syn_b, syn_a, side="right")
         work += int(na + nb)
         word = _mitm_first(n, lo, hi, order, (sub_a, scal_a), (sub_b, scal_b),
                            outside)
@@ -701,15 +714,16 @@ def _mitm_ladder(code: LinearCode, wmax: int, outside,
 
 
 def _mitm_side(packed: np.ndarray, n: int, t: int, normalize_first: bool
-               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Syndromes of all t-subsets of positions with nonzero scalars.
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Syndromes of all t-subsets of positions with nonzero scalars, sorted.
 
-    Returns (syn, subsets, scalars): the (C, t) t-subsets in lexicographic
-    order, the (S, t) scalar tuples in product order, and syn, whose entry
-    s*C + i is the syndrome of subsets[i] carrying scalars[s].  When
-    normalize_first is set the scalar at the subset's smallest position is
-    pinned to 1, cutting the scalar space by q-1.  For t = 0 the side is
-    one empty entry with syndrome 0.
+    Returns (syn, order, subsets, scalars): the (C, t) t-subsets in
+    lexicographic order, the (S, t) scalar tuples in product order, and
+    syn[i], the syndrome of entry order[i], where entry s*C + i is
+    subsets[i] carrying scalars[s].  syn ascends, and entries of equal
+    syndrome appear in index order.  When normalize_first is set the scalar
+    at the subset's smallest position is pinned to 1, cutting the scalar
+    space by q-1.  For t = 0 the side is one empty entry with syndrome 0.
     """
     q = packed.shape[0]
     combos = list(itertools.combinations(range(n), t))
@@ -724,7 +738,22 @@ def _mitm_side(packed: np.ndarray, n: int, t: int, normalize_first: bool
     for s, cs in enumerate(scalars.tolist()):
         for slot, c in enumerate(cs):
             syn[s] ^= packed[c][subsets[:, slot]]
-    return syn.reshape(-1), subsets, scalars
+    syn = syn.reshape(-1)
+    # An unstable argsort leaves equal syndromes in any order.  Sorting the
+    # key (run << bits) | index, where run numbers the runs of equal
+    # syndromes, restores index order inside each run at np.sort speed.
+    # The key reuses the unsorted syndromes' buffer, so the side's peak
+    # memory does not grow; it fits 63 bits for sides under 2^31 entries.
+    order = np.argsort(syn)
+    key, syn = syn, syn[order]
+    bits = max(syn.size - 1, 1).bit_length()
+    key[:1] = 0
+    np.cumsum(syn[1:] != syn[:-1], out=key[1:])
+    key <<= bits
+    key |= order
+    key.sort()
+    key &= (1 << bits) - 1
+    return syn, key, subsets, scalars
 
 
 def _mitm_first(n: int, lo: np.ndarray, hi: np.ndarray, order: np.ndarray,

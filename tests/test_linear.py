@@ -485,6 +485,64 @@ def test_mitm_ladder_matches_reference_loop(monkeypatch):
                     == _reference_ladder(C, 6, None, side_cap=200))
 
 
+def test_mitm_ladder_builds_each_side_once(monkeypatch):
+    # the binary Golay code [23,12,7]: no witness up to weight 6, so all six
+    # rungs run on the B sides of 1, 2, 3 and the A sides of 0, 1, 2, 3
+    # positions
+    F = build_field(2, 1)
+    g = [1, 0, 1, 0, 1, 1, 1, 0, 0, 0, 1, 1]
+    rows = np.zeros((12, 23), dtype=np.uint8)
+    for i in range(12):
+        rows[i, i:i + 12] = g
+    C = LinearCode.from_rows(F, rows)
+    assert C.k == 12
+    builds = []
+    side = linear._mitm_side
+
+    def counted(packed, n, t, normalize_first):
+        builds.append((t, normalize_first))
+        return side(packed, n, t, normalize_first)
+
+    monkeypatch.setattr(linear, "_mitm_side", counted)
+    got = _mitm_ladder(C, 6, None)
+    assert got[:3] == (7, None, None)
+    assert sorted(builds) == [(0, True), (1, False), (1, True), (2, False),
+                              (2, True), (3, False), (3, True)]
+    assert got == _reference_ladder(C, 6, None)
+
+
+def test_mitm_ladder_keeps_index_order_in_long_runs(monkeypatch):
+    # a parity check with one column repeated and scaled ten times: its
+    # multiples are syndromes of runs of ten or more B entries, which chunks
+    # of 3 pairs cut in the middle
+    rng = np.random.default_rng(53)
+    for F in (build_field(2, 1), F4, build_field(2, 3)):
+        q = F.order
+        n, r = 16, 5
+        H = rng.integers(0, q, size=(r, n))
+        H[:, 0] = rng.integers(1, q, size=r)
+        pairs = np.zeros((10, n), dtype=np.uint8)
+        for j in range(1, 11):
+            c = int(rng.integers(1, q))
+            H[:, j] = linear.tables(F).mul[c, H[:, 0]]
+            pairs[j - 1, [0, j]] = c, 1
+        C = LinearCode.from_rows(F, H, n).euclidean_dual()
+        syn = linear._mitm_side(_column_syndromes(C), n, 1, False)[0]
+        assert np.unique(syn, return_counts=True)[1].max() >= 10
+        filters = [None]
+        for split in (1, C.k // 2, C.k - 1):
+            S = LinearCode.from_rows(F, C.generator[:split], n)
+            filters.append(_outside_test(C, S))
+        # outside the weight-2 words of the repeated column, the ladder
+        # climbs to rungs whose B sides pair those columns
+        filters.append(_outside_test(C, LinearCode.from_rows(F, pairs, n)))
+        for outside in filters:
+            with monkeypatch.context() as m:
+                m.setattr(linear, "MITM_CHUNK", 3)
+                assert (_mitm_ladder(C, 6, outside)
+                        == _reference_ladder(C, 6, outside))
+
+
 def test_infoset_upper_bound_sound():
     rng = np.random.default_rng(29)
     # GF(4) and GF(2), GF(8) add rows by XOR, GF(3) and GF(5) by table
