@@ -14,13 +14,8 @@ import json
 import os
 import sys
 
-from .constacyclic import (
-    build_constacyclic,
-    lane_cosets,
-    lane_elements,
-    palfy_classify,
-)
-from .cosets import DefiningSet, coset_table
+from .constacyclic import build_code, build_constacyclic, palfy_classify
+from .cosets import coset_table, set_family
 from .cyclic import build_cyclic, certify_equivalence, classify_cyclic
 from .linear import min_distance
 from .quantum import crss, hermitian_hull, nearly_self_orthogonal
@@ -31,6 +26,10 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 WORK_UNITS_PER_SECOND = 2_000_000
+
+LEADERS_HELP = ("comma-separated coset leaders, or full:<elements>; every "
+                "value lies in [0, modulus) and in the family's lane, and a "
+                "full: set is coset-closed")
 
 
 def parse_budget(text: str) -> int:
@@ -50,12 +49,6 @@ def parse_budget(text: str) -> int:
     return units
 
 
-def _consta_elements(n: int, text: str) -> frozenset:
-    if text.startswith("full:"):
-        return frozenset(int(x) % (3 * n) for x in text[5:].split(",") if x)
-    return lane_elements(n, (int(x) for x in text.split(",") if x))
-
-
 def _cmd_cosets(args) -> tuple[dict, int]:
     table = coset_table(args.n, args.q)
     return {
@@ -65,7 +58,7 @@ def _cmd_cosets(args) -> tuple[dict, int]:
 
 
 def _cmd_gen(args) -> tuple[dict, int]:
-    A = DefiningSet.parse(args.n, args.q, args.leaders)
+    A = set_family("cyclic", args.n, args.q).parse(args.leaders)
     code = build_cyclic(args.n, args.q, A)
     return {
         "n": args.n, "q": args.q, "k": code.k,
@@ -75,8 +68,9 @@ def _cmd_gen(args) -> tuple[dict, int]:
 
 
 def _cmd_equiv(args) -> tuple[dict, int]:
-    A = DefiningSet.parse(args.n, args.q, args.a)
-    B = DefiningSet.parse(args.n, args.q, args.b)
+    fam = set_family("cyclic", args.n, args.q)
+    A = fam.parse(args.a)
+    B = fam.parse(args.b)
     C1 = build_cyclic(args.n, args.q, A)
     C2 = build_cyclic(args.n, args.q, B)
     certs = certify_equivalence(C1, C2, depth=args.depth)
@@ -98,31 +92,26 @@ def _cmd_classify(args) -> tuple[dict, int]:
     use = tuple(args.use.split(",")) if args.use else None
     kwargs = {} if use is None else {"use": use}
     classes = classify_cyclic(args.n, args.q, **kwargs)
-    table = coset_table(args.n, args.q)
-
-    def leaders(elements):
-        return sorted({table.leader_of(x) for x in elements})
-
+    fam = set_family("cyclic", args.n, args.q)
     return {
         "n": args.n, "q": args.q,
         "class_count": len(classes),
         "classes": [{"size": len(cls),
-                     "members": [leaders(m) for m in cls]}
+                     "members": [fam.leaders(m) for m in cls]}
                     for cls in classes],
     }, EXIT_OK
 
 
 def _cmd_consta(args) -> tuple[dict, int]:
-    elements = _consta_elements(args.n, args.leaders)
-    C = build_constacyclic(args.n, elements)
+    fam = set_family("constacyclic", args.n, 4)
+    C = build_constacyclic(args.n, fam.parse(args.leaders))
     hull = hermitian_hull(C.base)
-    elements = set(C.defining_set.elements)
-    leaders = sorted(min(c) for c in lane_cosets(args.n)
-                     if set(c) <= elements)
+    elements = C.defining_set.elements
     return {
         "n": C.n, "k": C.k, "q": 4,
         "shift_constant": "w",
-        "defining_set": {"modulus": 3 * C.n, "leaders": leaders,
+        "defining_set": {"modulus": fam.modulus,
+                         "leaders": fam.leaders(elements),
                          "size": len(elements)},
         "hull": {"dim": hull.k, "e": C.n - C.k - hull.k},
     }, EXIT_OK
@@ -130,12 +119,7 @@ def _cmd_consta(args) -> tuple[dict, int]:
 
 def _cmd_consta_classify(args) -> tuple[dict, int]:
     orbits = palfy_classify(args.n)
-    cosets = lane_cosets(args.n)
-
-    def leaders(member):
-        s = set(member)
-        return sorted(min(c) for c in cosets if set(c) <= s)
-
+    leaders = set_family("constacyclic", args.n, 4).leaders
     return {
         "n": args.n, "q": 4,
         "orbit_count": len(orbits),
@@ -148,16 +132,14 @@ def _cmd_consta_classify(args) -> tuple[dict, int]:
     }, EXIT_OK
 
 
+def _parsed_code(args):
+    """The --type code at (--n, --q) on the --leaders defining set."""
+    fam = set_family(args.type, args.n, args.q)
+    return build_code(fam, fam.parse(args.leaders)).base
+
+
 def _cmd_quantum(args) -> tuple[dict, int]:
-    if args.type == "cyclic":
-        A = DefiningSet.parse(args.n, args.q, args.leaders)
-        base = build_cyclic(args.n, args.q, A).base
-    else:
-        if args.q != 4:
-            raise ValueError("constacyclic codes require q = 4")
-        base = build_constacyclic(args.n,
-                                  _consta_elements(args.n,
-                                                   args.leaders)).base
+    base = _parsed_code(args)
     if args.q != 4:
         raise ValueError("quantum constructions require q = 4")
     mode = args.construction
@@ -187,33 +169,25 @@ def _cmd_search(args) -> tuple[dict, int]:
         k_max=args.k_max, distance_budget=args.distance_budget,
         prune=prune, targets=targets, output=args.output, seed=args.seed,
         quantum=args.quantum)
-    records, summary = search(job)
-    orbit = None
+    want = None
     if args.leaders:
-        want = tuple(sorted(int(x) for x in args.leaders.split(",") if x))
-        for r in records:
-            if r.leaders == want:
-                orbit = {"leaders": list(r.leaders),
-                         "orbit": r.orbit_id, "orbit_size": r.orbit_size,
-                         "representative": list(r.representative)}
-                break
-        if orbit is None:
-            raise ValueError(f"leaders {want} not in the enumerated window")
+        want = job.context.leaders(job.context.parse(args.leaders))
+    records, summary = search(job)
     summary = dict(summary)
-    if orbit is not None:
-        summary["queried"] = orbit
+    if want is not None:
+        found = [r for r in records if r.leaders == want]
+        if not found:
+            raise ValueError(f"leaders {want} not in the enumerated window")
+        r = found[0]
+        summary["queried"] = {"leaders": list(r.leaders), "orbit": r.orbit_id,
+                              "orbit_size": r.orbit_size,
+                              "representative": list(r.representative)}
     code = EXIT_BUDGET if summary["incomplete"] else EXIT_OK
     return summary, code
 
 
 def _cmd_mindist(args) -> tuple[dict, int]:
-    if args.type == "cyclic":
-        A = DefiningSet.parse(args.n, args.q, args.leaders)
-        base = build_cyclic(args.n, args.q, A).base
-    else:
-        base = build_constacyclic(args.n,
-                                  _consta_elements(args.n,
-                                                   args.leaders)).base
+    base = _parsed_code(args)
     res = min_distance(base, strategy=args.strategy,
                        budget=args.distance_budget, seed=args.seed)
     payload = res.to_dict()
@@ -241,15 +215,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("gen", _cmd_gen, help="build a cyclic code from coset leaders")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--leaders", required=True,
-                   help="comma-separated coset leaders, or full:<elements>")
+    p.add_argument("--leaders", required=True, help=LEADERS_HELP)
 
     p = add("equiv", _cmd_equiv,
             help="certify equivalence of two cyclic codes")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--a", required=True, help="first defining set")
-    p.add_argument("--b", required=True, help="second defining set")
+    p.add_argument("--a", required=True,
+                   help="first defining set, in the --leaders form")
+    p.add_argument("--b", required=True,
+                   help="second defining set, in the --leaders form")
     p.add_argument("--depth", type=int, default=2,
                    help="composition depth for certificate chains")
 
@@ -264,8 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("consta", _cmd_consta,
             help="build an omega-constacyclic code over GF(4)")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--leaders", required=True,
-                   help="lane coset leaders mod 3n, or full:<elements>")
+    p.add_argument("--leaders", required=True, help=LEADERS_HELP)
 
     p = add("consta-classify", _cmd_consta_classify,
             help="multiplier orbits of constacyclic defining sets")
@@ -277,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, default=4)
     p.add_argument("--type", choices=("cyclic", "constacyclic"),
                    default="cyclic")
-    p.add_argument("--leaders", required=True)
+    p.add_argument("--leaders", required=True, help=LEADERS_HELP)
     p.add_argument("--construction",
                    choices=("auto", "crss", "nearly_self_orthogonal"),
                    default="auto")
@@ -309,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--type", choices=("cyclic", "constacyclic"),
                    default="cyclic")
-    p.add_argument("--leaders", required=True)
+    p.add_argument("--leaders", required=True, help=LEADERS_HELP)
     p.add_argument("--strategy", default="auto")
     p.add_argument("--distance-budget", type=parse_budget, default=None)
     p.add_argument("--seed", type=int, default=1)

@@ -13,12 +13,12 @@ from dataclasses import dataclass, field
 
 from .cosets import (
     DefiningSet,
+    SetFamily,
     apply_map,
-    coset_table,
-    coset_unions,
     enumerate_affine_witnesses,
     multiplier,
-    shift_divisibility_constacyclic,
+    set_family,
+    units,
 )
 from .cyclic import (
     CyclicCertificate,
@@ -26,8 +26,8 @@ from .cyclic import (
     RootContext,
     build_cyclic,
     canonical_root,
+    generator_code,
     poly_divmod,
-    poly_mul,
 )
 from .fields import GF4_OMEGA, GF4_OMEGA2, gf4
 from .linear import (
@@ -68,42 +68,12 @@ class ConstacyclicCode:
 
 def lane_cosets(n: int) -> list[tuple[int, ...]]:
     """The 4-cyclotomic cosets mod 3n lying in the residue class 1 mod 3."""
-    table = coset_table(3 * n, 4)
-    return [c for c in table.cosets if c[0] % 3 == 1]
+    return list(set_family("constacyclic", n, 4).cosets)
 
 
 def all_lane_defining_sets(n: int):
     """Yield every omega-constacyclic defining set at length n, sorted."""
-    cosets = lane_cosets(n)
-    if len(cosets) > 20:
-        raise ValueError(f"{len(cosets)} cosets is too many to enumerate")
-    return coset_unions(cosets)
-
-
-def lane_elements(n: int, leaders) -> frozenset:
-    """The union of the lane cosets mod 3n led by ``leaders``.
-
-    Raises ValueError when a value is not the least element of a lane coset.
-    """
-    table = coset_table(3 * n, 4)
-    want = {int(x) for x in leaders}
-    bad = sorted(x for x in want
-                 if not (0 <= x < 3 * n and x % 3 == 1
-                         and table.leader_of(x) == x))
-    if bad:
-        raise ValueError(f"not coset leaders at length {n}: {bad}")
-    return frozenset(table.closure(want))
-
-
-def _coerce_lane_set(n: int, A, lane: int = 1) -> DefiningSet:
-    if not isinstance(A, DefiningSet):
-        A = DefiningSet(3 * n, 4, tuple(sorted(int(a) % (3 * n) for a in A)))
-    if A.n != 3 * n or A.q != 4:
-        raise ValueError(f"defining set must live in Z/{3 * n}Z with q=4")
-    if any(a % 3 != lane for a in A.elements):
-        raise ValueError(
-            f"defining-set exponents must be {lane} mod 3, got {A.elements}")
-    return A
+    return set_family("constacyclic", n, 4).unions()
 
 
 def build_constacyclic(n: int, A) -> ConstacyclicCode:
@@ -114,27 +84,19 @@ def build_constacyclic(n: int, A) -> ConstacyclicCode:
     of (x - delta^i) over i in A, with delta the canonical 3n-th root of
     unity satisfying delta^n = w.
     """
-    if n <= 0 or n % 2 == 0:
-        raise ValueError(f"length must be a positive odd integer, got {n}")
-    A = _coerce_lane_set(n, A)
-    ctx = canonical_root(3 * n, 4)
-    F = gf4()
-    g_ext = [1]
-    for i in A.elements:
-        g_ext = poly_mul(ctx.ext, g_ext, [ctx.ext.neg(ctx.alpha_pow(i)), 1])
-    gen = tuple(ctx.fwd.index(c) for c in g_ext)
-    # g must divide x^n - w  (note -w = w in characteristic 2)
-    xnw = [GF4_OMEGA] + [0] * (n - 1) + [1]
-    _, rem = poly_divmod(F, xnw, list(gen))
-    if rem != [0]:
-        raise AssertionError(f"generator does not divide x^{n} - w for A={A.elements}")
-    k = n - len(A.elements)
-    rows = [[0] * i + list(gen) + [0] * (k - 1 - i) for i in range(k)]
-    base = LinearCode.from_rows(F, rows, n)
-    if base.k != k:
-        raise AssertionError("generator rows are not independent")
+    fam = set_family("constacyclic", n, 4)
+    A = fam.defining_set(A)
+    ctx = canonical_root(fam.modulus, fam.q)
+    gen, base = generator_code(ctx, n, A.elements, GF4_OMEGA)
     return ConstacyclicCode(n=n, shift_constant=GF4_OMEGA, defining_set=A,
                             generator_poly=gen, base=base, root=ctx)
+
+
+def build_code(fam: SetFamily, A):
+    """The cyclic or constacyclic code of family ``fam`` on defining set A."""
+    if fam.family == "cyclic":
+        return build_cyclic(fam.n, fam.q, A)
+    return build_constacyclic(fam.n, A)
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +110,7 @@ def conjugate_code(C: ConstacyclicCode) -> ConstacyclicCode:
     the image is 2A mod 3n, living in the opposite residue class mod 3.
     """
     n = C.n
-    m = 3 * n
+    m = C.defining_set.n
     new_els = tuple(sorted(2 * a % m for a in C.defining_set.elements))
     new_set = DefiningSet(m, 4, new_els)
     new_gen = tuple(_CONJ[c] for c in C.generator_poly)
@@ -190,14 +152,14 @@ def power_substitution(C: ConstacyclicCode, e: int) -> ConstacyclicCode:
     if C.shift_constant != GF4_OMEGA:
         raise ValueError("apply conjugate_code first: substitution is set up "
                          "for shift constant w")
-    m = 3 * C.n
-    if e % 3 != 1:
-        raise ValueError(f"substitution exponent must be 1 mod 3, got {e}")
-    if math.gcd(e, m) != 1:
-        raise ValueError(f"substitution exponent must be a unit mod {m}")
+    fam = set_family("constacyclic", C.n, 4)
+    m = fam.modulus
+    if e % m not in fam.multipliers:
+        raise ValueError(f"substitution exponent must be a unit mod {m} "
+                         f"that keeps the lane, got {e}")
     inv_e = pow(e, -1, m)
     image_els = apply_map(multiplier(m, inv_e), C.defining_set)
-    image = build_constacyclic(C.n, DefiningSet(m, 4, image_els))
+    image = build_constacyclic(C.n, image_els)
     if C.n <= 9:
         T = power_substitution_transform(C.n, e)
         assert apply_monomial(C.base, T) == image.base, (
@@ -230,10 +192,11 @@ def shift_same_parameters(C1: ConstacyclicCode, C2: ConstacyclicCode,
         raise ValueError(f"shift index must satisfy 1 <= j <= {n}, got {j}")
     if C2.n != n or C2.shift_constant != C1.shift_constant:
         return None
-    m = 3 * n
-    b = 3 * j % m
+    fam = set_family("constacyclic", n, 4)
+    m = fam.modulus
+    b = fam.stride * j % m
     A1 = C1.defining_set.elements
-    if not shift_divisibility_constacyclic(n, len(A1), 3 * j):
+    if not fam.admits_shift(len(A1), b):
         return None
     image = tuple(sorted((a + b) % m for a in A1))
     if image != C2.defining_set.elements:
@@ -275,20 +238,13 @@ def affine_partner_sets(C: ConstacyclicCode) -> dict[tuple[int, ...],
     Keys are the image element tuples (the code's own set appears under the
     identity); values list the (e, b) pairs realizing each image.
     """
-    n = C.n
-    m = 3 * n
+    fam = set_family("constacyclic", C.n, 4)
+    m = fam.modulus
     A = C.defining_set.elements
-    size = len(A)
     out: dict[tuple[int, ...], list[tuple[int, int]]] = {}
-    for e in range(1, m, 3):
-        if math.gcd(e, m) != 1:
-            continue
-        for b in range(0, m, 3):
-            if size * b % n:
-                continue
-            image = tuple(sorted((e * a + b) % m for a in A))
-            if any(4 * x % m not in image for x in image):
-                continue
+    for e, b in fam.affine_maps(len(A)):
+        image = tuple(sorted((e * a + b) % m for a in A))
+        if fam.table.is_union(image):
             out.setdefault(image, []).append((e, b))
     return out
 
@@ -309,10 +265,6 @@ class MultiplierOrbit:
         return len(self.members)
 
 
-def _totient(m: int) -> int:
-    return sum(1 for i in range(1, m + 1) if math.gcd(i, m) == 1)
-
-
 def palfy_classify(n: int) -> list[MultiplierOrbit]:
     """Partition all length-n defining sets into multiplier orbits.
 
@@ -331,15 +283,16 @@ def palfy_classify(n: int) -> list[MultiplierOrbit]:
     # the search engine imports this module, so it is imported here
     from .search import SearchJob, enumerate_orbits
 
-    m = 3 * n
-    if math.gcd(m, _totient(m)) != 1:
+    fam = set_family("constacyclic", n, 4)
+    m = fam.modulus
+    if math.gcd(m, len(units(m))) != 1:
         raise ValueError(f"classification needs gcd(3n, phi(3n)) = 1 at n={n}")
     orbits = []
     for o in enumerate_orbits(SearchJob("constacyclic", n,
                                         prune=("multiplier",))):
         # each chain is a product of multipliers carrying its member to the
         # engine's representative
-        to_rep = {tuple(sorted(lane_elements(n, leaders))):
+        to_rep = {tuple(sorted(fam.expand(leaders))):
                   math.prod(step[1] for step in o.chains[leaders]) % m
                   for leaders in o.members}
         leader = min(to_rep)
@@ -362,4 +315,4 @@ def embed_as_cyclic(C: ConstacyclicCode) -> CyclicCode:
     parity rows at exponent a factor into the three blocks
     [H1 | w^a H1 | w^2a H1] over the constacyclic parity rows H1.
     """
-    return build_cyclic(3 * C.n, 4, C.defining_set)
+    return build_cyclic(C.defining_set.n, 4, C.defining_set)

@@ -7,6 +7,11 @@ combinatorial side of all cyclic-code work in this package, and the index
 maps here -- multipliers, shifts, affine maps, and generalized multipliers
 that rescale only the low digit of a prime-power modulus -- are bijections of
 Z/nZ whose action on defining sets witnesses code equivalences.
+
+``SetFamily`` (built by ``set_family``) is the one place that knows how a
+code family reads its defining sets: modulus n for cyclic codes, 3n with
+the lane 1 + 3Z for omega-constacyclic codes over GF(4).  Leader parsing,
+coset-union enumeration and the admissible affine maps all go through it.
 """
 
 from __future__ import annotations
@@ -107,23 +112,13 @@ class DefiningSet:
 
     @classmethod
     def from_leaders(cls, n: int, q: int, leaders) -> "DefiningSet":
+        """Close ``leaders`` (any residues mod n); unlike SetFamily.parse,
+        nothing is checked."""
         table = coset_table(n, q)
         return cls(n, q, table.closure(int(x) % n for x in leaders))
 
-    @classmethod
-    def parse(cls, n: int, q: int, text: str) -> "DefiningSet":
-        """Parse '0,2,7' (coset leaders) or 'full:0,1,3,9' (every element)."""
-        text = text.strip()
-        if text.startswith("full:"):
-            body = text[len("full:"):]
-            items = [int(t) for t in body.split(",") if t.strip() != ""]
-            return cls(n, q, tuple(items))
-        items = [int(t) for t in text.split(",") if t.strip() != ""]
-        return cls.from_leaders(n, q, items)
-
     def leaders(self) -> tuple[int, ...]:
-        table = coset_table(self.n, self.q)
-        return tuple(sorted({table.leader_of(x) for x in self.elements}))
+        return set_family("cyclic", self.n, self.q).leaders(self.elements)
 
     def to_string(self, full: bool = False) -> str:
         if full:
@@ -159,6 +154,161 @@ class DefiningSet:
 
     def __len__(self) -> int:
         return len(self.elements)
+
+
+# the lane of each family is 1 + stride*Z inside Z/(stride*n)Z
+_STRIDES = {"cyclic": 1, "constacyclic": 3}
+# at most 2^_MASK_CAP coset unions are enumerated
+_MASK_CAP = 20
+
+
+@dataclass(frozen=True)
+class SetFamily:
+    """Where the defining sets of one code family at length n over GF(q) live.
+
+    A cyclic code's defining set is a union of q-cyclotomic cosets of Z/nZ.
+    An omega-constacyclic code over GF(4) reads its roots at a 3n-th root
+    of unity, so its defining set lies in Z/3nZ, inside the lane 1 + 3Z, and
+    its criteria are the cyclic ones at modulus 3n restricted to that lane.
+    Everything that depends on the family -- modulus, lane, cosets, leader
+    parsing, admissible affine maps -- is decided here.  Build one with the
+    cached ``set_family``.
+
+    The constructor validates (n, q) and sets ``modulus`` (n or 3n);
+    ``stride`` (the lane is 1 + stride*Z); ``table``, the q-cosets mod
+    ``modulus``; ``cosets``, those inside the lane by ascending leader;
+    ``multipliers`` and ``shifts``, the units and shifts that keep the lane,
+    ascending; and ``shifts_are_isometries``: an admissible cyclic shift is
+    an isometry, a constacyclic one only preserves the parameters.
+    """
+
+    family: str
+    n: int
+    q: int
+
+    def __post_init__(self):
+        stride = _STRIDES.get(self.family)
+        if stride is None:
+            raise ValueError(f"unknown family {self.family!r}")
+        if self.n < 1:
+            raise ValueError(f"length must be positive, got {self.n}")
+        if self.family == "constacyclic":
+            if self.q != 4:
+                raise ValueError(
+                    f"constacyclic codes need q = 4, got q={self.q}")
+            if self.n % 2 == 0:
+                raise ValueError(
+                    f"constacyclic codes need an odd length, got n={self.n}")
+        if math.gcd(self.n, self.q) != 1:
+            raise ValueError(f"need gcd(n, q) = 1, got n={self.n}, q={self.q}")
+        m = stride * self.n
+        object.__setattr__(self, "stride", stride)
+        table = coset_table(m, self.q)
+        for name, value in (
+                ("modulus", m), ("table", table),
+                ("cosets", tuple(c for c in table.cosets
+                                 if self._in_lane(c[0]))),
+                ("multipliers", tuple(e for e in units(m)
+                                      if self._in_lane(e))),
+                ("shifts", range(0, m, stride)),
+                ("shifts_are_isometries", stride == 1)):
+            object.__setattr__(self, name, value)
+
+    def _in_lane(self, x: int) -> bool:
+        return x % self.stride == 1 % self.stride
+
+    def _lane_values(self, values, leaders: bool) -> list[int]:
+        values = [int(x) for x in values]
+        bad = sorted({x for x in values
+                      if not (0 <= x < self.modulus and self._in_lane(x))})
+        if bad:
+            raise ValueError(f"values outside the {self.family} lane of "
+                             f"[0, {self.modulus}): {bad}")
+        if leaders:
+            bad = sorted({x for x in values if self.table.leader_of(x) != x})
+            if bad:
+                raise ValueError(
+                    f"not coset leaders mod {self.modulus}: {bad}")
+        return values
+
+    def defining_set(self, elements) -> DefiningSet:
+        """``elements`` as a defining set: each in the lane, coset-closed."""
+        if isinstance(elements, DefiningSet):
+            if (elements.n, elements.q) != (self.modulus, self.q):
+                raise ValueError(
+                    f"defining set must live in Z/{self.modulus}Z with "
+                    f"q={self.q}, got Z/{elements.n}Z with q={elements.q}")
+            elements = elements.elements
+        return DefiningSet(self.modulus, self.q,
+                           tuple(self._lane_values(elements, False)))
+
+    def expand(self, leaders) -> frozenset:
+        """The union of the cosets led by ``leaders``.
+
+        Raises ValueError unless every value is the least element of a
+        coset in the lane.
+        """
+        return frozenset(self.table.closure(self._lane_values(leaders, True)))
+
+    def leaders(self, elements) -> tuple[int, ...]:
+        """Sorted leaders of the cosets that meet ``elements``."""
+        return tuple(sorted({self.table.leader_of(x) for x in elements}))
+
+    def parse(self, text: str) -> DefiningSet:
+        """Read 'a,b,...' (coset leaders) or 'full:x,y,...' (every element).
+
+        Every value must lie in [0, modulus) and in the lane; leaders must
+        be coset leaders and a full set must be coset-closed.  Anything
+        else raises ValueError.
+        """
+        text = text.strip()
+        full = text.startswith("full:")
+        values = [int(t) for t in text[5 if full else 0:].split(",")
+                  if t.strip()]
+        return self.defining_set(values if full else self.expand(values))
+
+    def masks(self) -> range:
+        """Coset-union masks, bit i selecting ``cosets[i]``, under the cap."""
+        if len(self.cosets) > _MASK_CAP:
+            raise ValueError(f"too many cosets ({len(self.cosets)}) "
+                             f"to enumerate all defining sets")
+        return range(1 << len(self.cosets))
+
+    def unions(self):
+        """Yield every union of lane cosets as a sorted tuple, in mask order."""
+        cosets = self.cosets
+        return (tuple(sorted(x for i, c in enumerate(cosets) if mask >> i & 1
+                             for x in c))
+                for mask in self.masks())
+
+    def admits_shift(self, size, b):
+        """Whether x -> x+b keeps the lane and m | size*(q-1)*b.
+
+        ``size`` is a set size or a NumPy array of them.
+        """
+        return ((b % self.stride == 0)
+                & (size * (self.q - 1) * b % self.modulus == 0))
+
+    def affine_maps(self, size: int):
+        """Yield the lane-keeping (e, b) in (e, b) order whose shift is
+        admissible for sets of ``size`` elements."""
+        shifts = [b for b in self.shifts if self.admits_shift(size, b)]
+        return ((e, b) for e in self.multipliers for b in shifts)
+
+
+@lru_cache(maxsize=None)
+def set_family(family: str, n: int, q: int) -> SetFamily:
+    """The family context at (n, q), built once; ValueError if there is none."""
+    return SetFamily(family, n, q)
+
+
+def family_of(family: str, A: DefiningSet) -> SetFamily:
+    """The family whose defining sets live where A does."""
+    fam = set_family(family, A.n // _STRIDES.get(family, 1), A.q)
+    if fam.modulus != A.n:
+        raise ValueError(f"{family} defining sets need a modulus divisible "
+                         f"by {fam.stride}, got {A.n}")
+    return fam
 
 
 @dataclass(frozen=True)
@@ -206,10 +356,6 @@ class IndexMap:
             return generalized_multiplier(n, pow(d, -1, p ** k), k)
         raise ValueError(f"unknown index map kind {self.kind!r}")
 
-    def describe(self) -> str:
-        inner = ",".join(str(v) for v in self.params)
-        return f"{self.kind}({inner}) mod {self.modulus}"
-
 
 def multiplier(n: int, a: int) -> IndexMap:
     a %= n
@@ -241,6 +387,19 @@ def generalized_multiplier(n: int, d: int, k: int) -> IndexMap:
     return IndexMap("generalized_multiplier", n, (d, k, p, m))
 
 
+def generalized_multipliers(n: int) -> list[IndexMap]:
+    """Every generalized multiplier other than the identity, by (k, d);
+    none unless n is a power of an odd prime."""
+    try:
+        p, m = prime_power_split(n)
+    except ValueError:
+        return []
+    if p == 2:
+        return []
+    return [generalized_multiplier(n, d, k) for k in range(1, m + 1)
+            for d in range(2, p ** k) if d % p]
+
+
 def apply_map(imap: IndexMap, subset) -> tuple[int, ...]:
     """Image of a defining set (or plain iterable) under an index map.
 
@@ -259,12 +418,12 @@ def apply_map(imap: IndexMap, subset) -> tuple[int, ...]:
 
 def shift_divisibility_cyclic(n: int, q: int, setsize: int, b: int) -> bool:
     """Whether n divides setsize*(q-1)*b, the cyclic shift-map side condition."""
-    return setsize * (q - 1) * b % n == 0
+    return bool(set_family("cyclic", n, q).admits_shift(setsize, b))
 
 
 def shift_divisibility_constacyclic(n: int, setsize: int, b: int) -> bool:
     """Whether 3 | b and n | setsize*b, the constacyclic shift side condition."""
-    return b % 3 == 0 and setsize * b % n == 0
+    return bool(set_family("constacyclic", n, 4).admits_shift(setsize, b))
 
 
 def progression_set(n: int, e: int) -> DefiningSet:
@@ -292,59 +451,21 @@ def enumerate_affine_witnesses(A: DefiningSet, B: DefiningSet,
                                mode: str = "cyclic") -> list[IndexMap]:
     """All affine maps x -> ex+b sending A onto B under the side conditions.
 
-    Cyclic mode requires gcd(e, n) = 1 and n | b*|A|*(q-1).  Constacyclic
-    mode works mod 3n and requires e = 1 mod 3, 3 | b, and n | b*|A|.
-    Results are ordered by (e, b).
+    ``mode`` names the family A and B belong to; the maps are its
+    ``affine_maps(|A|)``: gcd(e, n) = 1 and n | b*|A|*(q-1) for cyclic
+    sets, and additionally e = 1 mod 3 and 3 | b at modulus 3n for
+    constacyclic ones.  Results are ordered by (e, b).
     """
     A._check_context(B)
-    n = A.n
-    size = len(A.elements)
-    out: list[IndexMap] = []
-    if size != len(B.elements):
-        return out
+    if len(A) != len(B):
+        return []
+    fam = family_of(mode, A)
+    m = fam.modulus
     target = set(B.elements)
-    if mode == "cyclic":
-        for e in units(n):
-            for b in range(n):
-                if size * (A.q - 1) * b % n:
-                    continue
-                if {(e * x + b) % n for x in A.elements} == target:
-                    out.append(affine_map(n, e, b))
-    elif mode == "constacyclic":
-        if n % 3:
-            raise ValueError("constacyclic witnesses need a modulus divisible by 3")
-        base = n // 3
-        for e in units(n):
-            if e % 3 != 1:
-                continue
-            for b in range(0, n, 3):
-                if size * b % base:
-                    continue
-                if {(e * x + b) % n for x in A.elements} == target:
-                    out.append(affine_map(n, e, b))
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    return out
-
-
-def union_of_cosets(cosets, mask: int) -> tuple[int, ...]:
-    """Sorted union of the cosets whose bits are set in ``mask``."""
-    return tuple(sorted(x for i, c in enumerate(cosets) if mask >> i & 1
-                        for x in c))
-
-
-def coset_unions(cosets):
-    """Yield the union of every subset of ``cosets`` as a sorted tuple.
-
-    Subsets are visited in mask order: bit i selects ``cosets[i]``.
-    """
-    for mask in range(1 << len(cosets)):
-        yield union_of_cosets(cosets, mask)
+    return [affine_map(m, e, b) for e, b in fam.affine_maps(len(A))
+            if {(e * x + b) % m for x in A.elements} == target]
 
 
 def all_defining_sets(n: int, q: int):
-    """Yield every union of q-cyclotomic cosets mod n as a sorted tuple.
-
-    There are 2^(number of cosets) of them, so keep n small or break early.
-    """
-    return coset_unions(coset_table(n, q).cosets)
+    """Yield every union of q-cyclotomic cosets mod n as a sorted tuple."""
+    return set_family("cyclic", n, q).unions()

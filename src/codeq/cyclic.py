@@ -28,9 +28,10 @@ from codeq.cosets import (
     apply_map,
     coset_table,
     enumerate_affine_witnesses,
-    generalized_multiplier,
+    generalized_multipliers,
     multiplier,
     progression_set,
+    set_family,
     units,
 )
 from codeq.fields import (
@@ -196,36 +197,37 @@ def hermitian_dual_defining_set(A: DefiningSet) -> DefiningSet:
     return DefiningSet(A.n, A.q, tuple(x for x in range(A.n) if x not in neg))
 
 
-def build_cyclic(n: int, q: int, A) -> CyclicCode:
-    """Cyclic code whose generator polynomial has roots alpha^a for a in A."""
-    if not isinstance(A, DefiningSet):
-        A = DefiningSet(n, q, tuple(A))
-    if (A.n, A.q) != (n, q):
-        raise ValueError("defining set context mismatch")
-    ctx = canonical_root(n, q)
-    K = ctx.ext
+def generator_code(ctx: RootContext, n: int, exponents,
+                   constant: int) -> tuple[tuple[int, ...], LinearCode]:
+    """Generator polynomial with roots alpha^i, i in ``exponents``, and its code.
+
+    The product of the (x - alpha^i) is pulled back into the base field and
+    must divide x^n - ``constant``; its n - |exponents| shifts are the rows.
+    """
+    K, F = ctx.ext, ctx.base
     g_ext = [1]
-    for a in A.elements:
-        g_ext = poly_mul(K, g_ext, [K.neg(ctx.alpha_pow(a)), 1])
-    inv = {v: i for i, v in enumerate(ctx.fwd)}
-    try:
-        g = tuple(inv[c] for c in g_ext)
-    except KeyError:
-        raise ValueError("defining set is not closed: generator polynomial "
-                         "has coefficients outside the base field") from None
-    F = ctx.base
-    xn1 = [F.neg(1)] + [0] * (n - 1) + [1]
-    _, rem = poly_divmod(F, xn1, list(g))
+    for i in exponents:
+        g_ext = poly_mul(K, g_ext, [K.neg(ctx.alpha_pow(i)), 1])
+    g = tuple(ctx.pull_back(c) for c in g_ext)
+    _, rem = poly_divmod(F, [F.neg(constant)] + [0] * (n - 1) + [1], list(g))
     if rem != [0]:
-        raise AssertionError("generator polynomial does not divide x^n - 1")
-    k = n - len(A.elements)
+        raise AssertionError(
+            f"generator polynomial does not divide x^{n} - {constant}")
+    k = n - len(g) + 1
     rows = np.zeros((k, n), dtype=np.uint8)
     for i in range(k):
-        for j, c in enumerate(g):
-            rows[i, i + j] = c
+        rows[i, i:i + len(g)] = g
     base = LinearCode.from_rows(F, rows, n)
     if base.k != k:
-        raise AssertionError("cyclic code dimension mismatch")
+        raise AssertionError("generator rows are not independent")
+    return g, base
+
+
+def build_cyclic(n: int, q: int, A) -> CyclicCode:
+    """Cyclic code whose generator polynomial has roots alpha^a for a in A."""
+    A = set_family("cyclic", n, q).defining_set(A)
+    ctx = canonical_root(n, q)
+    g, base = generator_code(ctx, n, A.elements, 1)
     return CyclicCode(n, q, A, g, base, ctx)
 
 
@@ -464,38 +466,24 @@ def certify_equivalence(C1: CyclicCode, C2: CyclicCode, depth: int = 2,
                 "identity multiplier" if c == 1 else "")
 
     # generalized multipliers composed with multipliers (prime-power n)
-    try:
-        p_n, m_n = prime_power_split(n)
-    except ValueError:
-        p_n, m_n = 0, 0
-    if p_n > 2 and m_n >= 1:
-        seen_params = set()
-        for k_cut in range(1, m_n + 1):
-            pk = p_n ** k_cut
-            for d in range(2, pk):
-                if math.gcd(d, p_n) != 1:
-                    continue
-                gmul = generalized_multiplier(n, d, k_cut)
-                for a in units(n):
-                    img = apply_map(gmul, apply_map(multiplier(n, a), A1))
-                    if tuple(sorted(img)) == A2.elements:
-                        key = (d, k_cut, a)
-                        if key in seen_params:
-                            continue
-                        seen_params.add(key)
-                        verified = False
-                        transform = None
-                        note = "combinatorial match; no explicit matrix"
-                        if q ** C1.k <= upgrade_budget:
-                            res = brute_force_equivalence(
-                                C1.base, C2.base, mode="permutation",
-                                budget=upgrade_budget)
-                            if res.status == "equivalent":
-                                verified = True
-                                transform = res.witness
-                                note = "verified via explicit permutation search"
-                        add("generalized_multiplier", key, verified, transform,
-                            note)
+    for gmul in generalized_multipliers(n):
+        d, k_cut = gmul.params[:2]
+        for a in units(n):
+            if apply_map(gmul, apply_map(multiplier(n, a), A1)) != A2.elements:
+                continue
+            verified = False
+            transform = None
+            note = "combinatorial match; no explicit matrix"
+            if q ** C1.k <= upgrade_budget:
+                res = brute_force_equivalence(
+                    C1.base, C2.base, mode="permutation",
+                    budget=upgrade_budget)
+                if res.status == "equivalent":
+                    verified = True
+                    transform = res.witness
+                    note = "verified via explicit permutation search"
+            add("generalized_multiplier", (d, k_cut, a), verified, transform,
+                note)
 
     # affine isometries (shift when the scale is 1)
     wd_ok = None
@@ -559,22 +547,19 @@ def certify_equivalence(C1: CyclicCode, C2: CyclicCode, depth: int = 2,
             s1 = frozenset(A1.elements)
             size = len(A1)
             seen_mid: set[frozenset] = set()
-            for e in units(n):
-                for b in range(n):
-                    if size * (q - 1) * b % n:
-                        continue
-                    img = frozenset((e * x + b) % n for x in s1)
-                    if img in seen_mid:
-                        continue
-                    seen_mid.add(img)
-                    if img == s1 or not table.is_union(img):
-                        continue
-                    Cmid = build_cyclic(n, q, DefiningSet(n, q, tuple(img)))
-                    leg = matrix_leg(Cmid, C2)
-                    if leg is not None and weight_distributions_equal(
-                            C1.base, Cmid.base) is not False:
-                        add("composition", (f"affine({e},{b})", leg), True,
-                            None, "affine isometry then matrix step")
+            for e, b in set_family("cyclic", n, q).affine_maps(size):
+                img = frozenset((e * x + b) % n for x in s1)
+                if img in seen_mid:
+                    continue
+                seen_mid.add(img)
+                if img == s1 or not table.is_union(img):
+                    continue
+                Cmid = build_cyclic(n, q, DefiningSet(n, q, tuple(img)))
+                leg = matrix_leg(Cmid, C2)
+                if leg is not None and weight_distributions_equal(
+                        C1.base, Cmid.base) is not False:
+                    add("composition", (f"affine({e},{b})", leg), True,
+                        None, "affine isometry then matrix step")
             # matrix step first, then affine: candidate intermediates are
             # the structural partner sets of A1 (and, at small coset
             # counts, every same-size defining set)

@@ -12,31 +12,26 @@ counters instead of wall-clock times for the same reason.
 """
 
 import json
-import math
 import random
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constacyclic import build_constacyclic, lane_cosets, lane_elements
+from .constacyclic import build_code
 from .cosets import (
     IndexMap,
+    SetFamily,
     coset_table,
-    generalized_multiplier,
+    generalized_multipliers,
     multiplier,
-    shift_divisibility_constacyclic,
-    shift_divisibility_cyclic,
+    set_family,
     shift_map,
-    union_of_cosets,
-    units,
 )
 from .cyclic import (
     _half_twist_partner,
     _odd_step_partner,
     _triple_step_partner,
-    build_cyclic,
 )
-from .fields import prime_power_split
 from .linear import (
     WD_COMPARE_CAP,
     min_distance,
@@ -51,7 +46,6 @@ CONSTA_KINDS = ("multiplier", "affine")
 # the default cyclic search keeps its orbits
 _DEFAULT_CYCLIC = CYCLIC_KINDS[:-1]
 _INDEX_KINDS = ("multiplier", "shift", "generalized_multiplier")
-_MASK_CAP = 20
 
 
 @dataclass(frozen=True)
@@ -71,17 +65,7 @@ class SearchJob:
     quantum: bool = False
 
     def __post_init__(self):
-        if self.family not in ("cyclic", "constacyclic"):
-            raise ValueError(f"unknown family {self.family!r}")
-        if self.n < 1:
-            raise ValueError("n must be positive")
-        if math.gcd(self.n, self.q) != 1:
-            raise ValueError("length must be coprime to the field size")
-        if self.family == "constacyclic":
-            if self.q != 4:
-                raise ValueError("constacyclic search requires q = 4")
-            if self.n % 2 == 0:
-                raise ValueError("constacyclic search requires odd n")
+        set_family(self.family, self.n, self.q)
         k_max = self.n if self.k_max is None else self.k_max
         object.__setattr__(self, "k_max", k_max)
         if not 0 <= self.k_min <= k_max <= self.n:
@@ -102,8 +86,9 @@ class SearchJob:
                                  for row in self.targets))
 
     @property
-    def modulus(self) -> int:
-        return 3 * self.n if self.family == "constacyclic" else self.n
+    def context(self) -> SetFamily:
+        """Modulus, lane and cosets of the job's defining sets."""
+        return set_family(self.family, self.n, self.q)
 
 
 @dataclass(frozen=True)
@@ -189,19 +174,15 @@ class _Space:
     """
 
     def __init__(self, job: SearchJob):
-        self.job = job
-        self.modulus = job.modulus
-        self.cosets = (coset_table(job.n, job.q).cosets
-                       if job.family == "cyclic" else lane_cosets(job.n))
+        ctx = job.context
+        self.modulus = ctx.modulus
+        self.cosets = ctx.cosets
         count = len(self.cosets)
-        if count > _MASK_CAP:
-            raise ValueError(f"too many cosets ({count}) "
-                             f"to enumerate all defining sets")
+        all_masks = np.arange(len(ctx.masks()), dtype=np.int64)
         self.leaders = np.array([c[0] for c in self.cosets])
         self.coset_of_element = {x: i for i, c in enumerate(self.cosets)
                                  for x in c}
         self.weights = np.int64(1) << np.arange(count, dtype=np.int64)
-        all_masks = np.arange(1 << count, dtype=np.int64)
         bits = (all_masks[:, None] & self.weights) != 0
         sizes = bits @ np.array([len(c) for c in self.cosets], dtype=np.int64)
         lo, hi = job.n - job.k_max, job.n - job.k_min
@@ -222,8 +203,8 @@ class _Space:
             mask |= 1 << self.coset_of_element[x]
         return mask
 
-    def set_of_mask(self, mask: int) -> frozenset:
-        return frozenset(union_of_cosets(self.cosets, mask))
+    def set_of_row(self, row: int) -> frozenset:
+        return frozenset(np.flatnonzero(self.membership[row]).tolist())
 
     def leaders_of_mask(self, mask: int) -> tuple[int, ...]:
         return tuple(int(self.leaders[i]) for i in range(len(self.cosets))
@@ -305,36 +286,22 @@ class _Forest:
         return out
 
 
-def _generalized_multipliers(n: int) -> list[IndexMap]:
-    try:
-        p, m = prime_power_split(n)
-    except ValueError:
-        return []
-    if p == 2:
-        return []
-    return [generalized_multiplier(n, d, k) for k in range(1, m + 1)
-            for d in range(2, p ** k) if d % p]
-
-
 def _index_maps(space: _Space, job: SearchJob):
     """The index-map certificates of the job, each with its side condition."""
-    m = space.modulus
+    ctx = job.context
+    m = ctx.modulus
     if "multiplier" in job.prune or "affine" in job.prune:
-        # constacyclic multipliers must keep the lane 1 mod 3
-        for e in units(m):
-            if e != 1 and (job.family == "cyclic" or e % 3 == 1):
+        for e in ctx.multipliers:
+            if e != 1:
                 yield multiplier(m, e), True
-    if job.family != "cyclic":
-        return
     if "generalized_multiplier" in job.prune:
-        for g in _generalized_multipliers(job.n):
+        for g in generalized_multipliers(job.n):
             yield g, True
-    if "affine" in job.prune:
+    if "affine" in job.prune and ctx.shifts_are_isometries:
         # every affine map factors as an admissible shift followed by a
         # multiplier, so shift edges complete the affine closure
-        for b in range(1, job.n):
-            yield shift_map(m, b), shift_divisibility_cyclic(
-                job.n, job.q, space.sizes, b)
+        for b in ctx.shifts[1:]:
+            yield shift_map(m, b), ctx.admits_shift(space.sizes, b)
 
 
 def _transform_enabled(job: SearchJob, kind: str) -> bool:
@@ -357,7 +324,7 @@ def _union_phase(space: _Space, job: SearchJob):
              if k in job.prune and _transform_enabled(job, k)]
     # these partners depend on the shape of the set, so each set is visited
     for a in range(len(space.masks)) if kinds else ():
-        S = space.set_of_mask(int(space.masks[a]))
+        S = space.set_of_row(a)
         for kind in kinds:
             T = apply_step(job, S, (kind,))
             if T is not None and T != S:
@@ -383,7 +350,7 @@ def apply_step(job: SearchJob, elements: frozenset, step: tuple) -> frozenset:
     """Apply one witness step to a defining set."""
     kind = step[0]
     if kind in _INDEX_KINDS:
-        imap = _step_map(step, job.modulus)
+        imap = _step_map(step, job.context.modulus)
         return frozenset(imap(x) for x in elements)
     if kind == "half_twist":
         return _half_twist_partner(elements, job.n)
@@ -456,28 +423,30 @@ def enumerate_orbits(job: SearchJob) -> list[Orbit]:
 def group_orbits(job: SearchJob, orbits: list[Orbit]) -> list[EvalGroup]:
     """Bundle orbits that share parameters into evaluation groups.
 
-    Cyclic orbits stand alone. Constacyclic orbits joined by an admissible
-    shift have equal weight distributions without being equivalent, so they
-    share an evaluation; the link records the witness shift.
+    Where admissible shifts are isometries (cyclic jobs) they already join
+    orbits, so each orbit stands alone. Constacyclic orbits joined by an
+    admissible shift have equal weight distributions without being
+    equivalent, so they share an evaluation; the link records the witness
+    shift.
     """
-    if job.family == "cyclic" or "affine" not in job.prune:
+    ctx = job.context
+    if ctx.shifts_are_isometries or "affine" not in job.prune:
         return [EvalGroup(i, (o.orbit_id,), o.representative,
                           {o.orbit_id: None})
                 for i, o in enumerate(orbits)]
 
-    table = coset_table(job.modulus, job.q)
-    m = job.modulus
+    m = ctx.modulus
     owner = {leaders: i for i, o in enumerate(orbits) for leaders in o.members}
     forest = _Forest(len(orbits))
     for i, o in enumerate(orbits):
-        rep_set = table.closure(o.representative)
-        for b in range(3, m, 3):
-            if not shift_divisibility_constacyclic(job.n, len(rep_set), b):
+        rep_set = ctx.expand(o.representative)
+        for b in ctx.shifts[1:]:
+            if not ctx.admits_shift(len(rep_set), b):
                 continue
             T = [(x + b) % m for x in rep_set]
-            if not table.is_union(T):
+            if not ctx.table.is_union(T):
                 continue
-            t_leaders = tuple(sorted({table.leader_of(x) for x in T}))
+            t_leaders = ctx.leaders(T)
             target = owner.get(t_leaders)
             if target is not None:
                 forest.union(i, target, {"kind": "shift", "b": b,
@@ -496,15 +465,7 @@ def group_orbits(job: SearchJob, orbits: list[Orbit]) -> list[EvalGroup]:
 
 
 def _expand_leaders(job: SearchJob, leaders) -> frozenset:
-    if job.family == "cyclic":
-        return frozenset(coset_table(job.n, job.q).closure(leaders))
-    return lane_elements(job.n, leaders)
-
-
-def _build_base(job: SearchJob, elements: frozenset):
-    if job.family == "cyclic":
-        return build_cyclic(job.n, job.q, elements).base
-    return build_constacyclic(job.n, elements).base
+    return job.context.expand(leaders)
 
 
 def _targets_lookup(job: SearchJob) -> dict[tuple[int, int, int], int]:
@@ -519,8 +480,7 @@ def _targets_lookup(job: SearchJob) -> dict[tuple[int, int, int], int]:
 def evaluate(job: SearchJob, leaders) -> SearchRecord:
     """Build one representative and compute its distance bounds."""
     leaders = tuple(sorted(int(x) for x in leaders))
-    elements = _expand_leaders(job, leaders)
-    base = _build_base(job, elements)
+    base = build_code(job.context, _expand_leaders(job, leaders)).base
     res = min_distance(base, budget=job.distance_budget, seed=job.seed)
     qdict = None
     if job.quantum:
@@ -552,8 +512,8 @@ def _spot_check(job: SearchJob, orbits: list[Orbit]) -> None:
         return
     o = rng.choice(feasible)
     other = rng.choice(o.members[1:])
-    c1 = _build_base(job, _expand_leaders(job, o.representative))
-    c2 = _build_base(job, _expand_leaders(job, other))
+    c1 = build_code(job.context, _expand_leaders(job, o.representative)).base
+    c2 = build_code(job.context, _expand_leaders(job, other)).base
     assert c1.k == c2.k, "orbit members disagree on dimension"
     assert weight_distributions_equal(c1, c2), \
         "orbit members disagree on weight distribution"

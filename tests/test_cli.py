@@ -208,6 +208,73 @@ def test_closed_stdout_prints_no_traceback():
     assert proc.returncode == 0
 
 
+def test_quantum_constacyclic_five_qubit_code(capsys):
+    code, d = run(capsys, ["quantum", "--n", "5", "--type", "constacyclic",
+                           "--leaders", "1"])
+    assert code == 0
+    assert d["construction"] == "crss"
+    assert (d["n_q"], d["k_q"], d["d_lb"], d["d_ub"]) == (5, 1, 3, 3)
+
+
+def test_mindist_constacyclic(capsys):
+    code, d = run(capsys, ["mindist", "--n", "11", "--q", "4",
+                           "--type", "constacyclic", "--leaders", "1"])
+    assert code == 0
+    assert (d["n"], d["k"], d["q"], d["lb"], d["ub"]) == (11, 6, 4, 5, 5)
+    assert d["complete"] is True
+    _, full = run(capsys, ["mindist", "--n", "11", "--q", "4",
+                           "--type", "constacyclic",
+                           "--leaders", "full:1,4,16,25,31"])
+    assert {k: v for k, v in full.items() if k != "elapsed"} == \
+        {k: v for k, v in d.items() if k != "elapsed"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--n", "15", "--q", "4", "--leaders", "17"],
+    ["gen", "--n", "15", "--q", "4", "--leaders", "-1"],
+    ["gen", "--n", "15", "--q", "4", "--leaders", "4"],
+    ["gen", "--n", "15", "--q", "4", "--leaders", "full:1,2,8"],
+    ["equiv", "--n", "8", "--q", "3", "--a", "0,1", "--b", "3"],
+    ["quantum", "--n", "15", "--q", "4", "--leaders", "16"],
+    ["mindist", "--n", "8", "--q", "3", "--leaders", "8"],
+    ["consta", "--n", "5", "--leaders", "4"],
+    ["consta", "--n", "5", "--leaders", "full:1,4,16"],
+    ["consta", "--n", "5", "--leaders", "2"],
+    ["consta", "--n", "5", "--leaders", "-2"],
+    ["consta", "--n", "5", "--leaders", "full:1"],
+    ["quantum", "--n", "5", "--type", "constacyclic", "--leaders", "4"],
+    ["mindist", "--n", "5", "--q", "4", "--type", "constacyclic",
+     "--leaders", "2"],
+    ["search", "--n", "8", "--q", "3", "--leaders", "8"],
+    ["search", "--family", "constacyclic", "--n", "5", "--leaders", "4"],
+])
+def test_leader_rule_exits_two(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "error" in json.loads(captured.err)
+
+
+def test_family_checked_once(capsys):
+    code = main(["mindist", "--n", "5", "--q", "3", "--type",
+                 "constacyclic", "--leaders", "1"])
+    assert code == 2
+    assert "q = 4" in json.loads(capsys.readouterr().err)["error"]
+    code = main(["consta", "--n", "4", "--leaders", "1"])
+    assert code == 2
+    assert "odd length" in json.loads(capsys.readouterr().err)["error"]
+
+
+def test_search_accepts_full_leaders(capsys):
+    _, by_leaders = run(capsys, ["search", "--n", "8", "--q", "3",
+                                 "--leaders", "2"])
+    _, by_elements = run(capsys, ["search", "--n", "8", "--q", "3",
+                                  "--leaders", "full:2,6"])
+    assert by_leaders == by_elements
+    assert by_leaders["queried"]["leaders"] == [2]
+
+
 def test_invalid_values_exit_two(capsys):
     code = main(["gen", "--n", "8", "--q", "2", "--leaders", "0"])
     err = capsys.readouterr().err

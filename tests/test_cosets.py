@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from codeq.constacyclic import affine_partner_sets, build_constacyclic
 from codeq.cosets import (
     CosetTable,
     DefiningSet,
@@ -15,6 +16,7 @@ from codeq.cosets import (
     generalized_multiplier,
     multiplier,
     progression_set,
+    set_family,
     shift_divisibility_constacyclic,
     shift_divisibility_cyclic,
     shift_map,
@@ -78,14 +80,15 @@ def test_defining_set_range_check():
 
 
 def test_defining_set_parse_roundtrip():
-    s = DefiningSet.parse(51, 4, "0,2,7,17,34")
+    fam = set_family("cyclic", 51, 4)
+    s = fam.parse("0,2,7,17,34")
     assert s.leaders() == (0, 2, 7, 17, 34)
     assert len(s) == 11
-    assert DefiningSet.parse(51, 4, s.to_string()) == s
-    full = DefiningSet.parse(8, 3, "full:1,3")
+    assert fam.parse(s.to_string()) == s
+    full = set_family("cyclic", 8, 3).parse("full:1,3")
     assert full.elements == (1, 3)
     assert full.to_string(full=True) == "full:1,3"
-    assert DefiningSet.parse(8, 3, "") == DefiningSet(8, 3, ())
+    assert set_family("cyclic", 8, 3).parse("") == DefiningSet(8, 3, ())
 
 
 def test_union_intersection():
@@ -263,3 +266,171 @@ def test_shift_necessity_constacyclic_small():
                 if shifted in pool:
                     assert b % 3 == 0, (n, A, b)
                     assert b * len(A) % n == 0, (n, A, b)
+
+# ---------------------------------------------------------------------------
+# the family context
+
+
+def test_family_contexts():
+    cyc = set_family("cyclic", 8, 3)
+    assert (cyc.modulus, cyc.cosets) == (8, coset_table(8, 3).cosets)
+    assert cyc.multipliers == units(8) and list(cyc.shifts) == list(range(8))
+    con = set_family("constacyclic", 5, 4)
+    assert con.modulus == 15
+    assert con.cosets == ((1, 4), (7, 13), (10,))
+    assert con.multipliers == (1, 4, 7, 13)
+    assert list(con.shifts) == [0, 3, 6, 9, 12]
+    assert set_family("constacyclic", 5, 4) is con
+
+
+@pytest.mark.parametrize("family,n,q,words", [
+    ("cyclic", 9, 3, "gcd"),
+    ("cyclic", 0, 3, "positive"),
+    ("constacyclic", 4, 4, "odd"),       # even length, before gcd(12, 4)
+    ("constacyclic", 5, 3, "q = 4"),
+    ("twisted", 5, 4, "unknown family"),
+])
+def test_family_validation(family, n, q, words):
+    with pytest.raises(ValueError, match=words):
+        set_family(family, n, q)
+
+
+@pytest.mark.parametrize("family,n,q,text,words", [
+    ("cyclic", 15, 4, "17", "outside"),          # out of range
+    ("cyclic", 15, 4, "-1", "outside"),          # negative
+    ("cyclic", 15, 4, "4", "not coset leaders"),
+    ("cyclic", 15, 4, "full:1,4,16", "outside"),
+    ("cyclic", 15, 4, "full:1,2,8", "not closed"),
+    ("cyclic", 15, 4, "1,x", "invalid literal"),
+    ("constacyclic", 5, 4, "16", "outside"),
+    ("constacyclic", 5, 4, "-2", "outside"),
+    ("constacyclic", 5, 4, "2", "outside"),      # off the lane 1 mod 3
+    ("constacyclic", 5, 4, "4", "not coset leaders"),
+    ("constacyclic", 5, 4, "full:1,4,16", "outside"),
+    ("constacyclic", 5, 4, "full:2,8", "outside"),
+    ("constacyclic", 5, 4, "full:1", "not closed"),
+])
+def test_leader_rule(family, n, q, text, words):
+    with pytest.raises(ValueError, match=words):
+        set_family(family, n, q).parse(text)
+
+
+def test_leader_forms_agree():
+    for family, n, q in (("cyclic", 15, 4), ("cyclic", 8, 3),
+                         ("constacyclic", 5, 4), ("constacyclic", 11, 4)):
+        fam = set_family(family, n, q)
+        for els in fam.unions():
+            by_leaders = fam.parse(",".join(map(str, fam.leaders(els))))
+            by_elements = fam.parse("full:" + ",".join(map(str, els)))
+            assert by_leaders == by_elements
+            assert by_leaders.elements == els
+            assert fam.expand(fam.leaders(els)) == frozenset(els)
+
+
+def test_unions_cap():
+    # 23 = 1 mod 22, so every residue mod 22 is its own coset
+    fam = set_family("cyclic", 22, 23)
+    with pytest.raises(ValueError, match="too many cosets"):
+        fam.masks()
+    with pytest.raises(ValueError, match="too many cosets"):
+        all_defining_sets(22, 23)
+
+
+def test_side_condition_is_the_cyclic_one_at_3n():
+    """The constacyclic shift rule is the cyclic rule at modulus 3n on the
+    lane-keeping shifts; both families exist only at odd n."""
+    for n in range(1, 60):
+        if n % 2 == 0:
+            with pytest.raises(ValueError):
+                shift_divisibility_constacyclic(n, 1, 3)
+            with pytest.raises(ValueError):
+                shift_divisibility_cyclic(3 * n, 4, 1, 3)
+            continue
+        for s in range(3 * n + 1):
+            for b in range(3 * n):
+                assert shift_divisibility_constacyclic(n, s, b) == (
+                    b % 3 == 0 and shift_divisibility_cyclic(3 * n, 4, s, b))
+
+
+# copies of the (e, b) loops the family context replaced, kept as references
+
+
+def _reference_witnesses(A, B, mode):
+    n = A.n
+    size = len(A.elements)
+    out = []
+    if size != len(B.elements):
+        return out
+    target = set(B.elements)
+    if mode == "cyclic":
+        for e in units(n):
+            for b in range(n):
+                if size * (A.q - 1) * b % n:
+                    continue
+                if {(e * x + b) % n for x in A.elements} == target:
+                    out.append(affine_map(n, e, b))
+    else:
+        base = n // 3
+        for e in units(n):
+            if e % 3 != 1:
+                continue
+            for b in range(0, n, 3):
+                if size * b % base:
+                    continue
+                if {(e * x + b) % n for x in A.elements} == target:
+                    out.append(affine_map(n, e, b))
+    return out
+
+
+def _reference_partners(C):
+    n = C.n
+    m = 3 * n
+    A = C.defining_set.elements
+    size = len(A)
+    out = {}
+    for e in range(1, m, 3):
+        if math.gcd(e, m) != 1:
+            continue
+        for b in range(0, m, 3):
+            if size * b % n:
+                continue
+            image = tuple(sorted((e * a + b) % m for a in A))
+            if any(4 * x % m not in image for x in image):
+                continue
+            out.setdefault(image, []).append((e, b))
+    return out
+
+
+def _reference_affine_maps(n, q, size):
+    return [(e, b) for e in units(n) for b in range(n)
+            if not size * (q - 1) * b % n]
+
+
+@pytest.mark.parametrize("n,q", [(8, 3), (9, 2), (15, 4), (16, 3), (13, 3),
+                                 (21, 4)])
+def test_cyclic_affine_maps_match_reference_loops(n, q):
+    fam = set_family("cyclic", n, q)
+    sets = [DefiningSet(n, q, els) for els in all_defining_sets(n, q)]
+    for size in range(n + 1):
+        assert list(fam.affine_maps(size)) == \
+            _reference_affine_maps(n, q, size)
+    for A in sets[::3]:
+        for B in sets:
+            assert enumerate_affine_witnesses(A, B, mode="cyclic") == \
+                _reference_witnesses(A, B, "cyclic")
+
+
+@pytest.mark.parametrize("n", [1, 3, 5, 7, 9, 11, 15])
+def test_constacyclic_affine_maps_match_reference_loops(n):
+    m = 3 * n
+    sets = [DefiningSet(m, 4, els)
+            for els in set_family("constacyclic", n, 4).unions()]
+    for A in sets:
+        assert affine_partner_sets(build_constacyclic(n, A)) == \
+            _reference_partners(build_constacyclic(n, A))
+        # dict equality ignores order, so compare the item lists too
+        assert list(affine_partner_sets(build_constacyclic(n, A)).items()) \
+            == list(_reference_partners(build_constacyclic(n, A)).items())
+        for B in sets:
+            assert enumerate_affine_witnesses(A, B, mode="constacyclic") == \
+                _reference_witnesses(A, B, "constacyclic")
