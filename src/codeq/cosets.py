@@ -24,8 +24,9 @@ from codeq.fields import prime_power_split
 
 
 def units(n: int) -> tuple[int, ...]:
-    """Residues in [1, n) coprime to n."""
-    return tuple(e for e in range(1, n) if math.gcd(e, n) == 1)
+    """The units mod n, ascending from the identity 1 (at n = 1 the only
+    residue is 0 = 1, listed as 1)."""
+    return tuple(e for e in range(1, max(n, 2)) if math.gcd(e, n) == 1)
 
 
 @dataclass(frozen=True)

@@ -9,14 +9,17 @@ generator omega, which the triple-step machinery below depends on.
 
 Besides multiplier/affine certificates this module carries three monomial
 transform families acting on specially shaped defining sets: a signed
-half-twist (requires 8 | n, odd characteristic), an unsigned odd-step
-permutation (8 | n), and a triple-step permutation for GF(4) at 27 | n.
-Each constructed certificate is machine-verified before it is returned.
+half-twist, an unsigned odd-step permutation and a triple-step permutation
+for GF(4).  ``SET_TRANSFORMS`` states each family once: its coordinate
+map, where that map is tried, and its set rule with the (n, q) where the
+rule is a theorem.  Each constructed certificate is machine-verified
+before it is returned.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -314,6 +317,108 @@ def block_half_twist_transform(n: int, field: GaloisField) -> MonomialTransform:
 
 
 # ---------------------------------------------------------------------------
+# the set rules: the defining set a transform carries T onto, or None when T
+# does not have the rule's shape; each rule is an involution
+
+def _half_twist_partner(T: frozenset, n: int, q: int) -> frozenset | None:
+    quarter, half = n // 4, n // 2
+    corners = {quarter, 3 * quarter}
+    anchors = {0, half}
+    for have, give in ((corners, anchors), (anchors, corners)):
+        if have <= T:
+            core = T - have
+            if all(a % 2 for a in core):
+                return frozenset((a + half) % n for a in core) | give
+    return None
+
+
+def _odd_step_partner(T: frozenset, n: int, q: int) -> frozenset | None:
+    quarter, half = n // 4, n // 2
+    for mark, other in ((quarter, 3 * quarter), (3 * quarter, quarter)):
+        if mark in T and other not in T:
+            core = T - {mark}
+            if all(a in (0, half) or (a + half) % n in core for a in core):
+                return core | {other}
+    return None
+
+
+def _triple_step_partner(T: frozenset, n: int, q: int) -> frozenset | None:
+    if n % 27:
+        return None
+    k = n
+    while k % 3 == 0:
+        k //= 3
+    table = coset_table(n, q)
+    special = {0, n // 3, 2 * n // 3}
+    for src, dst in ((n // 9, 2 * n // 9), (2 * n // 9, n // 9)):
+        zsrc = frozenset(table.coset_of(src))
+        if not zsrc <= T:
+            continue
+        rest = T - zsrc
+        # outside the special points, rest is whole classes mod 3k
+        if all(x in special or frozenset(range(x % (3 * k), n, 3 * k)) <= rest
+               for x in rest):
+            return rest | frozenset(table.coset_of(dst))
+    return None
+
+
+@dataclass(frozen=True)
+class SetTransform:
+    """One transform family: a coordinate map and, for most, a set rule.
+
+    ``matrix(n, field)`` is the coordinate map; ``certify_equivalence``
+    tries it by code equality where ``matrix_at(n, q)`` holds.  Where
+    ``rule_at(n, q)`` holds, ``partner(T, n, q)`` is a theorem: the code
+    on T maps onto the code on the partner set, so the orbit search joins
+    the two sets without building either code.  A family without a rule
+    has a ``rule_at`` that never holds.  ``requires`` states the rule
+    condition for error messages.
+    """
+
+    kind: str
+    matrix_at: Callable[[int, int], bool]
+    matrix: Callable[[int, GaloisField], MonomialTransform]
+    rule_at: Callable[[int, int], bool] = lambda n, q: False
+    partner: Callable[[frozenset, int, int], frozenset | None] | None = None
+    requires: str = ""
+
+
+def _half_twist_at(n: int, q: int) -> bool:
+    return n % 8 == 0 and q % 2 == 1
+
+
+def _triple_step_at(n: int, q: int) -> bool:
+    return q == 4 and n % 2 == 1 and n % 27 == 0
+
+
+# Rows in certificate order.  The odd-step map is tried at every 8 | n,
+# but its set rule is only proved for q = 1 (mod 4): at (16, 3) the map
+# applied twice certifies pairs that no rule joins.
+SET_TRANSFORMS: dict[str, SetTransform] = {t.kind: t for t in (
+    SetTransform("half_twist", _half_twist_at, half_twist_transform,
+                 _half_twist_at, _half_twist_partner,
+                 "8 | n and odd characteristic"),
+    SetTransform("block_half_twist",
+                 lambda n, q: n > 8 and _half_twist_at(n, q),
+                 block_half_twist_transform),
+    SetTransform("odd_step", lambda n, q: n % 8 == 0,
+                 lambda n, field: odd_step_transform(n),
+                 lambda n, q: n % 8 == 0 and q % 4 == 1, _odd_step_partner,
+                 "8 | n and q = 1 (mod 4)"),
+    SetTransform("triple_step", _triple_step_at,
+                 lambda n, field: triple_step_transform(n),
+                 _triple_step_at, _triple_step_partner,
+                 "q = 4 and n an odd multiple of 27"),
+)}
+
+# the certificate kinds a cyclic orbit search may join sets by: the index
+# maps and every set transform with a rule
+CYCLIC_KINDS = ("multiplier", "affine",
+                *(k for k, t in SET_TRANSFORMS.items() if t.partner),
+                "generalized_multiplier")
+
+
+# ---------------------------------------------------------------------------
 # certificates
 
 @dataclass(frozen=True)
@@ -339,32 +444,42 @@ def multiplier_transform(n: int, c: int) -> MonomialTransform:
     return MonomialTransform.permutation(tuple(cinv * i % n for i in range(n)))
 
 
+def _rule_row(kind: str, n: int, q: int) -> SetTransform:
+    row = SET_TRANSFORMS[kind]
+    if not row.rule_at(n, q):
+        raise ValueError(f"{kind} pairs need {row.requires}, "
+                         f"got n={n}, q={q}")
+    return row
+
+
+def _verified_pair(row: SetTransform, A1: DefiningSet, elements2,
+                   note: str) -> tuple[CyclicCode, CyclicCode,
+                                       CyclicCertificate]:
+    """Codes on A1 and on ``elements2``, with the certificate that the
+    row's coordinate map carries the first onto the second."""
+    n, q = A1.n, A1.q
+    A2 = DefiningSet(n, q, tuple(elements2))
+    C1 = build_cyclic(n, q, A1)
+    C2 = build_cyclic(n, q, A2)
+    M = row.matrix(n, C1.base.field)
+    if apply_monomial(C1.base, M) != C2.base:
+        raise AssertionError(f"{row.kind} certificate failed verification")
+    return C1, C2, CyclicCertificate(row.kind, (), A1.elements, A2.elements,
+                                     True, M, note)
+
+
 def half_twist_pair(n: int, q: int, A) -> tuple[CyclicCode, CyclicCode,
                                                 CyclicCertificate]:
     """Codes on A + {n/4, 3n/4} and on (A + n/2) + {0, n/2}, equivalent
     under the signed half twist.  A must be a union of cosets with every
     element odd; characteristic must be odd; 8 | n."""
-    if not isinstance(A, DefiningSet):
-        A = DefiningSet(n, q, tuple(A))
-    if n % 8:
-        raise ValueError("length must be a multiple of 8")
-    p, _ = prime_power_split(q)
-    if p == 2:
-        raise ValueError("odd characteristic required")
+    A = set_family("cyclic", n, q).defining_set(A)
+    row = _rule_row("half_twist", n, q)
     if any(a % 2 == 0 for a in A.elements):
         raise ValueError("all elements of the core set must be odd")
     A1 = A.union(DefiningSet(n, q, (n // 4, 3 * n // 4)))
-    shifted = tuple((a + n // 2) % n for a in A.elements)
-    A2 = DefiningSet(n, q, shifted).union(DefiningSet(n, q, (0, n // 2)))
-    C1 = build_cyclic(n, q, A1)
-    C2 = build_cyclic(n, q, A2)
-    M = half_twist_transform(n, C1.base.field)
-    ok = apply_monomial(C1.base, M) == C2.base
-    cert = CyclicCertificate("half_twist", (), A1.elements, A2.elements, ok, M,
-                             "signed half-twist monomial map")
-    if not ok:
-        raise AssertionError("half-twist certificate failed verification")
-    return C1, C2, cert
+    return _verified_pair(row, A1, row.partner(frozenset(A1.elements), n, q),
+                          "signed half-twist monomial map")
 
 
 def odd_step_pair(n: int, q: int, A) -> tuple[CyclicCode, CyclicCode,
@@ -372,12 +487,8 @@ def odd_step_pair(n: int, q: int, A) -> tuple[CyclicCode, CyclicCode,
     """Codes on A + {n/4} and A + {3n/4}, permutation equivalent under the
     odd-step map.  Needs 8 | n, q = 1 mod 4, and A symmetric under adding
     n/2 apart from possible members 0 and n/2."""
-    if not isinstance(A, DefiningSet):
-        A = DefiningSet(n, q, tuple(A))
-    if n % 8:
-        raise ValueError("length must be a multiple of 8")
-    if q % 4 != 1:
-        raise ValueError("field size must be 1 mod 4")
+    A = set_family("cyclic", n, q).defining_set(A)
+    row = _rule_row("odd_step", n, q)
     half = n // 2
     if n // 4 in A or 3 * n // 4 in A:
         raise ValueError("core set may not contain the quarter points")
@@ -385,16 +496,8 @@ def odd_step_pair(n: int, q: int, A) -> tuple[CyclicCode, CyclicCode,
         if a not in (0, half) and (a + half) % n not in A:
             raise ValueError(f"set is not symmetric under +n/2: {a}")
     A1 = A.union(DefiningSet(n, q, (n // 4,)))
-    A2 = A.union(DefiningSet(n, q, (3 * n // 4,)))
-    C1 = build_cyclic(n, q, A1)
-    C2 = build_cyclic(n, q, A2)
-    M = odd_step_transform(n)
-    ok = apply_monomial(C1.base, M) == C2.base
-    cert = CyclicCertificate("odd_step", (), A1.elements, A2.elements, ok, M,
-                             "odd-step coordinate permutation")
-    if not ok:
-        raise AssertionError("odd-step certificate failed verification")
-    return C1, C2, cert
+    return _verified_pair(row, A1, row.partner(frozenset(A1.elements), n, q),
+                          "odd-step coordinate permutation")
 
 
 def triple_step_pair(n: int, thirds, e_list) -> tuple[CyclicCode, CyclicCode,
@@ -403,29 +506,18 @@ def triple_step_pair(n: int, thirds, e_list) -> tuple[CyclicCode, CyclicCode,
     equivalent under the triple-step permutation.  B picks from
     {0, n/3, 2n/3}; n must be an odd multiple of 27."""
     q = 4
-    if n % 27 or n % 2 == 0:
-        raise ValueError("length must be an odd multiple of 27")
+    row = _rule_row("triple_step", n, q)
     allowed = {0, n // 3, 2 * n // 3}
     B = set(int(b) for b in thirds)
     if not B <= allowed:
         raise ValueError(f"corner set must lie inside {sorted(allowed)}")
     table = coset_table(n, q)
-    extra = set()
-    for b in B:
-        extra.update(table.coset_of(b))
+    extra = set(table.closure(B))
     for e in e_list:
         extra.update(progression_set(n, int(e)).elements)
     T1 = DefiningSet(n, q, tuple(set(table.coset_of(n // 9)) | extra))
-    T2 = DefiningSet(n, q, tuple(set(table.coset_of(2 * n // 9)) | extra))
-    C1 = build_cyclic(n, q, T1)
-    C2 = build_cyclic(n, q, T2)
-    M = triple_step_transform(n)
-    ok = apply_monomial(C1.base, M) == C2.base
-    cert = CyclicCertificate("triple_step", (), T1.elements, T2.elements, ok, M,
-                             "triple-step coordinate permutation")
-    if not ok:
-        raise AssertionError("triple-step certificate failed verification")
-    return C1, C2, cert
+    return _verified_pair(row, T1, set(table.coset_of(2 * n // 9)) | extra,
+                          "triple-step coordinate permutation")
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +583,7 @@ def certify_equivalence(C1: CyclicCode, C2: CyclicCode, depth: int = 2,
         e, b = w.params
         if wd_ok is None:
             wd_ok = weight_distributions_equal(C1.base, C2.base)
-        kind = "shift" if e == 1 else "affine"
+        kind = "shift" if e == 1 % n else "affine"
         if wd_ok is True:
             add(kind, (e, b), True, None,
                 "isometric: divisibility condition and equal weight distributions")
@@ -501,17 +593,9 @@ def certify_equivalence(C1: CyclicCode, C2: CyclicCode, depth: int = 2,
         # wd_ok False cannot happen for a genuine witness; skip silently
 
     # fixed transform matrices, alone and composed to the given depth
-    matrices: list[tuple[str, MonomialTransform]] = []
     F = C1.base.field
-    if n % 8 == 0:
-        if F.p != 2:
-            matrices.append(("half_twist", half_twist_transform(n, F)))
-            if n > 8:
-                matrices.append(("block_half_twist",
-                                 block_half_twist_transform(n, F)))
-        matrices.append(("odd_step", odd_step_transform(n)))
-    if n % 27 == 0 and n % 2 and q == 4:
-        matrices.append(("triple_step", triple_step_transform(n)))
+    matrices = [(t.kind, t.matrix(n, F)) for t in SET_TRANSFORMS.values()
+                if t.matrix_at(n, q)]
     for name, M in matrices:
         if apply_monomial(C1.base, M) == C2.base:
             add(name, (), True, M, "direct matrix certificate")
@@ -563,25 +647,13 @@ def certify_equivalence(C1: CyclicCode, C2: CyclicCode, depth: int = 2,
             # matrix step first, then affine: candidate intermediates are
             # the structural partner sets of A1 (and, at small coset
             # counts, every same-size defining set)
-            pool: list[frozenset] = []
-            if n % 8 == 0 and F.p != 2:
-                cand = _half_twist_partner(s1, n)
-                if cand is not None:
-                    pool.append(cand)
-            if n % 8 == 0 and q % 4 == 1:
-                cand = _odd_step_partner(s1, n)
-                if cand is not None:
-                    pool.append(cand)
-            if n % 27 == 0 and n % 2 and q == 4:
-                cand = _triple_step_partner(s1, n, table)
-                if cand is not None:
-                    pool.append(cand)
+            pool = [t.partner(s1, n, q) for t in SET_TRANSFORMS.values()
+                    if t.rule_at(n, q)]
             if len(table.cosets) <= 10:
-                for els in all_defining_sets(n, q):
-                    if len(els) == size:
-                        pool.append(frozenset(els))
+                pool += (frozenset(els) for els in all_defining_sets(n, q)
+                         if len(els) == size)
             for cand in dict.fromkeys(pool):
-                if cand == s1 or not table.is_union(cand):
+                if cand is None or cand == s1 or not table.is_union(cand):
                     continue
                 Cmid = build_cyclic(n, q, DefiningSet(n, q, tuple(cand)))
                 leg = matrix_leg(C1, Cmid)
@@ -614,69 +686,14 @@ def certify_equivalence(C1: CyclicCode, C2: CyclicCode, depth: int = 2,
 # ---------------------------------------------------------------------------
 # orbit classification of all cyclic codes at one (n, q)
 
-def _half_twist_partner(T: frozenset, n: int) -> frozenset | None:
-    quarter, half = n // 4, n // 2
-    corners = {quarter, 3 * quarter}
-    anchors = {0, half}
-    if corners <= T:
-        core = T - corners
-        if all(a % 2 for a in core):
-            return frozenset((a + half) % n for a in core) | anchors
-    if anchors <= T:
-        core = T - anchors
-        if all(a % 2 for a in core):
-            return frozenset((a + half) % n for a in core) | corners
-    return None
-
-
-def _odd_step_partner(T: frozenset, n: int) -> frozenset | None:
-    quarter, half = n // 4, n // 2
-    for mark, other in ((quarter, 3 * quarter), (3 * quarter, quarter)):
-        if mark in T and other not in T:
-            core = T - {mark}
-            if all(a in (0, half) or (a + half) % n in core for a in core):
-                return core | {other}
-    return None
-
-
-def _triple_step_partner(T: frozenset, n: int, table) -> frozenset | None:
-    k = n
-    t = 0
-    while k % 3 == 0:
-        k //= 3
-        t += 1
-    if t < 3:
-        return None
-    special = {0, n // 3, 2 * n // 3}
-    for src, dst in ((n // 9, 2 * n // 9), (2 * n // 9, n // 9)):
-        zsrc = frozenset(table.coset_of(src))
-        if not zsrc <= T:
-            continue
-        rest = T - zsrc
-        ok = True
-        for x in rest:
-            if x in special:
-                continue
-            cls = frozenset(range(x % (3 * k), n, 3 * k))
-            if not cls <= rest:
-                ok = False
-                break
-        if ok:
-            return rest | frozenset(table.coset_of(dst))
-    return None
-
-
 def classify_cyclic(n: int, q: int,
-                    use: tuple[str, ...] = ("multiplier", "affine",
-                                            "half_twist", "odd_step",
-                                            "triple_step",
-                                            "generalized_multiplier"),
+                    use: tuple[str, ...] = CYCLIC_KINDS,
                     ) -> list[tuple[tuple[int, ...], ...]]:
     """Partition all defining sets at (n, q) into certificate-closure classes.
 
     The classes are the search engine's orbits under the ``use`` kinds (any
-    of ``codeq.search.CYCLIC_KINDS``); they are returned sorted, each class
-    a sorted tuple of element tuples.
+    of ``CYCLIC_KINDS``); they are returned sorted, each class a sorted
+    tuple of element tuples.
     """
     # the search engine imports this module, so it is imported here
     from .search import SearchJob, enumerate_orbits

@@ -21,17 +21,12 @@ from .constacyclic import build_code
 from .cosets import (
     IndexMap,
     SetFamily,
-    coset_table,
     generalized_multipliers,
     multiplier,
     set_family,
     shift_map,
 )
-from .cyclic import (
-    _half_twist_partner,
-    _odd_step_partner,
-    _triple_step_partner,
-)
+from .cyclic import CYCLIC_KINDS, SET_TRANSFORMS
 from .linear import (
     WD_COMPARE_CAP,
     min_distance,
@@ -39,8 +34,6 @@ from .linear import (
 )
 from .quantum import nearly_self_orthogonal
 
-CYCLIC_KINDS = ("multiplier", "affine", "half_twist", "odd_step",
-                "triple_step", "generalized_multiplier")
 CONSTA_KINDS = ("multiplier", "affine")
 # generalized multipliers join only prime-power lengths and are opt-in, so
 # the default cyclic search keeps its orbits
@@ -304,15 +297,6 @@ def _index_maps(space: _Space, job: SearchJob):
             yield shift_map(m, b), ctx.admits_shift(space.sizes, b)
 
 
-def _transform_enabled(job: SearchJob, kind: str) -> bool:
-    n, q = job.n, job.q
-    if kind == "half_twist":
-        return n % 8 == 0 and q % 2 == 1
-    if kind == "odd_step":
-        return n % 8 == 0 and q % 4 == 1
-    return q == 4 and n % 2 == 1 and n % 27 == 0
-
-
 def _union_phase(space: _Space, job: SearchJob):
     """Union-find closure with a spanning forest of witness edges."""
     forest = _Forest(len(space.masks))
@@ -320,17 +304,17 @@ def _union_phase(space: _Space, job: SearchJob):
         rows, targets = space.image_edges(imap, admissible)
         forest.union_all(rows, targets, (imap.kind,) + imap.params)
 
-    kinds = [k for k in ("half_twist", "odd_step", "triple_step")
-             if k in job.prune and _transform_enabled(job, k)]
+    rules = [t for t in SET_TRANSFORMS.values()
+             if t.kind in job.prune and t.rule_at(job.n, job.q)]
     # these partners depend on the shape of the set, so each set is visited
-    for a in range(len(space.masks)) if kinds else ():
+    for a in range(len(space.masks)) if rules else ():
         S = space.set_of_row(a)
-        for kind in kinds:
-            T = apply_step(job, S, (kind,))
+        for rule in rules:
+            T = rule.partner(S, job.n, job.q)
             if T is not None and T != S:
-                t = space.position(space.mask_of_set(T))
-                if t is not None:
-                    forest.union(a, t, (kind,))
+                b = space.position(space.mask_of_set(T))
+                if b is not None:
+                    forest.union(a, b, (rule.kind,))
     return forest.classes(), forest.edges
 
 
@@ -352,13 +336,9 @@ def apply_step(job: SearchJob, elements: frozenset, step: tuple) -> frozenset:
     if kind in _INDEX_KINDS:
         imap = _step_map(step, job.context.modulus)
         return frozenset(imap(x) for x in elements)
-    if kind == "half_twist":
-        return _half_twist_partner(elements, job.n)
-    if kind == "odd_step":
-        return _odd_step_partner(elements, job.n)
-    if kind == "triple_step":
-        return _triple_step_partner(elements, job.n,
-                                    coset_table(job.n, job.q))
+    row = SET_TRANSFORMS.get(kind)
+    if row is not None and row.partner is not None:
+        return row.partner(elements, job.n, job.q)
     raise ValueError(f"unknown step kind {kind!r}")
 
 

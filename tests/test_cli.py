@@ -63,6 +63,17 @@ def test_equiv_certificate_shape(capsys):
     assert any(c["kind"] == "half_twist" for c in d["certificates"])
 
 
+def test_equiv_identity_at_length_one(capsys):
+    code, d = run(capsys, ["equiv", "--n", "1", "--q", "2",
+                           "--a", "0", "--b", "0"])
+    assert code == 0 and d["certified"] is True
+    first = d["certificates"][0]
+    assert (first["kind"], first["params"]) == ("multiplier", [1])
+    assert "explicit" not in {c["kind"] for c in d["certificates"]}
+    code, d = run(capsys, ["classify", "--n", "1", "--q", "2"])
+    assert code == 0 and d["class_count"] == 2
+
+
 def test_classify_partitions_all_sets(capsys):
     code, d = run(capsys, ["classify", "--n", "8", "--q", "3"])
     assert code == 0

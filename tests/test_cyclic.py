@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,8 @@ from codeq.cosets import (
     multiplier,
 )
 from codeq.cyclic import (
+    CYCLIC_KINDS,
+    SET_TRANSFORMS,
     CyclicCode,
     build_cyclic,
     block_half_twist_transform,
@@ -34,6 +38,7 @@ from codeq.fields import (
     GF4_OMEGA2,
     build_field,
     gf4,
+    prime_power_split,
     splitting_field,
 )
 from codeq.linear import (
@@ -380,10 +385,14 @@ def test_listed_pairs_not_affine_or_multiplier():
 
 
 def test_certify_identity():
-    C = build_cyclic(8, 3, DefiningSet(8, 3, (0, 1, 3)))
-    certs = certify_equivalence(C, C)
-    assert certs and certs[0].kind == "multiplier" and certs[0].params == (1,)
-    assert certs[0].verified
+    # n = 1 has the single residue 0 = 1, which is still the identity map
+    for A in (DefiningSet(8, 3, (0, 1, 3)), DefiningSet(1, 2, (0,))):
+        C = build_cyclic(A.n, A.q, A)
+        certs = certify_equivalence(C, C)
+        assert certs and certs[0].kind == "multiplier"
+        assert certs[0].params == (1,) and certs[0].verified
+        assert certs[0].note == "identity multiplier"
+        assert enumerate_affine_witnesses(A, A)
 
 
 def test_multiplier_certificate_and_codeword_sets():
@@ -580,3 +589,103 @@ def test_classify_cyclic_9_2():
     classes = classify_cyclic(9, 2)
     # eight sets, all of different sizes: every class is a singleton
     assert len(classes) == 8
+
+
+# ---------------------------------------------------------------------------
+# the table of set transforms
+
+
+def _reference_search_rule(n, q, kind):
+    # reference copy of the orbit search's rule conditions
+    if kind == "half_twist":
+        return n % 8 == 0 and q % 2 == 1
+    if kind == "odd_step":
+        return n % 8 == 0 and q % 4 == 1
+    return q == 4 and n % 2 == 1 and n % 27 == 0
+
+
+def _reference_matrices(n, q):
+    # reference copy of certify_equivalence's matrix conditions
+    p = prime_power_split(q)[0]
+    kinds = []
+    if n % 8 == 0:
+        if p != 2:
+            kinds.append("half_twist")
+            if n > 8:
+                kinds.append("block_half_twist")
+        kinds.append("odd_step")
+    if n % 27 == 0 and n % 2 and q == 4:
+        kinds.append("triple_step")
+    return kinds
+
+
+def _reference_pool(n, q):
+    # reference copy of certify_equivalence's partner-pool conditions
+    p = prime_power_split(q)[0]
+    kinds = []
+    if n % 8 == 0 and p != 2:
+        kinds.append("half_twist")
+    if n % 8 == 0 and q % 4 == 1:
+        kinds.append("odd_step")
+    if n % 27 == 0 and n % 2 and q == 4:
+        kinds.append("triple_step")
+    return kinds
+
+
+def test_set_transform_conditions_match_reference():
+    assert list(SET_TRANSFORMS) == ["half_twist", "block_half_twist",
+                                    "odd_step", "triple_step"]
+    assert CYCLIC_KINDS == ("multiplier", "affine", "half_twist", "odd_step",
+                            "triple_step", "generalized_multiplier")
+    checked = 0
+    for n in range(1, 65):
+        for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27):
+            if math.gcd(n, q) != 1:
+                continue
+            matrices = [k for k, t in SET_TRANSFORMS.items()
+                        if t.matrix_at(n, q)]
+            rules = [k for k, t in SET_TRANSFORMS.items()
+                     if t.rule_at(n, q)]
+            assert matrices == _reference_matrices(n, q), (n, q)
+            assert rules == _reference_pool(n, q), (n, q)
+            assert rules == [k for k in ("half_twist", "odd_step",
+                                         "triple_step")
+                             if _reference_search_rule(n, q, k)], (n, q)
+            checked += 1
+    assert checked > 400
+
+
+def test_set_rules_are_involutions():
+    # the orbit search inverts a rule step by applying it again
+    for n, q in ((8, 3), (16, 5), (27, 4)):
+        rules = [t for t in SET_TRANSFORMS.values() if t.rule_at(n, q)]
+        hits = {t.kind: 0 for t in rules}
+        for els in all_defining_sets(n, q):
+            T = frozenset(els)
+            for t in rules:
+                P = t.partner(T, n, q)
+                if P is not None:
+                    assert t.partner(P, n, q) == T, (n, q, t.kind, els)
+                    hits[t.kind] += 1
+        assert hits and all(hits.values()), (n, q, hits)
+
+
+def test_odd_step_map_certifies_where_no_rule_at():
+    # at q = 3 (mod 4) the odd-step set rule is unproved, yet the map
+    # applied twice carries one of these codes onto the other
+    assert SET_TRANSFORMS["odd_step"].matrix_at(16, 3)
+    assert not SET_TRANSFORMS["odd_step"].rule_at(16, 3)
+    C1 = build_cyclic(16, 3, DefiningSet(16, 3, (0, 1, 2, 3, 6, 9, 11)))
+    C2 = build_cyclic(16, 3, DefiningSet(16, 3, (0, 1, 3, 9, 10, 11, 14)))
+    certs = certify_equivalence(C1, C2, use_brute=False)
+    assert [(c.kind, c.params, c.verified) for c in certs] == [
+        ("composition", ("odd_step", "odd_step"), True)]
+
+
+def test_pair_constructors_check_the_rule_condition():
+    with pytest.raises(ValueError, match="8 \\| n and odd characteristic"):
+        half_twist_pair(12, 5, ())
+    with pytest.raises(ValueError, match="q = 1 \\(mod 4\\)"):
+        odd_step_pair(8, 3, (0,))
+    with pytest.raises(ValueError, match="odd multiple of 27"):
+        triple_step_pair(54, (), ())

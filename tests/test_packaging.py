@@ -1,4 +1,5 @@
-"""Declared dependencies match what the package imports."""
+"""Declared dependencies match what the package imports, and its modules
+meet only through public names."""
 
 import ast
 import pathlib
@@ -7,12 +8,12 @@ import sys
 
 import pytest
 
-tomllib = pytest.importorskip("tomllib")
-
 ROOT = pathlib.Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "codeq").glob("*.py"))
 
 
 def _declared() -> set[str]:
+    tomllib = pytest.importorskip("tomllib")
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
     names = set()
     for req in project.get("dependencies", []):
@@ -34,9 +35,26 @@ def _imported(path: pathlib.Path) -> set[str]:
 
 def test_imports_are_stdlib_codeq_or_declared():
     allowed = set(sys.stdlib_module_names) | {"codeq"} | _declared()
-    sources = sorted((ROOT / "src" / "codeq").glob("*.py"))
-    assert sources
+    assert SOURCES
     stray = {f"{path.name}: {name}"
-             for path in sources for name in _imported(path)
+             for path in SOURCES for name in _imported(path)
              if name not in allowed}
     assert not stray, f"undeclared imports: {sorted(stray)}"
+
+
+def _private_codeq_imports(path: pathlib.Path) -> list[str]:
+    """Underscore names ``path`` imports from another codeq module."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.ImportFrom)
+                and (node.level > 0 or node.module.split(".")[0] == "codeq")):
+            found += [f"{path.name}: {node.module}.{alias.name}"
+                      for alias in node.names if alias.name.startswith("_")]
+    return found
+
+
+def test_modules_import_no_private_names_from_each_other():
+    assert SOURCES
+    private = [hit for path in SOURCES for hit in _private_codeq_imports(path)]
+    assert not private, f"private cross-module imports: {private}"

@@ -98,7 +98,6 @@ def _loop_closure(sets, images):
 
 def reference_cyclic_classes(n, q, use):
     """Certificate closure at (n, q) by a loop over every defining set."""
-    table = coset_table(n, q)
     sets = [frozenset(els) for els in all_defining_sets(n, q)]
     mults = [c for c in range(1, n) if math.gcd(c, n) == 1]
     gmults = []
@@ -124,11 +123,11 @@ def reference_cyclic_classes(n, q, use):
                     for e in mults:
                         yield frozenset((e * x + b) % n for x in S)
         if "half_twist" in use and n % 8 == 0 and q % 2:
-            yield _half_twist_partner(S, n)
+            yield _half_twist_partner(S, n, q)
         if "odd_step" in use and n % 8 == 0 and q % 4 == 1:
-            yield _odd_step_partner(S, n)
+            yield _odd_step_partner(S, n, q)
         if "triple_step" in use and q == 4 and n % 2 and n % 27 == 0:
-            yield _triple_step_partner(S, n, table)
+            yield _triple_step_partner(S, n, q)
 
     return _loop_closure(sets, images)
 
@@ -159,11 +158,14 @@ def assert_chains_reach_representatives(job, orbits):
 def test_cyclic_orbits_match_classification():
     # the generalized multiplier is opt-in: the default search at (25,4)
     # keeps 20 orbits, and adding it joins them into 18
+    # (16,5) and (27,4) join sets by the odd-step and triple-step rules
     with_gm = ("multiplier", "affine", "generalized_multiplier")
+    rule_steps = {(16, 5): "odd_step", (27, 4): "triple_step"}
     for n, q, prune, count in ((8, 3, None, 14), (9, 2, None, 8),
                                (8, 5, None, 15), (16, 3, None, 47),
                                (25, 4, None, 20), (25, 4, with_gm, 18),
-                               (49, 2, with_gm, 18)):
+                               (49, 2, with_gm, 18), (27, 4, None, 28),
+                               (16, 5, None, 45)):
         job = SearchJob("cyclic", n, q, prune=prune)
         orbits = enumerate_orbits(job)
         assert len(orbits) == count
@@ -173,6 +175,8 @@ def test_cyclic_orbits_match_classification():
         steps = {step[0] for o in orbits for chain in o.chains.values()
                  for step in chain}
         assert ("generalized_multiplier" in steps) == (prune == with_gm)
+        if (n, q) in rule_steps:
+            assert rule_steps[n, q] in steps
 
 
 def test_forest_batches_record_the_sequential_edges():
