@@ -1,8 +1,8 @@
 """Command-line interface for code construction, equivalence, and search.
 
 All subcommands print one JSON document to stdout. Exit codes: 0 on
-success, 2 on invalid arguments, 3 when a distance budget ran out before
-the bounds closed.
+success, 2 on invalid arguments or an unreadable or unwritable file, 3 when
+a distance budget ran out before the bounds closed.
 
 Distance budgets are given either as raw work units (an integer) or as
 "<seconds>s", converted at a fixed nominal rate so identical commands
@@ -172,6 +172,9 @@ def _cmd_search(args) -> tuple[dict, int]:
     want = None
     if args.leaders:
         want = job.context.leaders(job.context.parse(args.leaders))
+    if args.output:
+        # an unwritable record path fails here, before any orbit is enumerated
+        open(args.output, "a").close()
     records, summary = search(job)
     summary = dict(summary)
     if want is not None:
@@ -295,7 +298,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         payload, code = args.func(args)
-    except ValueError as ex:
+    except (ValueError, OSError) as ex:
         print(json.dumps({"error": str(ex)}), file=sys.stderr)
         return EXIT_USAGE
     try:

@@ -27,17 +27,15 @@ from .cyclic import (
     build_cyclic,
     canonical_root,
     generator_code,
-    poly_divmod,
 )
-from .fields import GF4_OMEGA, GF4_OMEGA2, gf4
+from .fields import GF4_OMEGA, gf4, poly_divmod
 from .linear import (
+    GF4_CONJ,
     LinearCode,
     MonomialTransform,
     apply_monomial,
     weight_distributions_equal,
 )
-
-_CONJ = {0: 0, 1: 1, GF4_OMEGA: GF4_OMEGA2, GF4_OMEGA2: GF4_OMEGA}
 
 
 @dataclass(frozen=True)
@@ -113,11 +111,9 @@ def conjugate_code(C: ConstacyclicCode) -> ConstacyclicCode:
     m = C.defining_set.n
     new_els = tuple(sorted(2 * a % m for a in C.defining_set.elements))
     new_set = DefiningSet(m, 4, new_els)
-    new_gen = tuple(_CONJ[c] for c in C.generator_poly)
-    new_eta = _CONJ[C.shift_constant]
-    F = gf4()
-    xne = [new_eta] + [0] * (n - 1) + [1]
-    _, rem = poly_divmod(F, xne, list(new_gen))
+    new_gen = tuple(GF4_CONJ[list(C.generator_poly)].tolist())
+    new_eta = int(GF4_CONJ[C.shift_constant])
+    _, rem = poly_divmod(gf4(), [new_eta] + [0] * (n - 1) + [1], new_gen)
     assert rem == [0], "conjugated generator does not divide its length polynomial"
     return ConstacyclicCode(n=n, shift_constant=new_eta, defining_set=new_set,
                             generator_poly=new_gen, base=C.base.conjugate(),

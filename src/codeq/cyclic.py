@@ -43,6 +43,10 @@ from codeq.fields import (
     anchored_root,
     build_field,
     embed_subfield,
+    poly_divmod,
+    poly_eval,
+    poly_mul,
+    poly_trim,
     prime_power_split,
     primitive_nth_root,
     splitting_field,
@@ -54,52 +58,6 @@ from codeq.linear import (
     brute_force_equivalence,
     weight_distributions_equal,
 )
-
-
-# ---------------------------------------------------------------------------
-# polynomial helpers over an explicit field (coefficients ascending)
-
-def poly_trim(coeffs: list[int]) -> list[int]:
-    while len(coeffs) > 1 and coeffs[-1] == 0:
-        coeffs.pop()
-    return coeffs
-
-
-def poly_mul(F: GaloisField, a, b) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            if bj:
-                out[i + j] = F.add(out[i + j], F.mul(ai, bj))
-    return poly_trim(out)
-
-
-def poly_divmod(F: GaloisField, a, b) -> tuple[list[int], list[int]]:
-    a = list(a)
-    b = poly_trim(list(b))
-    if b == [0]:
-        raise ZeroDivisionError("polynomial division by zero")
-    inv_lead = F.inv(b[-1])
-    quot = [0] * max(len(a) - len(b) + 1, 1)
-    while len(poly_trim(a)) >= len(b) and any(a):
-        a = poly_trim(a)
-        if len(a) < len(b):
-            break
-        shift = len(a) - len(b)
-        factor = F.mul(a[-1], inv_lead)
-        quot[shift] = factor
-        for i, bi in enumerate(b):
-            a[shift + i] = F.sub(a[shift + i], F.mul(factor, bi))
-    return poly_trim(quot), poly_trim(a)
-
-
-def poly_eval(F: GaloisField, coeffs, x: int) -> int:
-    acc = 0
-    for c in reversed(coeffs):
-        acc = F.add(F.mul(acc, x), c)
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -241,10 +199,8 @@ def cyclic_from_generator(n: int, q: int, poly) -> CyclicCode:
     g = poly_trim([int(c) for c in poly])
     if g == [0]:
         raise ValueError("zero polynomial does not generate a cyclic code")
-    lead = g[-1]
-    if lead != 1:
-        inv_l = F.inv(lead)
-        g = [F.mul(inv_l, c) for c in g]
+    inv_lead = F.inv(g[-1])
+    g = [F.mul(inv_lead, c) for c in g]
     xn1 = [F.neg(1)] + [0] * (n - 1) + [1]
     _, rem = poly_divmod(F, xn1, g)
     if rem != [0]:
@@ -523,9 +479,13 @@ def triple_step_pair(n: int, thirds, e_list) -> tuple[CyclicCode, CyclicCode,
 # ---------------------------------------------------------------------------
 # certificate search between two cyclic codes
 
+# certify_equivalence composes only under COMPOSITION_CAP candidate pairs and
+# searches for an explicit map only in codes of at most UPGRADE_BUDGET words
+COMPOSITION_CAP = 2500
+UPGRADE_BUDGET = 1 << 18
+
+
 def certify_equivalence(C1: CyclicCode, C2: CyclicCode, depth: int = 2,
-                        composition_cap: int = 2500,
-                        upgrade_budget: int = 1 << 18,
                         use_brute: bool = True) -> list[CyclicCertificate]:
     """Ordered list of verified equivalence certificates from C1 to C2.
 
@@ -566,10 +526,10 @@ def certify_equivalence(C1: CyclicCode, C2: CyclicCode, depth: int = 2,
             verified = False
             transform = None
             note = "combinatorial match; no explicit matrix"
-            if q ** C1.k <= upgrade_budget:
+            if q ** C1.k <= UPGRADE_BUDGET:
                 res = brute_force_equivalence(
                     C1.base, C2.base, mode="permutation",
-                    budget=upgrade_budget)
+                    budget=UPGRADE_BUDGET)
                 if res.status == "equivalent":
                     verified = True
                     transform = res.witness
@@ -596,38 +556,43 @@ def certify_equivalence(C1: CyclicCode, C2: CyclicCode, depth: int = 2,
     F = C1.base.field
     matrices = [(t.kind, t.matrix(n, F)) for t in SET_TRANSFORMS.values()
                 if t.matrix_at(n, q)]
-    for name, M in matrices:
-        if apply_monomial(C1.base, M) == C2.base:
+    fwd1 = [apply_monomial(C1.base, M) for _, M in matrices]
+    for (name, M), img in zip(matrices, fwd1):
+        if img == C2.base:
             add(name, (), True, M, "direct matrix certificate")
     if depth >= 2 and matrices:
-        steps = list(matrices)
-        for c in units(n):
-            steps.append((f"multiplier({c})", multiplier_transform(n, c)))
-        if len(steps) ** 2 <= composition_cap:
-            mid = {}
-            for name, M in steps:
-                img = apply_monomial(C1.base, M)
-                mid[name] = (M, img)
-            for n1, (M1, img1) in mid.items():
-                for n2, (M2, _) in mid.items():
-                    if apply_monomial(img1, M2) == C2.base:
+        inverses = [M.inverse(F) for _, M in matrices]
+        inv2 = [apply_monomial(C2.base, Mi) for Mi in inverses]
+        mults = [(f"multiplier({c})", multiplier_transform(n, c))
+                 for c in units(n)]
+        steps = matrices + mults
+        if len(steps) ** 2 <= COMPOSITION_CAP:
+            # M2(M1(C1)) = C2 exactly when M1(C1) = M2^-1(C2)
+            starts = fwd1 + [apply_monomial(C1.base, M) for _, M in mults]
+            ends = inv2 + [apply_monomial(C2.base, M.inverse(F))
+                           for _, M in mults]
+            for (n1, M1), img1 in zip(steps, starts):
+                for (n2, M2), img2 in zip(steps, ends):
+                    if img1 == img2:
                         add("composition", (n1, n2), True,
                             M1.compose(F, M2), "two-step matrix composition")
         # mixed chains: an affine isometry on one side of a matrix step on
         # the other.  The affine leg carries the divisibility condition by
-        # construction; the matrix leg is re-verified by code equality in
-        # whichever direction the fixed matrix works.
-        table = coset_table(n, q)
+        # construction; the matrix leg is re-verified by code equality with
+        # M(C1) or M^-1(C2) for step M, and with the two swapped for M^-1.
+        if n * len(units(n)) <= COMPOSITION_CAP:
+            table = coset_table(n, q)
+            from_c1, to_c2 = [], []
+            for (name, M), Mi, img1, img2 in zip(matrices, inverses, fwd1,
+                                                 inv2):
+                from_c1 += [(name, img1),
+                            (f"{name}^-1", apply_monomial(C1.base, Mi))]
+                to_c2 += [(name, img2),
+                          (f"{name}^-1", apply_monomial(C2.base, M))]
 
-        def matrix_leg(Ca: CyclicCode, Cb: CyclicCode) -> str | None:
-            for mname, M in matrices:
-                if apply_monomial(Ca.base, M) == Cb.base:
-                    return mname
-                if apply_monomial(Cb.base, M) == Ca.base:
-                    return f"{mname}^-1"
-            return None
+            def matrix_leg(C: CyclicCode, legs) -> str | None:
+                return next((leg for leg, img in legs if img == C.base), None)
 
-        if n * len(units(n)) <= composition_cap:
             s1 = frozenset(A1.elements)
             size = len(A1)
             seen_mid: set[frozenset] = set()
@@ -639,7 +604,7 @@ def certify_equivalence(C1: CyclicCode, C2: CyclicCode, depth: int = 2,
                 if img == s1 or not table.is_union(img):
                     continue
                 Cmid = build_cyclic(n, q, DefiningSet(n, q, tuple(img)))
-                leg = matrix_leg(Cmid, C2)
+                leg = matrix_leg(Cmid, to_c2)
                 if leg is not None and weight_distributions_equal(
                         C1.base, Cmid.base) is not False:
                     add("composition", (f"affine({e},{b})", leg), True,
@@ -656,7 +621,7 @@ def certify_equivalence(C1: CyclicCode, C2: CyclicCode, depth: int = 2,
                 if cand is None or cand == s1 or not table.is_union(cand):
                     continue
                 Cmid = build_cyclic(n, q, DefiningSet(n, q, tuple(cand)))
-                leg = matrix_leg(C1, Cmid)
+                leg = matrix_leg(Cmid, from_c1)
                 if leg is None:
                     continue
                 wits = enumerate_affine_witnesses(Cmid.defining_set, A2,
@@ -666,9 +631,9 @@ def certify_equivalence(C1: CyclicCode, C2: CyclicCode, depth: int = 2,
                     e, b = wits[0].params
                     add("composition", (leg, f"affine({e},{b})"), True,
                         None, "matrix step then affine isometry")
-    if use_brute and not out and q ** C1.k <= upgrade_budget:
+    if use_brute and not out and q ** C1.k <= UPGRADE_BUDGET:
         res = brute_force_equivalence(C1.base, C2.base, mode="monomial",
-                                      budget=upgrade_budget)
+                                      budget=UPGRADE_BUDGET)
         if res.status == "equivalent":
             add("explicit", (), True, res.witness,
                 "found by budgeted brute-force search")

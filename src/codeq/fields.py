@@ -10,6 +10,10 @@ field and the same element ordering.
 Fields with at most 2^16 elements carry exp/log tables for multiplication.
 Larger fields (needed only as splitting fields of characteristic 2 at desk
 scale) fall back to polynomial arithmetic, bit-packed when p = 2.
+
+The ``poly_*`` routines are the one polynomial layer over a GaloisField,
+shared by the modulus search, subfield embeddings and generator polynomials.
+Element multiplication and the p = 2 irreducibility test keep integer forms.
 """
 
 from __future__ import annotations
@@ -81,70 +85,76 @@ def multiplicative_order(q: int, n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# polynomials over GF(p), coefficient tuples ascending by degree
+# polynomials over a GaloisField: coefficient lists ascending by degree, with
+# [0] for the zero polynomial
 
-def _ptrim(c: list[int]) -> tuple[int, ...]:
-    i = len(c)
-    while i > 0 and c[i - 1] == 0:
-        i -= 1
-    return tuple(c[:i])
+def poly_trim(coeffs: list[int]) -> list[int]:
+    while len(coeffs) > 1 and coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs
 
 
-def _pmul(a, b, p):
-    if not a or not b:
-        return ()
+def poly_mul(F: GaloisField, a, b) -> list[int]:
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _ptrim(out)
+        if ai == 0:
+            continue
+        for j, bj in enumerate(b):
+            if bj:
+                out[i + j] = F.add(out[i + j], F.mul(ai, bj))
+    return poly_trim(out)
 
 
-def _pmod(a, mod, p):
-    """a mod `mod`; `mod` monic."""
+def poly_divmod(F: GaloisField, a, b) -> tuple[list[int], list[int]]:
     a = list(a)
-    dm = len(mod) - 1
-    while len(a) - 1 >= dm and a:
-        lead = a[-1] % p
-        if lead:
-            shift = len(a) - 1 - dm
-            for i, c in enumerate(mod):
-                a[shift + i] = (a[shift + i] - lead * c) % p
-        a.pop()
-    return _ptrim(a)
+    b = poly_trim(list(b))
+    if b == [0]:
+        raise ZeroDivisionError("polynomial division by zero")
+    inv_lead = F.inv(b[-1])
+    quot = [0] * max(len(a) - len(b) + 1, 1)
+    while len(poly_trim(a)) >= len(b) and any(a):
+        a = poly_trim(a)
+        if len(a) < len(b):
+            break
+        shift = len(a) - len(b)
+        factor = F.mul(a[-1], inv_lead)
+        quot[shift] = factor
+        for i, bi in enumerate(b):
+            a[shift + i] = F.sub(a[shift + i], F.mul(factor, bi))
+    return poly_trim(quot), poly_trim(a)
 
 
-def _ppowmod(base, e, mod, p):
-    r = (1,)
-    b = _pmod(base, mod, p)
+def poly_eval(F: GaloisField, coeffs, x: int) -> int:
+    acc = 0
+    for c in reversed(coeffs):
+        acc = F.add(F.mul(acc, x), c)
+    return acc
+
+
+def poly_powmod(F: GaloisField, base, e: int, mod) -> list[int]:
+    """base^e mod ``mod``."""
+    r = [1]
+    b = poly_divmod(F, base, mod)[1]
     while e:
         if e & 1:
-            r = _pmod(_pmul(r, b, p), mod, p)
-        b = _pmod(_pmul(b, b, p), mod, p)
+            r = poly_divmod(F, poly_mul(F, r, b), mod)[1]
+        b = poly_divmod(F, poly_mul(F, b, b), mod)[1]
         e >>= 1
     return r
 
 
-def _pgcd(a, b, p):
-    a, b = _ptrim(list(a)), _ptrim(list(b))
-    while b:
-        inv = pow(b[-1], p - 2, p)
-        bm = tuple((c * inv) % p for c in b)
-        a, b = b, _pmod(a, bm, p)
-    return a
+def poly_gcd(F: GaloisField, a, b) -> list[int]:
+    """Monic greatest common divisor; [0] when both inputs are zero."""
+    a, b = poly_trim(list(a)), poly_trim(list(b))
+    while b != [0]:
+        a, b = b, poly_divmod(F, a, b)[1]
+    if a == [0]:
+        return a
+    inv = F.inv(a[-1])
+    return [F.mul(inv, c) for c in a]
 
 
-def _psub(a, b, p):
-    out = [0] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] = c % p
-    for i, c in enumerate(b):
-        out[i] = (out[i] - c) % p
-    return _ptrim(out)
-
-
-# bit-packed variants for p = 2 (used by the degree-36 modulus scan)
+# bit-packed polynomials over GF(2), for the p = 2 modulus scan
 
 def _gf2_mulmod_int(a: int, b: int, mod: int, m: int) -> int:
     top = 1 << m
@@ -186,22 +196,21 @@ def _is_irreducible(poly: tuple[int, ...], p: int) -> bool:
     if m == 1:
         return True
     if p == 2:
-        mask = 0
-        for i, c in enumerate(poly):
-            if c:
-                mask |= 1 << i
+        mask = sum(1 << i for i, c in enumerate(poly) if c)
         x = 2
         for r in factorize(m):
             h = _gf2_powmod_int(x, 1 << (m // r), mask, m)
             if _gf2_gcd_int(h ^ x, mask) != 1:
                 return False
         return _gf2_powmod_int(x, 1 << m, mask, m) == x
-    x = (0, 1)
+    F = build_field(p, 1)
+    x = [0, 1]
     for r in factorize(m):
-        h = _ppowmod(x, p ** (m // r), poly, p)
-        if len(_pgcd(_psub(h, x, p), poly, p)) > 1:
+        h = poly_powmod(F, x, p ** (m // r), poly) + [0]
+        h[1] = F.sub(h[1], 1)  # h - x
+        if len(poly_gcd(F, h, poly)) > 1:
             return False
-    return _ppowmod(x, p ** m, poly, p) == x
+    return poly_powmod(F, x, p ** m, poly) == x
 
 
 def _lowest_irreducible(p: int, m: int) -> tuple[int, ...]:
@@ -238,25 +247,25 @@ class GaloisField:
         if modulus is None:
             modulus = _lowest_irreducible(p, m)
         else:
-            modulus = _ptrim(list(modulus))
-            if len(modulus) - 1 != m or modulus[-1] != 1:
-                raise ValueError("modulus must be monic of the field degree")
+            modulus = tuple(poly_trim(list(modulus)))
+            if (len(modulus) - 1 != m or modulus[-1] != 1
+                    or not all(0 <= c < p for c in modulus)):
+                raise ValueError("modulus must be monic of the field degree "
+                                 "with coefficients in [0, p)")
             if m > 1 and not _is_irreducible(modulus, p):
                 raise ValueError("modulus is reducible")
         self.modulus = modulus
-        self._mod_int = 0
-        if p == 2:
-            for i, c in enumerate(modulus):
-                if c:
-                    self._mod_int |= 1 << i
+        # bit-packed modulus for the p = 2 arithmetic
+        self._mod_int = sum(1 << i for i, c in enumerate(modulus) if c)
         # reduction rows: digits of x^(m+i) mod modulus, i = 0..m-2
         self._red: list[tuple[int, ...]] = []
         if p != 2 and m > 1:
-            row = _pmod((0,) * m + (1,), modulus, p)
+            Fp = build_field(p, 1)
+            row = [0] * m + [1]
             for _ in range(m - 1):
-                digs = list(row) + [0] * (m - len(row))
-                self._red.append(tuple(digs))
-                row = _pmod(tuple([0] + list(row)), modulus, p)
+                row = poly_divmod(Fp, row, modulus)[1]
+                self._red.append(tuple(row + [0] * (m - len(row))))
+                row = [0] + row
         self._exp: list[int] | None = None
         self._log: dict[int, int] | None = None
         self._primitive: int | None = None
@@ -500,9 +509,7 @@ def anchored_root(field: GaloisField, n: int, anchor_power: int,
 # ---------------------------------------------------------------------------
 # subfield embeddings
 
-_EMBED_CACHE: dict[tuple, tuple[tuple[int, ...], dict[int, int]]] = {}
-
-
+@lru_cache(maxsize=None)
 def embed_subfield(sub: GaloisField, sup: GaloisField):
     """Embedding of `sub` into `sup` as (forward table, inverse dict).
 
@@ -510,48 +517,21 @@ def embed_subfield(sub: GaloisField, sup: GaloisField):
     sub's modulus among the subfield elements of `sup`, which makes the
     embedding deterministic.
     """
-    ck = (sub.key, sup.key)
-    hit = _EMBED_CACHE.get(ck)
-    if hit is not None:
-        return hit
     if sub.p != sup.p or sup.m % sub.m != 0:
         raise ValueError(f"{sub} does not embed in {sup}")
     if sub.key == sup.key:
-        fwd = tuple(range(sub.order))
-        inv = {a: a for a in range(sub.order)}
-        _EMBED_CACHE[ck] = (fwd, inv)
-        return fwd, inv
+        return tuple(range(sub.order)), {a: a for a in range(sub.order)}
     step = (sup.order - 1) // (sub.order - 1)
     g = sup.primitive_element
     members = [0] + [sup.pow(g, step * j) for j in range(sub.order - 1)]
-    roots = []
-    for cand in members:
-        acc = 0
-        power = 1
-        for coef in sub.modulus:
-            if coef:
-                acc = sup.add(acc, sup.mul(coef % sup.p, power))
-            power = sup.mul(power, cand)
-        if acc == 0:
-            roots.append(cand)
+    roots = [c for c in members if poly_eval(sup, sub.modulus, c) == 0]
     if not roots:  # pragma: no cover
         raise RuntimeError("subfield root not found")
     beta = min(roots)
-    fwd_list = []
-    for a in range(sub.order):
-        digs = sub.digits(a)
-        acc = 0
-        power = 1
-        for d in digs:
-            if d:
-                acc = sup.add(acc, sup.mul(d, power))
-            power = sup.mul(power, beta)
-        fwd_list.append(acc)
-    fwd = tuple(fwd_list)
+    fwd = tuple(poly_eval(sup, sub.digits(a), beta) for a in range(sub.order))
     inv = {v: i for i, v in enumerate(fwd)}
     if len(inv) != sub.order:  # pragma: no cover
         raise RuntimeError("embedding not injective")
-    _EMBED_CACHE[ck] = (fwd, inv)
     return fwd, inv
 
 

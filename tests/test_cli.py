@@ -147,6 +147,29 @@ def test_search_writes_record_file(tmp_path, capsys):
     assert d["incomplete"] == 0
 
 
+def test_search_missing_targets_file_exits_two(tmp_path, capsys):
+    missing = tmp_path / "missing.csv"
+    code = main(["search", "--n", "8", "--q", "3", "--targets", str(missing)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert str(missing) in json.loads(captured.err)["error"]
+
+
+def test_search_unwritable_output_refused_before_searching(
+        tmp_path, capsys, monkeypatch):
+    def no_search(job):
+        raise AssertionError("the search ran")
+
+    monkeypatch.setattr("codeq.cli.search", no_search)
+    out = tmp_path / "no_such_dir" / "records.jsonl"
+    code = main(["search", "--n", "8", "--q", "3", "--output", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert str(out) in json.loads(captured.err)["error"]
+
+
 def test_search_unknown_leaders_rejected(capsys):
     code = main(["search", "--n", "8", "--q", "3", "--leaders", "6"])
     capsys.readouterr()

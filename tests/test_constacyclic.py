@@ -18,8 +18,7 @@ from codeq.constacyclic import (
     shift_same_parameters,
 )
 from codeq.cosets import DefiningSet, coset_table
-from codeq.cyclic import poly_divmod
-from codeq.fields import GF4_OMEGA, GF4_OMEGA2, gf4
+from codeq.fields import GF4_OMEGA, GF4_OMEGA2, gf4, poly_divmod
 from codeq.linear import (
     apply_monomial,
     brute_force_equivalence,

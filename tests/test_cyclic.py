@@ -28,7 +28,6 @@ from codeq.cyclic import (
     multiplier_transform,
     odd_step_pair,
     odd_step_transform,
-    poly_divmod,
     triple_step_pair,
     triple_step_transform,
     classify_cyclic,
@@ -38,6 +37,7 @@ from codeq.fields import (
     GF4_OMEGA2,
     build_field,
     gf4,
+    poly_divmod,
     prime_power_split,
     splitting_field,
 )

@@ -1,6 +1,9 @@
-"""Field construction, axioms, roots of unity, and subfield embeddings."""
+"""Field construction, axioms, the polynomial layer, roots of unity, and
+subfield embeddings."""
 
+import itertools
 import math
+import random
 
 import pytest
 
@@ -8,11 +11,17 @@ from codeq.fields import (
     GF4_OMEGA,
     GF4_OMEGA2,
     GaloisField,
+    _is_irreducible,
     anchored_root,
     build_field,
     embed_subfield,
     gf4,
     multiplicative_order,
+    poly_divmod,
+    poly_gcd,
+    poly_mul,
+    poly_powmod,
+    poly_trim,
     primitive_nth_root,
     splitting_field,
 )
@@ -76,8 +85,6 @@ def test_gf9_multiplicative_group():
 
 def test_modulus_choice_is_lowest_encoding():
     # scan oracle: no monic irreducible of the degree sits below the chosen one
-    from codeq.fields import _is_irreducible
-
     for p, m in [(2, 2), (3, 2), (2, 4), (5, 2)]:
         F = build_field(p, m)
         enc = sum(c * p ** i for i, c in enumerate(F.modulus[:-1]))
@@ -88,6 +95,69 @@ def test_modulus_choice_is_lowest_encoding():
                 digs.append(v % p)
                 v //= p
             assert not _is_irreducible(tuple(digs) + (1,), p)
+
+
+def _monic(p, degree):
+    """Every monic polynomial of the degree over GF(p), lowest term first."""
+    for low in itertools.product(range(p), repeat=degree):
+        yield low + (1,)
+
+
+def _convolve(a, b, p):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    return tuple(out)
+
+
+@pytest.mark.parametrize("p,degrees", [(2, range(2, 7)), (3, range(2, 5)),
+                                       (5, range(2, 5))])
+def test_irreducibility_matches_factor_products(p, degrees):
+    """Oracle: the reducible monics are the products of two monic factors.
+    p = 2 runs the bit-packed test, odd p the polynomial layer."""
+    for d in degrees:
+        reducible = {_convolve(f, g, p) for i in range(1, d // 2 + 1)
+                     for f in _monic(p, i) for g in _monic(p, d - i)}
+        for poly in _monic(p, d):
+            assert _is_irreducible(poly, p) == (poly not in reducible), poly
+
+
+def _poly_add(F, a, b):
+    out = [0] * max(len(a), len(b))
+    for i, c in enumerate(a):
+        out[i] = c
+    for i, c in enumerate(b):
+        out[i] = F.add(out[i], c)
+    return poly_trim(out)
+
+
+@pytest.mark.parametrize("p,m", [(2, 2), (7, 1), (2, 3), (3, 2)])
+def test_polynomial_layer_on_random_inputs(p, m):
+    F = build_field(p, m)
+    rng = random.Random(1000 * p + m)
+
+    def random_poly(degree):
+        return [rng.randrange(F.order) for _ in range(degree)] + \
+               [rng.randrange(1, F.order)]
+
+    for _ in range(40):
+        a = random_poly(rng.randrange(9))
+        b = random_poly(rng.randrange(6))
+        quot, rem = poly_divmod(F, a, b)
+        assert _poly_add(F, poly_mul(F, quot, b), rem) == a
+        assert rem == [0] or len(rem) < len(b)
+        # a common factor makes the gcd non-trivial
+        c = random_poly(rng.randrange(4))
+        a, b = poly_mul(F, a, c), poly_mul(F, b, c)
+        g = poly_gcd(F, a, b)
+        assert g[-1] == 1
+        for f in (a, b):
+            assert poly_divmod(F, f, g)[1] == [0]
+        assert poly_divmod(F, g, c)[1] == [0]
+    # x^(p^m) = x modulo the modulus of GF(p^m), computed over GF(p)
+    Fp, f = build_field(p, 1), list(F.modulus)
+    assert poly_powmod(Fp, [0, 1], F.order, f) == poly_divmod(Fp, [0, 1], f)[1]
 
 
 def test_construction_is_deterministic():
@@ -197,6 +267,22 @@ def test_embedding_is_field_homomorphism():
     assert K.element_order(fwd[GF4_OMEGA]) == 3
 
 
+@pytest.mark.parametrize("sub,sup", [((3, 1), (3, 4)), ((3, 2), (3, 4)),
+                                     ((5, 2), (5, 4))])
+def test_embedding_is_homomorphism_in_odd_characteristic(sub, sup):
+    F, K = build_field(*sub), build_field(*sup)
+    fwd, inv = embed_subfield(F, K)
+    assert fwd[0] == 0 and fwd[1] == 1
+    assert len(set(fwd)) == F.order
+    assert all(inv[fwd[a]] == a for a in F.elements())
+    for a in F.elements():
+        # the image is the subfield: roots of x^|F| - x
+        assert K.pow(fwd[a], F.order) == fwd[a]
+        for b in F.elements():
+            assert fwd[F.add(a, b)] == K.add(fwd[a], fwd[b])
+            assert fwd[F.mul(a, b)] == K.mul(fwd[a], fwd[b])
+
+
 def test_embedding_deterministic_across_rebuilds():
     F4a = GaloisField(2, 2)
     F4b = GaloisField(2, 2)
@@ -221,3 +307,5 @@ def test_build_field_validation():
         build_field(2, 0)
     with pytest.raises(ValueError):
         GaloisField(2, 2, modulus=(0, 0, 1))  # x^2 is reducible
+    with pytest.raises(ValueError):
+        GaloisField(3, 2, modulus=(4, 0, 1))  # coefficients lie in [0, 3)

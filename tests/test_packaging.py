@@ -58,3 +58,49 @@ def test_modules_import_no_private_names_from_each_other():
     assert SOURCES
     private = [hit for path in SOURCES for hit in _private_codeq_imports(path)]
     assert not private, f"private cross-module imports: {private}"
+
+
+# codeq modules from the bottom layer up: a module imports only from the
+# modules before it
+LAYERS = ("fields", "cosets", "linear", "cyclic", "constacyclic", "quantum",
+          "search", "cli")
+# the two classifiers run the search engine, which imports their modules,
+# so they import it inside the function
+UPWARD_IMPORTS = {("cyclic", "classify_cyclic", "search"),
+                  ("constacyclic", "palfy_classify", "search")}
+
+
+def _codeq_imports(path: pathlib.Path) -> list[tuple[str | None, str]]:
+    """(enclosing function or None, codeq module) for each import in path."""
+    found = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.ImportFrom):
+                parts = child.module.split(".")
+                if child.level > 0:
+                    found.append((func, parts[0]))
+                elif parts[0] == "codeq":
+                    found.append((func, parts[1]))
+            elif isinstance(child, ast.Import):
+                found.extend((func, alias.name.split(".")[1])
+                             for alias in child.names
+                             if alias.name.startswith("codeq."))
+            visit(child, func)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), None)
+    return found
+
+
+def test_modules_import_only_lower_layers():
+    assert {path.stem for path in SOURCES} == {*LAYERS, "__init__"}
+    rank = {name: i for i, name in enumerate(LAYERS)}
+    upward = [f"{path.name}: {func or 'module level'} imports {module}"
+              for path in SOURCES if path.stem != "__init__"
+              for func, module in _codeq_imports(path)
+              if rank[module] >= rank[path.stem]
+              and (path.stem, func, module) not in UPWARD_IMPORTS]
+    assert not upward, f"imports against the layer order: {upward}"
