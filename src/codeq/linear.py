@@ -21,7 +21,11 @@ and builds no index array of table size.  It starts in closed form from
 the unit columns of the parity check (a syndrome's count of nonzero
 digits) and then adds the pivot columns.  In characteristic 2 the
 multiples of a column span an F2-subspace, so each column costs m
-butterflies min(t[x], t[x ^ s]) over XOR views of the table; in odd
+butterflies min(t[x], t[x ^ s]).  A butterfly gathers no bytes: XOR by
+bits 3..7 of s is one take of each 256-cell block's 32 uint64 words, XOR
+by bits 0..2 is at most three in-place byteswaps (of uint16, uint32 and
+uint64 views, for byte XORs 1, 3 and 7, whose subsets give every XOR
+below 8), and XOR by the higher bits reverses leading axes.  In odd
 characteristic each multiple is a shift by digit arithmetic, one take per
 nonzero digit along that digit's axis.
 
@@ -38,6 +42,7 @@ import itertools
 import math
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -297,7 +302,13 @@ def weight_distributions_equal(c1: LinearCode, c2: LinearCode) -> bool | None:
     q = c1.field.order
     if q ** c1.k > WD_COMPARE_CAP or q ** c2.k > WD_COMPARE_CAP:
         return None
-    return weight_distribution(c1).counts == weight_distribution(c2).counts
+    return _weight_counts(c1) == _weight_counts(c2)
+
+
+@lru_cache(maxsize=256)
+def _weight_counts(code: LinearCode) -> tuple[int, ...]:
+    """weight_distribution(code).counts, kept for the codes compared last."""
+    return weight_distribution(code).counts
 
 
 @dataclass(frozen=True)
@@ -509,30 +520,47 @@ class _SyndromeSpace:
 class _XorBlocks:
     """Butterflies out[x] = min(src[x], src[x ^ s]) over a 2^bits uint8 table.
 
-    Tables are viewed as (2,)*(bits-8) + (256,): XOR by the low byte of s
-    is one take along the 256-cell block axis, XOR by the rest reverses the
-    leading axes of its set bits, so no index array of table size is built.
+    Tables are C-contiguous, at least 256 cells (_dp_tables tiles smaller
+    ones), and viewed as (2,)*(bits-8) + (256,).  XOR by bits 3..7 of s is
+    one take of the block's 32 uint64 words; XOR by bits 0..2 is at most
+    three in-place byteswaps of uint16, uint32 and uint64 views, which swap
+    bytes i <-> i^1, i^3 and i^7 on either endianness, and every b in 1..7
+    is the XOR of a subset of {1, 3, 7}; XOR by the rest reverses the
+    leading axes of its set bits.  No index array of table size is built.
     """
 
     def __init__(self, bits: int):
-        low = min(bits, 8)
-        self.low = low
-        self.lead = bits - low
-        self.shape = (2,) * self.lead + (1 << low,)
-        self.cells = np.arange(1 << low, dtype=np.intp)
+        self.lead = bits - 8
+        self.shape = (2,) * self.lead + (256,)
+        self.words = np.arange(32, dtype=np.intp)
         self.tmp = np.empty(self.shape, dtype=np.uint8)
 
     def butterfly(self, src: np.ndarray, s: int, out: np.ndarray) -> None:
         """Write min(src[x], src[x ^ s]) into out; out must not alias src."""
         other = src
-        lo = s & ((1 << self.low) - 1)
+        lo = s & 0xFF
         if lo:
-            np.take(src, self.cells ^ lo, axis=-1, out=self.tmp, mode="clip")
             other = self.tmp
-        hi = s >> self.low
+            if lo >> 3:
+                # indices stay below 32; "wrap" only spares the copy of out
+                # that take's default mode makes
+                np.take(src.view(np.uint64), self.words ^ (lo >> 3), axis=-1,
+                        out=other.view(np.uint64), mode="wrap")
+            else:
+                np.copyto(other, src)
+            for view in _BYTE_SWAPS[lo & 7]:
+                other.view(view).byteswap(inplace=True)
+        hi = s >> 8
         flip = tuple(slice(None, None, -1) if hi >> (self.lead - 1 - a) & 1
                      else slice(None) for a in range(self.lead))
         np.minimum(src, other[flip], out=out)
+
+
+# byte XOR b -> the views whose byteswaps (i <-> i^1, i^3, i^7) compose to it
+_BYTE_SWAPS = {
+    x1 ^ x3 ^ x7: tuple(v for x, v in ((x1, np.uint16), (x3, np.uint32),
+                                       (x7, np.uint64)) if x)
+    for x1 in (0, 1) for x3 in (0, 3) for x7 in (0, 7)}
 
 
 def _dp_tables(code: LinearCode):
@@ -554,8 +582,10 @@ def _dp_tables(code: LinearCode):
     for _ in range(r):
         dist = np.add.outer(nonzero, dist).reshape(-1)
     if space.char2:
-        xor = _XorBlocks(r * F.m)
-        dist = dist.reshape(xor.shape)
+        # a table under 256 cells is tiled to one block: x ^ s keeps the
+        # tile of x, so the first q^r cells hold the DP
+        xor = _XorBlocks(max(r * F.m, 8))
+        dist = np.resize(dist, xor.shape)
         pair = (np.empty_like(dist), np.empty_like(dist))
     flat = dist.reshape(-1)
     best = code.n + 1
@@ -580,7 +610,7 @@ def _dp_tables(code: LinearCode):
                 shifted = arr if shifted is None else np.minimum(shifted, arr)
         np.add(shifted, 1, out=shifted)
         np.minimum(dist, shifted, out=dist)
-    return best, flat, space, cols
+    return best, flat[:space.size], space, cols
 
 
 def _dp_enumerate(code: LinearCode, t: int, dist, space, cols, outside,

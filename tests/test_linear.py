@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from codeq import linear
+from codeq.constacyclic import build_constacyclic
 from codeq.fields import build_field, gf4
 from codeq.linear import (
     LinearCode,
@@ -27,6 +28,8 @@ from codeq.linear import (
     _infoset_upper,
     _mitm_ladder,
     _outside_test,
+    _weight_counts,
+    _XorBlocks,
 )
 
 
@@ -172,6 +175,27 @@ def test_weight_distribution_budget():
         weight_distribution(C, budget=1 << 10)
 
 
+def test_weight_distributions_are_enumerated_once(monkeypatch):
+    enumerated = []
+    chunks = linear._codeword_chunks
+
+    def counting_chunks(code, *args):
+        enumerated.append(code)
+        return chunks(code, *args)
+
+    monkeypatch.setattr(linear, "_codeword_chunks", counting_chunks)
+    _weight_counts.cache_clear()
+    C1 = _random_code(F4, 9, 4, 51)
+    C2 = apply_monomial(C1, MonomialTransform((8, 0, 1, 2, 3, 4, 5, 6, 7),
+                                              (2,) + (1,) * 8))
+    assert C1 != C2
+    assert linear.weight_distributions_equal(C1, C2) is True
+    assert linear.weight_distributions_equal(C2, C1) is True
+    assert enumerated == [C1, C2]
+    for C in (C1, C2):
+        assert _weight_counts(C) == weight_distribution(C).counts
+
+
 def test_monomial_transform_validation():
     with pytest.raises(ValueError):
         MonomialTransform((0, 0, 1), (1, 1, 1))
@@ -278,6 +302,56 @@ def test_min_distance_exhaustive_matches_dp():
         H = C.parity_check()
         assert 0 in C.pivots and np.array_equal(H[:, 0], H[:, 2])
         _check_dp_table(C)
+
+
+def test_xor_butterfly_matches_index_array():
+    rng = np.random.default_rng(21)
+
+    def check(t, xor, s):
+        # tables under 256 cells are tiled to one block, as in _dp_tables
+        out = np.empty(xor.shape, dtype=np.uint8)
+        xor.butterfly(np.resize(t, xor.shape), s, out)
+        ref = np.minimum(t, t[np.arange(t.size) ^ s])
+        assert np.array_equal(out.reshape(-1)[:t.size], ref), (t.size, s)
+
+    for bits in range(13):
+        t = rng.integers(0, 256, size=1 << bits, dtype=np.uint8)
+        xor = _XorBlocks(max(bits, 8))
+        for s in range(t.size):
+            check(t, xor, s)
+    t = rng.integers(0, 256, size=1 << 16, dtype=np.uint8)
+    xor = _XorBlocks(16)
+    for lo in range(256):
+        check(t, xor, int(rng.integers(1, 256)) << 8 | lo)
+
+
+def _reference_dp(C):
+    """Least weight per syndrome, adding every column of the parity check
+    with one index-array gather per nonzero multiple (characteristic 2)."""
+    F = C.field
+    q = F.order
+    H = C.parity_check()
+    place = q ** np.arange(H.shape[0], dtype=np.int64)
+    mul = linear.tables(F).mul
+    idx = np.arange(q ** H.shape[0])
+    t = np.full(idx.size, C.n + 1, dtype=np.int64)
+    t[0] = 0
+    for j in range(C.n):
+        syn = mul[1:, H[:, j]].astype(np.int64) @ place  # c * h_j, c != 0
+        t = np.minimum(t, 1 + np.min([t[idx ^ s] for s in syn], axis=0))
+    return t
+
+
+def test_dp_tables_match_reference_on_large_tables():
+    # 2^14, 2^16 and 2^15 cells: a [43,36] omega-constacyclic code over
+    # GF(4), a [36,20] binary code and a [16,11] code over GF(8)
+    codes = [build_constacyclic(43, (1, 4, 16, 64, 97, 121, 127)).base,
+             _random_code(build_field(2, 1), 36, 20, 37),
+             _random_code(build_field(2, 3), 16, 11, 38)]
+    for C, cells in zip(codes, (1 << 14, 1 << 16, 1 << 15)):
+        _, dist, space, _ = _dp_tables(C)
+        assert space.size == cells and dist.shape == (cells,)
+        assert np.array_equal(dist, _reference_dp(C))
 
 
 def test_dp_with_no_parity_rows():
