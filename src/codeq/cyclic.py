@@ -603,7 +603,7 @@ def certify_equivalence(C1: CyclicCode, C2: CyclicCode, depth: int = 2,
                 seen_mid.add(img)
                 if img == s1 or not table.is_union(img):
                     continue
-                Cmid = build_cyclic(n, q, DefiningSet(n, q, tuple(img)))
+                Cmid = _intermediate(n, q, tuple(sorted(img)))
                 leg = matrix_leg(Cmid, to_c2)
                 if leg is not None and weight_distributions_equal(
                         C1.base, Cmid.base) is not False:
@@ -620,7 +620,7 @@ def certify_equivalence(C1: CyclicCode, C2: CyclicCode, depth: int = 2,
             for cand in dict.fromkeys(pool):
                 if cand is None or cand == s1 or not table.is_union(cand):
                     continue
-                Cmid = build_cyclic(n, q, DefiningSet(n, q, tuple(cand)))
+                Cmid = _intermediate(n, q, tuple(sorted(cand)))
                 leg = matrix_leg(Cmid, from_c1)
                 if leg is None:
                     continue
@@ -646,6 +646,13 @@ def certify_equivalence(C1: CyclicCode, C2: CyclicCode, depth: int = 2,
             seen.add(key)
             unique.append(cert)
     return unique
+
+
+@lru_cache(maxsize=256)
+def _intermediate(n: int, q: int, elements: tuple[int, ...]) -> CyclicCode:
+    """build_cyclic at a sorted defining set, kept for the intermediate
+    codes of the pairs certified last."""
+    return build_cyclic(n, q, DefiningSet(n, q, elements))
 
 
 # ---------------------------------------------------------------------------

@@ -31,9 +31,14 @@ nonzero digit along that digit's axis.
 
 The meet-in-the-middle ladder keeps no per-entry metadata: a side is its
 syndromes plus its t-subsets and scalar tuples, and entry s*C + i is the
-i-th subset carrying the s-th tuple.  Colliding pairs are expanded in
+i-th subset carrying the s-th tuple.  Only B sides are built; an A side of
+j positions, first scalar pinned to 1, is the prefix of the B side of j
+positions whose tuples start with 1.  Colliding pairs are expanded in
 bounded chunks; pairs with overlapping supports (weight below t) are
-dropped, and the rest become words for one subcode test per chunk.
+dropped, and the rest become words for one subcode test per chunk.  When
+the two sides have equal sizes, an A entry that meets only its twin in B
+(the same vector) is not expanded.  The information-set search reads its
+triples of rows in blocks of ROW_BLOCK rows gathered by index arrays.
 """
 
 from __future__ import annotations
@@ -55,6 +60,7 @@ DP_CAP_CHAR2 = 1 << 24
 DP_CAP_ODD = 1 << 18
 MITM_SIDE_CAP = 1 << 23
 MITM_CHUNK = 1 << 20
+ROW_BLOCK = 1 << 16
 INFOSET_DEFAULT_ITERS = 8
 WD_COMPARE_CAP = 1 << 16
 GF4_CONJ = np.array([0, 1, 3, 2], dtype=np.uint8)
@@ -263,12 +269,12 @@ class LinearCode:
 
 
 def _codeword_chunks(code: LinearCode, stop: int | None = None):
-    """Codewords of messages 0 .. stop-1 (all q^k by default), 2^16 rows at
-    a time; message digits are base q, coordinate 0 lowest."""
+    """Codewords of messages 0 .. stop-1 (all q^k by default), ROW_BLOCK
+    rows at a time; message digits are base q, coordinate 0 lowest."""
     q, k = code.field.order, code.k
     stop = q ** k if stop is None else stop
-    for start in range(0, stop, 1 << 16):
-        idx = np.arange(start, min(start + (1 << 16), stop), dtype=np.int64)
+    for start in range(0, stop, ROW_BLOCK):
+        idx = np.arange(start, min(start + ROW_BLOCK, stop), dtype=np.int64)
         msgs = np.empty((idx.size, k), dtype=np.uint8)
         for i in range(k):
             msgs[:, i] = (idx // q ** i) % q
@@ -699,12 +705,13 @@ def _mitm_ladder(code: LinearCode, wmax: int, outside,
 
     Weight t splits into an A side of t // 2 positions, whose first scalar
     is pinned to 1, and a B side of the rest.  Each side is sorted by
-    syndrome with equal syndromes in index order (_mitm_side's run-key
-    sort).  Candidates are the pairs with equal syndromes, A entry
-    ascending, then B entries in sorted order; see _mitm_first for the
-    filter.  Weights 2j-1 and 2j share the B side of j positions, and
-    weights 2j and 2j+1 the A side of j positions, so each side is built
-    once and kept for the next rung.
+    syndrome with equal syndromes in index order (_mitm_side).  Candidates
+    are the pairs with equal syndromes, A entry ascending, then B entries
+    in sorted order; see _mitm_first for the filter.  Weights 2j-1 and 2j
+    share the B side of j positions, and weights 2j and 2j+1 the A side of
+    j positions.  Only the B sides and weight 1's empty A side are built:
+    the A side of j >= 1 positions is taken from the B side of j positions
+    (_mitm_pinned).
     """
     F = code.field
     n = code.n
@@ -721,15 +728,16 @@ def _mitm_ladder(code: LinearCode, wmax: int, outside,
         na = math.comb(n, ta) * (q - 1) ** max(ta - 1, 0)
         if na + nb > side_cap:
             return t, None, None, work
-        # a side that changes is dropped before its successor is built, so
-        # the two never share the peak memory
+        # a B side that changes is dropped before its successor is built,
+        # so the two never share the peak memory
         if t % 2:
             side_b = None
             side_b = _mitm_side(packed, n, tb, normalize_first=False)
-        if t % 2 == 0 or side_a is None:
-            side_a = None
-            side_a = _mitm_side(packed, n, ta, normalize_first=True)
         syn_b, order, sub_b, scal_b = side_b
+        if side_a is None:
+            side_a = _mitm_side(packed, n, ta, normalize_first=True)
+        elif t % 2 == 0:
+            side_a = _mitm_pinned(side_b, q)
         syn_a, order_a, sub_a, scal_a = side_a
         lo = np.empty_like(order_a)
         hi = np.empty_like(order_a)
@@ -751,9 +759,11 @@ def _mitm_side(packed: np.ndarray, n: int, t: int, normalize_first: bool
     lexicographic order, the (S, t) scalar tuples in product order, and
     syn[i], the syndrome of entry order[i], where entry s*C + i is
     subsets[i] carrying scalars[s].  syn ascends, and entries of equal
-    syndrome appear in index order.  When normalize_first is set the scalar
-    at the subset's smallest position is pinned to 1, cutting the scalar
-    space by q-1.  For t = 0 the side is one empty entry with syndrome 0.
+    syndrome appear in index order: when the syndromes are distinct that is
+    the argsort order as it is, else a run-key sort restores it.  When
+    normalize_first is set the scalar at the subset's smallest position is
+    pinned to 1, cutting the scalar space by q-1.  For t = 0 the side is
+    one empty entry with syndrome 0.
     """
     q = packed.shape[0]
     combos = list(itertools.combinations(range(n), t))
@@ -776,14 +786,32 @@ def _mitm_side(packed: np.ndarray, n: int, t: int, normalize_first: bool
     # memory does not grow; it fits 63 bits for sides under 2^31 entries.
     order = np.argsort(syn)
     key, syn = syn, syn[order]
+    new_run = syn[1:] != syn[:-1]
+    if new_run.all():
+        return syn, order, subsets, scalars
     bits = max(syn.size - 1, 1).bit_length()
     key[:1] = 0
-    np.cumsum(syn[1:] != syn[:-1], out=key[1:])
+    np.cumsum(new_run, out=key[1:])
     key <<= bits
     key |= order
     key.sort()
     key &= (1 << bits) - 1
     return syn, key, subsets, scalars
+
+
+def _mitm_pinned(side, q: int
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """_mitm_side(packed, n, t, True) taken from side = _mitm_side(packed,
+    n, t, False) for t >= 1.
+
+    The pinned tuples (1, ...) are the first (q-1)^(t-1) in product order,
+    on the same subsets, so the pinned side is the side's entries below
+    (q-1)^(t-1) * C; filtering keeps the index order inside each run.
+    """
+    syn, order, subsets, scalars = side
+    tuples = scalars[:(q - 1) ** (subsets.shape[1] - 1)]
+    keep = order < tuples.shape[0] * subsets.shape[0]
+    return syn[keep], order[keep], subsets, tuples
 
 
 def _mitm_first(n: int, lo: np.ndarray, hi: np.ndarray, order: np.ndarray,
@@ -794,11 +822,15 @@ def _mitm_first(n: int, lo: np.ndarray, hi: np.ndarray, order: np.ndarray,
     A entry ia collides with the B entries order[lo[ia]:hi[ia]].  Pairs are
     expanded MITM_CHUNK at a time in that order.  Overlapping supports give
     weight below t, so those pairs are dropped; the rest are scattered into
-    words and filtered by one subcode test per chunk.
+    words and filtered by one subcode test per chunk.  When both sides have
+    the same number of positions, A is a prefix of B and every A entry
+    meets its twin, the same vector, which the overlap filter would drop;
+    entries with no other collision are not expanded.
     """
     (sub_a, scal_a), (sub_b, scal_b) = side_a, side_b
     ca, cb = sub_a.shape[0], sub_b.shape[0]
-    hit = np.nonzero(hi > lo)[0]
+    twins = sub_a.shape[1] == sub_b.shape[1]
+    hit = np.nonzero(hi - lo > twins)[0]
     count = (hi - lo)[hit]
     ends = np.cumsum(count)
     total = int(ends[-1]) if ends.size else 0
@@ -838,10 +870,13 @@ def _infoset_upper(code: LinearCode, iters: int, seed: int,
 
     Each iteration re-draws a systematic form (RREF after a random column
     permutation), moves its rows R back to code coordinates once and reads
-    every combination of up to three rows in blocks: the rows, then for
-    each scalar b the pairs R_i + b R_j (i < j, ordered by j), then for
-    each l and scalar c those pairs with j < l plus c R_l.  Rows add by XOR
-    in characteristic 2 and by the addition table otherwise.
+    every combination of up to three rows: the rows, then for each scalar
+    b the pairs R_i + b R_j (i < j, ordered by j), then for each l and
+    scalar c those pairs with j < l plus c R_l.  The triples of one b are
+    gathered from index arrays built once per call, ROW_BLOCK rows at a
+    time; blocks may cross (l, c) boundaries, and the first row of least
+    weight still wins.  Rows add by XOR in characteristic 2 and by the
+    addition table otherwise.
     """
     F = code.field
     T = tables(F)
@@ -851,7 +886,15 @@ def _infoset_upper(code: LinearCode, iters: int, seed: int,
     ii, jj = np.triu_indices(k, 1)
     blocks = np.argsort(jj, kind="stable")
     ii, jj = ii[blocks], jj[blocks]
+    # the triples in scan order: for l = 2 .. k-1 and c = 1 .. q-1, the
+    # pairs with j < l plus c R_l.  Triple h adds pair rows[h] and row lc[h]
+    # of the multiples c R_l flattened to (q k, n).
     prefix = np.cumsum(np.bincount(jj, minlength=k + 1))
+    ls, cs = np.divmod(np.arange(2 * (F.order - 1), k * (F.order - 1)),
+                       F.order - 1)
+    sizes = prefix[ls - 1]
+    lc = np.repeat((cs + 1) * k + ls, sizes)
+    rows = np.arange(lc.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
     best, witness, work = n + 1, None, 0
 
     def scan(words: np.ndarray) -> None:
@@ -866,13 +909,13 @@ def _infoset_upper(code: LinearCode, iters: int, seed: int,
         perm = rng.permutation(n)
         R = rref(F, code.generator[:, perm])[0][:, np.argsort(perm)]
         scaled = T.mul[:, R]
+        flat = scaled.reshape(-1, n)
         scan(R)
         for b in range(1, F.order):
             P = add(R[ii], scaled[b][jj])
             scan(P)
-            for l in range(2, k):
-                for c in range(1, F.order):
-                    scan(add(P[:prefix[l - 1]], scaled[c][l]))
+            for h in range(0, lc.size, ROW_BLOCK):
+                scan(add(P[rows[h:h + ROW_BLOCK]], flat[lc[h:h + ROW_BLOCK]]))
     return best, witness, work
 
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from codeq import cyclic
 from codeq.cosets import (
     DefiningSet,
     all_defining_sets,
@@ -680,6 +681,27 @@ def test_odd_step_map_certifies_where_no_rule_at():
     certs = certify_equivalence(C1, C2, use_brute=False)
     assert [(c.kind, c.params, c.verified) for c in certs] == [
         ("composition", ("odd_step", "odd_step"), True)]
+
+
+def test_certificate_intermediates_are_built_once(monkeypatch):
+    # an intermediate code depends only on (n, q) and its defining set, so
+    # certifying the same pair again builds none
+    C1 = build_cyclic(16, 3, DefiningSet(16, 3, (0, 1, 2, 3, 6, 9, 11)))
+    C2 = build_cyclic(16, 3, DefiningSet(16, 3, (0, 1, 3, 9, 10, 11, 14)))
+    built = []
+    build = cyclic.build_cyclic
+
+    def counting(n, q, A):
+        built.append(A.elements)
+        return build(n, q, A)
+
+    monkeypatch.setattr(cyclic, "build_cyclic", counting)
+    cyclic._intermediate.cache_clear()
+    first = certify_equivalence(C1, C2, use_brute=False)
+    assert built and len(set(built)) == len(built)
+    built.clear()
+    assert certify_equivalence(C1, C2, use_brute=False) == first
+    assert built == []
 
 
 def test_pair_constructors_check_the_rule_condition():

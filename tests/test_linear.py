@@ -559,17 +559,23 @@ def test_mitm_ladder_matches_reference_loop(monkeypatch):
                     == _reference_ladder(C, 6, None, side_cap=200))
 
 
-def test_mitm_ladder_builds_each_side_once(monkeypatch):
-    # the binary Golay code [23,12,7]: no witness up to weight 6, so all six
-    # rungs run on the B sides of 1, 2, 3 and the A sides of 0, 1, 2, 3
-    # positions
-    F = build_field(2, 1)
+def _golay():
+    """The binary Golay code [23,12,7]: no codeword up to weight 6, and the
+    sums of up to three columns of its parity check are distinct."""
     g = [1, 0, 1, 0, 1, 1, 1, 0, 0, 0, 1, 1]
     rows = np.zeros((12, 23), dtype=np.uint8)
     for i in range(12):
         rows[i, i:i + 12] = g
-    C = LinearCode.from_rows(F, rows)
+    C = LinearCode.from_rows(build_field(2, 1), rows)
     assert C.k == 12
+    return C
+
+
+def test_mitm_ladder_builds_each_side_once(monkeypatch):
+    # no witness up to weight 6, so all six rungs run on the B sides of 1,
+    # 2, 3 positions and the A sides of 0, 1, 2, 3; only the empty A side
+    # is built, the others are taken from the B sides
+    C = _golay()
     builds = []
     side = linear._mitm_side
 
@@ -580,9 +586,76 @@ def test_mitm_ladder_builds_each_side_once(monkeypatch):
     monkeypatch.setattr(linear, "_mitm_side", counted)
     got = _mitm_ladder(C, 6, None)
     assert got[:3] == (7, None, None)
-    assert sorted(builds) == [(0, True), (1, False), (1, True), (2, False),
-                              (2, True), (3, False), (3, True)]
+    assert sorted(builds) == [(0, True), (1, False), (2, False), (3, False)]
     assert got == _reference_ladder(C, 6, None)
+
+
+def test_mitm_ladder_expands_no_twin_on_golay(monkeypatch):
+    # at d = 7 every collision up to weight 6 is an A entry meeting its own
+    # copy in B, so no pair is expanded (np.repeat builds the pair lists)
+    C = _golay()
+
+    class Spy:
+        repeats = 0
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def repeat(self, *args, **kwargs):
+            Spy.repeats += 1
+            return np.repeat(*args, **kwargs)
+
+    monkeypatch.setattr(linear, "np", Spy())
+    assert _mitm_ladder(C, 6, None) == _reference_ladder(C, 6, None)
+    assert Spy.repeats == 0
+
+
+def _unsorted_syndromes(side):
+    syn, order = side[:2]
+    unsorted = np.empty_like(syn)
+    unsorted[order] = syn
+    return unsorted
+
+
+def test_mitm_side_order_is_the_stable_argsort():
+    # distinct syndromes take the argsort order as it is, runs the run-key
+    # sort; both must give equal syndromes in index order
+    golay = _golay()
+    packed = _column_syndromes(golay)
+    for t in (1, 2, 3):
+        side = linear._mitm_side(packed, golay.n, t, False)
+        assert np.all(side[0][1:] != side[0][:-1])
+        assert np.array_equal(
+            side[1], np.argsort(_unsorted_syndromes(side), kind="stable"))
+    runs = 0
+    rng = np.random.default_rng(59)
+    for F in (build_field(2, 1), F4, build_field(2, 3)):
+        for C in _ladder_codes(F, rng):
+            packed = _column_syndromes(C)
+            for t in (1, 2):
+                for pinned in (False, True):
+                    side = linear._mitm_side(packed, C.n, t, pinned)
+                    runs += bool(np.any(side[0][1:] == side[0][:-1]))
+                    assert np.array_equal(side[1], np.argsort(
+                        _unsorted_syndromes(side), kind="stable"))
+    assert runs > 0
+
+
+def test_mitm_pinned_side_equals_built_side():
+    rng = np.random.default_rng(47)
+    runs = 0
+    for F in (build_field(2, 1), F4, build_field(2, 3)):
+        for C in _ladder_codes(F, rng):
+            packed = _column_syndromes(C)
+            for t in (1, 2, 3):
+                side = linear._mitm_side(packed, C.n, t, False)
+                got = linear._mitm_pinned(side, F.order)
+                want = linear._mitm_side(packed, C.n, t, True)
+                runs += bool(np.any(want[0][1:] == want[0][:-1]))
+                for a, b in zip(got, want):
+                    assert a.dtype == b.dtype
+                    assert np.array_equal(a, b)
+    assert runs > 0
 
 
 def test_mitm_ladder_keeps_index_order_in_long_runs(monkeypatch):
@@ -638,6 +711,81 @@ def test_infoset_upper_bound_sound():
             k = C.k
             assert work == 6 * (k + (q - 1) * math.comb(k, 2)
                                 + (q - 1) ** 2 * math.comb(k, 3))
+
+
+def _reference_infoset(code, iters, seed, outside):
+    """_infoset_upper with one scan per block of pairs plus c R_l, for each
+    (l, c) in turn."""
+    F = code.field
+    T = linear.tables(F)
+    rng = np.random.default_rng(seed)
+    n, k = code.n, code.k
+    add = np.bitwise_xor if F.p == 2 else (lambda a, b: T.add[a, b])
+    ii, jj = np.triu_indices(k, 1)
+    blocks = np.argsort(jj, kind="stable")
+    ii, jj = ii[blocks], jj[blocks]
+    prefix = np.cumsum(np.bincount(jj, minlength=k + 1))
+    best, witness, work = n + 1, None, 0
+
+    def scan(words):
+        nonlocal best, witness, work
+        w = np.count_nonzero(words, axis=1)
+        work += w.size
+        x = linear._lightest(words, w, best, outside)
+        if x is not None:
+            best, witness = int(w[x]), tuple(int(v) for v in words[x])
+
+    for _ in range(iters):
+        perm = rng.permutation(n)
+        R = rref(F, code.generator[:, perm])[0][:, np.argsort(perm)]
+        scaled = T.mul[:, R]
+        scan(R)
+        for b in range(1, F.order):
+            P = add(R[ii], scaled[b][jj])
+            scan(P)
+            for l in range(2, k):
+                for c in range(1, F.order):
+                    scan(add(P[:prefix[l - 1]], scaled[c][l]))
+    return best, witness, work
+
+
+def test_infoset_upper_matches_reference_loop(monkeypatch):
+    lightest = linear._lightest
+
+    def read(fn, *args):
+        # the result and every word scanned, in scan order
+        words = []
+
+        def spy(block, w, best, outside):
+            words.append(block.copy())
+            return lightest(block, w, best, outside)
+
+        with monkeypatch.context() as m:
+            m.setattr(linear, "_lightest", spy)
+            return fn(*args), np.concatenate(words)
+
+    rng = np.random.default_rng(61)
+    for F in (build_field(2, 1), F3, F4, build_field(5, 1),
+              build_field(2, 3)):
+        q = F.order
+        for _ in range(4):
+            n = int(rng.integers(8, 16))
+            k = int(rng.integers(3, min(n - 2, 7) + 1))
+            C = LinearCode.from_rows(F, rng.integers(0, q, size=(k, n)))
+            filters = [None]
+            for split in (1, C.k // 2, C.k - 1):
+                S = LinearCode.from_rows(F, C.generator[:split], n)
+                filters.append(_outside_test(C, S))
+            for outside in filters:
+                seed = int(rng.integers(1 << 16))
+                want, want_words = read(_reference_infoset, C, 3, seed,
+                                        outside)
+                # blocks of 5 and 7 rows cross (l, c) boundaries
+                for block in (5, 7, linear.ROW_BLOCK):
+                    monkeypatch.setattr(linear, "ROW_BLOCK", block)
+                    got, words = read(_infoset_upper, C, 3, seed, outside)
+                    assert got == want
+                    assert np.array_equal(words, want_words)
 
 
 def test_infoset_deterministic_given_seed():
