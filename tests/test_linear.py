@@ -610,23 +610,39 @@ def test_mitm_ladder_expands_no_twin_on_golay(monkeypatch):
     assert Spy.repeats == 0
 
 
-def _unsorted_syndromes(side):
-    syn, order = side[:2]
-    unsorted = np.empty_like(syn)
-    unsorted[order] = syn
-    return unsorted
+def _side_syndromes(packed, side):
+    """The syndromes of a side's entries in index order, rebuilt from its
+    subsets and scalars: entry s*C + i is subset i carrying tuple s."""
+    _, subsets, scalars = side
+    c = subsets.shape[0]
+    e = np.arange(scalars.shape[0] * c)
+    syn = np.zeros(e.size, dtype=np.int64)
+    for slot in range(subsets.shape[1]):
+        syn ^= packed[scalars[e // c, slot], subsets[e % c, slot]]
+    return syn
+
+
+def _check_side_key(packed, side):
+    """The key is sorted, its low IDX_BITS bits list the entries in the
+    stable argsort order of their syndromes and its high bits hold those
+    syndromes; returns whether the side has a run of equal syndromes."""
+    key = side[0]
+    syn = _side_syndromes(packed, side)
+    order = np.argsort(syn, kind="stable")
+    assert key.dtype == np.uint64 and np.all(key[1:] > key[:-1])
+    assert np.array_equal(key & linear._IDX_MASK, order)
+    assert np.array_equal(key >> linear.IDX_BITS, syn[order])
+    return bool(np.any(syn[order][1:] == syn[order][:-1]))
 
 
 def test_mitm_side_order_is_the_stable_argsort():
-    # distinct syndromes take the argsort order as it is, runs the run-key
-    # sort; both must give equal syndromes in index order
+    # one sort of the key gives equal syndromes in index order, whether the
+    # syndromes are distinct or form runs
     golay = _golay()
     packed = _column_syndromes(golay)
     for t in (1, 2, 3):
-        side = linear._mitm_side(packed, golay.n, t, False)
-        assert np.all(side[0][1:] != side[0][:-1])
-        assert np.array_equal(
-            side[1], np.argsort(_unsorted_syndromes(side), kind="stable"))
+        assert not _check_side_key(
+            packed, linear._mitm_side(packed, golay.n, t, False))
     runs = 0
     rng = np.random.default_rng(59)
     for F in (build_field(2, 1), F4, build_field(2, 3)):
@@ -634,10 +650,8 @@ def test_mitm_side_order_is_the_stable_argsort():
             packed = _column_syndromes(C)
             for t in (1, 2):
                 for pinned in (False, True):
-                    side = linear._mitm_side(packed, C.n, t, pinned)
-                    runs += bool(np.any(side[0][1:] == side[0][:-1]))
-                    assert np.array_equal(side[1], np.argsort(
-                        _unsorted_syndromes(side), kind="stable"))
+                    runs += _check_side_key(
+                        packed, linear._mitm_side(packed, C.n, t, pinned))
     assert runs > 0
 
 
@@ -651,7 +665,7 @@ def test_mitm_pinned_side_equals_built_side():
                 side = linear._mitm_side(packed, C.n, t, False)
                 got = linear._mitm_pinned(side, F.order)
                 want = linear._mitm_side(packed, C.n, t, True)
-                runs += bool(np.any(want[0][1:] == want[0][:-1]))
+                runs += _check_side_key(packed, want)
                 for a, b in zip(got, want):
                     assert a.dtype == b.dtype
                     assert np.array_equal(a, b)
@@ -674,7 +688,8 @@ def test_mitm_ladder_keeps_index_order_in_long_runs(monkeypatch):
             H[:, j] = linear.tables(F).mul[c, H[:, 0]]
             pairs[j - 1, [0, j]] = c, 1
         C = LinearCode.from_rows(F, H, n).euclidean_dual()
-        syn = linear._mitm_side(_column_syndromes(C), n, 1, False)[0]
+        key = linear._mitm_side(_column_syndromes(C), n, 1, False)[0]
+        syn = key >> linear.IDX_BITS
         assert np.unique(syn, return_counts=True)[1].max() >= 10
         filters = [None]
         for split in (1, C.k // 2, C.k - 1):
@@ -688,6 +703,122 @@ def test_mitm_ladder_keeps_index_order_in_long_runs(monkeypatch):
                 m.setattr(linear, "MITM_CHUNK", 3)
                 assert (_mitm_ladder(C, 6, outside)
                         == _reference_ladder(C, 6, outside))
+
+
+def _wide_codes(rng):
+    """Codes whose syndromes need more than 64 - IDX_BITS bits, so the
+    ladder's keys hash them: r = 21 over GF(4) and r = 14 over GF(8), as
+    duals of random parity checks whose last column is a multiple of the
+    sum of the first j, for a word of weight j + 1 (none for j = 0)."""
+    for F, r, n in ((F4, 21, 24), (build_field(2, 3), 14, 16)):
+        assert r * F.m + linear.IDX_BITS > 64
+        T = linear.tables(F)
+        for j in (0, 1, 3, 4):
+            H = rng.integers(0, F.order, size=(r, n))
+            total = np.zeros(r, dtype=np.uint8)
+            for col in range(j):
+                total = T.add[total, H[:, col]]
+            if j:
+                H[:, n - 1] = T.mul[int(rng.integers(1, F.order)), total]
+            C = LinearCode.from_rows(F, H, n).euclidean_dual()
+            assert C.n - C.k == r
+            yield C
+
+
+def test_mitm_ladder_hashes_wide_syndromes():
+    rng = np.random.default_rng(67)
+    found = set()
+    for C in _wide_codes(rng):
+        assert linear._key_hash(_column_syndromes(C)) is not None
+        S = LinearCode.from_rows(C.field, C.generator[:1], C.n)
+        for outside in (None, _outside_test(C, S)):
+            want = _reference_ladder(C, 6, outside)
+            found.add(want[1])
+            assert _mitm_ladder(C, 6, outside) == want
+    assert {None, 2, 4, 5} <= found
+
+
+def test_mitm_ladder_drops_hash_collisions(monkeypatch):
+    # a hash that sends every syndrome to 0: every A entry meets the whole
+    # B side, and only the exact syndrome test keeps true pairs
+    monkeypatch.setattr(linear, "_key_hash",
+                        lambda packed: lambda syn: syn.fill(0))
+    rng = np.random.default_rng(71)
+    for F in (build_field(2, 1), F4, build_field(2, 3)):
+        for C in itertools.islice(_ladder_codes(F, rng), 6):
+            wmax = 6 if F.order == 2 else 4
+            filters = [None, _outside_test(C, LinearCode.from_rows(
+                F, C.generator[:C.k // 2], C.n))]
+            for outside in filters:
+                assert (_mitm_ladder(C, wmax, outside)
+                        == _reference_ladder(C, wmax, outside))
+
+
+def test_mitm_word_blocks_keep_the_witness(monkeypatch):
+    # blocks of one and of three words test the subcode in candidate order
+    rng = np.random.default_rng(73)
+    for F in (build_field(2, 1), F4, build_field(2, 3)):
+        for C in _ladder_codes(F, rng):
+            S = LinearCode.from_rows(F, C.generator[:C.k - 1], C.n)
+            want = _reference_ladder(C, 6, _outside_test(C, S))
+            for block in (1, 3):
+                with monkeypatch.context() as m:
+                    m.setattr(linear, "WORD_BLOCK", block)
+                    assert _mitm_ladder(C, 6, _outside_test(C, S)) == want
+
+
+def _check_cascade(C, S=None):
+    """Auto against the forced DP: the same bounds, and a witness of weight
+    lb outside S; returns the engine that decided."""
+    if S is None:
+        got, dp = min_distance(C), min_distance(C, strategy="syndrome_dp")
+    else:
+        got = min_weight_outside(C, S)
+        dp = min_weight_outside(C, S, strategy="syndrome_dp")
+    assert (got.lb, got.ub, got.complete) == (dp.lb, dp.ub, dp.complete)
+    assert C.contains(got.witness)
+    assert S is None or not S.contains(got.witness)
+    assert sum(1 for x in got.witness if x) == got.lb
+    if got.strategy == "information_set":
+        assert got.note == "exact: meet-in-the-middle ladder"
+    else:
+        assert got.strategy == "syndrome_dp"
+        assert got.note.startswith(dp.note + "; ladder to weight")
+        assert got.work > dp.work
+    return got.strategy
+
+
+def test_auto_climbs_the_ladder_before_the_dp():
+    rng = np.random.default_rng(79)
+    engines = set()
+    for F, n, k in ((build_field(2, 1), 30, 16), (build_field(2, 1), 36, 20),
+                    (F4, 24, 17), (F4, 26, 18), (build_field(2, 3), 16, 12),
+                    (build_field(2, 3), 18, 13)):
+        for _ in range(3):
+            C = _random_code(F, n, k, int(rng.integers(1 << 16)))
+            if C.k != k:
+                continue
+            assert linear._auto_engine(C) == "syndrome_dp"
+            assert linear._ladder_reach(C) > 0
+            engines.add(_check_cascade(C))
+            S = LinearCode.from_rows(F, C.generator[:k // 2], n)
+            engines.add(_check_cascade(C, S))
+    assert engines == {"information_set", "syndrome_dp"}
+
+
+def test_auto_keeps_the_dp_past_the_affordable_rungs():
+    # the binary BCH code [31,16,7]: the ladder may climb to weight 4 only,
+    # so the DP decides and its note and work count the climb
+    from codeq import DefiningSet, build_cyclic
+    C = build_cyclic(31, 2, DefiningSet.from_leaders(31, 2, (1, 3, 5))).base
+    assert (C.n, C.k) == (31, 16) and linear._ladder_reach(C) == 4
+    got = min_distance(C)
+    assert got.strategy == "syndrome_dp" and (got.lb, got.ub) == (7, 7)
+    assert got.note == ("exact by syndrome dynamic program; "
+                        "ladder to weight 4 first")
+    assert got.work == (min_distance(C, strategy="syndrome_dp").work
+                        + _mitm_ladder(C, 4, None)[3])
+    assert _check_cascade(C) == "syndrome_dp"
 
 
 def test_infoset_upper_bound_sound():
