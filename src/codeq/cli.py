@@ -14,12 +14,13 @@ import json
 import os
 import sys
 
-from .constacyclic import build_code, build_constacyclic, palfy_classify
+from .constacyclic import build_code, build_constacyclic
 from .cosets import coset_table, set_family
-from .cyclic import build_cyclic, certify_equivalence, classify_cyclic
+from .cyclic import build_cyclic, certify_equivalence
 from .linear import min_distance
 from .quantum import crss, hermitian_hull, nearly_self_orthogonal
-from .search import SearchJob, load_targets, search
+from .search import (SearchJob, classify_cyclic, load_targets, palfy_classify,
+                     search)
 
 EXIT_OK = 0
 EXIT_USAGE = 2

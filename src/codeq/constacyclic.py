@@ -8,7 +8,6 @@ down by the set of exponents i with g(delta^i) = 0, where delta is a fixed
 residue class 1 mod 3 inside Z/3nZ and form a union of 4-cyclotomic cosets.
 """
 
-import math
 from dataclasses import dataclass, field
 
 from .cosets import (
@@ -18,7 +17,6 @@ from .cosets import (
     enumerate_affine_witnesses,
     multiplier,
     set_family,
-    units,
 )
 from .cyclic import (
     CyclicCertificate,
@@ -243,61 +241,6 @@ def affine_partner_sets(C: ConstacyclicCode) -> dict[tuple[int, ...],
         if fam.table.is_union(image):
             out.setdefault(image, []).append((e, b))
     return out
-
-
-# ---------------------------------------------------------------------------
-# multiplier classification (coprime-totient lengths)
-
-
-@dataclass(frozen=True)
-class MultiplierOrbit:
-    """One orbit of defining sets under the 1-mod-3 multipliers."""
-
-    leader: tuple[int, ...]
-    members: tuple[tuple[int, ...], ...]
-    witnesses: dict  # member -> e with multiplier e carrying leader to member
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-
-def palfy_classify(n: int) -> list[MultiplierOrbit]:
-    """Partition all length-n defining sets into multiplier orbits.
-
-    The orbits are the search engine's multiplier-only orbits; each leader
-    is the orbit's least element tuple, and each witness is a multiplier
-    carrying the leader to its member.
-
-    Requires gcd(3n, phi(3n)) = 1.  In that range, codes-with-shared-orbit
-    are exactly the isometrically (monomially) equivalent ones: the
-    multiplier action is realized on codewords by the power substitution,
-    whose coordinate map carries cube-root scale factors.  Any two codes
-    equivalent by a bare coordinate permutation always share an orbit, but
-    an orbit may join codes that no scale-free permutation links (n=5,
-    {1,4} vs {7,13} is such a pair).
-    """
-    # the search engine imports this module, so it is imported here
-    from .search import SearchJob, enumerate_orbits
-
-    fam = set_family("constacyclic", n, 4)
-    m = fam.modulus
-    if math.gcd(m, len(units(m))) != 1:
-        raise ValueError(f"classification needs gcd(3n, phi(3n)) = 1 at n={n}")
-    orbits = []
-    for o in enumerate_orbits(SearchJob("constacyclic", n,
-                                        prune=("multiplier",))):
-        # each chain is a product of multipliers carrying its member to the
-        # engine's representative
-        to_rep = {tuple(sorted(fam.expand(leaders))):
-                  math.prod(step[1] for step in o.chains[leaders]) % m
-                  for leaders in o.members}
-        leader = min(to_rep)
-        witnesses = {member: to_rep[leader] * pow(e, -1, m) % m
-                     for member, e in to_rep.items()}
-        orbits.append(MultiplierOrbit(leader=leader,
-                                      members=tuple(sorted(to_rep)),
-                                      witnesses=witnesses))
-    return sorted(orbits, key=lambda o: o.leader)
 
 
 # ---------------------------------------------------------------------------

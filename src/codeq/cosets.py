@@ -179,8 +179,11 @@ class SetFamily:
     ``stride`` (the lane is 1 + stride*Z); ``table``, the q-cosets mod
     ``modulus``; ``cosets``, those inside the lane by ascending leader;
     ``multipliers`` and ``shifts``, the units and shifts that keep the lane,
-    ascending; and ``shifts_are_isometries``: an admissible cyclic shift is
-    an isometry, a constacyclic one only preserves the parameters.
+    ascending; ``shifts_are_isometries``: an admissible cyclic shift is
+    an isometry, a constacyclic one only preserves the parameters; and
+    ``bit_of``, each lane element's coset position.  A defining set's mask
+    has bit i set when it holds ``cosets[i]``; ``mask_of``, ``union_of``
+    and ``leaders_of`` convert between masks, elements and leaders.
     """
 
     family: str
@@ -205,10 +208,10 @@ class SetFamily:
         m = stride * self.n
         object.__setattr__(self, "stride", stride)
         table = coset_table(m, self.q)
+        cosets = tuple(c for c in table.cosets if self._in_lane(c[0]))
         for name, value in (
-                ("modulus", m), ("table", table),
-                ("cosets", tuple(c for c in table.cosets
-                                 if self._in_lane(c[0]))),
+                ("modulus", m), ("table", table), ("cosets", cosets),
+                ("bit_of", {x: i for i, c in enumerate(cosets) for x in c}),
                 ("multipliers", tuple(e for e in units(m)
                                       if self._in_lane(e))),
                 ("shifts", range(0, m, stride)),
@@ -275,12 +278,22 @@ class SetFamily:
                              f"to enumerate all defining sets")
         return range(1 << len(self.cosets))
 
+    def mask_of(self, elements) -> int:
+        """Mask of the cosets that meet ``elements`` (lane elements only)."""
+        return sum(1 << i for i in {self.bit_of[x] for x in elements})
+
+    def union_of(self, mask: int) -> tuple[int, ...]:
+        """The elements of the cosets in ``mask``, sorted."""
+        return tuple(sorted(x for i, c in enumerate(self.cosets)
+                            if mask >> i & 1 for x in c))
+
+    def leaders_of(self, mask: int) -> tuple[int, ...]:
+        """The leaders of the cosets in ``mask``, ascending."""
+        return tuple(c[0] for i, c in enumerate(self.cosets) if mask >> i & 1)
+
     def unions(self):
         """Yield every union of lane cosets as a sorted tuple, in mask order."""
-        cosets = self.cosets
-        return (tuple(sorted(x for i, c in enumerate(cosets) if mask >> i & 1
-                             for x in c))
-                for mask in self.masks())
+        return (self.union_of(mask) for mask in self.masks())
 
     def admits_shift(self, size, b):
         """Whether x -> x+b keeps the lane and m | size*(q-1)*b.

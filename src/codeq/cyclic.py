@@ -653,24 +653,3 @@ def _intermediate(n: int, q: int, elements: tuple[int, ...]) -> CyclicCode:
     """build_cyclic at a sorted defining set, kept for the intermediate
     codes of the pairs certified last."""
     return build_cyclic(n, q, DefiningSet(n, q, elements))
-
-
-# ---------------------------------------------------------------------------
-# orbit classification of all cyclic codes at one (n, q)
-
-def classify_cyclic(n: int, q: int,
-                    use: tuple[str, ...] = CYCLIC_KINDS,
-                    ) -> list[tuple[tuple[int, ...], ...]]:
-    """Partition all defining sets at (n, q) into certificate-closure classes.
-
-    The classes are the search engine's orbits under the ``use`` kinds (any
-    of ``CYCLIC_KINDS``); they are returned sorted, each class a sorted
-    tuple of element tuples.
-    """
-    # the search engine imports this module, so it is imported here
-    from .search import SearchJob, enumerate_orbits
-
-    table = coset_table(n, q)
-    orbits = enumerate_orbits(SearchJob("cyclic", n, q, prune=tuple(use)))
-    return sorted(tuple(sorted(table.closure(m) for m in o.members))
-                  for o in orbits)

@@ -689,17 +689,22 @@ def _syndrome_dp(code: LinearCode, outside, budget: int | None, seed: int,
                  iters: int) -> _Bounds:
     """Exact min weight from the syndrome DP; a DFS fetches the witness.
 
-    With a subcode, weights from the code's distance up are searched in
-    turn; the budget caps the DFS nodes of each weight.  A table of more
-    than _dp_cap cells is refused before anything is allocated.
+    The DP costs n(q-1)q^r work units; under a smaller budget no table is
+    built and the bounds stay open.  With a subcode, weights from the
+    code's distance up are searched in turn; the budget caps the DFS nodes
+    of each weight.  A table of more than _dp_cap cells is refused before
+    anything is allocated.
     """
     cells, cap = code.field.order ** (code.n - code.k), _dp_cap(code.field)
     if cells > cap:
         raise ValueError(f"too large: syndrome table of {cells} cells "
                          f"exceeds cap {cap}")
-    d0, dist, space, cols = _dp_tables(code)
     n = code.n
-    work = n * (code.field.order - 1) * space.size
+    work = n * (code.field.order - 1) * cells
+    if budget is not None and budget < work:
+        return (1, n + 1, None, 0, f"budget {budget} is below the {work} "
+                                   f"units of the syndrome dynamic program")
+    d0, dist, space, cols = _dp_tables(code)
     node_cap = 1 << 22 if outside is None or budget is None else budget
     for t in range(d0, n + 1):
         word, complete = _dp_enumerate(code, t, dist, space, cols, outside,
@@ -736,11 +741,12 @@ def _mitm_ladder(code: LinearCode, wmax: int, outside,
     are the pairs with equal syndromes, A entry ascending, then B entries
     in index order; see _mitm_first for the filter.  Weights 2j-1 and 2j
     share the B side of j positions, and weights 2j and 2j+1 the A side of
-    j positions.  Only the B sides and weight 1's empty A side are built:
-    the A side of j >= 1 positions is taken from the B side of j positions
-    (_mitm_pinned).  On odd rungs an A entry's partners are found by binary
-    search in B; on even rungs the A side is part of B, and its partners
-    are the run of equal hashes around its own position (_mitm_runs).
+    j positions.  Only the B sides and weight 1's empty A side are built.
+    On odd rungs the A side of j >= 1 positions is the pinned part of the
+    B side of j positions (_mitm_pinned), and an A entry's partners are
+    found by binary search in B.  On even rungs the A side is the B
+    entries below na, so no A key is taken, and an A entry's partners are
+    the run of equal hashes around its own position (_mitm_runs).
     Either way only A entries with a partner besides their twin are handed
     to _mitm_first.
     """
@@ -754,27 +760,30 @@ def _mitm_ladder(code: LinearCode, wmax: int, outside,
     exact = None if _key_hash(packed) is None else packed
     q = F.order
     work = 0
-    side_a = side_b = key_b = None
+    side_b = key_b = None
     for t in range(1, wmax + 1):
         na, nb = _rung_sizes(n, q, t)
         if na + nb > side_cap:
             return t, None, None, work
         if t % 2:
-            # a B side that changes is dropped before its successor is
-            # built, so the two never share the peak memory
+            # the A side is the pinned part of the B side it replaces, and
+            # that B side is dropped before its successor is built, so the
+            # two never share the peak memory
+            side_a = (_mitm_side(packed, n, 0, normalize_first=True)
+                      if side_b is None else _mitm_pinned(side_b, q))
             side_b = key_b = None
             side_b = _mitm_side(packed, n, t - t // 2, normalize_first=False)
-            if side_a is None:
-                side_a = _mitm_side(packed, n, 0, normalize_first=True)
             key_a, key_b = side_a[0], side_b[0]
             lo = np.searchsorted(key_b, key_a & ~_IDX_MASK, side="left")
             hi = np.searchsorted(key_b, key_a | _IDX_MASK, side="right")
             hit = np.flatnonzero(hi > lo)
             ia, lo, hi = key_a[hit], lo[hit], hi[hit]
         else:
-            # every A entry meets its twin in B, the same vector, which the
-            # overlap filter would drop: only entries in longer runs count
-            side_a = _mitm_pinned(side_b, q)
+            # the A entries are the B entries below na, so the B side's
+            # subsets and tuples serve both.  Every A entry meets its twin
+            # in B, the same vector, which the overlap filter would drop:
+            # only entries in longer runs count
+            side_a = side_b
             key_b = side_b[0]
             hit, lo, hi = _mitm_runs(key_b, na)
             ia = key_b[hit]
@@ -1077,7 +1086,7 @@ def _ladder_then_dp(code: LinearCode, outside, budget: int | None, seed: int,
                                    "exact: meet-in-the-middle ladder")
     dp_lb, dp_ub, witness, dp_work, note = _syndrome_dp(code, outside, budget,
                                                          seed, iters)
-    return "syndrome_dp", (dp_lb, dp_ub, witness, dp_work + work,
+    return "syndrome_dp", (max(lb, dp_lb), dp_ub, witness, dp_work + work,
                            f"{note}; ladder to weight {lb - 1} first")
 
 

@@ -6,14 +6,20 @@ transforms) partition that space into orbits; only one representative per
 orbit needs a distance evaluation, and every other member inherits the
 bounds along a recorded witness chain.
 
+A defining set is held only as its coset mask (bit order: ``SetFamily``),
+and an index map acts on all masks at once through its coset count matrix.
+``classify_cyclic`` and ``palfy_classify`` are views of the orbits.
+
 Evaluation is sequential in representative order, so reruns of the same job
 with the same seed produce byte-identical output files; records carry work
 counters instead of wall-clock times for the same reason.
 """
 
 import json
+import math
 import random
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -25,6 +31,7 @@ from .cosets import (
     multiplier,
     set_family,
     shift_map,
+    units,
 )
 from .cyclic import CYCLIC_KINDS, SET_TRANSFORMS
 from .linear import (
@@ -159,49 +166,25 @@ class SearchRecord:
 
 
 class _Space:
-    """Coset structure for one job: masks, sizes, membership matrix.
+    """The defining sets of one job's dimension window, as coset masks.
 
-    Row r of ``membership`` marks the elements of the defining set whose
-    coset mask is ``masks[r]``; masks ascend, so a mask's row is found by
-    binary search.
+    ``masks`` ascend, so a mask's row is found by binary search; ``bits``
+    holds each row's coset bits as float32 for the count products of
+    ``image_edges``.
     """
 
     def __init__(self, job: SearchJob):
-        ctx = job.context
-        self.modulus = ctx.modulus
-        self.cosets = ctx.cosets
-        count = len(self.cosets)
+        ctx = self.ctx = job.context
         all_masks = np.arange(len(ctx.masks()), dtype=np.int64)
-        self.leaders = np.array([c[0] for c in self.cosets])
-        self.coset_of_element = {x: i for i, c in enumerate(self.cosets)
-                                 for x in c}
-        self.weights = np.int64(1) << np.arange(count, dtype=np.int64)
+        self.weights = 1 << np.arange(len(ctx.cosets), dtype=np.int64)
         bits = (all_masks[:, None] & self.weights) != 0
-        sizes = bits @ np.array([len(c) for c in self.cosets], dtype=np.int64)
+        self.coset_sizes = np.array([len(c) for c in ctx.cosets])
+        sizes = bits @ self.coset_sizes
         lo, hi = job.n - job.k_max, job.n - job.k_min
         keep = (sizes >= lo) & (sizes <= hi)
         self.masks = all_masks[keep]
         self.sizes = sizes[keep]
-        column = np.full(self.modulus, count)
-        for i, c in enumerate(self.cosets):
-            column[list(c)] = i
-        # the extra all-False column stands for elements of other lanes
-        padded = np.hstack([bits[keep], np.zeros((len(self.masks), 1), bool)])
-        self.membership = padded[:, column]
-        self.times_q = np.arange(self.modulus) * job.q % self.modulus
-
-    def mask_of_set(self, elements) -> int:
-        mask = 0
-        for x in elements:
-            mask |= 1 << self.coset_of_element[x]
-        return mask
-
-    def set_of_row(self, row: int) -> frozenset:
-        return frozenset(np.flatnonzero(self.membership[row]).tolist())
-
-    def leaders_of_mask(self, mask: int) -> tuple[int, ...]:
-        return tuple(int(self.leaders[i]) for i in range(len(self.cosets))
-                     if mask >> i & 1)
+        self.bits = bits[keep].astype(np.float32)
 
     def position(self, mask: int) -> int | None:
         """Row of ``mask``, or None when it lies outside the window."""
@@ -211,20 +194,26 @@ class _Space:
     def image_edges(self, imap: IndexMap, admissible=True):
         """Rows that ``imap`` moves onto another admissible set, and targets.
 
-        The image of row r is ``membership[r, imap^-1]``; it counts when it
-        is coset-closed, differs from the row, lies in the dimension window
-        and the row meets the kind's side condition ``admissible``.
+        Entry [i, j] of ``counts`` is the number of elements of coset i
+        that ``imap`` sends into coset j, so ``bits @ counts`` counts each
+        row's image in every coset (a float32 sum of at most the modulus,
+        so exact).  An image is closed when each count is 0 or the coset's
+        size; its mask is the set of full cosets, and a bijection keeps
+        sizes, so it lies in the window.  Only the rows that meet the side
+        condition ``admissible`` are mapped, and an image counts when it
+        is closed and differs from its row.
         """
-        inverse = np.array([imap.inverse()(x) for x in range(self.modulus)])
-        image = self.membership[:, inverse]
-        closed = (image == image[:, self.times_q]).all(axis=1)
-        image_masks = image[:, self.leaders] @ self.weights
-        rows = np.flatnonzero(closed & admissible
-                              & (image_masks != self.masks))
-        targets = np.searchsorted(self.masks, image_masks[rows])
-        found = targets < len(self.masks)
-        found[found] = self.masks[targets[found]] == image_masks[rows[found]]
-        return rows[found], targets[found]
+        counts = np.zeros((len(self.ctx.cosets),) * 2, dtype=np.float32)
+        for i, coset in enumerate(self.ctx.cosets):
+            for x in coset:
+                counts[i, self.ctx.bit_of[imap(x)]] += 1
+        rows = np.flatnonzero(np.broadcast_to(admissible, self.masks.shape))
+        image = self.bits[rows] @ counts
+        full = image == self.coset_sizes
+        closed = (full | (image == 0)).all(axis=1)
+        rows, image_masks = rows[closed], full[closed] @ self.weights
+        moved = image_masks != self.masks[rows]
+        return rows[moved], np.searchsorted(self.masks, image_masks[moved])
 
 
 class _Forest:
@@ -267,6 +256,8 @@ class _Forest:
         Pairs already joined when the call starts are dropped up front;
         they would not join anything, so the recorded edges are the same.
         """
+        if not a.size:
+            return
         root = self.roots()
         keep = root[a] != root[b]
         for x, y in zip(a[keep].tolist(), b[keep].tolist()):
@@ -284,8 +275,9 @@ def _index_maps(space: _Space, job: SearchJob):
     ctx = job.context
     m = ctx.modulus
     if "multiplier" in job.prune or "affine" in job.prune:
+        # e * q^j acts on q-closed sets as e does: one unit per class
         for e in ctx.multipliers:
-            if e != 1:
+            if ctx.table.leader_of(e) == e != 1:
                 yield multiplier(m, e), True
     if "generalized_multiplier" in job.prune:
         for g in generalized_multipliers(job.n):
@@ -304,15 +296,16 @@ def _union_phase(space: _Space, job: SearchJob):
         rows, targets = space.image_edges(imap, admissible)
         forest.union_all(rows, targets, (imap.kind,) + imap.params)
 
+    ctx = job.context
     rules = [t for t in SET_TRANSFORMS.values()
              if t.kind in job.prune and t.rule_at(job.n, job.q)]
     # these partners depend on the shape of the set, so each set is visited
-    for a in range(len(space.masks)) if rules else ():
-        S = space.set_of_row(a)
+    for a, mask in enumerate(space.masks.tolist() if rules else ()):
+        S = frozenset(ctx.union_of(mask))
         for rule in rules:
             T = rule.partner(S, job.n, job.q)
             if T is not None and T != S:
-                b = space.position(space.mask_of_set(T))
+                b = space.position(ctx.mask_of(T))
                 if b is not None:
                     forest.union(a, b, (rule.kind,))
     return forest.classes(), forest.edges
@@ -322,6 +315,7 @@ def _step_map(step: tuple, modulus: int) -> IndexMap:
     return IndexMap(step[0], modulus, tuple(step[1:]))
 
 
+@lru_cache(maxsize=1024)
 def _invert_step(step: tuple, modulus: int) -> tuple:
     if step[0] in _INDEX_KINDS:
         inverse = _step_map(step, modulus).inverse()
@@ -356,40 +350,37 @@ def enumerate_orbits(job: SearchJob) -> list[Orbit]:
     """
     space = _Space(job)
     roots, forest = _union_phase(space, job)
+    modulus = job.context.modulus
 
-    adjacency: dict[int, list[tuple[int, tuple]]] = {}
+    # each entry is (neighbour, step to it, step back)
+    adjacency: dict[int, list[tuple[int, tuple, tuple]]] = {}
     for a, b, step in forest:
-        adjacency.setdefault(a, []).append((b, step))
-        adjacency.setdefault(b, []).append((a, _invert_step(step,
-                                                            space.modulus)))
+        back = _invert_step(step, modulus)
+        adjacency.setdefault(a, []).append((b, step, back))
+        adjacency.setdefault(b, []).append((a, back, step))
 
+    leaders_of = job.context.leaders_of
+    masks = space.masks.tolist()
     orbits = []
     for members in roots.values():
-        by_leaders = sorted(
-            (space.leaders_of_mask(int(space.masks[i])), i)
-            for i in members)
+        by_leaders = sorted((leaders_of(masks[i]), i) for i in members)
         rep_leaders, rep_pos = by_leaders[0]
-        chains: dict[tuple[int, ...], tuple] = {rep_leaders: ()}
-        seen = {rep_pos}
         frontier = [rep_pos]
         chain_at = {rep_pos: ()}
         while frontier:
             nxt = []
             for u in frontier:
-                for v, step in sorted(adjacency.get(u, ()),
-                                      key=lambda t: (t[1], t[0])):
-                    if v in seen:
+                for v, _, back in sorted(adjacency.get(u, ()),
+                                         key=lambda t: (t[1], t[0])):
+                    if v in chain_at:
                         continue
-                    seen.add(v)
-                    # step maps u's set to v's set; prepend the inverse so
-                    # the stored chain maps v back toward the representative
-                    chain_at[v] = ((_invert_step(step, space.modulus),)
-                                   + chain_at[u])
+                    # the step maps u's set to v's set; prepend the step
+                    # back so the chain maps v toward the representative
+                    chain_at[v] = (back,) + chain_at[u]
                     nxt.append(v)
             frontier = nxt
-        assert len(seen) == len(members), "witness forest missed a member"
-        for leaders, i in by_leaders:
-            chains[leaders] = chain_at[i]
+        assert len(chain_at) == len(members), "witness forest missed a member"
+        chains = {leaders: chain_at[i] for leaders, i in by_leaders}
         orbits.append((rep_leaders,
                        tuple(l for l, _ in by_leaders), chains))
     orbits.sort(key=lambda t: t[0])
@@ -442,6 +433,69 @@ def group_orbits(job: SearchJob, orbits: list[Orbit]) -> list[EvalGroup]:
         out.append(EvalGroup(gid, ids, orbits[members[0]].representative,
                              {i: links[i] for i in ids}))
     return out
+
+
+def classify_cyclic(n: int, q: int,
+                    use: tuple[str, ...] = CYCLIC_KINDS,
+                    ) -> list[tuple[tuple[int, ...], ...]]:
+    """Partition all defining sets at (n, q) into certificate-closure classes.
+
+    The classes are the orbits under the ``use`` kinds (any of
+    ``CYCLIC_KINDS``); they are returned sorted, each class a sorted tuple
+    of element tuples.
+    """
+    job = SearchJob("cyclic", n, q, prune=tuple(use))
+    closure = job.context.table.closure
+    return sorted(tuple(sorted(closure(m) for m in o.members))
+                  for o in enumerate_orbits(job))
+
+
+@dataclass(frozen=True)
+class MultiplierOrbit:
+    """One orbit of constacyclic defining sets under 1-mod-3 multipliers."""
+
+    leader: tuple[int, ...]
+    members: tuple[tuple[int, ...], ...]
+    witnesses: dict  # member -> e with multiplier e carrying leader to member
+
+    def __len__(self) -> int:
+        return len(self.members)
+
+
+def palfy_classify(n: int) -> list[MultiplierOrbit]:
+    """The multiplier orbits of all length-n constacyclic defining sets.
+
+    The orbits are the multiplier-only orbits; each leader is the orbit's
+    least element tuple, and each witness is a multiplier carrying the
+    leader to its member.
+
+    Requires gcd(3n, phi(3n)) = 1.  In that range, codes-with-shared-orbit
+    are exactly the isometrically (monomially) equivalent ones: the
+    multiplier action is realized on codewords by the power substitution,
+    whose coordinate map carries cube-root scale factors.  Any two codes
+    equivalent by a bare coordinate permutation always share an orbit, but
+    an orbit may join codes that no scale-free permutation links (n=5,
+    {1,4} vs {7,13} is such a pair).
+    """
+    fam = set_family("constacyclic", n, 4)
+    m = fam.modulus
+    if math.gcd(m, len(units(m))) != 1:
+        raise ValueError(f"classification needs gcd(3n, phi(3n)) = 1 at n={n}")
+    orbits = []
+    for o in enumerate_orbits(SearchJob("constacyclic", n,
+                                        prune=("multiplier",))):
+        # each chain is a product of multipliers carrying its member to the
+        # representative
+        to_rep = {tuple(sorted(fam.expand(leaders))):
+                  math.prod(step[1] for step in o.chains[leaders]) % m
+                  for leaders in o.members}
+        leader = min(to_rep)
+        witnesses = {member: to_rep[leader] * pow(e, -1, m) % m
+                     for member, e in to_rep.items()}
+        orbits.append(MultiplierOrbit(leader=leader,
+                                      members=tuple(sorted(to_rep)),
+                                      witnesses=witnesses))
+    return sorted(orbits, key=lambda o: o.leader)
 
 
 def _expand_leaders(job: SearchJob, leaders) -> frozenset:

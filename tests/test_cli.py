@@ -206,6 +206,27 @@ def test_mindist_exhaustive_out_of_budget_exit_three(capsys):
     assert sum(1 for x in d["witness"] if x) == d["ub"]
 
 
+def test_mindist_dp_out_of_budget_exit_three(capsys):
+    # [15,11] over GF(4): the DP would cost 15 * 3 * 4^4 = 11,520 units
+    code, d = run(capsys, ["mindist", "--n", "15", "--q", "4",
+                           "--leaders", "1,3", "--distance-budget", "1000"])
+    assert code == 3
+    assert d["strategy"] == "syndrome_dp" and d["complete"] is False
+    assert (d["lb"], d["ub"], d["witness"], d["work"]) == (1, 16, None, 0)
+    assert "budget 1000" in d["note"]
+
+
+def test_mindist_ladder_bound_survives_dp_budget_exit_three(capsys):
+    # binary BCH [31,16,7]: the ladder climbs to weight 4 before the DP,
+    # which the budget then refuses; the ladder's floor is kept
+    code, d = run(capsys, ["mindist", "--n", "31", "--q", "2",
+                           "--leaders", "1,3,5", "--distance-budget", "1000"])
+    assert code == 3
+    assert d["strategy"] == "syndrome_dp" and d["complete"] is False
+    assert (d["n"], d["k"], d["lb"], d["ub"]) == (31, 16, 5, 32)
+    assert d["witness"] is None and "budget 1000" in d["note"]
+
+
 def test_mindist_accepts_syndrome_dp_strategy(capsys):
     code, d = run(capsys, ["mindist", "--n", "15", "--q", "4",
                            "--leaders", "1,3", "--strategy", "syndrome_dp"])

@@ -12,7 +12,6 @@ from codeq.constacyclic import (
     conjugate_code,
     embed_as_cyclic,
     lane_cosets,
-    palfy_classify,
     power_substitution,
     power_substitution_transform,
     shift_same_parameters,
@@ -24,6 +23,7 @@ from codeq.linear import (
     brute_force_equivalence,
     weight_distribution,
 )
+from codeq.search import palfy_classify
 
 
 # ---------------------------------------------------------------------------

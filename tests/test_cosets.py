@@ -319,7 +319,9 @@ def test_leader_forms_agree():
     for family, n, q in (("cyclic", 15, 4), ("cyclic", 8, 3),
                          ("constacyclic", 5, 4), ("constacyclic", 11, 4)):
         fam = set_family(family, n, q)
-        for els in fam.unions():
+        for mask, els in zip(fam.masks(), fam.unions()):
+            assert fam.mask_of(els) == mask
+            assert fam.leaders_of(mask) == fam.leaders(els)
             by_leaders = fam.parse(",".join(map(str, fam.leaders(els))))
             by_elements = fam.parse("full:" + ",".join(map(str, els)))
             assert by_leaders == by_elements

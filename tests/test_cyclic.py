@@ -31,7 +31,6 @@ from codeq.cyclic import (
     odd_step_transform,
     triple_step_pair,
     triple_step_transform,
-    classify_cyclic,
 )
 from codeq.fields import (
     GF4_OMEGA,
@@ -48,6 +47,7 @@ from codeq.linear import (
     brute_force_equivalence,
     weight_distribution,
 )
+from codeq.search import classify_cyclic
 
 
 def leaders_set(n, q, leaders):

@@ -64,10 +64,6 @@ def test_modules_import_no_private_names_from_each_other():
 # modules before it
 LAYERS = ("fields", "cosets", "linear", "cyclic", "constacyclic", "quantum",
           "search", "cli")
-# the two classifiers run the search engine, which imports their modules,
-# so they import it inside the function
-UPWARD_IMPORTS = {("cyclic", "classify_cyclic", "search"),
-                  ("constacyclic", "palfy_classify", "search")}
 
 
 def _codeq_imports(path: pathlib.Path) -> list[tuple[str | None, str]]:
@@ -101,6 +97,5 @@ def test_modules_import_only_lower_layers():
     upward = [f"{path.name}: {func or 'module level'} imports {module}"
               for path in SOURCES if path.stem != "__init__"
               for func, module in _codeq_imports(path)
-              if rank[module] >= rank[path.stem]
-              and (path.stem, func, module) not in UPWARD_IMPORTS]
+              if rank[module] >= rank[path.stem]]
     assert not upward, f"imports against the layer order: {upward}"

@@ -8,7 +8,12 @@ import numpy as np
 import pytest
 
 from codeq.constacyclic import all_lane_defining_sets
-from codeq.cosets import all_defining_sets, coset_table, generalized_multiplier
+from codeq.cosets import (
+    all_defining_sets,
+    coset_table,
+    generalized_multiplier,
+    multiplier,
+)
 from codeq.cyclic import (
     _half_twist_partner,
     _odd_step_partner,
@@ -21,7 +26,9 @@ from codeq.search import (
     SearchJob,
     SearchRecord,
     _Forest,
+    _Space,
     _expand_leaders,
+    _index_maps,
     apply_chain,
     enumerate_orbits,
     evaluate,
@@ -177,6 +184,55 @@ def test_cyclic_orbits_match_classification():
         assert ("generalized_multiplier" in steps) == (prune == with_gm)
         if (n, q) in rule_steps:
             assert rule_steps[n, q] in steps
+
+
+def _elementwise_edges(job, space, imap, admissible):
+    """image_edges by applying imap to each window set element by element."""
+    ctx = job.context
+    sets = [ctx.union_of(mask) for mask in space.masks.tolist()]
+    row_of = {frozenset(S): r for r, S in enumerate(sets)}
+    allowed = np.broadcast_to(admissible, len(sets))
+    edges = []
+    for r, S in enumerate(sets):
+        image = frozenset(imap(x) for x in S)
+        if allowed[r] and ctx.table.is_union(image) and image != set(S):
+            edges.append((r, row_of[image]))
+    return edges
+
+
+@pytest.mark.parametrize("family, n, q, prune, window", [
+    ("cyclic", 16, 3, None, (0, None)),
+    ("cyclic", 25, 4, ("multiplier", "affine", "generalized_multiplier"),
+     (0, None)),
+    ("cyclic", 27, 4, None, (0, None)),
+    ("cyclic", 27, 4, None, (7, 20)),
+    ("constacyclic", 5, 4, None, (0, None)),
+    ("constacyclic", 11, 4, None, (0, None)),
+])
+def test_image_edges_match_elementwise_images(family, n, q, prune, window):
+    job = SearchJob(family, n, q, k_min=window[0], k_max=window[1],
+                    prune=prune)
+    ctx = job.context
+    space = _Space(job)
+    maps = list(_index_maps(space, job))
+    assert maps
+    for imap, admissible in maps:
+        rows, targets = space.image_edges(imap, admissible)
+        assert list(zip(rows.tolist(), targets.tolist())) == \
+            _elementwise_edges(job, space, imap, admissible)
+    # a unit acts on q-closed sets as the leader of its class e * q^j does,
+    # which is why only leaders are yielded
+    repeats = [e for e in ctx.multipliers if ctx.table.leader_of(e) != e]
+    assert repeats
+    for e in repeats:
+        imap = multiplier(ctx.modulus, e)
+        rows, targets = space.image_edges(imap)
+        assert list(zip(rows.tolist(), targets.tolist())) == \
+            _elementwise_edges(job, space, imap, True)
+        leader = space.image_edges(
+            multiplier(ctx.modulus, ctx.table.leader_of(e)))
+        assert np.array_equal(rows, leader[0])
+        assert np.array_equal(targets, leader[1])
 
 
 def test_forest_batches_record_the_sequential_edges():
