@@ -38,7 +38,10 @@ nonzero digit along that digit's axis.
 The meet-in-the-middle ladder keeps no per-entry metadata: a side is one
 sorted uint64 array of keys h(syndrome) << IDX_BITS | index plus its
 t-subsets and scalar tuples, and entry s*C + i is the i-th subset carrying
-the s-th tuple.  h is the identity when syndromes fit above the index
+the s-th tuple.  The subsets are built by array expansion, one slot at a
+time, in the smallest unsigned dtype that holds a position (one byte for
+n <= 256), and each slot adds its multiples to every key by one
+broadcast XOR.  h is the identity when syndromes fit above the index
 bits, which holds for every code the DP could take, and a multiplicative
 hash otherwise; one in-place sort then orders a side by syndrome with
 equal syndromes in index order.  Only B sides are built; an A side of j
@@ -49,8 +52,15 @@ bounded chunks; pairs with overlapping supports (weight below t) or, under
 a hash, unequal syndromes are dropped, and the rest become words for one
 subcode test per block of WORD_BLOCK words.  When the two sides have equal
 sizes, an A entry that meets only its twin in B (the same vector) is not
-expanded.  The information-set search reads its triples of rows in blocks
-of ROW_BLOCK rows gathered by index arrays.
+expanded.  A rung runs only when its side entries fit under side_cap and
+under what is left of the distance budget.
+
+The information-set search reads its triples of rows in blocks of
+ROW_BLOCK rows gathered by index arrays.  In characteristic 2 a row is
+held as m bit planes of ceil(n / 64) uint64 words each: rows add by XOR,
+a row's weight is the popcount of the OR of its planes, and only the rows
+lighter than the best so far go back to bytes for the subcode filter and
+the witness.  RREF also adds rows by XOR in characteristic 2.
 """
 
 from __future__ import annotations
@@ -59,7 +69,7 @@ import itertools
 import math
 import time
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -158,7 +168,8 @@ def rref(F: GaloisField, mat) -> tuple[np.ndarray, tuple[int, ...]]:
         hit = np.nonzero(col)[0]
         if hit.size:
             scaled = T.mul[T.neg[col[hit]][:, None], A[r][None, :]]
-            A[hit] = T.add[A[hit], scaled]
+            A[hit] = (A[hit] ^ scaled if F.p == 2
+                      else T.add[A[hit], scaled])
         pivots.append(c)
         r += 1
     return A[:r], tuple(pivots)
@@ -725,6 +736,7 @@ def _rung_sizes(n: int, q: int, t: int) -> tuple[int, int]:
 
 
 def _mitm_ladder(code: LinearCode, wmax: int, outside,
+                 budget: int | None = None,
                  side_cap: int = MITM_SIDE_CAP) -> tuple[int, int | None,
                                                          tuple[int, ...] | None, int]:
     """Prove lower bounds by meet-in-the-middle over split supports.
@@ -733,7 +745,10 @@ def _mitm_ladder(code: LinearCode, wmax: int, outside,
     tried in ascending order; the first weight with a verified codeword
     (outside the subcode if given) is the exact minimum of that filtered
     set.  Runs in characteristic 2 with packed syndromes of at most 63 bits
-    and side_cap at most MITM_SIDE_CAP.
+    and side_cap at most MITM_SIDE_CAP.  Rung t costs its na + nb side
+    entries in work; a rung with more than side_cap entries, or one that
+    would take the work past budget, is not run, and the ladder returns
+    proved_lb = t.
 
     Weight t splits into an A side of t // 2 positions, whose first scalar
     is pinned to 1, and a B side of the rest.  Each side is one sorted
@@ -763,7 +778,8 @@ def _mitm_ladder(code: LinearCode, wmax: int, outside,
     side_b = key_b = None
     for t in range(1, wmax + 1):
         na, nb = _rung_sizes(n, q, t)
-        if na + nb > side_cap:
+        if na + nb > side_cap or (budget is not None
+                                  and work + na + nb > budget):
             return t, None, None, work
         if t % 2:
             # the A side is the pinned part of the B side it replaces, and
@@ -824,8 +840,9 @@ def _mitm_side(packed: np.ndarray, n: int, t: int, normalize_first: bool
     """Sorted keys of all t-subsets of positions with nonzero scalars.
 
     Returns (key, subsets, scalars): the (C, t) t-subsets in lexicographic
-    order, the (S, t) scalar tuples in product order, and one sorted uint64
-    array holding h(syn) << IDX_BITS | e for each entry e, where entry
+    order from _subsets (one byte per position for n <= 256), the (S, t)
+    scalar tuples in product order, and one sorted uint64 array holding
+    h(syn) << IDX_BITS | e for each entry e, where entry
     s*C + i is subsets[i] carrying scalars[s], syn is its syndrome and h is
     _key_hash(packed).  One in-place sort orders the side by h(syn) with
     equal hashes in index order.  When normalize_first is set the scalar at
@@ -833,30 +850,59 @@ def _mitm_side(packed: np.ndarray, n: int, t: int, normalize_first: bool
     by q-1.  For t = 0 the side is one empty entry with syndrome 0.
     """
     q = packed.shape[0]
-    combos = list(itertools.combinations(range(n), t))
-    subsets = np.array(combos, dtype=np.intp).reshape(len(combos), t)
+    subsets = _subsets(n, t)
+    count = subsets.shape[0]
     free = t - 1 if normalize_first and t else t
     tuples = list(itertools.product(range(1, q), repeat=free))
     scalars = np.array(tuples, dtype=np.uint8).reshape(len(tuples), free)
     if free < t:
         scalars = np.hstack([np.ones((len(tuples), 1), dtype=np.uint8),
                              scalars])
-    h = _key_hash(packed)
     cols = packed.view(np.uint64)
-    index = np.arange(len(combos), dtype=np.uint64)
-    key = np.zeros((len(tuples), len(combos)), dtype=np.uint64)
-    for s, cs in enumerate(scalars.tolist()):
-        row = key[s]
-        for slot, c in enumerate(cs):
-            row ^= cols[c][subsets[:, slot]]
-        if h is None:
-            row <<= IDX_BITS
+    key = np.zeros(len(tuples) * count, dtype=np.uint64)
+    # key viewed as (q-1,) * free + (count,): a free slot's axis runs over
+    # its scalar, so each slot adds its multiples by one broadcast XOR
+    grid = key.reshape((q - 1,) * free + (count,))
+    for slot in range(t):
+        axis = slot - (t - free)
+        if axis < 0:
+            grid ^= cols[1][subsets[:, slot]]
         else:
-            h(row)
-        row |= index + np.uint64(s * len(combos))
-    key = key.reshape(-1)
+            shape = [1] * free + [count]
+            shape[axis] = q - 1
+            grid ^= cols[1:, subsets[:, slot]].reshape(shape)
+    h = _key_hash(packed)
+    if h is None:
+        key <<= IDX_BITS
+    else:
+        h(key)
+    index = np.arange(count, dtype=np.uint64)
+    for row in key.reshape(-1, count):
+        row |= index
+        index += np.uint64(count)
     key.sort()
     return key, subsets, scalars
+
+
+def _subsets(n: int, t: int) -> np.ndarray:
+    """The t-subsets of range(n) in lexicographic order, as a (C, t) array
+    of the smallest unsigned dtype that holds n - 1.
+
+    Built one slot at a time: each subset so far is repeated once for every
+    value that may follow its last element, leaving room for the slots
+    after it, and those values are appended in ascending order.
+    """
+    dtype = np.min_scalar_type(max(n - 1, 0))
+    out = np.zeros((1, 0), dtype=dtype)
+    last = np.full(1, -1, dtype=np.intp)
+    for slot in range(t):
+        # the next value runs over last + 1 .. n - t + slot
+        count = np.maximum(n - t + slot - last, 0)
+        start = np.cumsum(count) - count
+        last = np.repeat(last + 1 - start, count) + np.arange(int(count.sum()))
+        out = np.hstack([np.repeat(out, count, axis=0),
+                         last.astype(dtype)[:, None]])
+    return out
 
 
 def _mitm_pinned(side, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -952,6 +998,45 @@ def _mitm_first(n: int, hit: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     return None
 
 
+def _pack_planes(words: np.ndarray, m: int) -> np.ndarray:
+    """(N, n) words over GF(2^m) as (N, m, W) uint64 bit planes, W =
+    ceil(n / 64): bit j % 8 of byte j // 8 of plane b holds bit b of
+    coordinate j (bit j % 64 of word j // 64 on little-endian hosts), and
+    the bits past n are 0."""
+    N, n = words.shape
+    bits = np.unpackbits(words[:, None, :], axis=1, count=m, bitorder="little")
+    planes = np.zeros((N, m, -(-n // 64) * 8), dtype=np.uint8)
+    planes[:, :, :-(-n // 8)] = np.packbits(bits, axis=-1, bitorder="little")
+    return planes.view(np.uint64)
+
+
+def _unpack_planes(planes: np.ndarray, n: int) -> np.ndarray:
+    """The (N, n) uint8 words of _pack_planes' (N, m, W) bit planes."""
+    bits = np.unpackbits(planes.view(np.uint8), axis=-1, count=n,
+                         bitorder="little")
+    return np.packbits(bits, axis=1, bitorder="little")[:, 0]
+
+
+def _plane_weights(planes: np.ndarray) -> np.ndarray:
+    """Weights of (N, m, W) bit-plane rows: a coordinate is nonzero where
+    any plane has its bit set, so the popcount of the planes' OR, summed
+    over the W words.  Each step reads one word of every row, as numpy is
+    slow on inner loops of m or W elements."""
+    rows, m, width = planes.shape
+    w = np.zeros(rows, dtype=np.intp)
+    for i in range(width):
+        support = planes[:, 0, i]
+        for b in range(1, m):
+            support = support | planes[:, b, i]
+        w += np.bitwise_count(support)
+    return w
+
+
+def _byte_weights(words: np.ndarray) -> np.ndarray:
+    """Weights of (N, n) rows of field bytes."""
+    return np.count_nonzero(words, axis=1)
+
+
 def _infoset_upper(code: LinearCode, iters: int, seed: int,
                    outside) -> tuple[int, tuple[int, ...] | None, int]:
     """Seeded information-set search for low-weight codewords.
@@ -963,47 +1048,62 @@ def _infoset_upper(code: LinearCode, iters: int, seed: int,
     scalar c those pairs with j < l plus c R_l.  The triples of one b are
     gathered from index arrays built once per call, ROW_BLOCK rows at a
     time; blocks may cross (l, c) boundaries, and the first row of least
-    weight still wins.  Rows add by XOR in characteristic 2 and by the
-    addition table otherwise.
+    weight still wins.
+
+    In characteristic 2 rows are held as bit planes (_pack_planes), add by
+    XOR and are weighed by popcount; otherwise they are bytes that add by
+    the addition table.  Only the rows lighter than the best so far are
+    turned back into bytes for the subcode filter and the witness.
     """
     F = code.field
     T = tables(F)
     rng = np.random.default_rng(seed)
-    n, k = code.n, code.k
-    add = np.bitwise_xor if F.p == 2 else (lambda a, b: T.add[a, b])
+    n, k, q = code.n, code.k, F.order
+    if F.p == 2:
+        add, weigh = np.bitwise_xor, _plane_weights
+        pack = partial(_pack_planes, m=F.m)
+        unpack = partial(_unpack_planes, n=n)
+    else:
+        add, weigh = (lambda a, b: T.add[a, b]), _byte_weights
+        pack = unpack = np.asarray  # bytes stay bytes
     ii, jj = np.triu_indices(k, 1)
     blocks = np.argsort(jj, kind="stable")
     ii, jj = ii[blocks], jj[blocks]
     # the triples in scan order: for l = 2 .. k-1 and c = 1 .. q-1, the
     # pairs with j < l plus c R_l.  Triple h adds pair rows[h] and row lc[h]
-    # of the multiples c R_l flattened to (q k, n).
+    # of the multiples c R_l, flattened to q k rows.
     prefix = np.cumsum(np.bincount(jj, minlength=k + 1))
-    ls, cs = np.divmod(np.arange(2 * (F.order - 1), k * (F.order - 1)),
-                       F.order - 1)
+    ls, cs = np.divmod(np.arange(2 * (q - 1), k * (q - 1)), q - 1)
     sizes = prefix[ls - 1]
     lc = np.repeat((cs + 1) * k + ls, sizes)
     rows = np.arange(lc.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
     best, witness, work = n + 1, None, 0
 
-    def scan(words: np.ndarray) -> None:
+    def scan(block: np.ndarray) -> None:
         nonlocal best, witness, work
-        w = np.count_nonzero(words, axis=1)
+        w = weigh(block)
         work += w.size
-        x = _lightest(words, w, best, outside)
-        if x is not None:
-            best, witness = int(w[x]), tuple(int(v) for v in words[x])
+        lighter = np.flatnonzero((w > 0) & (w < best))
+        if lighter.size:
+            words = unpack(np.take(block, lighter, axis=0))
+            x = _lightest(words, w[lighter], best, outside)
+            if x is not None:
+                best = int(w[lighter[x]])
+                witness = tuple(int(v) for v in words[x])
 
     for _ in range(iters):
         perm = rng.permutation(n)
         R = rref(F, code.generator[:, perm])[0][:, np.argsort(perm)]
-        scaled = T.mul[:, R]
-        flat = scaled.reshape(-1, n)
-        scan(R)
-        for b in range(1, F.order):
-            P = add(R[ii], scaled[b][jj])
+        flat = pack(T.mul[:, R].reshape(q * k, n))
+        scaled = flat.reshape(q, k, *flat.shape[1:])
+        scan(scaled[1])
+        for b in range(1, q):
+            P = add(np.take(scaled[1], ii, axis=0),
+                    np.take(scaled[b], jj, axis=0))
             scan(P)
             for h in range(0, lc.size, ROW_BLOCK):
-                scan(add(P[rows[h:h + ROW_BLOCK]], flat[lc[h:h + ROW_BLOCK]]))
+                scan(add(np.take(P, rows[h:h + ROW_BLOCK], axis=0),
+                         np.take(flat, lc[h:h + ROW_BLOCK], axis=0)))
     return best, witness, work
 
 
@@ -1011,7 +1111,7 @@ def _information_set(code: LinearCode, outside, budget: int | None,
                      seed: int, iters: int) -> _Bounds:
     """Certified lb by the meet-in-the-middle ladder, ub by seeded
     information-set enumeration."""
-    lb, exact_w, word, work = _mitm_ladder(code, 6, outside)
+    lb, exact_w, word, work = _mitm_ladder(code, 6, outside, budget)
     if exact_w is not None:
         return (exact_w, exact_w, word, work,
                 "exact: meet-in-the-middle ladder")
@@ -1078,13 +1178,15 @@ def _ladder_reach(code: LinearCode) -> int:
 
 def _ladder_then_dp(code: LinearCode, outside, budget: int | None, seed: int,
                     iters: int, reach: int) -> tuple[str, _Bounds]:
-    """Auto's DP route: the ladder to weight `reach`, then the DP when the
-    ladder found no word; returns the engine that decided and its bounds."""
-    lb, exact_w, word, work = _mitm_ladder(code, reach, outside)
+    """Auto's DP route: the ladder to weight `reach`, then the DP, on the
+    budget the ladder left, when the ladder found no word; returns the
+    engine that decided and its bounds."""
+    lb, exact_w, word, work = _mitm_ladder(code, reach, outside, budget)
     if exact_w is not None:
         return "information_set", (exact_w, exact_w, word, work,
                                    "exact: meet-in-the-middle ladder")
-    dp_lb, dp_ub, witness, dp_work, note = _syndrome_dp(code, outside, budget,
+    left = None if budget is None else budget - work
+    dp_lb, dp_ub, witness, dp_work, note = _syndrome_dp(code, outside, left,
                                                          seed, iters)
     return "syndrome_dp", (max(lb, dp_lb), dp_ub, witness, dp_work + work,
                            f"{note}; ladder to weight {lb - 1} first")

@@ -217,14 +217,16 @@ def test_mindist_dp_out_of_budget_exit_three(capsys):
 
 
 def test_mindist_ladder_bound_survives_dp_budget_exit_three(capsys):
-    # binary BCH [31,16,7]: the ladder climbs to weight 4 before the DP,
-    # which the budget then refuses; the ladder's floor is kept
+    # binary BCH [31,16,7]: the ladder may climb to weight 4 before the
+    # DP, but the budget pays for rungs 1 to 3 only (590 of 1000 units);
+    # the DP refuses the 410 units left, and the ladder's floor is kept
     code, d = run(capsys, ["mindist", "--n", "31", "--q", "2",
                            "--leaders", "1,3,5", "--distance-budget", "1000"])
     assert code == 3
     assert d["strategy"] == "syndrome_dp" and d["complete"] is False
-    assert (d["n"], d["k"], d["lb"], d["ub"]) == (31, 16, 5, 32)
-    assert d["witness"] is None and "budget 1000" in d["note"]
+    assert (d["n"], d["k"], d["lb"], d["ub"]) == (31, 16, 4, 32)
+    assert d["work"] <= 1000
+    assert d["witness"] is None and "budget 410" in d["note"]
 
 
 def test_mindist_accepts_syndrome_dp_strategy(capsys):

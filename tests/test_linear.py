@@ -592,22 +592,19 @@ def test_mitm_ladder_builds_each_side_once(monkeypatch):
 
 def test_mitm_ladder_expands_no_twin_on_golay(monkeypatch):
     # at d = 7 every collision up to weight 6 is an A entry meeting its own
-    # copy in B, so no pair is expanded (np.repeat builds the pair lists)
+    # copy in B, so no pair is expanded: every rung hands _mitm_first
+    # colliding runs that hold no pair
     C = _golay()
+    first = linear._mitm_first
+    pairs = []
 
-    class Spy:
-        repeats = 0
+    def spy(n, hit, lo, hi, *args):
+        pairs.append(int((hi - lo).sum()))
+        return first(n, hit, lo, hi, *args)
 
-        def __getattr__(self, name):
-            return getattr(np, name)
-
-        def repeat(self, *args, **kwargs):
-            Spy.repeats += 1
-            return np.repeat(*args, **kwargs)
-
-    monkeypatch.setattr(linear, "np", Spy())
+    monkeypatch.setattr(linear, "_mitm_first", spy)
     assert _mitm_ladder(C, 6, None) == _reference_ladder(C, 6, None)
-    assert Spy.repeats == 0
+    assert pairs == [0] * 6
 
 
 def _side_syndromes(packed, side):
@@ -670,6 +667,47 @@ def test_mitm_pinned_side_equals_built_side():
                     assert a.dtype == b.dtype
                     assert np.array_equal(a, b)
     assert runs > 0
+
+
+def test_subsets_match_itertools():
+    for n in range(13):
+        for t in range(5):
+            got = linear._subsets(n, t)
+            want = list(itertools.combinations(range(n), t))
+            assert got.dtype == np.uint8
+            assert got.shape == (len(want), t)
+            assert [tuple(row) for row in got.tolist()] == want
+    # the dtype is the smallest unsigned one that holds n - 1
+    assert linear._subsets(256, 1).dtype == np.uint8
+    assert linear._subsets(257, 1).dtype == np.uint16
+    assert linear._subsets(257, 1)[-1, 0] == 256
+
+
+def test_mitm_ladder_stops_before_a_rung_past_the_budget():
+    # the Golay code's rungs cost 24, 46, 276, 506, 2024 and 3542 entries;
+    # a rung runs only when the work stays within the budget, and the
+    # first rung left out is the proved lower bound
+    C = _golay()
+    costs = [sum(linear._rung_sizes(C.n, 2, t)) for t in range(1, 7)]
+    assert costs == [24, 46, 276, 506, 2024, 3542]
+    spent = list(itertools.accumulate(costs))
+    for t, total in enumerate(spent, start=1):
+        for budget in (total - 1, total):
+            got = _mitm_ladder(C, 6, None, budget)
+            ran = t if budget == total else t - 1
+            assert got == ((ran + 1, None, None, spent[ran - 1]) if ran
+                           else (1, None, None, 0))
+    assert _mitm_ladder(C, 6, None, spent[-1]) == _mitm_ladder(C, 6, None)
+    # the information-set engine hands its budget to the ladder
+    got = min_distance(C, strategy="information_set", budget=spent[2])
+    assert got.lb == 4
+    assert got.note == "lb by meet-in-the-middle ladder to weight 3"
+    # a ladder that finds a word under the budget is unchanged by it
+    rng = np.random.default_rng(89)
+    for C in _ladder_codes(F4, rng):
+        want = _mitm_ladder(C, 6, None)
+        if want[1] is not None:
+            assert _mitm_ladder(C, 6, None, want[3]) == want
 
 
 def test_mitm_ladder_keeps_index_order_in_long_runs(monkeypatch):
@@ -844,9 +882,9 @@ def test_infoset_upper_bound_sound():
                                 + (q - 1) ** 2 * math.comb(k, 3))
 
 
-def _reference_infoset(code, iters, seed, outside):
-    """_infoset_upper with one scan per block of pairs plus c R_l, for each
-    (l, c) in turn."""
+def _reference_infoset(code, iters, seed, outside, seen):
+    """_infoset_upper on bytes, with one scan per block of pairs plus c R_l,
+    for each (l, c) in turn; every word scanned is appended to seen."""
     F = code.field
     T = linear.tables(F)
     rng = np.random.default_rng(seed)
@@ -860,6 +898,7 @@ def _reference_infoset(code, iters, seed, outside):
 
     def scan(words):
         nonlocal best, witness, work
+        seen.append(words.copy())
         w = np.count_nonzero(words, axis=1)
         work += w.size
         x = linear._lightest(words, w, best, outside)
@@ -880,43 +919,88 @@ def _reference_infoset(code, iters, seed, outside):
     return best, witness, work
 
 
-def test_infoset_upper_matches_reference_loop(monkeypatch):
-    lightest = linear._lightest
-
-    def read(fn, *args):
-        # the result and every word scanned, in scan order
-        words = []
-
-        def spy(block, w, best, outside):
-            words.append(block.copy())
-            return lightest(block, w, best, outside)
-
-        with monkeypatch.context() as m:
-            m.setattr(linear, "_lightest", spy)
-            return fn(*args), np.concatenate(words)
-
-    rng = np.random.default_rng(61)
+def _infoset_codes(rng):
+    """Random codes over fields of both characteristics, then codes over
+    GF(2), GF(4) and GF(8) of lengths 63, 64 and 65, around the first
+    64-coordinate word boundary, and 129, just past the second."""
     for F in (build_field(2, 1), F3, F4, build_field(5, 1),
               build_field(2, 3)):
-        q = F.order
         for _ in range(4):
             n = int(rng.integers(8, 16))
             k = int(rng.integers(3, min(n - 2, 7) + 1))
-            C = LinearCode.from_rows(F, rng.integers(0, q, size=(k, n)))
-            filters = [None]
-            for split in (1, C.k // 2, C.k - 1):
-                S = LinearCode.from_rows(F, C.generator[:split], n)
-                filters.append(_outside_test(C, S))
-            for outside in filters:
-                seed = int(rng.integers(1 << 16))
-                want, want_words = read(_reference_infoset, C, 3, seed,
-                                        outside)
-                # blocks of 5 and 7 rows cross (l, c) boundaries
-                for block in (5, 7, linear.ROW_BLOCK):
-                    monkeypatch.setattr(linear, "ROW_BLOCK", block)
-                    got, words = read(_infoset_upper, C, 3, seed, outside)
-                    assert got == want
-                    assert np.array_equal(words, want_words)
+            yield LinearCode.from_rows(F, rng.integers(0, F.order,
+                                                       size=(k, n)))
+    for F in (build_field(2, 1), F4, build_field(2, 3)):
+        for n in (63, 64, 65, 129):
+            k = int(rng.integers(3, 6))
+            yield LinearCode.from_rows(F, rng.integers(0, F.order,
+                                                       size=(k, n)))
+
+
+def test_infoset_upper_matches_reference_loop(monkeypatch):
+    plane_weights, byte_weights = linear._plane_weights, linear._byte_weights
+
+    def read(code, *args):
+        # the result and every word weighed, in scan order: bit planes are
+        # unpacked to bytes, and each characteristic weighs its own form
+        words, forms = [], set()
+
+        def planes_spy(planes):
+            forms.add("planes")
+            words.append(linear._unpack_planes(planes, code.n))
+            return plane_weights(planes)
+
+        def bytes_spy(block):
+            forms.add("bytes")
+            words.append(block.copy())
+            return byte_weights(block)
+
+        with monkeypatch.context() as m:
+            m.setattr(linear, "_plane_weights", planes_spy)
+            m.setattr(linear, "_byte_weights", bytes_spy)
+            got = _infoset_upper(code, *args)
+        assert forms == {"planes" if code.field.p == 2 else "bytes"}
+        return got, np.concatenate(words)
+
+    rng = np.random.default_rng(61)
+    for C in _infoset_codes(rng):
+        filters = [None]
+        for split in (1, C.k // 2, C.k - 1):
+            S = LinearCode.from_rows(C.field, C.generator[:split], C.n)
+            filters.append(_outside_test(C, S))
+        for outside in filters:
+            seed = int(rng.integers(1 << 16))
+            want_words = []
+            want = _reference_infoset(C, 3, seed, outside, want_words)
+            want_words = np.concatenate(want_words)
+            # blocks of 5 and 7 rows cross (l, c) boundaries
+            for block in (5, 7, linear.ROW_BLOCK):
+                monkeypatch.setattr(linear, "ROW_BLOCK", block)
+                got, words = read(C, 3, seed, outside)
+                assert got == want
+                assert np.array_equal(words, want_words)
+
+
+def test_bit_planes_hold_each_coordinate_bit():
+    # bit b of coordinate j is bit j % 8 of byte j // 8 of plane b; the
+    # bits past n are 0, and the weights are the counts of nonzero entries
+    rng = np.random.default_rng(83)
+    for m in (1, 2, 3, 8):
+        for n in (1, 7, 63, 64, 65, 129):
+            words = rng.integers(0, 1 << m, size=(6, n), dtype=np.uint8)
+            words[0] = 0
+            planes = linear._pack_planes(words, m)
+            assert planes.dtype == np.uint64
+            assert planes.shape == (6, m, -(-n // 64))
+            raw = planes.view(np.uint8)
+            for j in range(planes.shape[2] * 64):
+                got = raw[:, :, j // 8] >> (j % 8) & 1
+                want = (words[:, j, None] >> np.arange(m) & 1 if j < n
+                        else np.zeros((6, m), dtype=np.uint8))
+                assert np.array_equal(got, want)
+            assert np.array_equal(linear._unpack_planes(planes, n), words)
+            assert np.array_equal(linear._plane_weights(planes),
+                                  np.count_nonzero(words, axis=1))
 
 
 def test_infoset_deterministic_given_seed():

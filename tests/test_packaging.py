@@ -22,6 +22,18 @@ def _declared() -> set[str]:
     return names
 
 
+def test_numpy_floor_has_bitwise_count():
+    # linear weighs bit planes with np.bitwise_count, new in NumPy 2.0
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    floors = [re.fullmatch(r"numpy\s*>=\s*(\d+)(?:\.(\d+))?.*", req)
+              for req in project["dependencies"]
+              if re.match(r"numpy\b", req)]
+    assert floors and all(floors), f"no numpy floor in {floors}"
+    assert all((int(f.group(1)), int(f.group(2) or 0)) >= (2, 0)
+               for f in floors)
+
+
 def _imported(path: pathlib.Path) -> set[str]:
     tree = ast.parse(path.read_text(), filename=str(path))
     names = set()
