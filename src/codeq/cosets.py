@@ -11,7 +11,8 @@ Z/nZ whose action on defining sets witnesses code equivalences.
 ``SetFamily`` (built by ``set_family``) is the one place that knows how a
 code family reads its defining sets: modulus n for cyclic codes, 3n with
 the lane 1 + 3Z for omega-constacyclic codes over GF(4).  Leader parsing,
-coset-union enumeration and the admissible affine maps all go through it.
+coset-union enumeration, the admissible affine maps and the Hermitian-dual
+set rule all go through it.
 """
 
 from __future__ import annotations
@@ -295,6 +296,18 @@ class SetFamily:
         """Yield every union of lane cosets as a sorted tuple, in mask order."""
         return (self.union_of(mask) for mask in self.masks())
 
+    def hermitian_dual(self, A) -> DefiningSet:
+        """Defining set of the Hermitian dual over GF(4): the lane minus -2A.
+
+        -2 keeps both lanes, so one rule serves cyclic and constacyclic
+        codes.
+        """
+        if self.q != 4:
+            raise ValueError("Hermitian duals live over GF(4)")
+        neg = {-2 * a % self.modulus for a in self.defining_set(A)}
+        return self.defining_set(x for x in range(self.modulus)
+                                 if self._in_lane(x) and x not in neg)
+
     def admits_shift(self, size, b):
         """Whether x -> x+b keeps the lane and m | size*(q-1)*b.
 
@@ -428,11 +441,6 @@ def apply_map(imap: IndexMap, subset) -> tuple[int, ...]:
     else:
         items = tuple(int(x) for x in subset)
     return tuple(sorted(imap(x) for x in items))
-
-
-def shift_divisibility_cyclic(n: int, q: int, setsize: int, b: int) -> bool:
-    """Whether n divides setsize*(q-1)*b, the cyclic shift-map side condition."""
-    return bool(set_family("cyclic", n, q).admits_shift(setsize, b))
 
 
 def shift_divisibility_constacyclic(n: int, setsize: int, b: int) -> bool:

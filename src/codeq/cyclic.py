@@ -1,11 +1,20 @@
-"""Cyclic codes from defining sets, plus the equivalence certificates.
+"""Cyclic and omega-constacyclic codes from defining sets, plus the
+equivalence certificates between cyclic codes.
 
-A length-n cyclic code over GF(q) with gcd(n,q)=1 is pinned down by the
-exponent set A of the roots of its generator polynomial at a fixed
-primitive n-th root of unity alpha.  All codes at one (n, q) here share a
-single cached alpha, chosen deterministically; when q = 4 and 3 | n the
-root is additionally anchored so that alpha^(n/3) equals the GF(4)
-generator omega, which the triple-step machinery below depends on.
+A code of either family is pinned down by its defining set A, a union of
+cosets in the lane of its ``SetFamily``: the exponents of the roots of its
+generator polynomial at a fixed root of unity alpha whose order is the
+family's modulus.  A length-n cyclic code over GF(q), gcd(n, q) = 1, reads
+A in Z/nZ and its generator divides x^n - 1.  An omega-constacyclic code
+over GF(4) reads A in the lane 1 + 3Z of Z/3nZ, where alpha^n = omega, and
+its generator divides x^n - omega.  ``CyclicCode`` holds a code of either
+family; ``build_cyclic`` and ``build_constacyclic`` build them, and
+``multiplier_transform`` is the coordinate map of a multiplier in both.
+
+All codes at one modulus share a single cached alpha, chosen
+deterministically; when q = 4 and 3 divides the modulus the root is
+anchored so that alpha^(m/3) equals the GF(4) generator omega, which the
+constacyclic codes and the triple-step machinery below depend on.
 
 Besides multiplier/affine certificates this module carries three monomial
 transform families acting on specially shaped defining sets: a signed
@@ -27,6 +36,7 @@ import numpy as np
 
 from codeq.cosets import (
     DefiningSet,
+    SetFamily,
     all_defining_sets,
     apply_map,
     coset_table,
@@ -39,14 +49,13 @@ from codeq.cosets import (
 )
 from codeq.fields import (
     GF4_OMEGA,
+    GF4_OMEGA2,
     GaloisField,
     anchored_root,
     build_field,
     embed_subfield,
     poly_divmod,
-    poly_eval,
     poly_mul,
-    poly_trim,
     prime_power_split,
     primitive_nth_root,
     splitting_field,
@@ -109,39 +118,56 @@ def canonical_root(n: int, q: int) -> RootContext:
 
 
 # ---------------------------------------------------------------------------
-# cyclic codes
+# cyclic and omega-constacyclic codes
 
 @dataclass(frozen=True)
 class CyclicCode:
-    n: int
-    q: int
+    """A cyclic or omega-constacyclic code, held by its defining set.
+
+    ``family`` is the ``SetFamily`` that ``defining_set`` lives in, ``base``
+    the code itself and ``root`` the shared root context at the family's
+    modulus.  Codes are equal when family, n, q and defining set agree, so
+    a length-3n cyclic code never equals an omega-constacyclic code of
+    length n on the same elements.
+    """
+
+    family: SetFamily
     defining_set: DefiningSet
     generator_poly: tuple[int, ...]
     base: LinearCode
     root: RootContext
 
     @property
+    def n(self) -> int:
+        return self.family.n
+
+    @property
+    def q(self) -> int:
+        return self.family.q
+
+    @property
     def k(self) -> int:
         return self.base.k
 
+    def _key(self) -> tuple:
+        return (self.family.family, self.n, self.q,
+                self.defining_set.elements)
+
     def __repr__(self) -> str:
-        return (f"CyclicCode[{self.n},{self.k}] over GF({self.q}), "
-                f"leaders {list(self.defining_set.leaders())}")
+        leaders = self.family.leaders(self.defining_set.elements)
+        return (f"CyclicCode({self.family.family} [{self.n},{self.k}] over "
+                f"GF({self.q}), leaders {list(leaders)})")
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, CyclicCode) and self.n == other.n
-                and self.q == other.q
-                and self.defining_set.elements == other.defining_set.elements)
+        return isinstance(other, CyclicCode) and self._key() == other._key()
 
     def __hash__(self) -> int:
-        return hash((self.n, self.q, self.defining_set.elements))
-
-    def dual(self) -> "CyclicCode":
-        return build_cyclic(self.n, self.q, dual_defining_set(self.defining_set))
+        return hash(self._key())
 
     def hermitian_dual(self) -> "CyclicCode":
-        return build_cyclic(self.n, self.q,
-                            hermitian_dual_defining_set(self.defining_set))
+        """The Hermitian dual over GF(4), built on the family's set rule."""
+        return _build(self.family,
+                      self.family.hermitian_dual(self.defining_set))
 
 
 def dual_defining_set(A: DefiningSet) -> DefiningSet:
@@ -150,30 +176,25 @@ def dual_defining_set(A: DefiningSet) -> DefiningSet:
     return DefiningSet(A.n, A.q, tuple(x for x in range(A.n) if x not in neg))
 
 
-def hermitian_dual_defining_set(A: DefiningSet) -> DefiningSet:
-    """Defining set of the Hermitian dual over GF(4): complement of -2A."""
-    if A.q != 4:
-        raise ValueError("Hermitian duals live over GF(4)")
-    neg = {(-2 * a) % A.n for a in A.elements}
-    return DefiningSet(A.n, A.q, tuple(x for x in range(A.n) if x not in neg))
+def _build(fam: SetFamily, A) -> CyclicCode:
+    """The code of family ``fam`` whose generator has roots alpha^a, a in A.
 
-
-def generator_code(ctx: RootContext, n: int, exponents,
-                   constant: int) -> tuple[tuple[int, ...], LinearCode]:
-    """Generator polynomial with roots alpha^i, i in ``exponents``, and its code.
-
-    The product of the (x - alpha^i) is pulled back into the base field and
-    must divide x^n - ``constant``; its n - |exponents| shifts are the rows.
+    The product of the (x - alpha^a) is pulled back into the base field and
+    must divide x^n - eta, with eta = 1 for cyclic codes and omega for
+    constacyclic ones; its n - |A| shifts are the rows.
     """
+    A = fam.defining_set(A)
+    n, ctx = fam.n, canonical_root(fam.modulus, fam.q)
+    eta = 1 if fam.family == "cyclic" else GF4_OMEGA
     K, F = ctx.ext, ctx.base
     g_ext = [1]
-    for i in exponents:
-        g_ext = poly_mul(K, g_ext, [K.neg(ctx.alpha_pow(i)), 1])
+    for a in A.elements:
+        g_ext = poly_mul(K, g_ext, [K.neg(ctx.alpha_pow(a)), 1])
     g = tuple(ctx.pull_back(c) for c in g_ext)
-    _, rem = poly_divmod(F, [F.neg(constant)] + [0] * (n - 1) + [1], list(g))
+    _, rem = poly_divmod(F, [F.neg(eta)] + [0] * (n - 1) + [1], list(g))
     if rem != [0]:
         raise AssertionError(
-            f"generator polynomial does not divide x^{n} - {constant}")
+            f"generator polynomial does not divide x^{n} - {eta}")
     k = n - len(g) + 1
     rows = np.zeros((k, n), dtype=np.uint8)
     for i in range(k):
@@ -181,35 +202,22 @@ def generator_code(ctx: RootContext, n: int, exponents,
     base = LinearCode.from_rows(F, rows, n)
     if base.k != k:
         raise AssertionError("generator rows are not independent")
-    return g, base
+    return CyclicCode(fam, A, g, base, ctx)
 
 
 def build_cyclic(n: int, q: int, A) -> CyclicCode:
     """Cyclic code whose generator polynomial has roots alpha^a for a in A."""
-    A = set_family("cyclic", n, q).defining_set(A)
-    ctx = canonical_root(n, q)
-    g, base = generator_code(ctx, n, A.elements, 1)
-    return CyclicCode(n, q, A, g, base, ctx)
+    return _build(set_family("cyclic", n, q), A)
 
 
-def cyclic_from_generator(n: int, q: int, poly) -> CyclicCode:
-    """Cyclic code of length n generated by a divisor of x^n - 1."""
-    ctx = canonical_root(n, q)
-    F = ctx.base
-    g = poly_trim([int(c) for c in poly])
-    if g == [0]:
-        raise ValueError("zero polynomial does not generate a cyclic code")
-    inv_lead = F.inv(g[-1])
-    g = [F.mul(inv_lead, c) for c in g]
-    xn1 = [F.neg(1)] + [0] * (n - 1) + [1]
-    _, rem = poly_divmod(F, xn1, g)
-    if rem != [0]:
-        raise ValueError("polynomial does not divide x^n - 1")
-    K = ctx.ext
-    g_ext = [ctx.fwd[c] for c in g]
-    members = tuple(t for t in range(n)
-                    if poly_eval(K, g_ext, ctx.alpha_pow(t)) == 0)
-    return build_cyclic(n, q, DefiningSet(n, q, members))
+def build_constacyclic(n: int, A) -> CyclicCode:
+    """The omega-constacyclic code of length n over GF(4) on defining set A.
+
+    A lives in Z/3nZ, inside the lane 1 + 3Z, and must be a union of
+    4-cyclotomic cosets; the roots are read at the canonical 3n-th root of
+    unity delta, with delta^n = omega.
+    """
+    return _build(set_family("constacyclic", n, 4), A)
 
 
 # ---------------------------------------------------------------------------
@@ -393,11 +401,27 @@ class CyclicCertificate:
                 "verified": self.verified, "note": self.note}
 
 
-def multiplier_transform(n: int, c: int) -> MonomialTransform:
-    """Coordinate permutation induced by the defining-set multiplier c:
-    position i moves to c^{-1} * i mod n."""
-    cinv = pow(c, -1, n)
-    return MonomialTransform.permutation(tuple(cinv * i % n for i in range(n)))
+def multiplier_transform(fam: SetFamily, c: int) -> MonomialTransform:
+    """Coordinate map carrying the code on A to the code on c*A.
+
+    c is one of ``fam.multipliers``.  With e = c^-1 mod the modulus the map
+    is the substitution f(x) -> f(x^e): position i moves to e*i mod n and
+    its entry is scaled by eta^floor(e*i / n), where eta is 1 for cyclic
+    codes and omega for omega-constacyclic ones.
+    """
+    if c not in fam.multipliers:
+        raise ValueError(f"multiplier {c} is not a lane-keeping unit "
+                         f"mod {fam.modulus}")
+    n = fam.n
+    e = pow(c, -1, fam.modulus)
+    # eta^s by s mod 3
+    eta_pow = ((1, 1, 1) if fam.family == "cyclic"
+               else (1, GF4_OMEGA, GF4_OMEGA2))
+    diag = [1] * n
+    for i in range(n):
+        s, r = divmod(e * i, n)
+        diag[r] = eta_pow[s % 3]
+    return MonomialTransform(tuple(e * i % n for i in range(n)), tuple(diag))
 
 
 def _rule_row(kind: str, n: int, q: int) -> SetTransform:
@@ -497,7 +521,10 @@ def certify_equivalence(C1: CyclicCode, C2: CyclicCode, depth: int = 2,
     the divisibility side condition plus weight-distribution equality
     when that is affordable.
     """
-    if (C1.n, C1.q) != (C2.n, C2.q):
+    fam = C1.family
+    if fam.family != "cyclic" or C2.family.family != "cyclic":
+        raise ValueError("certificates are searched between cyclic codes")
+    if fam != C2.family:
         raise ValueError("codes live at different (n, q)")
     n, q = C1.n, C1.q
     A1, A2 = C1.defining_set, C2.defining_set
@@ -512,7 +539,7 @@ def certify_equivalence(C1: CyclicCode, C2: CyclicCode, depth: int = 2,
     # multipliers
     for c in units(n):
         if apply_map(multiplier(n, c), A1) == A2.elements:
-            M = multiplier_transform(n, c)
+            M = multiplier_transform(fam, c)
             ok = apply_monomial(C1.base, M) == C2.base
             add("multiplier", (c,), ok, M,
                 "identity multiplier" if c == 1 else "")
@@ -563,7 +590,7 @@ def certify_equivalence(C1: CyclicCode, C2: CyclicCode, depth: int = 2,
     if depth >= 2 and matrices:
         inverses = [M.inverse(F) for _, M in matrices]
         inv2 = [apply_monomial(C2.base, Mi) for Mi in inverses]
-        mults = [(f"multiplier({c})", multiplier_transform(n, c))
+        mults = [(f"multiplier({c})", multiplier_transform(fam, c))
                  for c in units(n)]
         steps = matrices + mults
         if len(steps) ** 2 <= COMPOSITION_CAP:
@@ -596,7 +623,7 @@ def certify_equivalence(C1: CyclicCode, C2: CyclicCode, depth: int = 2,
             s1 = frozenset(A1.elements)
             size = len(A1)
             seen_mid: set[frozenset] = set()
-            for e, b in set_family("cyclic", n, q).affine_maps(size):
+            for e, b in fam.affine_maps(size):
                 img = frozenset((e * x + b) % n for x in s1)
                 if img in seen_mid:
                     continue

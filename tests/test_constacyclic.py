@@ -4,21 +4,16 @@ import numpy as np
 import pytest
 
 from codeq.constacyclic import (
-    ConstacyclicCode,
-    affine_partner_sets,
-    affine_same_parameters,
     all_lane_defining_sets,
+    build_code,
     build_constacyclic,
-    conjugate_code,
-    embed_as_cyclic,
     lane_cosets,
-    power_substitution,
-    power_substitution_transform,
-    shift_same_parameters,
 )
-from codeq.cosets import DefiningSet, coset_table
+from codeq.cosets import DefiningSet, enumerate_affine_witnesses, set_family
+from codeq.cyclic import build_cyclic, multiplier_transform
 from codeq.fields import GF4_OMEGA, GF4_OMEGA2, gf4, poly_divmod
 from codeq.linear import (
+    MonomialTransform,
     apply_monomial,
     brute_force_equivalence,
     weight_distribution,
@@ -33,7 +28,7 @@ from codeq.search import palfy_classify
 def test_build_basic():
     C = build_constacyclic(5, (1, 4))
     assert (C.n, C.k) == (5, 3)
-    assert C.shift_constant == GF4_OMEGA and C.lane == 1
+    assert C.family is set_family("constacyclic", 5, 4)
     assert C.defining_set.elements == (1, 4)
     # (x - d)(x - d^4) has constant term d^5 = w
     assert C.generator_poly[0] == GF4_OMEGA
@@ -100,53 +95,20 @@ def test_lane_cosets_n5():
 
 
 # ---------------------------------------------------------------------------
-# conjugation
-
-
-def test_conjugate_swaps_lane():
-    C = build_constacyclic(5, (1, 4))
-    T = conjugate_code(C)
-    assert T.shift_constant == GF4_OMEGA2 and T.lane == 2
-    assert T.defining_set.elements == (2, 8)
-    assert conjugate_code(T) == C
-
-
-def test_conjugate_preserves_weight_distribution():
-    for els in all_lane_defining_sets(5):
-        C = build_constacyclic(5, els)
-        T = conjugate_code(C)
-        assert weight_distribution(C.base).counts == \
-            weight_distribution(T.base).counts
-        assert T.k == C.k
-
-
-def test_conjugate_fixes_binary_generator():
-    # the full [n,n] code has an all-GF(2) generator matrix
-    C = build_constacyclic(5, ())
-    assert conjugate_code(C).base == C.base
-
-
-def test_conjugate_is_bijection_between_lanes():
-    # distinct omega codes conjugate to distinct omega^2 codes
-    images = {conjugate_code(build_constacyclic(5, els)).defining_set.elements
-              for els in all_lane_defining_sets(5)}
-    assert len(images) == 8
-    assert all(all(a % 3 == 2 for a in els) for els in images)
-
-
-# ---------------------------------------------------------------------------
-# the substitution x -> x^e
+# the substitution x -> x^e, the coordinate map of the multiplier e^-1
 
 
 def test_power_substitution_identity():
-    C = build_constacyclic(5, (1, 4))
-    assert power_substitution(C, 1) == C
+    fam = set_family("constacyclic", 5, 4)
+    assert multiplier_transform(fam, 1) == MonomialTransform.identity(5)
 
 
 def test_power_substitution_n5_e7():
+    fam = set_family("constacyclic", 5, 4)
     C = build_constacyclic(5, (1, 4))
-    P = power_substitution(C, 7)
-    assert P.defining_set.elements == (7, 13)
+    P = build_constacyclic(5, (7, 13))            # 13 * {1, 4} mod 15
+    T = multiplier_transform(fam, 13)             # x -> x^7, 7 = 13^-1
+    assert apply_monomial(C.base, T) == P.base
     # codeword-level check: apply x -> x^7 mod (x^5 - w) to every codeword
     F = gf4()
     images = set()
@@ -163,62 +125,39 @@ def test_power_substitution_n5_e7():
 
 
 def test_power_substitution_transform_matches_codes():
-    for n in (5, 9):
-        m = 3 * n
-        es = [e for e in range(4, 3 * n, 3) if math.gcd(e, m) == 1][:3]
-        for els in all_lane_defining_sets(n):
-            C = build_constacyclic(n, els)
-            for e in es:
-                P = power_substitution(C, e)  # internally validated at n <= 9
-                T = power_substitution_transform(n, e)
-                assert apply_monomial(C.base, T) == P.base
+    # in both families the map of multiplier c carries the code on A onto
+    # the code on cA, for every set and every lane-keeping unit
+    for fam in [set_family("constacyclic", n, 4) for n in (5, 7, 11)] + [
+            set_family("cyclic", 15, 4)]:
+        m = fam.modulus
+        codes = {els: build_code(fam, els) for els in fam.unions()}
+        for c in fam.multipliers:
+            T = multiplier_transform(fam, c)
+            for els, C in codes.items():
+                image = tuple(sorted(c * a % m for a in els))
+                assert apply_monomial(C.base, T) == codes[image].base, \
+                    (fam.family, fam.n, els, c)
 
 
 def test_power_substitution_frobenius_automorphism():
+    # 4 fixes every defining set, so its map is an automorphism of the code
+    fam = set_family("constacyclic", 111, 4)
     C = build_constacyclic(111, DefiningSet.from_leaders(333, 4, (19, 37)))
-    assert power_substitution(C, 4).defining_set == C.defining_set
+    assert tuple(sorted(4 * a % 333 for a in C.defining_set)) == \
+        C.defining_set.elements
+    assert apply_monomial(C.base, multiplier_transform(fam, 4)) == C.base
 
 
 def test_power_substitution_errors():
-    C = build_constacyclic(5, (1, 4))
+    fam = set_family("constacyclic", 5, 4)
     with pytest.raises(ValueError):
-        power_substitution(C, 2)     # wrong residue class
+        multiplier_transform(fam, 2)     # wrong residue class
     with pytest.raises(ValueError):
-        power_substitution(C, 10)    # shares a factor with 15
-    with pytest.raises(ValueError):
-        power_substitution(conjugate_code(C), 7)
+        multiplier_transform(fam, 10)    # shares a factor with 15
 
 
 # ---------------------------------------------------------------------------
-# same-parameters certificates
-
-
-def test_shift_same_parameters_identity():
-    C = build_constacyclic(5, (1, 4))
-    cert = shift_same_parameters(C, C, 5)  # 3j = 15 = 0 mod 15
-    assert cert is not None and cert.kind == "same_parameters"
-    assert cert.params == ("shift", 0)
-    assert "weight distributions" in cert.note
-
-
-def test_shift_same_parameters_nontrivial_witness():
-    # at n = 15 the set sizes 6 and 3 make b = 15 admissible, and the lane
-    # cosets are 15-shift stable
-    A = DefiningSet.from_leaders(45, 4, (1,))
-    C = build_constacyclic(15, A)
-    cert = shift_same_parameters(C, C, 5)
-    assert cert is not None and cert.params == ("shift", 15)
-
-
-def test_shift_same_parameters_refusals():
-    C1 = build_constacyclic(5, (1, 4))
-    C2 = build_constacyclic(5, (7, 13))
-    # no shift 3j carries {1,4} onto {7,13} while 5 | 3j*2
-    assert all(shift_same_parameters(C1, C2, j) is None for j in range(1, 6))
-    with pytest.raises(ValueError):
-        shift_same_parameters(C1, C2, 0)
-    with pytest.raises(ValueError):
-        shift_same_parameters(C1, C2, 6)
+# same-parameters maps
 
 
 def test_shift_rule_exhaustive_small_lengths():
@@ -239,38 +178,41 @@ def test_shift_rule_exhaustive_small_lengths():
 def test_affine_same_parameters_n5():
     C1 = build_constacyclic(5, (1, 4))
     C2 = build_constacyclic(5, (7, 13))
-    certs = affine_same_parameters(C1, C2)
-    assert [c.params for c in certs] == [("affine", 7, 0), ("affine", 13, 0)]
-    assert all(c.kind == "same_parameters" and c.verified for c in certs)
+    maps = enumerate_affine_witnesses(C1.defining_set, C2.defining_set,
+                                      mode="constacyclic")
+    assert [w.params for w in maps] == [(7, 0), (13, 0)]
+    assert weight_distribution(C1.base) == weight_distribution(C2.base)
 
 
 def test_affine_same_parameters_dimension_mismatch():
     C1 = build_constacyclic(5, (1, 4))
     C2 = build_constacyclic(5, (10,))
-    assert affine_same_parameters(C1, C2) == []
+    assert enumerate_affine_witnesses(C1.defining_set, C2.defining_set,
+                                      mode="constacyclic") == []
 
 
 def test_affine_partner_sets_111():
-    C = build_constacyclic(111, DefiningSet.from_leaders(333, 4, (19, 37)))
-    partners = affine_partner_sets(C)
-    assert C.defining_set.elements in partners
-    assert (1, 0) in partners[C.defining_set.elements]
-    assert len(partners) >= 6  # itself plus at least five others
+    # the lane-keeping affine images of the [111,90] code's set that are
+    # coset unions: the set itself and at least five partners, all k = 90
+    fam = set_family("constacyclic", 111, 4)
+    A = fam.expand((19, 37))
+    partners = {tuple(sorted((e * a + b) % 333 for a in A))
+                for e, b in fam.affine_maps(len(A))}
+    partners = {els for els in partners if fam.table.is_union(els)}
+    assert tuple(sorted(A)) in partners
+    assert len(partners) >= 6
     for els in partners:
-        D = build_constacyclic(111, DefiningSet(333, 4, els))
-        assert (D.n, D.k) == (111, 90)
+        assert build_constacyclic(111, els).k == 90
 
 
 def test_affine_partner_images_are_affine_consistent():
-    C = build_constacyclic(111, DefiningSet.from_leaders(333, 4, (19, 37)))
-    partners = affine_partner_sets(C)
-    for els, maps in partners.items():
-        for e, b in maps:
-            assert e % 3 == 1 and b % 3 == 0
-            assert len(els) * b % 111 == 0
-            image = tuple(sorted((e * a + b) % 333
-                                 for a in C.defining_set.elements))
-            assert image == els
+    fam = set_family("constacyclic", 111, 4)
+    size = len(fam.expand((19, 37)))
+    maps = list(fam.affine_maps(size))
+    assert (1, 0) in maps
+    for e, b in maps:
+        assert e % 3 == 1 and math.gcd(e, 333) == 1 and b % 3 == 0
+        assert size * b % 111 == 0
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +274,7 @@ def test_multiplier_orbit_pair_needs_scale_factors():
         C1.base, C2.base, mode="monomial").status == "equivalent"
     assert brute_force_equivalence(
         C1.base, C2.base, mode="permutation").status == "not_equivalent"
-    T = power_substitution_transform(5, 7)
+    T = multiplier_transform(set_family("constacyclic", 5, 4), 13)
     assert not T.is_permutation()
     assert apply_monomial(C1.base, T) == C2.base
 
@@ -363,10 +305,11 @@ def test_palfy_precondition():
 
 
 def test_embed_as_cyclic_dimensions():
+    # the same elements cut out a cyclic code of length 3n
     C = build_constacyclic(5, (1, 4))
-    Y = embed_as_cyclic(C)
+    Y = build_cyclic(15, 4, C.defining_set)
     assert (Y.n, Y.k) == (15, 13)
-    assert Y.defining_set.elements == C.defining_set.elements
+    assert Y.defining_set == C.defining_set
     assert Y.k == 3 * C.n - len(C.defining_set.elements)
     assert C.k == C.n - len(C.defining_set.elements)
 
@@ -387,5 +330,5 @@ def test_embed_parity_rows_have_block_structure():
 
 def test_embed_n1():
     C = build_constacyclic(1, (1,))
-    Y = embed_as_cyclic(C)
-    assert (Y.n, Y.k) == (3, 2)
+    Y = build_cyclic(3, 4, C.defining_set)
+    assert (C.k, Y.n, Y.k) == (0, 3, 2)

@@ -4,7 +4,6 @@ import math
 
 import pytest
 
-from codeq.constacyclic import affine_partner_sets, build_constacyclic
 from codeq.cosets import (
     CosetTable,
     DefiningSet,
@@ -18,7 +17,6 @@ from codeq.cosets import (
     progression_set,
     set_family,
     shift_divisibility_constacyclic,
-    shift_divisibility_cyclic,
     shift_map,
     units,
 )
@@ -144,9 +142,10 @@ def test_apply_map_modulus_mismatch():
 
 
 def test_shift_divisibility_cyclic():
-    assert shift_divisibility_cyclic(8, 3, 4, 4)        # 8 | 4*2*4
-    assert shift_divisibility_cyclic(8, 3, 3, 0)        # b = 0 always passes
-    assert not shift_divisibility_cyclic(8, 3, 3, 1)    # 8 does not divide 6
+    fam = set_family("cyclic", 8, 3)
+    assert fam.admits_shift(4, 4)        # 8 | 4*2*4
+    assert fam.admits_shift(3, 0)        # b = 0 always passes
+    assert not fam.admits_shift(3, 1)    # 8 does not divide 6
 
 
 def test_shift_divisibility_constacyclic():
@@ -346,12 +345,13 @@ def test_side_condition_is_the_cyclic_one_at_3n():
             with pytest.raises(ValueError):
                 shift_divisibility_constacyclic(n, 1, 3)
             with pytest.raises(ValueError):
-                shift_divisibility_cyclic(3 * n, 4, 1, 3)
+                set_family("cyclic", 3 * n, 4)
             continue
+        cyclic = set_family("cyclic", 3 * n, 4)
         for s in range(3 * n + 1):
             for b in range(3 * n):
                 assert shift_divisibility_constacyclic(n, s, b) == (
-                    b % 3 == 0 and shift_divisibility_cyclic(3 * n, 4, s, b))
+                    b % 3 == 0 and cyclic.admits_shift(s, b))
 
 
 # copies of the (e, b) loops the family context replaced, kept as references
@@ -384,23 +384,10 @@ def _reference_witnesses(A, B, mode):
     return out
 
 
-def _reference_partners(C):
-    n = C.n
+def _reference_lane_maps(n, size):
     m = 3 * n
-    A = C.defining_set.elements
-    size = len(A)
-    out = {}
-    for e in range(1, m, 3):
-        if math.gcd(e, m) != 1:
-            continue
-        for b in range(0, m, 3):
-            if size * b % n:
-                continue
-            image = tuple(sorted((e * a + b) % m for a in A))
-            if any(4 * x % m not in image for x in image):
-                continue
-            out.setdefault(image, []).append((e, b))
-    return out
+    return [(e, b) for e in range(1, m, 3) if math.gcd(e, m) == 1
+            for b in range(0, m, 3) if not size * b % n]
 
 
 def _reference_affine_maps(n, q, size):
@@ -424,15 +411,11 @@ def test_cyclic_affine_maps_match_reference_loops(n, q):
 
 @pytest.mark.parametrize("n", [1, 3, 5, 7, 9, 11, 15])
 def test_constacyclic_affine_maps_match_reference_loops(n):
-    m = 3 * n
-    sets = [DefiningSet(m, 4, els)
-            for els in set_family("constacyclic", n, 4).unions()]
+    fam = set_family("constacyclic", n, 4)
+    sets = [DefiningSet(fam.modulus, 4, els) for els in fam.unions()]
+    for size in range(n + 1):
+        assert list(fam.affine_maps(size)) == _reference_lane_maps(n, size)
     for A in sets:
-        assert affine_partner_sets(build_constacyclic(n, A)) == \
-            _reference_partners(build_constacyclic(n, A))
-        # dict equality ignores order, so compare the item lists too
-        assert list(affine_partner_sets(build_constacyclic(n, A)).items()) \
-            == list(_reference_partners(build_constacyclic(n, A)).items())
         for B in sets:
             assert enumerate_affine_witnesses(A, B, mode="constacyclic") == \
                 _reference_witnesses(A, B, "constacyclic")

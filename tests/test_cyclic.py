@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from codeq import cyclic
+from codeq.constacyclic import build_code, build_constacyclic
 from codeq.cosets import (
     DefiningSet,
     all_defining_sets,
@@ -12,6 +13,7 @@ from codeq.cosets import (
     enumerate_affine_witnesses,
     generalized_multiplier,
     multiplier,
+    set_family,
 )
 from codeq.cyclic import (
     CYCLIC_KINDS,
@@ -21,12 +23,9 @@ from codeq.cyclic import (
     block_half_twist_transform,
     canonical_root,
     certify_equivalence,
-    cyclic_from_generator,
     dual_defining_set,
     half_twist_pair,
     half_twist_transform,
-    hermitian_dual_defining_set,
-    multiplier_transform,
     odd_step_pair,
     odd_step_transform,
     triple_step_pair,
@@ -93,11 +92,17 @@ def test_build_rejects_open_set():
         build_cyclic(8, 3, DefiningSet(8, 3, (1,)))  # {1,3} is the coset
 
 
-def test_roundtrip_from_generator():
-    C = build_cyclic(8, 3, leaders_set(8, 3, (0, 1, 4)))
-    D = cyclic_from_generator(8, 3, list(C.generator_poly))
-    assert D.defining_set.elements == C.defining_set.elements
-    assert D.base == C.base
+def test_equality_and_hash_name_the_family():
+    # a length-3n cyclic code on the lane set of a length-n constacyclic
+    # code is another code, and is never equal to it
+    C = build_constacyclic(5, (1, 4))
+    Y = build_cyclic(15, 4, C.defining_set)
+    assert Y.defining_set == C.defining_set
+    assert Y != C and C != Y and len({C, Y}) == 2
+    assert C == build_constacyclic(5, (1, 4))
+    assert hash(C) == hash(build_constacyclic(5, (1, 4)))
+    assert repr(C).startswith("CyclicCode(constacyclic [5,3]")
+    assert repr(Y).startswith("CyclicCode(cyclic [15,13]")
 
 
 def test_shared_root_is_cached():
@@ -125,13 +130,18 @@ def test_dual_defining_set_matches_linear_dual():
 
 
 def test_hermitian_dual_defining_set():
-    for els in all_defining_sets(15, 4):
-        A = DefiningSet(15, 4, els)
-        C = build_cyclic(15, 4, A)
-        D = build_cyclic(15, 4, hermitian_dual_defining_set(A))
-        assert D.base == C.base.hermitian_dual()
+    # the lane minus -2A is the Hermitian dual's defining set in both
+    # families: 1,058 codes
+    families = [set_family("constacyclic", n, 4) for n in (1, 5, 7, 11, 13)]
+    families += [set_family("cyclic", n, 4) for n in (15, 21)]
+    for fam in families:
+        for els in fam.unions():
+            C = build_code(fam, els)
+            D = C.hermitian_dual()
+            assert D.family is fam
+            assert D.base == C.base.hermitian_dual(), (fam.family, fam.n, els)
     with pytest.raises(ValueError):
-        hermitian_dual_defining_set(DefiningSet(8, 3, (0,)))
+        set_family("cyclic", 8, 3).hermitian_dual((0,))
 
 
 # ---------------------------------------------------------------------------
@@ -420,6 +430,16 @@ def test_certify_sigma_pair_without_affine():
     assert enumerate_affine_witnesses(C1.defining_set, C2.defining_set) == []
 
 
+def test_certify_refuses_constacyclic_codes():
+    # constacyclic sets live mod 3n, where the cyclic maps do not apply
+    C1 = build_constacyclic(5, (1, 4))
+    C2 = build_constacyclic(5, (7, 13))
+    Y = build_cyclic(15, 4, C1.defining_set)
+    for a, b in ((C1, C2), (C1, Y), (Y, C1)):
+        with pytest.raises(ValueError, match="cyclic codes"):
+            certify_equivalence(a, b)
+
+
 def test_certify_dimension_mismatch_empty():
     C1 = build_cyclic(8, 3, DefiningSet(8, 3, (0,)))
     C2 = build_cyclic(8, 3, DefiningSet(8, 3, (0, 4)))
@@ -430,7 +450,7 @@ def test_shift_certificate_on_isodual_chain():
     # dual of {0,1,3,4} is {1,2,3,6}; shifting by 4 gives {2,5,6,7}; the
     # half twist carries that back to {0,1,3,4}
     C = build_cyclic(8, 3, DefiningSet(8, 3, (0, 1, 3, 4)))
-    D = C.dual()
+    D = build_cyclic(8, 3, dual_defining_set(C.defining_set))
     assert D.defining_set.elements == (1, 2, 3, 6)
     mid = build_cyclic(8, 3, DefiningSet(8, 3, (2, 5, 6, 7)))
     leg1 = [c for c in certify_equivalence(D, mid, use_brute=False)

@@ -111,3 +111,28 @@ def test_modules_import_only_lower_layers():
               for func, module in _codeq_imports(path)
               if rank[module] >= rank[path.stem]]
     assert not upward, f"imports against the layer order: {upward}"
+
+
+def _referenced(path: pathlib.Path) -> set[str]:
+    """Every name and attribute ``path`` reads."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def test_every_export_has_a_reader():
+    # an export earns its place by a reader in the package, the benchmark
+    # or the acceptance suite; one that only unit tests call goes
+    import codeq
+
+    readers = [path for path in SOURCES if path.stem != "__init__"]
+    readers += sorted((ROOT / "bench").glob("*.py"))
+    readers.append(ROOT / "tests" / "test_acceptance.py")
+    read = set().union(*map(_referenced, readers))
+    unread = sorted(set(codeq.__all__) - read)
+    assert not unread, f"exports nothing reads: {unread}"
