@@ -217,16 +217,29 @@ def test_mindist_dp_out_of_budget_exit_three(capsys):
 
 
 def test_mindist_ladder_bound_survives_dp_budget_exit_three(capsys):
-    # binary BCH [31,16,7]: the ladder may climb to weight 4 before the
-    # DP, but the budget pays for rungs 1 to 3 only (590 of 1000 units);
-    # the DP refuses the 410 units left, and the ladder's floor is kept
+    # binary BCH [31,16,7], a cyclic code: the windowed ladder may climb to
+    # weight 6 before the DP, but the budget pays for rungs 1 to 5 only
+    # (694 of 1000 units); the DP refuses the 306 units left, and the
+    # ladder's floor is kept
     code, d = run(capsys, ["mindist", "--n", "31", "--q", "2",
                            "--leaders", "1,3,5", "--distance-budget", "1000"])
     assert code == 3
     assert d["strategy"] == "syndrome_dp" and d["complete"] is False
-    assert (d["n"], d["k"], d["lb"], d["ub"]) == (31, 16, 4, 32)
+    assert (d["n"], d["k"], d["lb"], d["ub"]) == (31, 16, 6, 32)
     assert d["work"] <= 1000
-    assert d["witness"] is None and "budget 410" in d["note"]
+    assert d["witness"] is None and "budget 306" in d["note"]
+
+
+def test_mindist_information_set_budget_exit_three(capsys):
+    # the same code: the ladder's six windowed rungs cost 1,584 units, and
+    # the 416 left do not pay for one information-set iteration of 696 rows
+    code, d = run(capsys, ["mindist", "--n", "31", "--q", "2",
+                           "--leaders", "1,3,5", "--strategy",
+                           "information_set", "--distance-budget", "2000"])
+    assert code == 3
+    assert d["strategy"] == "information_set" and d["complete"] is False
+    assert (d["lb"], d["ub"], d["witness"], d["work"]) == (7, 32, None, 1584)
+    assert "budget 416 paid for 0 of 8 information-set iterations" in d["note"]
 
 
 def test_mindist_accepts_syndrome_dp_strategy(capsys):

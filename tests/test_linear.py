@@ -175,15 +175,34 @@ def test_weight_distribution_budget():
         weight_distribution(C, budget=1 << 10)
 
 
+def test_weight_distribution_bit_planes_match_bytes():
+    # in characteristic 2 the weights come from XORed bit planes, in blocks
+    # of at most ROW_BLOCK words; the byte words of _codeword_chunks, which
+    # exhaustive search reads, give the same counts
+    rng = np.random.default_rng(97)
+    for F, n, k in ((build_field(2, 1), 20, 18), (F4, 43, 9),
+                    (build_field(2, 3), 11, 4), (build_field(2, 8), 9, 2),
+                    (F4, 70, 0)):
+        C = LinearCode.from_rows(F, rng.integers(0, F.order, size=(k, n)), n)
+        assert C.k == k
+        blocks = list(linear._weight_chunks(C))
+        assert max(b.size for b in blocks) <= linear.ROW_BLOCK
+        assert sum(b.size for b in blocks) == F.order ** k
+        want = sum(np.bincount(np.count_nonzero(words, axis=1),
+                               minlength=n + 1)
+                   for words in linear._codeword_chunks(C))
+        assert weight_distribution(C).counts == tuple(int(c) for c in want)
+
+
 def test_weight_distributions_are_enumerated_once(monkeypatch):
     enumerated = []
-    chunks = linear._codeword_chunks
+    chunks = linear._weight_chunks
 
     def counting_chunks(code, *args):
         enumerated.append(code)
         return chunks(code, *args)
 
-    monkeypatch.setattr(linear, "_codeword_chunks", counting_chunks)
+    monkeypatch.setattr(linear, "_weight_chunks", counting_chunks)
     _weight_counts.cache_clear()
     C1 = _random_code(F4, 9, 4, 51)
     C2 = apply_monomial(C1, MonomialTransform((8, 0, 1, 2, 3, 4, 5, 6, 7),
@@ -579,9 +598,9 @@ def test_mitm_ladder_builds_each_side_once(monkeypatch):
     builds = []
     side = linear._mitm_side
 
-    def counted(packed, n, t, normalize_first):
-        builds.append((t, normalize_first))
-        return side(packed, n, t, normalize_first)
+    def counted(packed, subsets, normalize_first):
+        builds.append((subsets.shape[1], normalize_first))
+        return side(packed, subsets, normalize_first)
 
     monkeypatch.setattr(linear, "_mitm_side", counted)
     got = _mitm_ladder(C, 6, None)
@@ -605,6 +624,135 @@ def test_mitm_ladder_expands_no_twin_on_golay(monkeypatch):
     monkeypatch.setattr(linear, "_mitm_first", spy)
     assert _mitm_ladder(C, 6, None) == _reference_ladder(C, 6, None)
     assert pairs == [0] * 6
+
+
+def test_windowed_ladder_builds_each_outer_side_once(monkeypatch):
+    # the cyclic Golay code windowed: rungs 1 to 6 take w = 1, 2, 2, 3, 3,
+    # 4, so outer sides of 0, 1 and 2 positions are built once each, and
+    # each rung builds its window side of w positions holding position 0.
+    # A window side always holds position 0 and an outer side never does,
+    # so no pair meets its own vector, and at d = 7 none is expanded
+    C = _golay()
+    builds, pairs = [], []
+    side, first = linear._mitm_side, linear._mitm_first
+
+    def counted(packed, subsets, normalize_first):
+        builds.append((subsets.shape[1], normalize_first))
+        if normalize_first:
+            assert not subsets[:, 0].any()
+        else:
+            assert subsets.size == 0 or subsets.min() >= 1
+        return side(packed, subsets, normalize_first)
+
+    def spy(n, hit, lo, hi, *args):
+        pairs.append(int((hi - lo).sum()))
+        return first(n, hit, lo, hi, *args)
+
+    monkeypatch.setattr(linear, "_mitm_side", counted)
+    monkeypatch.setattr(linear, "_mitm_first", spy)
+    assert [linear._window(23, 2, t)[0] for t in range(1, 7)] == [
+        1, 2, 2, 3, 3, 4]
+    assert _mitm_ladder(C, 6, None, shift=1) == (7, None, None, 783)
+    assert sorted(builds) == [(0, False), (1, False), (1, True), (2, False),
+                              (2, True), (2, True), (3, True), (3, True),
+                              (4, True)]
+    assert pairs == [0] * 6
+
+
+def _dual_pairs(fam):
+    """(code, subcode) for each lane set A of fam: the code C alone when it
+    is nonzero, and C + C^perp outside C^perp when that is a proper
+    subcode (the Hermitian dual over GF(4), the Euclidean one over GF(2)).
+    With Z the dual's set, C + C^perp has zeros A & Z.  Only codes whose
+    codeword or syndrome space has at most 2^10 elements are built."""
+    from codeq.constacyclic import build_code
+    from codeq.cyclic import dual_defining_set
+
+    def small(zeros):
+        return fam.q ** min(zeros, fam.n - zeros) <= 1 << 10
+
+    for els in fam.unions():
+        A = set(els)
+        if len(A) < fam.n and small(len(A)):
+            yield build_code(fam, els).base, None
+        Z = set((fam.hermitian_dual(els) if fam.q == 4 else
+                 dual_defining_set(fam.defining_set(els))).elements)
+        if not Z <= A and len(A & Z) < fam.n and small(len(A & Z)):
+            yield (build_code(fam, tuple(sorted(A & Z))).base,
+                   build_code(fam, tuple(sorted(Z))).base)
+
+
+@pytest.mark.parametrize("family, n, q", [
+    ("constacyclic", 5, 4), ("constacyclic", 7, 4), ("constacyclic", 11, 4),
+    ("constacyclic", 13, 4), ("cyclic", 15, 4), ("cyclic", 21, 4),
+    ("cyclic", 15, 2), ("cyclic", 23, 2)])
+def test_windowed_ladder_matches_exact_engines(monkeypatch, family, n, q):
+    # every word of weight up to 6 has a shifted, scaled copy in some
+    # window split, so the windowed ladder finds the least weight outside
+    # the subcode that exhaustive search or the syndrome DP finds
+    from codeq.cosets import set_family
+    cases = 0
+    for C, D in _dual_pairs(set_family(family, n, q)):
+        shift = linear._shift_constant(C, D)
+        assert shift is not None
+        engine = ("syndrome_dp" if q ** (C.n - C.k) <= 1 << 10
+                  else "exhaustive")
+        want = (min_distance(C, strategy=engine) if D is None
+                else min_weight_outside(C, D, strategy=engine))
+        outside = _outside_test(C, D)
+        got = _mitm_ladder(C, 6, outside, shift=shift)
+        if want.lb <= 6:
+            assert got[:2] == (want.lb, want.lb)
+            assert C.contains(got[2]) and (D is None
+                                           or not D.contains(got[2]))
+            assert sum(1 for x in got[2] if x) == want.lb
+        else:
+            assert got[:3] == (7, None, None)
+        # chunks of 3 pairs cut the window sides' collisions too
+        with monkeypatch.context() as m:
+            m.setattr(linear, "MITM_CHUNK", 3)
+            assert _mitm_ladder(C, 6, outside, shift=shift) == got
+        cases += 1
+    assert cases >= 6
+
+
+def test_shift_constant_names_the_verified_shift(monkeypatch):
+    from codeq.cosets import set_family
+    from codeq.constacyclic import build_code
+    from codeq.fields import GF4_OMEGA
+    from codeq.quantum import nearly_self_orthogonal
+    golay = _golay()
+    assert linear._shift_constant(golay, None) == 1
+    # an omega-constacyclic code and its Hermitian dual take eta = omega
+    fam = set_family("constacyclic", 13, 4)
+    C = build_code(fam, next(els for els in fam.unions()
+                             if 0 < len(els) < 13))
+    assert linear._shift_constant(C.base, C.hermitian_dual().base) == (
+        GF4_OMEGA)
+    # no shift keeps a column-permuted Golay code, the padded code E
+    # [54,43] of criterion 11, or the span of one Golay word
+    _permuted(golay, 3)
+    from codeq import DefiningSet, build_cyclic
+    base = build_cyclic(51, 4, DefiningSet.from_leaders(
+        51, 4, (0, 2, 7, 17, 34))).base
+    E, _ = nearly_self_orthogonal(base, budget=0)  # no distances needed
+    assert (E.n, E.k) == (54, 43)
+    assert linear._shift_constant(E, None) is None
+    assert linear._shift_constant(E, E.hermitian_dual()) is None
+    word = LinearCode.from_rows(golay.field, golay.generator[:1], golay.n)
+    assert linear._shift_constant(golay, word) is None
+    # the engine windows the ladder only on a verified shift
+    shifts = []
+    ladder = linear._mitm_ladder
+
+    def spy(*args, shift=None, **kwargs):
+        shifts.append(shift)
+        return ladder(*args, shift=shift, **kwargs)
+
+    monkeypatch.setattr(linear, "_mitm_ladder", spy)
+    min_distance(golay, strategy="information_set")
+    min_weight_outside(golay, word, strategy="information_set")
+    assert shifts == [1, None]
 
 
 def _side_syndromes(packed, side):
@@ -638,17 +786,25 @@ def test_mitm_side_order_is_the_stable_argsort():
     golay = _golay()
     packed = _column_syndromes(golay)
     for t in (1, 2, 3):
-        assert not _check_side_key(
-            packed, linear._mitm_side(packed, golay.n, t, False))
+        assert not _check_side_key(packed, linear._mitm_side(
+            packed, linear._subsets(golay.n, t), False))
     runs = 0
     rng = np.random.default_rng(59)
     for F in (build_field(2, 1), F4, build_field(2, 3)):
         for C in _ladder_codes(F, rng):
             packed = _column_syndromes(C)
             for t in (1, 2):
-                for pinned in (False, True):
+                # whole sides, outer sides on [1, n) and window sides
+                # holding position 0
+                inner = linear._subsets(C.n // 2, t - 1, 1)
+                window = np.hstack([np.zeros_like(inner[:, :1]), inner])
+                for subsets, pinned in (
+                        (linear._subsets(C.n, t), False),
+                        (linear._subsets(C.n, t), True),
+                        (linear._subsets(C.n, t, 1), False),
+                        (window, True)):
                     runs += _check_side_key(
-                        packed, linear._mitm_side(packed, C.n, t, pinned))
+                        packed, linear._mitm_side(packed, subsets, pinned))
     assert runs > 0
 
 
@@ -659,9 +815,10 @@ def test_mitm_pinned_side_equals_built_side():
         for C in _ladder_codes(F, rng):
             packed = _column_syndromes(C)
             for t in (1, 2, 3):
-                side = linear._mitm_side(packed, C.n, t, False)
+                subsets = linear._subsets(C.n, t)
+                side = linear._mitm_side(packed, subsets, False)
                 got = linear._mitm_pinned(side, F.order)
-                want = linear._mitm_side(packed, C.n, t, True)
+                want = linear._mitm_side(packed, subsets, True)
                 runs += _check_side_key(packed, want)
                 for a, b in zip(got, want):
                     assert a.dtype == b.dtype
@@ -677,37 +834,71 @@ def test_subsets_match_itertools():
             assert got.dtype == np.uint8
             assert got.shape == (len(want), t)
             assert [tuple(row) for row in got.tolist()] == want
+            for start in (1, 2):
+                got = linear._subsets(n, t, start)
+                assert [tuple(row) for row in got.tolist()] == list(
+                    itertools.combinations(range(start, n), t))
     # the dtype is the smallest unsigned one that holds n - 1
     assert linear._subsets(256, 1).dtype == np.uint8
     assert linear._subsets(257, 1).dtype == np.uint16
     assert linear._subsets(257, 1)[-1, 0] == 256
 
 
-def test_mitm_ladder_stops_before_a_rung_past_the_budget():
-    # the Golay code's rungs cost 24, 46, 276, 506, 2024 and 3542 entries;
-    # a rung runs only when the work stays within the budget, and the
-    # first rung left out is the proved lower bound
-    C = _golay()
-    costs = [sum(linear._rung_sizes(C.n, 2, t)) for t in range(1, 7)]
-    assert costs == [24, 46, 276, 506, 2024, 3542]
+def _permuted(C, seed):
+    """C with its columns permuted at random, so that no shift keeps it
+    and the ladder's rungs are not windowed."""
+    perm = np.random.default_rng(seed).permutation(C.n)
+    P = apply_monomial(C, MonomialTransform.permutation(perm))
+    assert linear._shift_constant(P, None) is None
+    return P
+
+
+def _check_budget_stops(C, shift, costs):
+    """A rung runs only when the work stays within the budget, and the
+    first rung left out is the proved lower bound; the rungs cost `costs`
+    entries.  Returns the total work of every rung to weight 3."""
+    windowed = shift is not None
+    assert [sum(linear._rung_sizes(C.n, 2, t, windowed))
+            for t in range(1, 7)] == costs
     spent = list(itertools.accumulate(costs))
     for t, total in enumerate(spent, start=1):
         for budget in (total - 1, total):
-            got = _mitm_ladder(C, 6, None, budget)
+            got = _mitm_ladder(C, 6, None, budget, shift=shift)
             ran = t if budget == total else t - 1
             assert got == ((ran + 1, None, None, spent[ran - 1]) if ran
                            else (1, None, None, 0))
-    assert _mitm_ladder(C, 6, None, spent[-1]) == _mitm_ladder(C, 6, None)
-    # the information-set engine hands its budget to the ladder
-    got = min_distance(C, strategy="information_set", budget=spent[2])
+    assert (_mitm_ladder(C, 6, None, spent[-1], shift=shift)
+            == _mitm_ladder(C, 6, None, shift=shift))
+    return spent[2]
+
+
+def test_mitm_ladder_stops_before_a_rung_past_the_budget():
+    # the Golay code's unwindowed rungs cost 24, 46, 276, 506, 2024 and
+    # 3542 entries
+    C = _golay()
+    to_three = _check_budget_stops(C, None, [24, 46, 276, 506, 2024, 3542])
+    # the information-set engine hands its budget to the ladder; with its
+    # columns permuted the Golay code has no shift, so the rungs are these
+    got = min_distance(_permuted(C, 3), strategy="information_set",
+                       budget=to_three)
     assert got.lb == 4
-    assert got.note == "lb by meet-in-the-middle ladder to weight 3"
+    assert got.note.startswith("lb by meet-in-the-middle ladder to weight 3")
     # a ladder that finds a word under the budget is unchanged by it
     rng = np.random.default_rng(89)
     for C in _ladder_codes(F4, rng):
         want = _mitm_ladder(C, 6, None)
         if want[1] is not None:
             assert _mitm_ladder(C, 6, None, want[3]) == want
+
+
+def test_windowed_ladder_stops_before_a_rung_past_the_budget():
+    # the cyclic Golay code's windowed rungs cost 2, 12, 29, 77, 267 and
+    # 396 entries, and the engine windows them itself
+    C = _golay()
+    to_three = _check_budget_stops(C, 1, [2, 12, 29, 77, 267, 396])
+    got = min_distance(C, strategy="information_set", budget=to_three)
+    assert got.lb == 4
+    assert got.note.startswith("lb by meet-in-the-middle ladder to weight 3")
 
 
 def test_mitm_ladder_keeps_index_order_in_long_runs(monkeypatch):
@@ -726,7 +917,8 @@ def test_mitm_ladder_keeps_index_order_in_long_runs(monkeypatch):
             H[:, j] = linear.tables(F).mul[c, H[:, 0]]
             pairs[j - 1, [0, j]] = c, 1
         C = LinearCode.from_rows(F, H, n).euclidean_dual()
-        key = linear._mitm_side(_column_syndromes(C), n, 1, False)[0]
+        key = linear._mitm_side(_column_syndromes(C), linear._subsets(n, 1),
+                                False)[0]
         syn = key >> linear.IDX_BITS
         assert np.unique(syn, return_counts=True)[1].max() >= 10
         filters = [None]
@@ -844,19 +1036,43 @@ def test_auto_climbs_the_ladder_before_the_dp():
     assert engines == {"information_set", "syndrome_dp"}
 
 
-def test_auto_keeps_the_dp_past_the_affordable_rungs():
-    # the binary BCH code [31,16,7]: the ladder may climb to weight 4 only,
-    # so the DP decides and its note and work count the climb
+def _bch_31():
+    """The binary BCH code [31,16,7], which is cyclic."""
     from codeq import DefiningSet, build_cyclic
     C = build_cyclic(31, 2, DefiningSet.from_leaders(31, 2, (1, 3, 5))).base
-    assert (C.n, C.k) == (31, 16) and linear._ladder_reach(C) == 4
+    assert (C.n, C.k) == (31, 16) and linear._shift_constant(C, None) == 1
+    return C
+
+
+def _check_dp_after_climb(C, reach, shift):
+    """Auto climbs the ladder to `reach`, then the DP decides, and its note
+    and work count the climb; under a budget of 1000 units the ladder's
+    floor is kept."""
+    assert linear._ladder_reach(C, shift) == reach
     got = min_distance(C)
     assert got.strategy == "syndrome_dp" and (got.lb, got.ub) == (7, 7)
     assert got.note == ("exact by syndrome dynamic program; "
-                        "ladder to weight 4 first")
-    assert got.work == (min_distance(C, strategy="syndrome_dp").work
-                        + _mitm_ladder(C, 4, None)[3])
+                        f"ladder to weight {reach} first")
+    climb = _mitm_ladder(C, reach, None, shift=shift)[3]
+    assert got.work == min_distance(C, strategy="syndrome_dp").work + climb
     assert _check_cascade(C) == "syndrome_dp"
+    return min_distance(C, budget=1000)
+
+
+def test_auto_keeps_the_dp_past_the_affordable_rungs():
+    # the BCH code with its columns permuted has no shift: the ladder may
+    # climb to weight 4 only, and 1000 units pay for rungs 1 to 3
+    got = _check_dp_after_climb(_permuted(_bch_31(), 5), 4, None)
+    assert (got.lb, got.ub, got.work) == (4, 32, 590)
+    assert "budget 410 is below" in got.note
+
+
+def test_auto_climbs_windowed_rungs_on_the_cyclic_bch_code():
+    # windowed, the same climb reaches weight 6, and 1000 units pay for
+    # rungs 1 to 5
+    got = _check_dp_after_climb(_bch_31(), 6, 1)
+    assert (got.lb, got.ub, got.work) == (6, 32, 694)
+    assert "budget 306 is below" in got.note
 
 
 def test_infoset_upper_bound_sound():

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from codeq import linear
 from codeq.constacyclic import all_lane_defining_sets
 from codeq.cosets import (
     all_defining_sets,
@@ -341,14 +342,25 @@ def test_search_records_inherit_bounds(tmp_path):
                 "d_ub"} <= obj.keys()
 
 
-def test_search_output_is_byte_identical(tmp_path):
-    paths = [tmp_path / "a.jsonl", tmp_path / "b.jsonl"]
-    digests = []
-    for p in paths:
-        search(SearchJob("constacyclic", 5, distance_budget=1 << 22,
-                         output=str(p), seed=7))
-        digests.append(hashlib.sha256(p.read_bytes()).hexdigest())
-    assert digests[0] == digests[1]
+def test_search_output_is_byte_identical(tmp_path, monkeypatch):
+    # at (15,4) the evaluations climb the ladder on windowed rungs
+    shifts = []
+    ladder = linear._mitm_ladder
+
+    def spy(*args, shift=None, **kwargs):
+        shifts.append(shift)
+        return ladder(*args, shift=shift, **kwargs)
+
+    monkeypatch.setattr(linear, "_mitm_ladder", spy)
+    for name, job in (("c5", dict(family="constacyclic", n=5)),
+                      ("15-4", dict(family="cyclic", n=15, q=4))):
+        digests = []
+        for p in (tmp_path / f"{name}-a.jsonl", tmp_path / f"{name}-b.jsonl"):
+            search(SearchJob(**job, distance_budget=1 << 22, output=str(p),
+                             seed=7))
+            digests.append(hashlib.sha256(p.read_bytes()).hexdigest())
+        assert digests[0] == digests[1]
+    assert shifts and None not in shifts
 
 
 def test_enumeration_only_records_have_null_bounds():
