@@ -21,11 +21,6 @@ def lane_cosets(n: int) -> list[tuple[int, ...]]:
     return list(set_family("constacyclic", n, 4).cosets)
 
 
-def all_lane_defining_sets(n: int):
-    """Yield every omega-constacyclic defining set at length n, sorted."""
-    return set_family("constacyclic", n, 4).unions()
-
-
 def build_code(fam: SetFamily, A):
     """The cyclic or constacyclic code of family ``fam`` on defining set A."""
     if fam.family == "cyclic":

@@ -176,21 +176,34 @@ def dual_defining_set(A: DefiningSet) -> DefiningSet:
     return DefiningSet(A.n, A.q, tuple(x for x in range(A.n) if x not in neg))
 
 
+@lru_cache(maxsize=None)
+def _coset_poly(fam: SetFamily, leader: int) -> tuple[int, ...]:
+    """The product of the (x - alpha^a) over the coset of ``leader``, a
+    polynomial over GF(q) (coefficients from lowest degree)."""
+    ctx = canonical_root(fam.modulus, fam.q)
+    K = ctx.ext
+    g = [1]
+    for a in fam.table.coset_of(leader):
+        g = poly_mul(K, g, [K.neg(ctx.alpha_pow(a)), 1])
+    return tuple(ctx.pull_back(c) for c in g)
+
+
 def _build(fam: SetFamily, A) -> CyclicCode:
     """The code of family ``fam`` whose generator has roots alpha^a, a in A.
 
-    The product of the (x - alpha^a) is pulled back into the base field and
-    must divide x^n - eta, with eta = 1 for cyclic codes and omega for
-    constacyclic ones; its n - |A| shifts are the rows.
+    A is a union of cosets, so the generator is the product over GF(q) of
+    their polynomials (_coset_poly).  It must divide x^n - eta, with eta =
+    1 for cyclic codes and omega for constacyclic ones; its n - |A| shifts
+    are the rows.
     """
     A = fam.defining_set(A)
     n, ctx = fam.n, canonical_root(fam.modulus, fam.q)
     eta = 1 if fam.family == "cyclic" else GF4_OMEGA
-    K, F = ctx.ext, ctx.base
-    g_ext = [1]
-    for a in A.elements:
-        g_ext = poly_mul(K, g_ext, [K.neg(ctx.alpha_pow(a)), 1])
-    g = tuple(ctx.pull_back(c) for c in g_ext)
+    F = ctx.base
+    g = [1]
+    for leader in fam.leaders(A.elements):
+        g = poly_mul(F, g, _coset_poly(fam, leader))
+    g = tuple(g)
     _, rem = poly_divmod(F, [F.neg(eta)] + [0] * (n - 1) + [1], list(g))
     if rem != [0]:
         raise AssertionError(

@@ -12,9 +12,14 @@ q^(n-k) fits in memory (exact distances for things like [54,43] over
 GF(4)), and for the rest a meet-in-the-middle ladder that certifies lower
 bounds plus a seeded information-set search for upper bounds.  The
 engines share one arithmetic layer: codewords come from one chunked
-enumerator, column syndromes from one packing (base-q digits, XOR in
-characteristic 2), and each engine returns (lb, ub, witness, work, note)
-after filtering a subcode with one shared test.
+enumerator in message order (base-q digits, digit 0 fastest; bit planes
+in characteristic 2, bytes otherwise), column syndromes from one packing
+(base-q digits, XOR in characteristic 2), and each engine returns (lb,
+ub, witness, work, note) after filtering a subcode with one shared test.
+Enumeration and the information-set scan keep the first lightest word
+outside the subcode by one rule (_lightest): weight levels are walked
+upwards, and only the rows of the level being read are unpacked and
+tested.
 
 Automatic dispatch in characteristic 2 runs the DP as a cascade: it first
 climbs the ladder as far as the rungs' estimated cost stays below the
@@ -46,14 +51,16 @@ bits, which holds for every code the DP could take, and a multiplicative
 hash otherwise; one in-place sort then orders a side by syndrome with
 equal syndromes in index order.  Only B sides are built; an A side of j
 positions, first scalar pinned to 1, is the part of the B side of j
-positions whose tuples start with 1, and its entries meet the runs of
-equal keys around their own positions.  Colliding pairs are expanded in
-bounded chunks; pairs with overlapping supports (weight below t) or, under
-a hash, unequal syndromes are dropped, and the rest become words for one
-subcode test per block of WORD_BLOCK words.  When the two sides have equal
-sizes, an A entry that meets only its twin in B (the same vector) is not
-expanded.  A rung runs only when its side entries fit under side_cap and
-under what is left of the distance budget.
+positions whose tuples start with 1.  On even rungs its entries meet the
+runs of equal keys around their own positions; otherwise the smaller
+side's distinct hashes are binary-searched in the larger side, and the A
+entries of each hash met are listed in order.  Colliding pairs are
+expanded in bounded chunks; pairs with overlapping supports (weight below
+t) or, under a hash, unequal syndromes are dropped, and the rest become
+words for one subcode test per block of WORD_BLOCK words.  When the two
+sides have equal sizes, an A entry that meets only its twin in B (the
+same vector) is not expanded.  A rung runs only when its side entries fit
+under side_cap and under what is left of the distance budget.
 
 Cyclic and constacyclic codes get windowed rungs instead.  When the code,
 and the subcode if there is one, is verified invariant under one shift
@@ -71,8 +78,9 @@ The information-set search reads its triples of rows in blocks of
 ROW_BLOCK rows gathered by index arrays.  In characteristic 2 a row is
 held as m bit planes of ceil(n / 64) uint64 words each: rows add by XOR,
 a row's weight is the popcount of the OR of its planes, and only the rows
-lighter than the best so far go back to bytes for the subcode filter and
-the witness.  RREF also adds rows by XOR in characteristic 2.
+at the least weight below the best so far go back to bytes, one level at
+a time, for the subcode filter and the witness.  RREF also adds rows by
+XOR in characteristic 2.
 """
 
 from __future__ import annotations
@@ -246,14 +254,13 @@ class LinearCode:
         return hash((self.field.key, self.n, self.k, self.generator.tobytes()))
 
     def parity_check(self) -> np.ndarray:
-        """(n-k) x n matrix H with H @ c = 0 exactly for codewords c."""
-        T = tables(self.field)
-        free = [c for c in range(self.n) if c not in set(self.pivots)]
-        H = np.zeros((len(free), self.n), dtype=np.uint8)
-        for row, f in enumerate(free):
-            H[row, f] = 1
-            for i, p in enumerate(self.pivots):
-                H[row, p] = T.neg[self.generator[i, f]]
+        """(n-k) x n matrix H with H @ c = 0 exactly for codewords c: the
+        identity in the free columns, -G[:, free]^T in the pivot columns."""
+        free = np.ones(self.n, dtype=bool)
+        free[list(self.pivots)] = False
+        H = np.zeros((self.n - self.k, self.n), dtype=np.uint8)
+        H[:, free] = np.eye(self.n - self.k, dtype=np.uint8)
+        H[:, ~free] = tables(self.field).neg[self.generator[:, free]].T
         return H
 
     def euclidean_dual(self) -> "LinearCode":
@@ -343,37 +350,45 @@ def weight_distribution(code: LinearCode, budget: int = 1 << 28) -> WeightDistri
 
 
 def _weight_chunks(code: LinearCode):
-    """Weights of all q^k codewords, at most ROW_BLOCK at a time, in no
-    fixed order.
+    """Weights of all q^k codewords in message order (as _codeword_chunks),
+    at most ROW_BLOCK at a time: popcounts of _codeword_planes in
+    characteristic 2, byte counts of _codeword_chunks otherwise."""
+    if code.field.p == 2:
+        return map(_plane_weights, _codeword_planes(code))
+    return map(_byte_weights, _codeword_chunks(code))
 
-    In characteristic 2 a codeword is the XOR of the bit planes
-    (_pack_planes) of one multiple of each generator row: the words of the
-    low message digits, at most ROW_BLOCK of them, are XORed with each word
-    of the high digits and weighed by popcount.  Otherwise the words of
-    _codeword_chunks are weighed byte by byte.
+
+def _codeword_planes(code: LinearCode, stop: int | None = None):
+    """_pack_planes words of messages 0 .. stop-1 (all q^k by default), at
+    most ROW_BLOCK at a time, in message order; characteristic 2 only.
+
+    A codeword is the XOR of the bit planes of one multiple of each
+    generator row.  The words of the low message digits, at most ROW_BLOCK
+    of them, form a table in message order with digit 0 fastest; block h
+    is that table XORed with the word of high-digit value h.
     """
     F, k = code.field, code.k
-    if F.p != 2:
-        yield from map(_byte_weights, _codeword_chunks(code))
-        return
     q = F.order
+    stop = q ** k if stop is None else stop
     planes = _pack_planes(tables(F).mul[:, code.generator].reshape(
         q * k, code.n), F.m)
     shape = planes.shape[1:]
     multiples = planes.reshape(q, k, *shape)
-
-    def span(digits) -> np.ndarray:
-        words = np.zeros((1, *shape), dtype=np.uint64)
-        for i in digits:
-            words = (multiples[:, i, None] ^ words[None]).reshape(-1, *shape)
-        return words
-
+    block = np.zeros((1, *shape), dtype=np.uint64)
     low = 0
     while low < k and q ** (low + 1) <= ROW_BLOCK:
+        block = (multiples[:, low, None] ^ block[None]).reshape(-1, *shape)
         low += 1
-    block = span(range(low))
-    for high in span(range(low, k)):
-        yield _plane_weights(block ^ high)
+    size = block.shape[0]
+    h = np.arange(-(-stop // size))
+    high = np.zeros((h.size, *shape), dtype=np.uint64)
+    for i in range(low, k):
+        place = q ** (i - low)
+        if place >= h.size:
+            break
+        high ^= multiples[h // place % q, i]
+    for j, word in enumerate(high):
+        yield block[:stop - j * size] ^ word
 
 
 def weight_distributions_equal(c1: LinearCode, c2: LinearCode) -> bool | None:
@@ -510,35 +525,63 @@ def _outside_test(code: LinearCode, exclude: LinearCode | None):
     return lambda words: gf_matmul(code.field, words, Hx).any(axis=1)
 
 
-def _lightest(words: np.ndarray, w: np.ndarray, best: int,
-              outside) -> int | None:
-    """First row of least weight among rows with 0 < w < best outside the
-    subcode; None when there is none."""
-    rows = np.nonzero((w > 0) & (w < best))[0]
-    if outside is not None and rows.size:
-        rows = rows[outside(words[rows])]
-    return int(rows[np.argmin(w[rows])]) if rows.size else None
+def _lightest(block: np.ndarray, w: np.ndarray, best: int, outside,
+              unpack) -> tuple[int, tuple[int, ...]] | None:
+    """(weight, word) of the first row of least weight among rows with
+    0 < w < best outside the subcode; None when there is none.
+
+    Weight levels are walked upwards: only the rows at the current level
+    go through unpack (to (N, n) bytes) and the subcode test, and the next
+    level is read only when the test rejects every row of this one.
+    """
+    live = (w > 0) & (w < best)
+    while live.any():
+        level = w[live].min()
+        rows = np.flatnonzero(live & (w == level))
+        if outside is None:
+            rows = rows[:1]
+        words = unpack(np.take(block, rows, axis=0))
+        if outside is not None:
+            words = words[outside(words)]
+        if words.shape[0]:
+            return int(level), tuple(int(x) for x in words[0])
+        live &= w > level
+    return None
+
+
+def _row_ops(F: GaloisField, n: int):
+    """(add, weigh, pack, unpack) for rows over F: bit planes that add by
+    XOR in characteristic 2, bytes that add by the table otherwise."""
+    if F.p == 2:
+        return (np.bitwise_xor, _plane_weights, partial(_pack_planes, m=F.m),
+                partial(_unpack_planes, n=n))
+    T = tables(F)
+    return (lambda a, b: T.add[a, b]), _byte_weights, np.asarray, np.asarray
 
 
 def _exhaustive(code: LinearCode, outside, budget: int | None, seed: int,
                 iters: int, shift: int | None) -> _Bounds:
-    """Min weight by codeword enumeration.
+    """Min weight by codeword enumeration in message order; the witness is
+    the first lightest word outside the subcode (_lightest).
 
-    With a budget below q^k only the first `budget` codewords are read: the
-    bounds stay open (lb = 1) and ub is the lowest weight seen (n+1 when
-    none qualified).
+    Characteristic 2 enumerates bit planes (_codeword_planes), other
+    fields bytes (_codeword_chunks).  With a budget below q^k only the
+    first `budget` codewords are read: the bounds stay open (lb = 1) and ub
+    is the lowest weight seen (n+1 when none qualified).
     """
-    total = code.field.order ** code.k
+    F = code.field
+    total = F.order ** code.k
     if budget is None and total > EXHAUSTIVE_CEILING:
         raise ValueError(f"too large: {total} codewords exceeds cap "
                          f"{EXHAUSTIVE_CEILING}")
     stop = total if budget is None else min(total, budget)
+    _, weigh, _, unpack = _row_ops(F, code.n)
+    blocks = (_codeword_planes if F.p == 2 else _codeword_chunks)(code, stop)
     best, witness = code.n + 1, None
-    for words in _codeword_chunks(code, stop):
-        w = np.count_nonzero(words, axis=1)
-        i = _lightest(words, w, best, outside)
-        if i is not None:
-            best, witness = int(w[i]), tuple(int(x) for x in words[i])
+    for block in blocks:
+        found = _lightest(block, weigh(block), best, outside, unpack)
+        if found is not None:
+            best, witness = found
     if stop < total:
         return (1, best, witness, stop,
                 f"budget ran out after {stop} of {total} codewords")
@@ -859,11 +902,12 @@ def _mitm_ladder(code: LinearCode, wmax: int, outside,
     weights 2j and 2j+1 the A side of j positions.  Only the B sides and
     weight 1's empty A side are built.  On odd rungs the A side of j >= 1
     positions is the pinned part of the B side of j positions
-    (_mitm_pinned), and an A entry's partners are found by binary search in
-    B.  On even rungs the A side is the B entries below na, so no A key is
-    taken, and an A entry's partners are the run of equal hashes around its
-    own position (_mitm_runs).  Either way only A entries with a partner
-    besides their twin are handed to _mitm_first.
+    (_mitm_pinned), and partners are found by binary search of the smaller
+    side's distinct hashes in the larger side (_collisions).  On even rungs
+    the A side is the B entries below na, so no A key is taken, and an A
+    entry's partners are the run of equal hashes around its own position
+    (_mitm_runs).  Either way only A entries with a partner besides their
+    twin are handed to _mitm_first.
 
     shift is the _shift_constant eta of the code and of the subcode that
     outside tests, which the caller has verified; it pins the rungs to a
@@ -875,7 +919,7 @@ def _mitm_ladder(code: LinearCode, wmax: int, outside,
     to c_0 = 1 keeps the word in the code and outside the subcode.  So
     rung t's A side is the window side, {0} and w - 1 positions of
     [1, width), and its B side the t - w positions of [1, n), with w from
-    _window; partners are found by binary search, and each B side is built
+    _window; partners are found as on odd rungs, and each B side is built
     once per position count.
     """
     F = code.field
@@ -913,10 +957,8 @@ def _mitm_ladder(code: LinearCode, wmax: int, outside,
             side_b = _mitm_side(packed, _subsets(n, t - t // 2), False)
         if windowed or t % 2:
             key_a, key_b = side_a[0], side_b[0]
-            lo = np.searchsorted(key_b, key_a & ~_IDX_MASK, side="left")
-            hi = np.searchsorted(key_b, key_a | _IDX_MASK, side="right")
-            hit = np.flatnonzero(hi > lo)
-            ia, lo, hi = key_a[hit], lo[hit], hi[hit]
+            hit, lo, hi = _collisions(key_a, key_b)
+            ia = key_a[hit]
         else:
             # the A entries are the B entries below na, so the B side's
             # subsets and tuples serve both.  Every A entry meets its twin
@@ -1039,6 +1081,34 @@ def _mitm_pinned(side, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     tuples = scalars[:(q - 1) ** (subsets.shape[1] - 1)]
     keep = (key & _IDX_MASK) < tuples.shape[0] * subsets.shape[0]
     return key[keep], subsets, tuples
+
+
+def _collisions(key_a: np.ndarray, key_b: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(hit, lo, hi): the ascending positions in sorted key_a of the
+    entries whose hash some entry of sorted key_b shares, and the bounds
+    [lo, hi) of the run of that hash in key_b.
+
+    The smaller side's hashes, with adjacent repeats dropped, are
+    binary-searched in the larger side once; the A runs of the hashes met
+    are then expanded entry by entry.
+    """
+    swap = key_b.size < key_a.size
+    small, large = (key_b, key_a) if swap else (key_a, key_b)
+    if not small.size:
+        return (np.zeros(0, dtype=np.intp),) * 3
+    h = small & ~_IDX_MASK
+    start = np.flatnonzero(np.append(True, h[1:] != h[:-1]))
+    end = np.append(start[1:], h.size)
+    lo = np.searchsorted(large, h[start], side="left")
+    hi = np.searchsorted(large, h[start] | _IDX_MASK, side="right")
+    runs = ((lo, hi), (start, end))
+    (a_lo, a_hi), (b_lo, b_hi) = runs if swap else runs[::-1]
+    met = hi > lo
+    a_lo, count = a_lo[met], (a_hi - a_lo)[met]
+    hit = (np.repeat(a_lo - (np.cumsum(count) - count), count)
+           + np.arange(int(count.sum())))
+    return hit, np.repeat(b_lo[met], count), np.repeat(b_hi[met], count)
 
 
 def _mitm_runs(key: np.ndarray, na: int
@@ -1174,20 +1244,14 @@ def _infoset_upper(code: LinearCode, iters: int, seed: int,
 
     In characteristic 2 rows are held as bit planes (_pack_planes), add by
     XOR and are weighed by popcount; otherwise they are bytes that add by
-    the addition table.  Only the rows lighter than the best so far are
-    turned back into bytes for the subcode filter and the witness.
+    the addition table.  Each block keeps its first lightest word outside
+    the subcode (_lightest), which unpacks one weight level at a time.
     """
     F = code.field
     T = tables(F)
     rng = np.random.default_rng(seed)
     n, k, q = code.n, code.k, F.order
-    if F.p == 2:
-        add, weigh = np.bitwise_xor, _plane_weights
-        pack = partial(_pack_planes, m=F.m)
-        unpack = partial(_unpack_planes, n=n)
-    else:
-        add, weigh = (lambda a, b: T.add[a, b]), _byte_weights
-        pack = unpack = np.asarray  # bytes stay bytes
+    add, weigh, pack, unpack = _row_ops(F, n)
     ii, jj = np.triu_indices(k, 1)
     blocks = np.argsort(jj, kind="stable")
     ii, jj = ii[blocks], jj[blocks]
@@ -1203,15 +1267,10 @@ def _infoset_upper(code: LinearCode, iters: int, seed: int,
 
     def scan(block: np.ndarray) -> None:
         nonlocal best, witness, work
-        w = weigh(block)
-        work += w.size
-        lighter = np.flatnonzero((w > 0) & (w < best))
-        if lighter.size:
-            words = unpack(np.take(block, lighter, axis=0))
-            x = _lightest(words, w[lighter], best, outside)
-            if x is not None:
-                best = int(w[lighter[x]])
-                witness = tuple(int(v) for v in words[x])
+        work += block.shape[0]
+        found = _lightest(block, weigh(block), best, outside, unpack)
+        if found is not None:
+            best, witness = found
 
     for _ in range(iters):
         perm = rng.permutation(n)

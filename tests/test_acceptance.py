@@ -41,8 +41,7 @@ from codeq import (
     triple_step_pair,
     weight_distribution,
 )
-from codeq.constacyclic import all_lane_defining_sets
-from codeq.cosets import shift_divisibility_constacyclic
+from codeq.cosets import set_family, shift_divisibility_constacyclic
 from codeq.cyclic import canonical_root
 from codeq.fields import GF4_OMEGA
 from codeq.search import _expand_leaders, apply_chain
@@ -208,7 +207,8 @@ def test_criterion_07_constacyclic_shift_divisibility(capfd):
         pairs = 0
         for n in (3, 5, 9, 15):
             m3 = 3 * n
-            lane_sets = {frozenset(a) for a in all_lane_defining_sets(n)}
+            lane_sets = {frozenset(a) for a in
+                         set_family("constacyclic", n, 4).unions()}
             for A in lane_sets:
                 if not A:
                     continue  # the empty set is fixed by every shift
@@ -290,7 +290,7 @@ def test_criterion_10_multiplier_orbits_at_length_5(capfd):
     with criterion(10, "length-5 constacyclic: multiplier orbits = "
                        "monomial classes; 120-perm classes are finer", capfd) as c:
         codes = {frozenset(A): build_constacyclic(5, A).base
-                 for A in all_lane_defining_sets(5)}
+                 for A in set_family("constacyclic", 5, 4).unions()}
         keys = sorted(codes, key=sorted)
 
         def brute_partition(mode):

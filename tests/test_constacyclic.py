@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from codeq.constacyclic import (
-    all_lane_defining_sets,
     build_code,
     build_constacyclic,
     lane_cosets,
@@ -89,7 +88,7 @@ def test_constacyclic_shift_invariance():
 
 def test_lane_cosets_n5():
     assert lane_cosets(5) == [(1, 4), (7, 13), (10,)]
-    assert sorted(all_lane_defining_sets(5)) == sorted([
+    assert sorted(set_family("constacyclic", 5, 4).unions()) == sorted([
         (), (1, 4), (7, 13), (10,), (1, 4, 7, 13), (1, 4, 10),
         (7, 10, 13), (1, 4, 7, 10, 13)])
 
@@ -165,7 +164,7 @@ def test_shift_rule_exhaustive_small_lengths():
     # onto another, b is a multiple of 3 and n divides b*|A|
     for n in (3, 5, 9, 15):
         m = 3 * n
-        valid = set(all_lane_defining_sets(n))
+        valid = set(set_family("constacyclic", n, 4).unions())
         for A in valid:
             if not A:
                 continue
@@ -245,7 +244,7 @@ def test_palfy_n5_matches_brute_force():
     # permutation equivalence never crosses an orbit boundary
     orbits = palfy_classify(5)
     codes = {els: build_constacyclic(5, els)
-             for els in all_lane_defining_sets(5)}
+             for els in set_family("constacyclic", 5, 4).unions()}
     orbit_of = {}
     for idx, o in enumerate(orbits):
         for member in o.members:

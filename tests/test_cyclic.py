@@ -37,6 +37,7 @@ from codeq.fields import (
     build_field,
     gf4,
     poly_divmod,
+    poly_mul,
     prime_power_split,
     splitting_field,
 )
@@ -85,6 +86,25 @@ def test_generator_divides_length_polynomial():
             _, rem = poly_divmod(F, xn1, list(C.generator_poly))
             assert rem == [0]
             break  # one nontrivial set per (n, q) keeps this quick
+
+
+@pytest.mark.parametrize("family,n,q", [
+    ("cyclic", 15, 4), ("cyclic", 15, 2), ("cyclic", 21, 4),
+    ("constacyclic", 5, 4), ("constacyclic", 7, 4), ("constacyclic", 11, 4)])
+def test_coset_polynomials_give_the_per_root_generator(family, n, q):
+    # the generator is built as a product of cached coset polynomials over
+    # GF(q); the product of the (x - alpha^a) over every root in the
+    # extension field, pulled back, is the same polynomial
+    fam = set_family(family, n, q)
+    ctx = canonical_root(fam.modulus, q)
+    K = ctx.ext
+    for els in fam.unions():
+        g = [1]
+        for a in els:
+            g = poly_mul(K, g, [K.neg(ctx.alpha_pow(a)), 1])
+        C = build_code(fam, els)
+        assert C.generator_poly == tuple(ctx.pull_back(c) for c in g)
+        assert C.k == n - len(els)
 
 
 def test_build_rejects_open_set():

@@ -42,6 +42,16 @@ def _random_code(F, n, k, seed):
     return LinearCode.from_rows(F, rng.integers(0, F.order, size=(k, n)))
 
 
+def _first_lightest(words, w, best, outside):
+    """Index of the first row of least weight among the rows with
+    0 < w < best outside the subcode, all filtered at once; None when there
+    is none."""
+    rows = np.flatnonzero((w > 0) & (w < best))
+    if outside is not None and rows.size:
+        rows = rows[outside(words[rows])]
+    return int(rows[np.argmin(w[rows])]) if rows.size else None
+
+
 def test_from_rows_identity_and_zero():
     C = LinearCode.from_rows(F3, np.eye(5, dtype=np.uint8))
     assert (C.n, C.k) == (5, 5)
@@ -116,6 +126,33 @@ def test_parity_check_annihilates():
     C = _random_code(F4, 9, 4, 31)
     H = C.parity_check()
     assert not gf_matmul(F4, H, C.generator.T).any()
+
+
+def _parity_check_loop(code):
+    """parity_check() entry by entry: 1 at each free column, -G[i, f] at
+    pivot i."""
+    T = linear.tables(code.field)
+    free = [c for c in range(code.n) if c not in code.pivots]
+    H = np.zeros((len(free), code.n), dtype=np.uint8)
+    for row, f in enumerate(free):
+        H[row, f] = 1
+        for i, p in enumerate(code.pivots):
+            H[row, p] = T.neg[code.generator[i, f]]
+    return H
+
+
+def test_parity_check_matches_the_loop():
+    rng = np.random.default_rng(19)
+    for F in (build_field(2, 1), F3, F4, build_field(5, 1),
+              build_field(2, 3)):
+        codes = [LinearCode.zero(F, 6), LinearCode.full(F, 6)]
+        codes += [_random_code(F, int(rng.integers(1, 12)),
+                               int(rng.integers(1, 9)), int(rng.integers(99)))
+                  for _ in range(10)]
+        for C in codes:
+            H = C.parity_check()
+            assert H.dtype == np.uint8 and H.shape == (C.n - C.k, C.n)
+            assert np.array_equal(H, _parity_check_loop(C))
 
 
 def test_parity_check_is_nullspace_of_redundant_rows():
@@ -429,6 +466,76 @@ def test_exhaustive_budget_gives_open_bounds():
     assert (none_seen.lb, none_seen.ub, none_seen.witness) == (1, 11, None)
     again = min_distance(C, strategy="exhaustive", budget=4 ** 6)
     assert again.complete and (again.lb, again.ub) == (full.lb, full.ub)
+
+
+def _reference_exhaustive(code, outside, budget):
+    """_exhaustive on the byte words of _codeword_chunks, each block's
+    lighter rows filtered all at once."""
+    total = code.field.order ** code.k
+    stop = total if budget is None else min(total, budget)
+    best, witness = code.n + 1, None
+    for words in linear._codeword_chunks(code, stop):
+        w = np.count_nonzero(words, axis=1)
+        x = _first_lightest(words, w, best, outside)
+        if x is not None:
+            best, witness = int(w[x]), tuple(int(v) for v in words[x])
+    if stop < total:
+        return (1, best, witness, stop,
+                f"budget ran out after {stop} of {total} codewords")
+    return best, best, witness, stop, ""
+
+
+def _light_level_code(F, n, k, rng):
+    """A k-dimensional code whose weight-1 words are the multiples of e_0,
+    the first row, and which holds the weight-2 word e_1 + e_k; the other
+    rows are [0 | I | R] with no zero row in R."""
+    R = rng.integers(0, F.order, size=(k - 1, n - k))
+    R[R.sum(axis=1) == 0, 0] = 1
+    R[0] = 0
+    R[0, 0] = 1
+    G = np.zeros((k, n), dtype=np.uint8)
+    G[0, 0] = 1
+    G[1:, 1:k] = np.eye(k - 1, dtype=np.uint8)
+    G[1:, k:] = R
+    return LinearCode.from_rows(F, G, n)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_exhaustive_bit_planes_match_byte_path(monkeypatch, m):
+    # characteristic 2 enumerates bit planes and walks weight levels; the
+    # byte enumeration that filters every lighter row at once gives the
+    # same (lb, ub, witness, work, note), with and without a subcode, on
+    # budgets that stop inside a block and codes past one ROW_BLOCK
+    F = build_field(2, m)
+    q = F.order
+    rng = np.random.default_rng(70 + m)
+
+    def check(C, budgets):
+        light = LinearCode.from_rows(F, C.generator[:1], C.n)
+        half = LinearCode.from_rows(F, C.generator[:C.k // 2], C.n)
+        for S in (None, light, half):
+            outside = None if S is None else _outside_test(C, S)
+            for budget in budgets:
+                got = linear._exhaustive(C, outside, budget, 1, 8, None)
+                assert got == _reference_exhaustive(C, outside, budget)
+                if S is light and budget is None:
+                    # every weight-1 word is in the subcode: the walk
+                    # rejects level 1 and finds e_1 + e_k at level 2
+                    assert got[:2] == (2, 2)
+
+    k = {2: 17, 4: 9, 8: 6}[q]
+    C = _light_level_code(F, k + 5, k, rng)
+    assert q ** C.k > linear.ROW_BLOCK
+    check(C, (None, linear.ROW_BLOCK + 1000))
+    # blocks of 48 rows: the bit planes come in blocks of q^low <= 48, the
+    # bytes in blocks of 48
+    monkeypatch.setattr(linear, "ROW_BLOCK", 48)
+    for _ in range(6):
+        n = int(rng.integers(7, 14))
+        k = int(rng.integers(2, 6))
+        C = _light_level_code(F, n, k, rng)
+        total = q ** C.k
+        check(C, (None, 1, 2, int(rng.integers(3, total)), total - 1))
 
 
 def test_min_distance_witness_is_codeword():
@@ -808,6 +915,34 @@ def test_mitm_side_order_is_the_stable_argsort():
     assert runs > 0
 
 
+def test_collisions_match_the_pair_list():
+    # sides of keys hash << IDX_BITS | index, sorted, with repeated and
+    # zero hashes, the largest hash, empty sides and either side smaller
+    rng = np.random.default_rng(23)
+    top = (1 << (64 - linear.IDX_BITS)) - 1
+
+    def side(size, hashes):
+        h = rng.choice(np.array(hashes, dtype=np.uint64), size)
+        key = h << np.uint64(linear.IDX_BITS) | np.arange(size,
+                                                          dtype=np.uint64)
+        key.sort()
+        return key
+
+    for na, nb in ((0, 0), (0, 6), (6, 0), (1, 1), (3, 40), (40, 3),
+                   (25, 25), (200, 17), (17, 200)):
+        for hashes in ([0], [0, 1], [0, 3, 5, top], list(range(60))):
+            key_a, key_b = side(na, hashes), side(nb, hashes)
+            hash_a = (key_a >> np.uint64(linear.IDX_BITS)).tolist()
+            hash_b = (key_b >> np.uint64(linear.IDX_BITS)).tolist()
+            want = [(i, j) for i in range(na) for j in range(nb)
+                    if hash_a[i] == hash_b[j]]
+            hit, lo, hi = linear._collisions(key_a, key_b)
+            assert np.all(np.diff(hit) > 0) and np.all(hi > lo)
+            got = [(int(i), j) for i, a, b in zip(hit, lo, hi)
+                   for j in range(a, b)]
+            assert got == want
+
+
 def test_mitm_pinned_side_equals_built_side():
     rng = np.random.default_rng(47)
     runs = 0
@@ -1117,7 +1252,7 @@ def _reference_infoset(code, iters, seed, outside, seen):
         seen.append(words.copy())
         w = np.count_nonzero(words, axis=1)
         work += w.size
-        x = linear._lightest(words, w, best, outside)
+        x = _first_lightest(words, w, best, outside)
         if x is not None:
             best, witness = int(w[x]), tuple(int(v) for v in words[x])
 

@@ -2,9 +2,12 @@
 meet only through public names."""
 
 import ast
+import os
 import pathlib
 import re
+import subprocess
 import sys
+import textwrap
 
 import pytest
 
@@ -136,3 +139,30 @@ def test_every_export_has_a_reader():
     read = set().union(*map(_referenced, readers))
     unread = sorted(set(codeq.__all__) - read)
     assert not unread, f"exports nothing reads: {unread}"
+
+
+def test_cold_pass_imports_no_numpy_ma():
+    # np.unique, np.setdiff1d and other set routines import numpy.ma on
+    # first use, about 10 ms in a fresh process (NumPy 2.4, 2-core Xeon);
+    # a search pass, the exhaustive engine and the ladder must not pay it
+    script = textwrap.dedent("""
+        import sys
+        import numpy as np
+        import codeq
+        from codeq.fields import gf4
+        from codeq.linear import LinearCode, min_distance
+        from codeq.search import SearchJob, search
+        search(SearchJob("constacyclic", 5, distance_budget=1 << 24))
+        rows = np.random.default_rng(1).integers(0, 4, size=(6, 12))
+        C = LinearCode.from_rows(gf4(), rows)
+        min_distance(C, strategy="exhaustive")
+        min_distance(C, strategy="information_set")
+        print("numpy.ma" in sys.modules)
+    """)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["False"]

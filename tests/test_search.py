@@ -8,12 +8,12 @@ import numpy as np
 import pytest
 
 from codeq import linear
-from codeq.constacyclic import all_lane_defining_sets
 from codeq.cosets import (
     all_defining_sets,
     coset_table,
     generalized_multiplier,
     multiplier,
+    set_family,
 )
 from codeq.cyclic import (
     _half_twist_partner,
@@ -144,7 +144,8 @@ def reference_multiplier_classes(n):
     """Lane defining sets at length n joined by the 1-mod-3 multipliers."""
     m = 3 * n
     mults = [e for e in range(1, m, 3) if math.gcd(e, m) == 1]
-    sets = [frozenset(els) for els in all_lane_defining_sets(n)]
+    sets = [frozenset(els)
+            for els in set_family("constacyclic", n, 4).unions()]
     return _loop_closure(
         sets, lambda S: (frozenset(e * a % m for a in S) for e in mults))
 
