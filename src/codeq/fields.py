@@ -362,9 +362,6 @@ class GaloisField:
             return self._exp[(-self._log[a]) % (self.order - 1)]
         return self.pow(a, self.order - 2)
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     def _pow_generic(self, a: int, e: int) -> int:
         r, b = 1, a
         while e:

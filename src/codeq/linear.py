@@ -11,15 +11,18 @@ enumeration when q^k is small, a syndrome-space dynamic program when
 q^(n-k) fits in memory (exact distances for things like [54,43] over
 GF(4)), and for the rest a meet-in-the-middle ladder that certifies lower
 bounds plus a seeded information-set search for upper bounds.  The
-engines share one arithmetic layer: codewords come from one chunked
-enumerator in message order (base-q digits, digit 0 fastest; bit planes
-in characteristic 2, bytes otherwise), column syndromes from one packing
-(base-q digits, XOR in characteristic 2), and each engine returns (lb,
-ub, witness, work, note) after filtering a subcode with one shared test.
-Enumeration and the information-set scan keep the first lightest word
-outside the subcode by one rule (_lightest): weight levels are walked
-upwards, and only the rows of the level being read are unpacked and
-tested.
+engines share one arithmetic layer.  Rows are bit planes in
+characteristic 2 and bytes otherwise, with one add, weigh, pack and
+unpack per field (_row_ops).  Codewords come from one chunked enumerator
+(_codewords) in message order, base-q digits with digit 0 fastest.
+Column syndromes come from one packing: base-q digits, each a field
+element encoded by its base-p digits, so a packed syndrome is a base-p
+number, and two add digit by digit mod p (XOR in characteristic 2).
+Each engine returns (lb, ub, witness, work, note) after filtering a
+subcode with one shared test.  Enumeration and the information-set scan
+keep the first lightest word outside the subcode by one rule
+(_lightest): weight levels are walked upwards, and only the rows of the
+level being read are unpacked and tested.
 
 Automatic dispatch in characteristic 2 runs the DP as a cascade: it first
 climbs the ladder as far as the rungs' estimated cost stays below the
@@ -301,32 +304,18 @@ class LinearCode:
         dual_sum = self.euclidean_dual().sum_code(other.euclidean_dual())
         return dual_sum.euclidean_dual()
 
-    def hull_dim_hermitian(self) -> int:
-        return self.intersection(self.hermitian_dual()).k
-
     def codewords(self, cap: int = EXHAUSTIVE_CAP) -> np.ndarray:
-        """All q^k codewords as a (q^k, n) array; guarded by cap."""
+        """All q^k codewords as a (q^k, n) array in message order; guarded
+        by cap."""
         total = self.field.order ** self.k
         if total > cap:
             raise ValueError(f"too large: {total} codewords exceeds cap {cap}")
-        return np.concatenate(list(_codeword_chunks(self)))
+        unpack = _row_ops(self.field, self.n)[3]
+        return np.concatenate([unpack(b) for b in _codewords(self)])
 
     def _check_context(self, other: "LinearCode") -> None:
         if self.field.key != other.field.key or self.n != other.n:
             raise ValueError("codes live in different ambient spaces")
-
-
-def _codeword_chunks(code: LinearCode, stop: int | None = None):
-    """Codewords of messages 0 .. stop-1 (all q^k by default), ROW_BLOCK
-    rows at a time; message digits are base q, coordinate 0 lowest."""
-    q, k = code.field.order, code.k
-    stop = q ** k if stop is None else stop
-    for start in range(0, stop, ROW_BLOCK):
-        idx = np.arange(start, min(start + ROW_BLOCK, stop), dtype=np.int64)
-        msgs = np.empty((idx.size, k), dtype=np.uint8)
-        for i in range(k):
-            msgs[:, i] = (idx // q ** i) % q
-        yield gf_matmul(code.field, msgs, code.generator)
 
 
 @dataclass(frozen=True)
@@ -344,51 +333,45 @@ def weight_distribution(code: LinearCode, budget: int = 1 << 28) -> WeightDistri
     total = code.field.order ** code.k
     if total > budget:
         raise ValueError(f"too large: q^k = {total} exceeds budget {budget}")
-    counts = sum(np.bincount(w, minlength=code.n + 1)
-                 for w in _weight_chunks(code))
+    weigh = _row_ops(code.field, code.n)[1]
+    counts = sum(np.bincount(weigh(block), minlength=code.n + 1)
+                 for block in _codewords(code))
     return WeightDistribution(code.n, tuple(int(c) for c in counts))
 
 
-def _weight_chunks(code: LinearCode):
-    """Weights of all q^k codewords in message order (as _codeword_chunks),
-    at most ROW_BLOCK at a time: popcounts of _codeword_planes in
-    characteristic 2, byte counts of _codeword_chunks otherwise."""
-    if code.field.p == 2:
-        return map(_plane_weights, _codeword_planes(code))
-    return map(_byte_weights, _codeword_chunks(code))
+def _codewords(code: LinearCode, stop: int | None = None):
+    """Codewords of messages 0 .. stop-1 (all q^k by default), at most
+    ROW_BLOCK at a time, in message order, as _row_ops rows of the field:
+    bit planes in characteristic 2, bytes otherwise.
 
-
-def _codeword_planes(code: LinearCode, stop: int | None = None):
-    """_pack_planes words of messages 0 .. stop-1 (all q^k by default), at
-    most ROW_BLOCK at a time, in message order; characteristic 2 only.
-
-    A codeword is the XOR of the bit planes of one multiple of each
-    generator row.  The words of the low message digits, at most ROW_BLOCK
-    of them, form a table in message order with digit 0 fastest; block h
-    is that table XORed with the word of high-digit value h.
+    A codeword is the sum of one multiple of each generator row.  The
+    words of the low message digits, at most ROW_BLOCK of them, form a
+    table in message order with digit 0 fastest; block h is that table
+    plus the word of high-digit value h.  Only the digits that some block
+    below stop reads are computed, so q^k may pass any integer width.
     """
     F, k = code.field, code.k
     q = F.order
     stop = q ** k if stop is None else stop
-    planes = _pack_planes(tables(F).mul[:, code.generator].reshape(
-        q * k, code.n), F.m)
-    shape = planes.shape[1:]
-    multiples = planes.reshape(q, k, *shape)
-    block = np.zeros((1, *shape), dtype=np.uint64)
+    add, _, pack, _ = _row_ops(F, code.n)
+    rows = pack(tables(F).mul[:, code.generator].reshape(q * k, code.n))
+    shape = rows.shape[1:]
+    multiples = rows.reshape(q, k, *shape)
+    block = np.zeros((1, *shape), dtype=rows.dtype)
     low = 0
     while low < k and q ** (low + 1) <= ROW_BLOCK:
-        block = (multiples[:, low, None] ^ block[None]).reshape(-1, *shape)
+        block = add(multiples[:, low, None], block[None]).reshape(-1, *shape)
         low += 1
     size = block.shape[0]
     h = np.arange(-(-stop // size))
-    high = np.zeros((h.size, *shape), dtype=np.uint64)
+    high = np.zeros((h.size, *shape), dtype=rows.dtype)
     for i in range(low, k):
         place = q ** (i - low)
         if place >= h.size:
             break
-        high ^= multiples[h // place % q, i]
+        high = add(high, multiples[h // place % q, i])
     for j, word in enumerate(high):
-        yield block[:stop - j * size] ^ word
+        yield add(block[:stop - j * size], word)
 
 
 def weight_distributions_equal(c1: LinearCode, c2: LinearCode) -> bool | None:
@@ -561,13 +544,12 @@ def _row_ops(F: GaloisField, n: int):
 
 def _exhaustive(code: LinearCode, outside, budget: int | None, seed: int,
                 iters: int, shift: int | None) -> _Bounds:
-    """Min weight by codeword enumeration in message order; the witness is
-    the first lightest word outside the subcode (_lightest).
+    """Min weight by codeword enumeration in message order (_codewords);
+    the witness is the first lightest word outside the subcode (_lightest).
 
-    Characteristic 2 enumerates bit planes (_codeword_planes), other
-    fields bytes (_codeword_chunks).  With a budget below q^k only the
-    first `budget` codewords are read: the bounds stay open (lb = 1) and ub
-    is the lowest weight seen (n+1 when none qualified).
+    With a budget below q^k only the first `budget` codewords are read:
+    the bounds stay open (lb = 1) and ub is the lowest weight seen (n+1
+    when none qualified).
     """
     F = code.field
     total = F.order ** code.k
@@ -576,9 +558,8 @@ def _exhaustive(code: LinearCode, outside, budget: int | None, seed: int,
                          f"{EXHAUSTIVE_CEILING}")
     stop = total if budget is None else min(total, budget)
     _, weigh, _, unpack = _row_ops(F, code.n)
-    blocks = (_codeword_planes if F.p == 2 else _codeword_chunks)(code, stop)
     best, witness = code.n + 1, None
-    for block in blocks:
+    for block in _codewords(code, stop):
         found = _lightest(block, weigh(block), best, outside, unpack)
         if found is not None:
             best, witness = found
@@ -592,8 +573,10 @@ def _column_syndromes(code: LinearCode) -> np.ndarray:
     """(q, n) int64 array: entry [c, j] packs c * H[:, j] as base-q digits,
     row 0 lowest, for H = parity_check().
 
-    In characteristic 2 digit i sits in bits [i*m, (i+1)*m), so adding
-    syndromes is XOR of packed values.  Callers make sure q^(n-k) fits.
+    A field element is encoded by its base-p digits, so a packed syndrome
+    is a base-p number, and syndromes add digit by digit mod p
+    (_add_packed); in characteristic 2 that is XOR.  Callers make sure
+    q^(n-k) fits.
     """
     q = code.field.order
     H = code.parity_check()
@@ -602,44 +585,32 @@ def _column_syndromes(code: LinearCode) -> np.ndarray:
     return (digits * place[None, :, None]).sum(axis=1)
 
 
-class _SyndromeSpace:
-    """GF(q)^r syndromes indexed by their packed digits; vector add as an
-    index operation."""
+def _add_packed(a: int, b: int, p: int) -> int:
+    """Sum of two packed syndromes: base-p digits added mod p."""
+    if p == 2:
+        return a ^ b
+    out, place = 0, 1
+    while a or b:
+        out += (a + b) % p * place
+        a, b, place = a // p, b // p, place * p
+    return out
 
-    def __init__(self, F: GaloisField, r: int):
-        self.F = F
-        self.r = r
-        self.q = F.order
-        self.size = self.q ** r
-        self.char2 = F.p == 2
-        self.T = tables(F)
 
-    def add_index(self, idx: int, vec_idx: int) -> int:
-        """Index of syndrome(idx) + syndrome(vec_idx), scalar version."""
-        if self.char2:
-            return idx ^ vec_idx
-        F = self.F
-        out = 0
-        for i in range(self.r):
-            a = (idx // self.q ** i) % self.q
-            b = (vec_idx // self.q ** i) % self.q
-            out += F.add(int(a), int(b)) * self.q ** i
-        return out
+def _shifted_gather(dist: np.ndarray, add: np.ndarray, r: int,
+                    s: int) -> np.ndarray:
+    """The q^r table dist re-indexed so entry x reads dist[x + s], for the
+    packed syndrome s and the field's addition table add.
 
-    def shifted_gather(self, dist: np.ndarray, vec_idx: int) -> np.ndarray:
-        """dist re-indexed so entry t reads dist[t + syndrome(vec_idx)].
-
-        Odd characteristic only (characteristic 2 uses _XorBlocks): one take
-        along each nonzero digit's axis of the (q,)*r view, indexed by the
-        field's addition table.
-        """
-        q, r = self.q, self.r
-        out = dist.reshape((q,) * r)
-        for i in range(r):
-            v = vec_idx // q ** i % q
-            if v:
-                out = np.take(out, self.T.add[:, v], axis=r - 1 - i)
-        return out.reshape(-1)
+    Odd characteristic only (characteristic 2 uses _XorBlocks): one take
+    along each nonzero digit's axis of the (q,)*r view.
+    """
+    q = add.shape[0]
+    out = dist.reshape((q,) * r)
+    for i in range(r):
+        v = s // q ** i % q
+        if v:
+            out = np.take(out, add[:, v], axis=r - 1 - i)
+    return out.reshape(-1)
 
 
 class _XorBlocks:
@@ -689,7 +660,7 @@ _BYTE_SWAPS = {
 
 
 def _dp_tables(code: LinearCode):
-    """Column-by-column syndrome DP; returns (d, dist, space, cols).
+    """Column-by-column syndrome DP; returns (d, dist, cols).
 
     cols is _column_syndromes(code).  The free columns of parity_check()
     are the unit vectors e_0..e_{r-1}, so after them a syndrome's distance
@@ -700,13 +671,12 @@ def _dp_tables(code: LinearCode):
     F = code.field
     q = F.order
     r = code.n - code.k
-    space = _SyndromeSpace(F, r)
     cols = _column_syndromes(code)
     dist = np.zeros(1, dtype=np.uint8)
     nonzero = (np.arange(q) != 0).astype(np.uint8)
     for _ in range(r):
         dist = np.add.outer(nonzero, dist).reshape(-1)
-    if space.char2:
+    if F.p == 2:
         # a table under 256 cells is tiled to one block: x ^ s keeps the
         # tile of x, so the first q^r cells hold the DP
         xor = _XorBlocks(max(r * F.m, 8))
@@ -718,7 +688,7 @@ def _dp_tables(code: LinearCode):
         best = min(best, 1 + int(flat[cols[1:, j]].min()))
         if not cols[1, j]:
             continue  # a zero column reaches no new syndrome
-        if space.char2:
+        if F.p == 2:
             # {c * h_j : c != 0} is the nonzero part of the F2-span of
             # the m packed basis multiples, one butterfly each
             src = dist
@@ -731,14 +701,14 @@ def _dp_tables(code: LinearCode):
             # min over c of dist[t + c h_j] is min over c of dist[t - c h_j]
             shifted = None
             for c in range(1, q):
-                arr = space.shifted_gather(flat, int(cols[c, j]))
+                arr = _shifted_gather(flat, tables(F).add, r, int(cols[c, j]))
                 shifted = arr if shifted is None else np.minimum(shifted, arr)
         np.add(shifted, 1, out=shifted)
         np.minimum(dist, shifted, out=dist)
-    return best, flat[:space.size], space, cols
+    return best, flat[:q ** r], cols
 
 
-def _dp_enumerate(code: LinearCode, t: int, dist, space, cols, outside,
+def _dp_enumerate(code: LinearCode, t: int, dist, cols, outside,
                   node_cap: int) -> tuple[tuple[int, ...] | None, bool]:
     """DFS for a weight-t codeword outside the subcode; returns (word, complete).
 
@@ -746,7 +716,7 @@ def _dp_enumerate(code: LinearCode, t: int, dist, space, cols, outside,
     still to choose can reach -sidx in dist[sidx] of them.
     """
     n = code.n
-    q = code.field.order
+    q, p = code.field.order, code.field.p
     packed = cols.tolist()
     nodes = 0
 
@@ -770,7 +740,7 @@ def _dp_enumerate(code: LinearCode, t: int, dist, space, cols, outside,
             return None
         for j in range(start, n - need + 1):
             for c in range(1, q):
-                got = rec(j + 1, space.add_index(sidx, packed[c][j]),
+                got = rec(j + 1, _add_packed(sidx, packed[c][j], p),
                           chosen + [(j, c)])
                 if got is not None:
                     return got
@@ -805,10 +775,10 @@ def _syndrome_dp(code: LinearCode, outside, budget: int | None, seed: int,
     if budget is not None and budget < work:
         return (1, n + 1, None, 0, f"budget {budget} is below the {work} "
                                    f"units of the syndrome dynamic program")
-    d0, dist, space, cols = _dp_tables(code)
+    d0, dist, cols = _dp_tables(code)
     node_cap = 1 << 22 if outside is None or budget is None else budget
     for t in range(d0, n + 1):
-        word, complete = _dp_enumerate(code, t, dist, space, cols, outside,
+        word, complete = _dp_enumerate(code, t, dist, cols, outside,
                                        node_cap)
         if word is not None or outside is None:
             return t, t, word, work, "exact by syndrome dynamic program"

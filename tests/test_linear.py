@@ -42,6 +42,15 @@ def _random_code(F, n, k, seed):
     return LinearCode.from_rows(F, rng.integers(0, F.order, size=(k, n)))
 
 
+def _reference_codewords(code):
+    """All q^k codewords as one byte array: gf_matmul over the messages,
+    base-q digits, digit 0 fastest."""
+    q, k = code.field.order, code.k
+    place = q ** np.arange(k, dtype=np.int64)
+    msgs = np.arange(q ** k, dtype=np.int64)[:, None] // place % q
+    return gf_matmul(code.field, msgs, code.generator)
+
+
 def _first_lightest(words, w, best, outside):
     """Index of the first row of least weight among the rows with
     0 < w < best outside the subcode, all filtered at once; None when there
@@ -116,7 +125,7 @@ def test_hull_dim_bounds():
     rng = np.random.default_rng(5)
     for _ in range(10):
         C = LinearCode.from_rows(F4, rng.integers(0, 4, size=(4, 10)))
-        h = C.hull_dim_hermitian()
+        h = C.intersection(C.hermitian_dual()).k
         assert 0 <= h <= C.k
         if C.hermitian_dual().contains_code(C):
             assert h == C.k
@@ -213,33 +222,35 @@ def test_weight_distribution_budget():
 
 
 def test_weight_distribution_bit_planes_match_bytes():
-    # in characteristic 2 the weights come from XORed bit planes, in blocks
-    # of at most ROW_BLOCK words; the byte words of _codeword_chunks, which
-    # exhaustive search reads, give the same counts
+    # the weights come from _codewords' rows (XORed bit planes in
+    # characteristic 2, table-added bytes otherwise) in blocks of at most
+    # ROW_BLOCK words; gf_matmul over every message gives the same words
+    # and counts, also where one enumeration spans several blocks
     rng = np.random.default_rng(97)
     for F, n, k in ((build_field(2, 1), 20, 18), (F4, 43, 9),
                     (build_field(2, 3), 11, 4), (build_field(2, 8), 9, 2),
-                    (F4, 70, 0)):
+                    (F4, 70, 0), (F3, 16, 11), (build_field(5, 1), 12, 7),
+                    (build_field(3, 2), 10, 5), (F3, 5, 0)):
         C = LinearCode.from_rows(F, rng.integers(0, F.order, size=(k, n)), n)
         assert C.k == k
-        blocks = list(linear._weight_chunks(C))
-        assert max(b.size for b in blocks) <= linear.ROW_BLOCK
-        assert sum(b.size for b in blocks) == F.order ** k
-        want = sum(np.bincount(np.count_nonzero(words, axis=1),
-                               minlength=n + 1)
-                   for words in linear._codeword_chunks(C))
+        blocks = list(linear._codewords(C))
+        assert max(b.shape[0] for b in blocks) <= linear.ROW_BLOCK
+        assert sum(b.shape[0] for b in blocks) == F.order ** k
+        words = _reference_codewords(C)
+        assert np.array_equal(C.codewords(), words)
+        want = np.bincount(np.count_nonzero(words, axis=1), minlength=n + 1)
         assert weight_distribution(C).counts == tuple(int(c) for c in want)
 
 
 def test_weight_distributions_are_enumerated_once(monkeypatch):
     enumerated = []
-    chunks = linear._weight_chunks
+    chunks = linear._codewords
 
     def counting_chunks(code, *args):
         enumerated.append(code)
         return chunks(code, *args)
 
-    monkeypatch.setattr(linear, "_weight_chunks", counting_chunks)
+    monkeypatch.setattr(linear, "_codewords", counting_chunks)
     _weight_counts.cache_clear()
     C1 = _random_code(F4, 9, 4, 51)
     C2 = apply_monomial(C1, MonomialTransform((8, 0, 1, 2, 3, 4, 5, 6, 7),
@@ -323,20 +334,23 @@ def _coset_leader_weights(C):
 def _check_dp_table(C):
     ex = min_distance(C, strategy="exhaustive")
     assert ex.exact and ex.complete
-    d0, dist, space, packed = _dp_tables(C)
+    d0, dist, packed = _dp_tables(C)
     assert d0 == ex.lb
-    assert dist.dtype == np.uint8 and dist.shape == (space.size,)
+    cells = C.field.order ** (C.n - C.k)
+    assert dist.dtype == np.uint8 and dist.shape == (cells,)
     assert np.array_equal(dist, _coset_leader_weights(C))
-    word, done = _dp_enumerate(C, d0, dist, space, packed, None, 1 << 20)
+    word, done = _dp_enumerate(C, d0, dist, packed, None, 1 << 20)
     assert done and word is not None
     assert C.contains(word)
     assert sum(1 for x in word if x) == d0
 
 
 def test_min_distance_exhaustive_matches_dp():
-    # GF(2), GF(4), GF(8), GF(16) run one to four butterflies per column
+    # GF(2), GF(4), GF(8), GF(16) run one to four butterflies per column;
+    # over GF(9) the witness DFS adds packed syndromes by base-3 digits
     rng = np.random.default_rng(15)
-    for F in (build_field(2, 1), F3, F4, build_field(2, 3), build_field(2, 4)):
+    for F in (build_field(2, 1), F3, F4, build_field(2, 3), build_field(2, 4),
+              build_field(5, 1), build_field(3, 2)):
         q = F.order
         r_max = round(math.log(4096, q))  # tables of at most 4096 cells
         k_max = min(7, round(math.log(1 << 14, q)))
@@ -405,8 +419,8 @@ def test_dp_tables_match_reference_on_large_tables():
              _random_code(build_field(2, 1), 36, 20, 37),
              _random_code(build_field(2, 3), 16, 11, 38)]
     for C, cells in zip(codes, (1 << 14, 1 << 16, 1 << 15)):
-        _, dist, space, _ = _dp_tables(C)
-        assert space.size == cells and dist.shape == (cells,)
+        _, dist, _ = _dp_tables(C)
+        assert dist.shape == (cells,)
         assert np.array_equal(dist, _reference_dp(C))
 
 
@@ -415,7 +429,7 @@ def test_dp_with_no_parity_rows():
     got = min_distance(C)
     assert got.strategy == "syndrome_dp"
     assert (got.lb, got.ub) == (1, 1) and got.complete
-    d0, dist, _, _ = _dp_tables(C)
+    d0, dist, _ = _dp_tables(C)
     assert d0 == 1 and dist.tolist() == [0]
 
 
@@ -468,17 +482,17 @@ def test_exhaustive_budget_gives_open_bounds():
     assert again.complete and (again.lb, again.ub) == (full.lb, full.ub)
 
 
-def _reference_exhaustive(code, outside, budget):
-    """_exhaustive on the byte words of _codeword_chunks, each block's
-    lighter rows filtered all at once."""
+def _reference_exhaustive(code, outside, budget, words):
+    """_exhaustive on words, the _reference_codewords of every message,
+    every lighter row filtered at once."""
     total = code.field.order ** code.k
     stop = total if budget is None else min(total, budget)
     best, witness = code.n + 1, None
-    for words in linear._codeword_chunks(code, stop):
-        w = np.count_nonzero(words, axis=1)
-        x = _first_lightest(words, w, best, outside)
-        if x is not None:
-            best, witness = int(w[x]), tuple(int(v) for v in words[x])
+    words = words[:stop]
+    w = np.count_nonzero(words, axis=1)
+    x = _first_lightest(words, w, best, outside)
+    if x is not None:
+        best, witness = int(w[x]), tuple(int(v) for v in words[x])
     if stop < total:
         return (1, best, witness, stop,
                 f"budget ran out after {stop} of {total} codewords")
@@ -500,35 +514,31 @@ def _light_level_code(F, n, k, rng):
     return LinearCode.from_rows(F, G, n)
 
 
-@pytest.mark.parametrize("m", [1, 2, 3])
-def test_exhaustive_bit_planes_match_byte_path(monkeypatch, m):
-    # characteristic 2 enumerates bit planes and walks weight levels; the
-    # byte enumeration that filters every lighter row at once gives the
-    # same (lb, ub, witness, work, note), with and without a subcode, on
-    # budgets that stop inside a block and codes past one ROW_BLOCK
-    F = build_field(2, m)
+def _check_exhaustive_levels(monkeypatch, F, k, rng):
+    """_exhaustive against _reference_exhaustive, which filters every
+    lighter byte row at once: the same (lb, ub, witness, work, note), with
+    and without a subcode, on budgets that stop inside a block, on a
+    k-dimensional code past one ROW_BLOCK and then on blocks of 48 rows."""
     q = F.order
-    rng = np.random.default_rng(70 + m)
 
     def check(C, budgets):
         light = LinearCode.from_rows(F, C.generator[:1], C.n)
         half = LinearCode.from_rows(F, C.generator[:C.k // 2], C.n)
+        words = _reference_codewords(C)
         for S in (None, light, half):
             outside = None if S is None else _outside_test(C, S)
             for budget in budgets:
                 got = linear._exhaustive(C, outside, budget, 1, 8, None)
-                assert got == _reference_exhaustive(C, outside, budget)
+                assert got == _reference_exhaustive(C, outside, budget, words)
                 if S is light and budget is None:
                     # every weight-1 word is in the subcode: the walk
                     # rejects level 1 and finds e_1 + e_k at level 2
                     assert got[:2] == (2, 2)
 
-    k = {2: 17, 4: 9, 8: 6}[q]
     C = _light_level_code(F, k + 5, k, rng)
     assert q ** C.k > linear.ROW_BLOCK
     check(C, (None, linear.ROW_BLOCK + 1000))
-    # blocks of 48 rows: the bit planes come in blocks of q^low <= 48, the
-    # bytes in blocks of 48
+    # the low-digit table then holds q^low <= 48 rows
     monkeypatch.setattr(linear, "ROW_BLOCK", 48)
     for _ in range(6):
         n = int(rng.integers(7, 14))
@@ -536,6 +546,35 @@ def test_exhaustive_bit_planes_match_byte_path(monkeypatch, m):
         C = _light_level_code(F, n, k, rng)
         total = q ** C.k
         check(C, (None, 1, 2, int(rng.integers(3, total)), total - 1))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_exhaustive_bit_planes_match_byte_path(monkeypatch, m):
+    # characteristic 2 enumerates bit planes and walks weight levels
+    F = build_field(2, m)
+    k = {1: 17, 2: 9, 3: 6}[m]
+    _check_exhaustive_levels(monkeypatch, F, k, np.random.default_rng(70 + m))
+
+
+@pytest.mark.parametrize("p,m,k", [(3, 1, 11), (5, 1, 7), (3, 2, 6)])
+def test_exhaustive_odd_fields_match_byte_path(monkeypatch, p, m, k):
+    # odd fields enumerate table-added bytes from the same low-digit
+    # table; k spans several ROW_BLOCK blocks
+    F = build_field(p, m)
+    _check_exhaustive_levels(monkeypatch, F, k,
+                             np.random.default_rng(80 + p + m))
+
+
+def test_exhaustive_budget_past_int64_gives_open_bounds():
+    # [I_41 | all-ones] over GF(3) has 3^41 > 2^63 codewords; a budget of
+    # 100 reads only the first block's low digits
+    G = np.hstack([np.eye(41, dtype=np.uint8), np.ones((41, 1), np.uint8)])
+    C = LinearCode.from_rows(F3, G)
+    got = min_distance(C, strategy="exhaustive", budget=100)
+    assert (got.lb, got.complete, got.work) == (1, False, 100)
+    assert got.note == ("budget ran out after 100 of 36472996377170786403 "
+                        "codewords")
+    assert got.ub == 2 and C.contains(got.witness)
 
 
 def test_min_distance_witness_is_codeword():

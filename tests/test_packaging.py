@@ -141,6 +141,59 @@ def test_every_export_has_a_reader():
     assert not unread, f"exports nothing reads: {unread}"
 
 
+def _definitions(path: pathlib.Path) -> list[str]:
+    """The module-level functions and classes in path and the public
+    methods of those classes."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found.append(node.name)
+        if isinstance(node, ast.ClassDef):
+            found += [item.name for item in node.body
+                      if isinstance(item, ast.FunctionDef)
+                      and not item.name.startswith("_")]
+    return found
+
+
+def _named_outside_definitions(path: pathlib.Path) -> set[str]:
+    """Every name, attribute and imported name in path, leaving out a
+    definition's own name inside its body."""
+    names = set()
+
+    def visit(node, enclosing):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                visit(child, enclosing | {child.name})
+                continue
+            if isinstance(child, ast.Name):
+                name = child.id
+            elif isinstance(child, ast.Attribute):
+                name = child.attr
+            elif isinstance(child, ast.alias):
+                name = child.name.split(".")[-1]
+            else:
+                name = None
+            if name is not None and name not in enclosing:
+                names.add(name)
+            visit(child, enclosing)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), frozenset())
+    return names
+
+
+def test_every_definition_has_a_reader():
+    # a function, class or public method that nothing in the package, the
+    # benchmark or the tests names is dead code
+    files = [path for top in ("src", "bench", "tests")
+             for path in sorted((ROOT / top).rglob("*.py"))]
+    named = set().union(*map(_named_outside_definitions, files))
+    unread = [f"{path.name}: {name}" for path in SOURCES
+              for name in _definitions(path) if name not in named]
+    assert not unread, f"definitions nothing names: {unread}"
+
+
 def test_cold_pass_imports_no_numpy_ma():
     # np.unique, np.setdiff1d and other set routines import numpy.ma on
     # first use, about 10 ms in a fresh process (NumPy 2.4, 2-core Xeon);
