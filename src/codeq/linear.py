@@ -1439,15 +1439,24 @@ def brute_force_equivalence(code1: LinearCode, code2: LinearCode,
                             budget: int = 1 << 22) -> EquivalenceResult:
     """Search for a monomial (or pure permutation) map sending code1 to code2.
 
-    Permutations are explored in lexicographic order, restricted to
-    column-class-consistent assignments; the diagonal is then solved as a
-    linear system instead of scanned.  Exhausting all class-consistent
-    permutations certifies non-equivalence.
+    Code 2's pivot columns P are an information set, so the sources s of P
+    force the rest of a map (Leon's partition backtrack): with Y =
+    G1[:, s]^-1 G1 and D the scalars on P, the other columns pair up as
+    d_j Y[:, u] = D G2[:, j].  The sorted base-q packings of D G2's other
+    columns, each scaled to a leading 1 under monomial maps, key a table
+    built once over every D with D_0 = 1 (scaling all coordinates keeps a
+    code), or D = 1 for permutations.  A leaf is an ordered choice s of
+    sources whose column profiles match P's; it is a hit when Y's other
+    columns, packed the same way, are a key, and the witness pairs equal
+    packings in stable order, its scalars read off the leading entries.
+    When a shift with constant eta (eta = 1 for permutations) keeps code1,
+    composing with its powers moves the source of P_0 to column 0, so only
+    that source is tried.  Exhausting the leaves certifies non-equivalence;
+    budget caps both q^k and the leaves tried.
     """
     if mode not in ("monomial", "permutation"):
         raise ValueError(f"unknown mode {mode!r}")
     F = code1.field
-    work = 0
     if code1.field.key != code2.field.key or code1.n != code2.n:
         return EquivalenceResult("not_equivalent", None, "different ambient spaces", 0)
     if code1.k != code2.k:
@@ -1465,7 +1474,7 @@ def brute_force_equivalence(code1: LinearCode, code2: LinearCode,
                                  f"codeword space q^k = {q ** k} exceeds budget", 0)
     words1 = code1.codewords(budget)
     words2 = code2.codewords(budget)
-    work += words1.shape[0] + words2.shape[0]
+    work = words1.shape[0] + words2.shape[0]
     wd1 = np.bincount(np.count_nonzero(words1, axis=1), minlength=n + 1)
     wd2 = np.bincount(np.count_nonzero(words2, axis=1), minlength=n + 1)
     if not np.array_equal(wd1, wd2):
@@ -1477,79 +1486,70 @@ def brute_force_equivalence(code1: LinearCode, code2: LinearCode,
         return EquivalenceResult("not_equivalent", None,
                                  "column weight profiles differ", work)
 
-    # candidates[j] = source columns allowed to map onto target column j
-    candidates = [[s for s in range(n) if prof1[s] == prof2[j]] for j in range(n)]
-    H2 = code2.parity_check()
-    G1 = code1.generator
-    status = {"work": work, "nodes": 0, "skipped_diagonal": False}
+    T = tables(F)
+    P = code2.pivots
+    rest2 = [j for j in range(n) if j not in P]
+    place = q ** np.arange(k, dtype=np.int64)
 
-    def finish(perm_inv: list[int]) -> MonomialTransform | None:
-        """perm_inv[j] = source column for target j; solve the diagonal."""
-        if mode == "permutation":
-            diag = [1] * n
-            M = MonomialTransform(tuple(_invert(perm_inv)), tuple(diag))
-            return M if apply_monomial(code1, M) == code2 else None
-        rows = []
-        for i in range(k):
-            for l in range(H2.shape[0]):
-                rows.append([F.mul(int(H2[l, j]), int(G1[i, perm_inv[j]]))
-                             for j in range(n)])
-        # diagonals d with rows @ d = 0: the dual of the rows' span
-        basis = LinearCode.from_rows(F, np.array(rows, dtype=np.uint8),
-                                     n).parity_check()
-        t = basis.shape[0]
-        if q ** t > 1 << 16:
-            status["skipped_diagonal"] = True
-            return None
-        T = tables(F)
-        for sel in range(1, q ** t):
-            coeffs = [(sel // q ** i) % q for i in range(t)]
-            d = np.zeros(n, dtype=np.uint8)
-            for i, c in enumerate(coeffs):
-                if c:
-                    d = T.add[d, T.mul[np.uint8(c), basis[i]]]
-            if np.all(d != 0):
-                M = MonomialTransform(tuple(_invert(perm_inv)),
-                                      tuple(int(x) for x in d))
-                if apply_monomial(code1, M) == code2:
-                    return M
-        return None
+    def pack(cols: np.ndarray) -> np.ndarray:
+        """The columns of a (..., k, m) array as base-q numbers, each
+        scaled to a leading 1 under monomial maps."""
+        if mode == "monomial":
+            first = (cols != 0).argmax(axis=-2)[..., None, :]
+            cols = T.mul[T.inv[np.take_along_axis(cols, first, axis=-2)], cols]
+        return place @ cols
 
-    def backtrack(j: int, perm_inv: list[int], used: set) -> MonomialTransform | None:
-        status["nodes"] += 1
-        if status["nodes"] > budget:
-            raise _NodeBudget
-        if j == n:
-            return finish(perm_inv)
-        for s in candidates[j]:
-            if s in used:
-                continue
-            perm_inv.append(s)
-            used.add(s)
-            got = backtrack(j + 1, perm_inv, used)
-            if got is not None:
-                return got
-            perm_inv.pop()
-            used.remove(s)
-        return None
+    scalings = np.array([(1, *d) for d in itertools.product(
+        range(1, q) if mode == "monomial" else (1,), repeat=k - 1)],
+        dtype=np.uint8)
+    images = T.mul[scalings[:, :, None], code2.generator[None]]
+    table: dict[bytes, np.ndarray] = {}
+    for key, image in zip(np.sort(pack(images[:, :, rest2]), axis=1), images):
+        table.setdefault(key.tobytes(), image)
 
-    try:
-        M = backtrack(0, [], set())
-    except _NodeBudget:
-        return EquivalenceResult("unknown", None, "search budget exhausted",
-                                 work + status["nodes"])
-    work += status["nodes"]
-    if M is not None:
-        return EquivalenceResult("equivalent", M, "witness found and re-verified", work)
-    if status["skipped_diagonal"]:
-        return EquivalenceResult("unknown", None,
-                                 "diagonal solution space too large to scan", work)
+    # candidates[i] = source columns allowed to map onto pivot target P[i]
+    candidates = [[s for s in range(n) if prof1[s] == prof2[p]] for p in P]
+    eta = _shift_constant(code1, None)
+    if eta is not None and (mode == "monomial" or eta == 1):
+        candidates[0] = [s for s in candidates[0] if s == 0]
+
+    def choices(i: int, chosen: list[int]):
+        if i == k:
+            yield chosen
+            return
+        for s in candidates[i]:
+            if s not in chosen:
+                yield from choices(i + 1, chosen + [s])
+
+    leaves = 0
+    for s in choices(0, []):
+        leaves += 1
+        if leaves > budget:
+            return EquivalenceResult("unknown", None, "search budget exhausted",
+                                     work + leaves)
+        rest1 = [u for u in range(n) if u not in s]
+        R, pivots = rref(F, code1.generator[:, s + rest1])
+        if pivots != tuple(range(k)):
+            continue
+        Y = R[:, k:]
+        packed = pack(Y)
+        image = table.get(np.sort(packed).tobytes())
+        if image is None:
+            continue
+        perm, diag = [0] * n, [1] * n
+        for i, (u, j) in enumerate(zip(s, P)):
+            perm[u], diag[j] = j, int(image[i, j])
+        for a, b in zip(np.argsort(packed, kind="stable"),
+                        np.argsort(pack(image[:, rest2]), kind="stable")):
+            u, j = rest1[a], rest2[b]
+            r = int((Y[:, a] != 0).argmax())
+            # a zero column's ratio reads 0; it takes scalar 1
+            perm[u], diag[j] = j, int(T.mul[image[r, j], T.inv[Y[r, a]]]) or 1
+        M = MonomialTransform(tuple(perm), tuple(diag))
+        if apply_monomial(code1, M) != code2:
+            raise RuntimeError("a forced completion failed re-verification")
+        return EquivalenceResult("equivalent", M, "witness found and re-verified",
+                                 work + leaves)
     return EquivalenceResult("not_equivalent", None,
-                             "all class-consistent permutations exhausted", work)
-
-
-def _invert(perm_inv: list[int]) -> list[int]:
-    perm = [0] * len(perm_inv)
-    for j, s in enumerate(perm_inv):
-        perm[s] = j
-    return perm
+                             "all class-consistent pivot sources exhausted",
+                             work + leaves)

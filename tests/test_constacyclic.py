@@ -239,12 +239,14 @@ def test_palfy_witnesses_map_leader_to_member():
             assert tuple(sorted(e * a % m for a in orbit.leader)) == member
 
 
-def test_palfy_n5_matches_brute_force():
-    # multiplier orbits are exactly the brute-force isometry classes, and
-    # permutation equivalence never crosses an orbit boundary
-    orbits = palfy_classify(5)
-    codes = {els: build_constacyclic(5, els)
-             for els in set_family("constacyclic", 5, 4).unions()}
+@pytest.mark.parametrize("n", [5, 11])
+def test_palfy_matches_brute_force(n):
+    # gcd(3n, phi(3n)) = 1 at n = 5 and 11: multiplier orbits are exactly
+    # the brute-force monomial classes, and at n = 5 permutation
+    # equivalence never crosses an orbit boundary
+    orbits = palfy_classify(n)
+    codes = {els: build_constacyclic(n, els)
+             for els in set_family("constacyclic", n, 4).unions()}
     orbit_of = {}
     for idx, o in enumerate(orbits):
         for member in o.members:
@@ -253,14 +255,30 @@ def test_palfy_n5_matches_brute_force():
     for i, a in enumerate(sets):
         for b in sets[i + 1:]:
             Ca, Cb = codes[a], codes[b]
-            if Ca.k != Cb.k or Ca.k in (0, 5):
+            if Ca.k != Cb.k or Ca.k in (0, n):
                 continue
             res = brute_force_equivalence(Ca.base, Cb.base, mode="monomial")
             assert res.status in ("equivalent", "not_equivalent")
             assert (res.status == "equivalent") == (orbit_of[a] == orbit_of[b])
-            perm = brute_force_equivalence(Ca.base, Cb.base, mode="permutation")
-            if perm.status == "equivalent":
-                assert orbit_of[a] == orbit_of[b]
+            if n == 5:
+                perm = brute_force_equivalence(Ca.base, Cb.base,
+                                               mode="permutation")
+                if perm.status == "equivalent":
+                    assert orbit_of[a] == orbit_of[b]
+
+
+def test_brute_force_n11_pair():
+    # the [11,6] pair with leaders 1 and 7 shares a multiplier orbit; its
+    # permutation search has 332,640 leaves, none a hit
+    fam = set_family("constacyclic", 11, 4)
+    C1 = build_constacyclic(11, fam.expand((1,))).base
+    C2 = build_constacyclic(11, fam.expand((7,))).base
+    assert (C1.k, C2.k) == (6, 6)
+    res = brute_force_equivalence(C1, C2, mode="monomial")
+    assert res.status == "equivalent"
+    assert apply_monomial(C1, res.witness) == C2
+    res = brute_force_equivalence(C1, C2, mode="permutation", budget=5000)
+    assert res.status == "unknown" and res.reason == "search budget exhausted"
 
 
 def test_multiplier_orbit_pair_needs_scale_factors():

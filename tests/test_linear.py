@@ -8,7 +8,9 @@ import pytest
 
 from codeq import linear
 from codeq.constacyclic import build_constacyclic
-from codeq.fields import build_field, gf4
+from codeq.cosets import DefiningSet
+from codeq.cyclic import build_cyclic
+from codeq.fields import GF4_OMEGA, build_field, gf4
 from codeq.linear import (
     LinearCode,
     MonomialTransform,
@@ -165,8 +167,8 @@ def test_parity_check_matches_the_loop():
 
 
 def test_parity_check_is_nullspace_of_redundant_rows():
-    # brute-force equivalence solves for diagonals this way: rows with
-    # repeats and dependent combinations, nullspace read off parity_check()
+    # rows with repeats and dependent combinations: from_rows keeps their
+    # span, and parity_check() reads off its nullspace
     C = _random_code(F3, 8, 3, 17)
     rows = np.vstack([C.generator, C.generator[:1],
                       gf_matmul(F3, [[1, 2, 0]], C.generator)])
@@ -1449,18 +1451,37 @@ def test_min_weight_outside_dp_filter():
     assert got.lb == base.lb
 
 
+def _scrambled_images(C, rng, count, mode):
+    """Images of C under random monomial maps, or permutations in
+    permutation mode."""
+    q = C.field.order
+    for _ in range(count):
+        perm = tuple(int(x) for x in rng.permutation(C.n))
+        diag = ((1,) * C.n if mode == "permutation" else
+                tuple(int(x) for x in rng.integers(1, q, size=C.n)))
+        yield apply_monomial(C, MonomialTransform(perm, diag))
+
+
 def test_brute_force_identity_and_scrambled():
     C = _random_code(F3, 7, 3, 71)
     res = brute_force_equivalence(C, C)
     assert res.status == "equivalent" and res.witness.perm == tuple(range(7))
+    # no shift keeps the random code; the cyclic [15,5] is pinned by its
+    # shift (eta = 1) in both modes; the omega-constacyclic [7,4] is pinned
+    # by eta = omega under monomial maps only
+    cyclic = build_cyclic(15, 4, DefiningSet.from_leaders(15, 4, (1, 2, 3, 6, 7)))
+    consta = build_constacyclic(7, (1, 4, 16))
+    assert linear._shift_constant(C, None) is None
+    assert linear._shift_constant(cyclic.base, None) == 1
+    assert linear._shift_constant(consta.base, None) == GF4_OMEGA
     rng = np.random.default_rng(72)
-    for _ in range(6):
-        M = MonomialTransform(tuple(int(x) for x in rng.permutation(7)),
-                              tuple(int(x) for x in rng.integers(1, 3, size=7)))
-        C2 = apply_monomial(C, M)
-        res = brute_force_equivalence(C, C2, mode="monomial")
-        assert res.status == "equivalent"
-        assert apply_monomial(C, res.witness) == C2
+    for mode in ("monomial", "permutation"):
+        for code, count in ((C, 6), (cyclic.base, 2), (consta.base, 3)):
+            for C2 in _scrambled_images(code, rng, count, mode):
+                res = brute_force_equivalence(code, C2, mode=mode)
+                assert res.status == "equivalent"
+                assert apply_monomial(code, res.witness) == C2
+                assert mode == "monomial" or res.witness.is_permutation()
 
 
 def test_brute_force_detects_inequivalence():
@@ -1478,3 +1499,16 @@ def test_brute_force_permutation_mode():
     res = brute_force_equivalence(C, C2, mode="permutation")
     assert res.status == "equivalent" and res.witness.is_permutation()
     assert apply_monomial(C, res.witness) == C2
+
+
+def test_brute_force_forces_columns_past_a_wide_diagonal():
+    # [I_9 | 0] over GF(4) against a rotation of its coordinates: every
+    # diagonal fixing the code is a solution, 3^9 of them, yet once the nine
+    # pivot sources are chosen the zero column is forced
+    A = LinearCode.from_rows(F4, np.eye(9, 10, dtype=np.uint8))
+    B = apply_monomial(A, MonomialTransform.permutation(
+        [(i + 1) % 10 for i in range(10)]))
+    for mode in ("monomial", "permutation"):
+        res = brute_force_equivalence(A, B, mode=mode)
+        assert res.status == "equivalent"
+        assert apply_monomial(A, res.witness) == B
