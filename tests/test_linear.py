@@ -1503,8 +1503,8 @@ def test_brute_force_permutation_mode():
 
 def test_brute_force_forces_columns_past_a_wide_diagonal():
     # [I_9 | 0] over GF(4) against a rotation of its coordinates: every
-    # diagonal fixing the code is a solution, 3^9 of them, yet once the nine
-    # pivot sources are chosen the zero column is forced
+    # nonzero diagonal keeps the code, 3^10 of them, too many to scan; once
+    # the nine pivot sources are chosen, the zero column is forced
     A = LinearCode.from_rows(F4, np.eye(9, 10, dtype=np.uint8))
     B = apply_monomial(A, MonomialTransform.permutation(
         [(i + 1) % 10 for i in range(10)]))
