@@ -557,7 +557,10 @@ def certify_equivalence(C1: CyclicCode, C2: CyclicCode, depth: int = 2,
             add("multiplier", (c,), ok, M,
                 "identity multiplier" if c == 1 else "")
 
-    # generalized multipliers composed with multipliers (prime-power n)
+    # generalized multipliers composed with multipliers (prime-power n);
+    # the permutation search that upgrades a match reads neither the map
+    # nor its parameters, so it runs at most once
+    upgrade = None
     for gmul in generalized_multipliers(n):
         d, k_cut = gmul.params[:2]
         for a in units(n):
@@ -567,12 +570,13 @@ def certify_equivalence(C1: CyclicCode, C2: CyclicCode, depth: int = 2,
             transform = None
             note = "combinatorial match; no explicit matrix"
             if q ** C1.k <= UPGRADE_BUDGET:
-                res = brute_force_equivalence(
-                    C1.base, C2.base, mode="permutation",
-                    budget=UPGRADE_BUDGET)
-                if res.status == "equivalent":
+                if upgrade is None:
+                    upgrade = brute_force_equivalence(
+                        C1.base, C2.base, mode="permutation",
+                        budget=UPGRADE_BUDGET)
+                if upgrade.status == "equivalent":
                     verified = True
-                    transform = res.witness
+                    transform = upgrade.witness
                     note = "verified via explicit permutation search"
             add("generalized_multiplier", (d, k_cut, a), verified, transform,
                 note)

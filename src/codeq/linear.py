@@ -24,11 +24,12 @@ keep the first lightest word outside the subcode by one rule
 (_lightest): weight levels are walked upwards, and only the rows of the
 level being read are unpacked and tested.
 
-Automatic dispatch in characteristic 2 runs the DP as a cascade: it first
-climbs the ladder as far as the rungs' estimated cost stays below the
-DP's, and it runs the DP only when the ladder found no word.  A word found
-is reported as the information-set engine reports an exact ladder result;
-a DP run after the climb says so in its note and counts the ladder's work.
+One dispatcher (_distance_engine) decides whether the meet-in-the-middle
+ladder climbs before the engine it picked, and how far: to weight 6 before
+the information-set search, before a DP that automatic dispatch picked as
+far as the rungs cost less than the DP (_ladder_reach), and not otherwise.
+A word the ladder finds is the exact minimum; else the engine finishes on
+the budget left, and its result keeps the ladder's floor, work and note.
 
 The dynamic program keeps one uint8 table of least weights per syndrome
 and builds no index array of table size.  It starts in closed form from
@@ -63,7 +64,7 @@ t) or, under a hash, unequal syndromes are dropped, and the rest become
 words for one subcode test per block of WORD_BLOCK words.  When the two
 sides have equal sizes, an A entry that meets only its twin in B (the
 same vector) is not expanded.  A rung runs only when its side entries fit
-under side_cap and under what is left of the distance budget.
+under MITM_SIDE_CAP and under what is left of the distance budget.
 
 Cyclic and constacyclic codes get windowed rungs instead.  When the code,
 and the subcode if there is one, is verified invariant under one shift
@@ -112,7 +113,7 @@ _HASH_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)  # odd: 2^64 / golden ratio
 MITM_CHUNK = 1 << 20
 WORD_BLOCK = 1 << 12
 ROW_BLOCK = 1 << 16
-INFOSET_DEFAULT_ITERS = 8
+INFOSET_ITERS = 8
 WD_COMPARE_CAP = 1 << 16
 GF4_CONJ = np.array([0, 1, 3, 2], dtype=np.uint8)
 
@@ -281,18 +282,13 @@ class LinearCode:
         return self.conjugate().euclidean_dual()
 
     def contains(self, vec) -> bool:
-        T = tables(self.field)
-        v = np.array(vec, dtype=np.uint8).reshape(-1).copy()
-        if v.shape[0] != self.n:
-            raise ValueError(f"vector length {v.shape[0]} != {self.n}")
-        for i, p in enumerate(self.pivots):
-            c = int(v[p])
-            if c:
-                v = T.add[v, T.mul[T.neg[c], self.generator[i]]]
-        return not v.any()
+        v = np.asarray(vec, dtype=np.uint8).reshape(1, -1)
+        if v.shape[1] != self.n:
+            raise ValueError(f"vector length {v.shape[1]} != {self.n}")
+        return not _outside_test(self, self)(v)[0]
 
     def contains_code(self, other: "LinearCode") -> bool:
-        return all(self.contains(row) for row in other.generator)
+        return not _outside_test(self, self)(other.generator).any()
 
     def sum_code(self, other: "LinearCode") -> "LinearCode":
         self._check_context(other)
@@ -470,12 +466,11 @@ class DistanceResult:
     seed: int | None
     elapsed: float
     work: int
-    complete: bool
     witness: tuple[int, ...] | None = None
     note: str = ""
 
     @property
-    def exact(self) -> bool:
+    def complete(self) -> bool:
         return self.lb == self.ub
 
     def to_dict(self) -> dict:
@@ -489,19 +484,20 @@ class DistanceResult:
 def _sentinel(code: LinearCode, strategy: str, t0: float) -> DistanceResult:
     s = code.n + 1
     return DistanceResult(s, s, strategy, None, time.perf_counter() - t0, 0,
-                          True, None, "zero-dimensional: sentinel n+1")
+                          note="zero-dimensional: sentinel n+1")
 
 
-# Every engine takes (code, outside, budget, seed, iters, shift), where
-# outside is _outside_test's subcode filter and shift is _shift_constant's
-# eta of the code and subcode (read by the ladder only), and returns
-# (lb, ub, witness, work, note).
+# Every engine takes (code, outside, budget, seed), where outside is
+# _outside_test's subcode filter and budget is what the ladder's climb, if
+# _distance_engine made one, left; it returns (lb, ub, witness, work, note).
 _Bounds = tuple[int, int, "tuple[int, ...] | None", int, str]
 
 
 def _outside_test(code: LinearCode, exclude: LinearCode | None):
     """The subcode filter every engine shares: None when there is no subcode,
-    else a map from an (N, n) word array to a mask of rows outside it."""
+    else a map from an (N, n) word array to a mask of rows outside it, the
+    rows with a nonzero syndrome.  Membership tests read it with the code
+    as its own subcode."""
     if exclude is None:
         return None
     Hx = exclude.parity_check().T
@@ -542,8 +538,8 @@ def _row_ops(F: GaloisField, n: int):
     return (lambda a, b: T.add[a, b]), _byte_weights, np.asarray, np.asarray
 
 
-def _exhaustive(code: LinearCode, outside, budget: int | None, seed: int,
-                iters: int, shift: int | None) -> _Bounds:
+def _exhaustive(code: LinearCode, outside, budget: int | None,
+                seed: int) -> _Bounds:
     """Min weight by codeword enumeration in message order (_codewords);
     the witness is the first lightest word outside the subcode (_lightest).
 
@@ -756,8 +752,8 @@ class _NodeBudget(Exception):
     pass
 
 
-def _syndrome_dp(code: LinearCode, outside, budget: int | None, seed: int,
-                 iters: int, shift: int | None) -> _Bounds:
+def _syndrome_dp(code: LinearCode, outside, budget: int | None,
+                 seed: int) -> _Bounds:
     """Exact min weight from the syndrome DP; a DFS fetches the witness.
 
     The DP costs n(q-1)q^r work units; under a smaller budget no table is
@@ -848,20 +844,17 @@ def _shift_constant(code: LinearCode, exclude: LinearCode | None
 
 
 def _mitm_ladder(code: LinearCode, wmax: int, outside,
-                 budget: int | None = None,
-                 side_cap: int = MITM_SIDE_CAP,
-                 shift: int | None = None
+                 budget: int | None = None, shift: int | None = None
                  ) -> tuple[int, int | None, tuple[int, ...] | None, int]:
     """Prove lower bounds by meet-in-the-middle over split supports.
 
     Returns (proved_lb, exact_weight_or_None, witness, work).  Weights are
     tried in ascending order; the first weight with a verified codeword
     (outside the subcode if given) is the exact minimum of that filtered
-    set.  Runs in characteristic 2 with packed syndromes of at most 63 bits
-    and side_cap at most MITM_SIDE_CAP.  Rung t costs its na + nb side
-    entries (_rung_sizes) in work; a rung with more than side_cap entries,
-    or one that would take the work past budget, is not run, and the
-    ladder returns proved_lb = t.
+    set.  Runs in characteristic 2 with packed syndromes of at most 63
+    bits.  Rung t costs its na + nb side entries (_rung_sizes) in work; a
+    rung with more than MITM_SIDE_CAP entries, or one that would take the
+    work past budget, is not run, and the ladder returns proved_lb = t.
 
     Without a shift, weight t splits into an A side of t // 2 positions,
     whose first scalar is pinned to 1, and a B side of the rest.  Each side
@@ -896,8 +889,6 @@ def _mitm_ladder(code: LinearCode, wmax: int, outside,
     n = code.n
     if F.p != 2 or (n - code.k) * F.m > 63:
         return 1, None, None, 0
-    if side_cap > MITM_SIDE_CAP:
-        raise ValueError(f"side cap {side_cap} exceeds {MITM_SIDE_CAP}")
     packed = _column_syndromes(code)
     exact = None if _key_hash(packed) is None else packed
     q = F.order
@@ -906,8 +897,8 @@ def _mitm_ladder(code: LinearCode, wmax: int, outside,
     side_b = key_b = None
     for t in range(1, wmax + 1):
         na, nb = _rung_sizes(n, q, t, windowed)
-        if na + nb > side_cap or (budget is not None
-                                  and work + na + nb > budget):
+        if na + nb > MITM_SIDE_CAP or (budget is not None
+                                       and work + na + nb > budget):
             return t, None, None, work
         if windowed:
             w, width = _window(n, q, t)[:2]
@@ -1259,26 +1250,21 @@ def _infoset_upper(code: LinearCode, iters: int, seed: int,
 
 
 def _information_set(code: LinearCode, outside, budget: int | None,
-                     seed: int, iters: int, shift: int | None) -> _Bounds:
-    """Certified lb by the meet-in-the-middle ladder, ub by seeded
-    information-set enumeration on the budget the ladder left."""
-    lb, exact_w, word, work = _mitm_ladder(code, 6, outside, budget,
-                                           shift=shift)
-    if exact_w is not None:
-        return (exact_w, exact_w, word, work,
-                "exact: meet-in-the-middle ladder")
-    note = f"lb by meet-in-the-middle ladder to weight {lb - 1}"
-    runs = iters
+                     seed: int) -> _Bounds:
+    """ub by seeded information-set enumeration: INFOSET_ITERS iterations,
+    or as many as the budget pays for; lb is 1, and the ladder's climb
+    before it proves the floor."""
+    runs, note = INFOSET_ITERS, ""
     if budget is not None:
         # an iteration runs only if all the rows it reads fit
         q, k = code.field.order, code.k
         rows = k + (q - 1) * math.comb(k, 2) + (q - 1) ** 2 * math.comb(k, 3)
-        runs = min(iters, (budget - work) // rows)
-        if runs < iters:
-            note += (f"; budget {budget - work} paid for {runs} of {iters} "
-                     f"information-set iterations")
-    ub, witness, iwork = _infoset_upper(code, runs, seed, outside)
-    return lb, ub, witness, work + iwork, note
+        runs = min(INFOSET_ITERS, budget // rows)
+        if runs < INFOSET_ITERS:
+            note = (f"budget {budget} paid for {runs} of {INFOSET_ITERS} "
+                    f"information-set iterations")
+    ub, witness, work = _infoset_upper(code, runs, seed, outside)
+    return 1, ub, witness, work, note
 
 
 _ENGINES = {"exhaustive": _exhaustive, "syndrome_dp": _syndrome_dp,
@@ -1295,11 +1281,10 @@ def _auto_engine(code: LinearCode) -> str:
     codewords; else enumeration up to EXHAUSTIVE_CAP codewords; else the DP
     when it fits; else information sets.
 
-    A DP pick in characteristic 2 becomes a cascade in _distance_engine:
-    first the meet-in-the-middle ladder to _ladder_reach(code, shift),
-    whose rungs (windowed when the code has a shift) together cost less
-    than the DP, and the DP only if the ladder finds no word.  A failed
-    climb thus costs at most one more DP.
+    Before a DP picked here, _distance_engine climbs the ladder to
+    _ladder_reach(code, shift), whose rungs together cost less than the
+    DP, and runs the DP only if the ladder finds no word.  A failed climb
+    thus costs at most one more DP.
     """
     F = code.field
     q, r = F.order, code.n - code.k
@@ -1319,6 +1304,8 @@ def _auto_engine(code: LinearCode) -> str:
 # 2^16 cells (55 us) keeps tables of a few thousand cells on the DP.
 LADDER_RUNG_CELLS = 1 << 16
 LADDER_ENTRY_CELLS = 64
+# the ladder's top rung before the information-set search
+INFOSET_LADDER_REACH = 6
 
 
 def _ladder_reach(code: LinearCode, shift: int | None = None) -> int:
@@ -1340,45 +1327,27 @@ def _ladder_reach(code: LinearCode, shift: int | None = None) -> int:
     return n
 
 
-def _ladder_then_dp(code: LinearCode, outside, budget: int | None, seed: int,
-                    iters: int, shift: int | None,
-                    reach: int) -> tuple[str, _Bounds]:
-    """Auto's DP route: the ladder to weight `reach`, then the DP, on the
-    budget the ladder left, when the ladder found no word; returns the
-    engine that decided and its bounds."""
-    lb, exact_w, word, work = _mitm_ladder(code, reach, outside, budget,
-                                           shift=shift)
-    if exact_w is not None:
-        return "information_set", (exact_w, exact_w, word, work,
-                                   "exact: meet-in-the-middle ladder")
-    left = None if budget is None else budget - work
-    dp_lb, dp_ub, witness, dp_work, note = _syndrome_dp(code, outside, left,
-                                                         seed, iters, shift)
-    return "syndrome_dp", (max(lb, dp_lb), dp_ub, witness, dp_work + work,
-                           f"{note}; ladder to weight {lb - 1} first")
-
-
 def min_distance(code: LinearCode, strategy: str = "auto",
-                 budget: int | None = None, seed: int = 1,
-                 iters: int = INFOSET_DEFAULT_ITERS) -> DistanceResult:
+                 budget: int | None = None, seed: int = 1) -> DistanceResult:
     """Certified (lb, ub) bounds on the minimum distance; equal means exact."""
-    return _distance_engine(code, None, strategy, budget, seed, iters)
+    return _distance_engine(code, None, strategy, budget, seed)
 
 
 def min_weight_outside(code: LinearCode, subcode: LinearCode,
                        strategy: str = "auto", budget: int | None = None,
-                       seed: int = 1,
-                       iters: int = INFOSET_DEFAULT_ITERS) -> DistanceResult:
+                       seed: int = 1) -> DistanceResult:
     """Bounds on the minimum weight over codewords of `code` not in `subcode`."""
     if not code.contains_code(subcode):
         raise ValueError("subcode is not contained in the code")
     if subcode.k == code.k:
         return _sentinel(code, "trivial", time.perf_counter())
-    return _distance_engine(code, subcode, strategy, budget, seed, iters)
+    return _distance_engine(code, subcode, strategy, budget, seed)
 
 
 def _distance_engine(code: LinearCode, exclude: LinearCode | None, strategy: str,
-                     budget: int | None, seed: int, iters: int) -> DistanceResult:
+                     budget: int | None, seed: int) -> DistanceResult:
+    """Pick the engine, climb the ladder before it where that pays, and
+    finish on the budget the climb left (see the module docstring)."""
     t0 = time.perf_counter()
     if code.k == 0:
         return _sentinel(code, "trivial", t0)
@@ -1386,24 +1355,37 @@ def _distance_engine(code: LinearCode, exclude: LinearCode | None, strategy: str
         raise ValueError(f"unknown strategy {strategy!r}")
     name = _auto_engine(code) if strategy == "auto" else strategy
     outside = _outside_test(code, exclude)
-    cascade = strategy == "auto" and name == "syndrome_dp"
+    climbs = name == "information_set" or (strategy == "auto"
+                                           and name == "syndrome_dp")
     # the ladder, the one reader of the shift, runs in characteristic 2
-    shift = (_shift_constant(code, exclude) if code.field.p == 2
-             and (cascade or name == "information_set") else None)
-    reach = _ladder_reach(code, shift) if cascade else 0
+    shift = (_shift_constant(code, exclude)
+             if climbs and code.field.p == 2 else None)
+    reach = (INFOSET_LADDER_REACH if name == "information_set"
+             else _ladder_reach(code, shift) if climbs else 0)
+    floor, exact_w, word, climb = 1, None, None, 0
     if reach:
-        name, bounds = _ladder_then_dp(code, outside, budget, seed, iters,
-                                       shift, reach)
+        floor, exact_w, word, climb = _mitm_ladder(code, reach, outside,
+                                                   budget, shift=shift)
+    if exact_w is not None:
+        name = "information_set"
+        lb = ub = exact_w
+        witness, work, note = word, climb, "exact: meet-in-the-middle ladder"
     else:
-        bounds = _ENGINES[name](code, outside, budget, seed, iters, shift)
-    lb, ub, witness, work, note = bounds
+        left = None if budget is None else budget - climb
+        lb, ub, witness, work, note = _ENGINES[name](code, outside, left, seed)
+        lb, work = max(lb, floor), work + climb
+        if name == "information_set":
+            note = "; ".join(filter(None, (
+                f"lb by meet-in-the-middle ladder to weight {floor - 1}",
+                note)))
+        elif reach:
+            note += f"; ladder to weight {floor - 1} first"
     if lb > ub:
         raise RuntimeError(f"{name}: lower bound {lb} exceeds the weight {ub} "
                            f"of a witness")
     return DistanceResult(lb, ub, name,
                           seed if name == "information_set" else None,
-                          time.perf_counter() - t0, work, lb == ub, witness,
-                          note)
+                          time.perf_counter() - t0, work, witness, note)
 
 
 @dataclass

@@ -14,7 +14,6 @@ import numpy as np
 from .fields import GF4_OMEGA, GF4_OMEGA2
 from .linear import (
     GF4_CONJ,
-    INFOSET_DEFAULT_ITERS,
     DistanceResult,
     LinearCode,
     min_distance,
@@ -112,19 +111,16 @@ def _orthonormal_complement(C: LinearCode, dual: LinearCode,
     return basis
 
 
-def _quantum_distance(E: LinearCode, Edual: LinearCode, strategy: str,
-                      budget: int | None, seed: int,
-                      iters: int) -> DistanceResult:
+def _quantum_distance(E: LinearCode, Edual: LinearCode, budget: int | None,
+                      seed: int) -> DistanceResult:
     if Edual.k == E.k:
         # self-dual: the quantum distance is the classical distance
-        return min_distance(E, strategy=strategy, budget=budget, seed=seed,
-                            iters=iters)
-    return min_weight_outside(E, Edual, strategy=strategy, budget=budget,
-                              seed=seed, iters=iters)
+        return min_distance(E, budget=budget, seed=seed)
+    return min_weight_outside(E, Edual, budget=budget, seed=seed)
 
 
-def crss(C: LinearCode, strategy: str = "auto", budget: int | None = None,
-         seed: int = 1, iters: int = INFOSET_DEFAULT_ITERS) -> QuantumParameters:
+def crss(C: LinearCode, budget: int | None = None,
+         seed: int = 1) -> QuantumParameters:
     """[[n, 2k-n]] quantum parameters from a Hermitian dual-containing code.
 
     The distance is the minimum weight over codewords of C outside C's
@@ -133,16 +129,14 @@ def crss(C: LinearCode, strategy: str = "auto", budget: int | None = None,
     dual = C.hermitian_dual()
     if not C.contains_code(dual):
         raise ValueError("code does not contain its Hermitian dual")
-    res = _quantum_distance(C, dual, strategy, budget, seed, iters)
+    res = _quantum_distance(C, dual, budget, seed)
     return QuantumParameters(
         n_q=C.n, k_q=2 * C.k - C.n, d_lb=res.lb, d_ub=res.ub, source=C,
         e=0, construction="crss", note=f"distance by {res.strategy}")
 
 
-def nearly_self_orthogonal(C: LinearCode, strategy: str = "auto",
-                           budget: int | None = None, seed: int = 1,
-                           iters: int = INFOSET_DEFAULT_ITERS,
-                           floor: bool = True
+def nearly_self_orthogonal(C: LinearCode, budget: int | None = None,
+                           seed: int = 1
                            ) -> tuple[LinearCode, QuantumParameters]:
     """Extend C by e = n - k - dim(hull) coordinates into a dual-containing code.
 
@@ -151,7 +145,7 @@ def nearly_self_orthogonal(C: LinearCode, strategy: str = "auto",
     unit entry; the result E is an [n+e, k+e] code with E^perp_h inside E
     (checked unconditionally), giving [[n+e, 2k-n+e]] quantum parameters.
 
-    With floor=True the distance lower bound is strengthened by
+    The distance lower bound is strengthened by the floor
     min{d(C), d(C + C^perp_h) + 1}, which every nonzero word of E obeys:
     words with empty padding lie in C, and any other word restricted to the
     first n coordinates is a nonzero vector of C + C^perp_h.
@@ -174,18 +168,15 @@ def nearly_self_orthogonal(C: LinearCode, strategy: str = "auto",
     Edual = E.hermitian_dual()
     assert E.contains_code(Edual), "extension is not dual-containing"
 
-    res = _quantum_distance(E, Edual, strategy, budget, seed, iters)
+    res = _quantum_distance(E, Edual, budget, seed)
     d_lb, d_ub = res.lb, res.ub
     note = f"distance by {res.strategy}"
-    if floor:
-        dC = min_distance(C, strategy=strategy, budget=budget, seed=seed,
-                          iters=iters)
-        dS = min_distance(S, strategy=strategy, budget=budget, seed=seed,
-                          iters=iters)
-        lo = min(dC.lb, dS.lb + 1)
-        if lo > d_lb:
-            d_lb = lo
-            note += f"; floor min({dC.lb}, {dS.lb}+1) = {lo}"
+    dC = min_distance(C, budget=budget, seed=seed)
+    dS = min_distance(S, budget=budget, seed=seed)
+    lo = min(dC.lb, dS.lb + 1)
+    if lo > d_lb:
+        d_lb = lo
+        note += f"; floor min({dC.lb}, {dS.lb}+1) = {lo}"
     if d_lb > d_ub:
         raise RuntimeError(f"unsound distance bounds: floor {d_lb} exceeds "
                            f"the witness weight {d_ub} ({note})")

@@ -350,8 +350,8 @@ def test_criterion_11_quantum_54_32_6(capfd):
         assert e_hull == e_sum == 3  # two-formula agreement
         dC = min_distance(C.base)
         dS = min_distance(S)
-        assert dC.exact and dC.lb == 6
-        assert dS.exact and dS.lb == 3
+        assert dC.complete and dC.lb == 6
+        assert dS.complete and dS.lb == 3
         assert min(dC.lb, dS.lb + 1) == 4  # floor before extension
 
         E, qp = nearly_self_orthogonal(C.base)
@@ -386,7 +386,7 @@ def test_criterion_12_quantum_114_72(capfd):
         rec = next(r for r in records if r.leaders == (19, 37))
         assert rec.orbit_size >= 6
 
-        E, qp = nearly_self_orthogonal(C.base, seed=1, iters=4)
+        E, qp = nearly_self_orthogonal(C.base, seed=1)
         assert (E.n, E.k) == (114, 93)
         assert E.contains_code(E.hermitian_dual())  # dual containment
         assert (qp.n_q, qp.k_q) == (114, 72)        # parameter arithmetic

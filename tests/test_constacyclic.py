@@ -267,6 +267,31 @@ def test_palfy_matches_brute_force(n):
                     assert orbit_of[a] == orbit_of[b]
 
 
+def test_palfy_theorem_at_17():
+    # gcd(51, phi(51)) = 1: the multiplier orbits are the equivalence
+    # classes.  Every member is the image of its leader under the
+    # multiplier map of its witness, and the two dimensions held by two
+    # orbits (k = 8 and 9) hold codes with different weight distributions
+    fam = set_family("constacyclic", 17, 4)
+    orbits = palfy_classify(17)
+    codes = {m: build_constacyclic(17, m).base
+             for o in orbits for m in o.members}
+    assert len(codes) == 32
+    for o in orbits:
+        for member, e in o.witnesses.items():
+            M = multiplier_transform(fam, e)
+            assert apply_monomial(codes[o.leader], M) == codes[member]
+    by_k = {}
+    for o in orbits:
+        by_k.setdefault(codes[o.leader].k, []).append(o.leader)
+    shared = {k: leaders for k, leaders in by_k.items() if len(leaders) > 1}
+    assert sorted(shared) == [8, 9]
+    for a, b in shared.values():
+        res = brute_force_equivalence(codes[a], codes[b])
+        assert (res.status, res.reason) == ("not_equivalent",
+                                            "weight distributions differ")
+
+
 def test_brute_force_n11_pair():
     # the [11,6] pair with leaders 1 and 7 shares a multiplier orbit; its
     # permutation search has 332,640 leaves, none a hit

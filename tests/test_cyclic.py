@@ -501,6 +501,28 @@ def test_generalized_multiplier_certificate():
     assert res.status == "equivalent"
 
 
+def test_generalized_multipliers_share_one_permutation_search(monkeypatch):
+    # the upgrade search reads neither the map nor its parameters: the
+    # three matching generalized multipliers of the n = 9 pair share one
+    searches = []
+    search = cyclic.brute_force_equivalence
+
+    def spy(code1, code2, **kwargs):
+        searches.append(kwargs.get("mode"))
+        return search(code1, code2, **kwargs)
+
+    monkeypatch.setattr(cyclic, "brute_force_equivalence", spy)
+    C1 = build_cyclic(9, 4, DefiningSet(9, 4, (1, 3, 4, 7)))
+    C2 = build_cyclic(9, 4, DefiningSet(9, 4, (2, 3, 5, 8)))
+    certs = certify_equivalence(C1, C2, use_brute=False)
+    gm = [c for c in certs if c.kind == "generalized_multiplier"]
+    assert searches == ["permutation"]
+    assert len({c.params for c in gm}) == len(gm) == 3
+    for c in gm:
+        assert c.verified
+        assert apply_monomial(C1.base, c.transform) == C2.base
+
+
 def test_generalized_multiplier_fixes_z1_at_9_2():
     A = DefiningSet.from_leaders(9, 2, (1,))
     assert apply_map(generalized_multiplier(9, 2, 1), A) == A.elements

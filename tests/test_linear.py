@@ -207,6 +207,25 @@ def test_intersection_and_sum_dims():
     assert A.contains_code(I) and B.contains_code(I)
 
 
+def test_membership_over_gf3():
+    # contains and contains_code test syndromes under the parity check: the
+    # zero code holds only 0, the full space every vector, and a code its
+    # own codewords and nothing else
+    zero, full = LinearCode.zero(F3, 6), LinearCode.full(F3, 6)
+    C = _random_code(F3, 6, 3, 17)
+    words = {tuple(int(x) for x in w) for w in C.codewords()}
+    for v in itertools.product(range(3), repeat=6):
+        assert C.contains(v) == (v in words)
+        assert full.contains(v) and zero.contains(v) == (not any(v))
+    free = next(j for j in range(6) if j not in C.pivots)
+    assert not C.contains(np.eye(6, dtype=np.uint8)[free])
+    assert C.contains_code(zero) and C.contains_code(C)
+    assert full.contains_code(C) and not C.contains_code(full)
+    assert zero.contains_code(zero) and not zero.contains_code(C)
+    with pytest.raises(ValueError, match="vector length"):
+        C.contains([0] * 5)
+
+
 def test_weight_distribution_zero_and_full():
     Z = LinearCode.zero(F3, 6)
     assert weight_distribution(Z).counts == (1, 0, 0, 0, 0, 0, 0)
@@ -335,7 +354,7 @@ def _coset_leader_weights(C):
 
 def _check_dp_table(C):
     ex = min_distance(C, strategy="exhaustive")
-    assert ex.exact and ex.complete
+    assert ex.complete
     d0, dist, packed = _dp_tables(C)
     assert d0 == ex.lb
     cells = C.field.order ** (C.n - C.k)
@@ -439,7 +458,7 @@ def test_auto_picks_the_smaller_of_table_and_codeword_space():
     # [15,11]: a 4^4-cell syndrome table against 4^11 codewords
     C = _random_code(F4, 15, 11, 43)
     got = min_distance(C)
-    assert got.strategy == "syndrome_dp" and got.exact
+    assert got.strategy == "syndrome_dp" and got.complete
     assert C.contains(got.witness)
     assert sum(1 for x in got.witness if x) == got.lb
     # a table no smaller than the codeword space keeps enumeration
@@ -450,7 +469,7 @@ def test_every_engine_name_is_a_strategy():
     C = _random_code(F4, 12, 8, 43)
     got = {name: min_distance(C, strategy=name) for name in _ENGINES}
     assert got["syndrome_dp"].strategy == "syndrome_dp"
-    assert got["syndrome_dp"].exact
+    assert got["syndrome_dp"].complete
     assert got["syndrome_dp"].lb == got["exhaustive"].lb
     with pytest.raises(ValueError, match="unknown strategy"):
         min_distance(C, strategy="dp")
@@ -530,7 +549,7 @@ def _check_exhaustive_levels(monkeypatch, F, k, rng):
         for S in (None, light, half):
             outside = None if S is None else _outside_test(C, S)
             for budget in budgets:
-                got = linear._exhaustive(C, outside, budget, 1, 8, None)
+                got = linear._exhaustive(C, outside, budget, 1)
                 assert got == _reference_exhaustive(C, outside, budget, words)
                 if S is light and budget is None:
                     # every weight-1 word is in the subcode: the walk
@@ -582,7 +601,7 @@ def test_exhaustive_budget_past_int64_gives_open_bounds():
 def test_min_distance_witness_is_codeword():
     C = _random_code(F4, 12, 5, 77)
     r = min_distance(C)
-    assert r.exact and r.witness is not None
+    assert r.complete and r.witness is not None
     assert C.contains(r.witness)
     assert sum(1 for x in r.witness if x) == r.lb
 
@@ -618,7 +637,7 @@ def test_mitm_ladder_agrees_with_exhaustive():
                 assert lb == 7 and exact is None
 
 
-def _reference_ladder(code, wmax, outside, side_cap=linear.MITM_SIDE_CAP):
+def _reference_ladder(code, wmax, outside):
     """The ladder as a Python loop over candidates: sides carry one
     (j_0, c_0, ..., j_{t-1}, c_{t-1}) metadata row per entry, and every
     colliding pair is rebuilt and weighed before the subcode test."""
@@ -650,7 +669,7 @@ def _reference_ladder(code, wmax, outside, side_cap=linear.MITM_SIDE_CAP):
         ta, tb = t // 2, t - t // 2
         nb = math.comb(n, tb) * (q - 1) ** tb
         na = math.comb(n, ta) * (q - 1) ** max(ta - 1, 0)
-        if na + nb > side_cap:
+        if na + nb > linear.MITM_SIDE_CAP:
             return t, None, None, work
         syn_b, meta_b = side(tb, False)
         order = np.argsort(syn_b, kind="stable")
@@ -722,8 +741,10 @@ def test_mitm_ladder_matches_reference_loop(monkeypatch):
                         m.setattr(linear, "MITM_CHUNK", chunk)
                         assert _mitm_ladder(C, 6, outside) == want
             # a side cap hit midway stops at the same rung
-            assert (_mitm_ladder(C, 6, None, side_cap=200)
-                    == _reference_ladder(C, 6, None, side_cap=200))
+            with monkeypatch.context() as m:
+                m.setattr(linear, "MITM_SIDE_CAP", 200)
+                assert _mitm_ladder(C, 6, None) == _reference_ladder(C, 6,
+                                                                     None)
 
 
 def _golay():
@@ -1251,6 +1272,48 @@ def test_auto_climbs_windowed_rungs_on_the_cyclic_bch_code():
     assert "budget 306 is below" in got.note
 
 
+def test_distance_climbs_the_ladder_from_one_place(monkeypatch):
+    # _distance_engine is the ladder's one caller: each distance call climbs
+    # at most once, to weight 6 before information sets and to
+    # _ladder_reach before a DP that auto picked, and not where that reach
+    # is 0 (small tables, odd fields) or on other routes
+    climbs = []
+    ladder = linear._mitm_ladder
+
+    def spy(code, wmax, *args, **kwargs):
+        climbs.append(wmax)
+        return ladder(code, wmax, *args, **kwargs)
+
+    monkeypatch.setattr(linear, "_mitm_ladder", spy)
+    bch = _bch_31()
+    climbing = _random_code(F4, 24, 17, 5)
+    reach = linear._ladder_reach(climbing)
+    assert reach > 0
+    wide = _random_code(F4, 30, 15, 7)
+    routes = [
+        (_random_code(F4, 12, 6, 44), "auto", None, "exhaustive", []),
+        (bch, "auto", None, "syndrome_dp", [6]),
+        (climbing, "auto", None, "syndrome_dp", [reach]),
+        (_random_code(F4, 15, 11, 43), "auto", None, "syndrome_dp", []),
+        (_random_code(F3, 14, 10, 3), "auto", None, "syndrome_dp", []),
+        (wide, "auto", None, "information_set", [6]),
+        (wide, "auto", LinearCode.from_rows(F4, wide.generator[:7]),
+         "information_set", [6]),
+        (_random_code(F3, 30, 15, 7), "auto", None, "information_set", [6]),
+        (bch, "exhaustive", None, "exhaustive", []),
+        (bch, "syndrome_dp", None, "syndrome_dp", []),
+        (bch, "information_set", None, "information_set", [6]),
+    ]
+    for C, strategy, S, engine, want in routes:
+        assert strategy != "auto" or linear._auto_engine(C) == engine
+        climbs.clear()
+        if S is None:
+            min_distance(C, strategy=strategy)
+        else:
+            min_weight_outside(C, S, strategy=strategy)
+        assert climbs == want
+
+
 def test_infoset_upper_bound_sound():
     rng = np.random.default_rng(29)
     # GF(4) and GF(2), GF(8) add rows by XOR, GF(3) and GF(5) by table
@@ -1441,7 +1504,7 @@ def test_min_weight_outside_dp_filter():
     C = LinearCode.from_rows(F4, rng.integers(0, 4, size=(12, 16)))
     S = LinearCode.from_rows(F4, C.generator[:2], 16)
     got = min_weight_outside(C, S)
-    assert got.strategy == "syndrome_dp" and got.exact
+    assert got.strategy == "syndrome_dp" and got.complete
     assert C.contains(got.witness) and not S.contains(got.witness)
     assert sum(1 for x in got.witness if x) == got.lb
     # min over C minus S can never undercut the code's own distance, and when

@@ -18,6 +18,7 @@ from codeq.quantum import (
     QuantumParameters,
     _hermitian_inner,
     _orthonormal_complement,
+    _quantum_distance,
     crss,
     hermitian_hull,
     nearly_self_orthogonal,
@@ -87,7 +88,7 @@ def test_extension_amount_and_dimensions():
     C = cyclic_base(51, [0, 2, 7, 17, 34])
     hull = hermitian_hull(C)
     assert hull.k == 8
-    E, qp = nearly_self_orthogonal(C, floor=False)
+    E, qp = nearly_self_orthogonal(C)
     assert qp.e == C.n - C.k - hull.k == 3
     assert (E.n, E.k) == (54, 43)
     assert (qp.n_q, qp.k_q) == (54, 32)
@@ -103,8 +104,8 @@ def test_fifty_one_chain_distances():
     E, qp = nearly_self_orthogonal(C)
     dC = min_distance(C)
     dS = min_distance(C.sum_code(C.hermitian_dual()))
-    assert dC.exact and dC.lb == 6
-    assert dS.exact and dS.lb == 3
+    assert dC.complete and dC.lb == 6
+    assert dS.complete and dS.lb == 3
     assert min(dC.lb, dS.lb + 1) == 4
     assert qp.d_lb == qp.d_ub == 6
     assert qp.exact
@@ -113,8 +114,8 @@ def test_fifty_one_chain_distances():
 
 def test_already_dual_containing_is_untouched():
     C = cyclic_base(51, [0, 2, 7, 17, 34])
-    E, _ = nearly_self_orthogonal(C, floor=False)
-    E2, qp2 = nearly_self_orthogonal(E, floor=False)
+    E, _ = nearly_self_orthogonal(C)
+    E2, qp2 = nearly_self_orthogonal(E)
     assert qp2.e == 0
     assert (E2.n, E2.k) == (E.n, E.k)
     assert E2.contains_code(E) and E.contains_code(E2)
@@ -125,7 +126,7 @@ def test_already_dual_containing_is_untouched():
 def test_logical_dimension_arithmetic():
     for leaders in ([1], [0], [1, 3], [0, 1, 5], [3], [1, 7]):
         C = cyclic_base(15, leaders)
-        E, qp = nearly_self_orthogonal(C, floor=False)
+        E, qp = nearly_self_orthogonal(C)
         assert qp.k_q == 2 * C.k - C.n + qp.e
         assert qp.k_q == 2 * E.k - E.n
         assert qp.n_q == C.n + qp.e
@@ -140,28 +141,31 @@ def test_distance_bounds_sound_on_small_codes():
             truth = min_distance(E)
         else:
             truth = min_weight_outside(E, Edual)
-        assert truth.exact
+        assert truth.complete
         assert qp.d_lb <= truth.lb
         assert qp.d_ub >= truth.ub
 
 
-def test_floor_flag_changes_note_not_soundness():
+def test_floor_lifts_lb_only():
+    # the floor min(d(C), d(C + C^perp_h) + 1) may lift the lower bound of
+    # the extension's own distance run, and then says so in the note; the
+    # witness weight stays
     C = cyclic_base(15, [0, 1])
-    _, with_floor = nearly_self_orthogonal(C, floor=True)
-    _, without = nearly_self_orthogonal(C, floor=False)
-    assert with_floor.d_lb >= without.d_lb
-    assert with_floor.d_ub == without.d_ub
+    E, qp = nearly_self_orthogonal(C)
+    own = _quantum_distance(E, E.hermitian_dual(), None, 1)
+    assert qp.d_lb >= own.lb and qp.d_ub == own.ub
+    assert ("; floor min(" in qp.note) == (qp.d_lb > own.lb)
 
 
 def test_floor_above_witness_weight_raises(monkeypatch):
     # a floor no word of the code can meet must surface, not be clamped
     def impossible(code, **kwargs):
-        return DistanceResult(10 ** 6, 10 ** 6, "fake", None, 0.0, 0, True)
+        return DistanceResult(10 ** 6, 10 ** 6, "fake", None, 0.0, 0)
 
     monkeypatch.setattr("codeq.quantum.min_distance", impossible)
     C = cyclic_base(15, [0, 1])
     with pytest.raises(RuntimeError, match="unsound distance bounds"):
-        nearly_self_orthogonal(C, floor=True)
+        nearly_self_orthogonal(C)
 
 
 def test_parameters_to_dict_and_exactness():
@@ -185,5 +189,5 @@ def test_crss_on_dual_containing_cyclic_codes():
     assert (qp.n_q, qp.k_q) == (15, 11)
     assert qp.exact
     truth = min_weight_outside(C, dual)
-    assert truth.exact
+    assert truth.complete
     assert (qp.d_lb, qp.d_ub) == (truth.lb, truth.ub)
