@@ -122,16 +122,6 @@ class DefiningSet:
     def leaders(self) -> tuple[int, ...]:
         return set_family("cyclic", self.n, self.q).leaders(self.elements)
 
-    def to_string(self, full: bool = False) -> str:
-        if full:
-            return "full:" + ",".join(str(x) for x in self.elements)
-        return ",".join(str(x) for x in self.leaders())
-
-    def complement(self) -> "DefiningSet":
-        got = set(self.elements)
-        return DefiningSet(self.n, self.q,
-                           tuple(x for x in range(self.n) if x not in got))
-
     def union(self, other: "DefiningSet") -> "DefiningSet":
         self._check_context(other)
         return DefiningSet(self.n, self.q,

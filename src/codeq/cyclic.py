@@ -522,8 +522,8 @@ COMPOSITION_CAP = 2500
 UPGRADE_BUDGET = 1 << 18
 
 
-def certify_equivalence(C1: CyclicCode, C2: CyclicCode, depth: int = 2,
-                        use_brute: bool = True) -> list[CyclicCertificate]:
+def certify_equivalence(C1: CyclicCode, C2: CyclicCode,
+                        depth: int = 2) -> list[CyclicCertificate]:
     """Ordered list of verified equivalence certificates from C1 to C2.
 
     Search order: multipliers, generalized multipliers (prime-power
@@ -675,7 +675,7 @@ def certify_equivalence(C1: CyclicCode, C2: CyclicCode, depth: int = 2,
                     e, b = wits[0].params
                     add("composition", (leg, f"affine({e},{b})"), True,
                         None, "matrix step then affine isometry")
-    if use_brute and not out and q ** C1.k <= UPGRADE_BUDGET:
+    if not out and q ** C1.k <= UPGRADE_BUDGET:
         res = brute_force_equivalence(C1.base, C2.base, mode="monomial",
                                       budget=UPGRADE_BUDGET)
         if res.status == "equivalent":

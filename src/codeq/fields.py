@@ -286,9 +286,6 @@ class GaloisField:
             a = a * self.p + d
         return a
 
-    def elements(self):
-        return range(self.order)
-
     # -- ring ops -----------------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
@@ -466,9 +463,6 @@ class RootOfUnity:
     field: GaloisField
     value: int
     order: int
-
-    def power(self, k: int) -> int:
-        return self.field.pow(self.value, k % self.order)
 
 
 def primitive_nth_root(field: GaloisField, n: int) -> RootOfUnity:

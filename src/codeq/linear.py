@@ -53,30 +53,29 @@ n <= 256), and each slot adds its multiples to every key by one
 broadcast XOR.  h is the identity when syndromes fit above the index
 bits, which holds for every code the DP could take, and a multiplicative
 hash otherwise; one in-place sort then orders a side by syndrome with
-equal syndromes in index order.  Only B sides are built; an A side of j
-positions, first scalar pinned to 1, is the part of the B side of j
-positions whose tuples start with 1.  On even rungs its entries meet the
-runs of equal keys around their own positions; otherwise the smaller
-side's distinct hashes are binary-searched in the larger side, and the A
-entries of each hash met are listed in order.  Colliding pairs are
-expanded in bounded chunks; pairs with overlapping supports (weight below
-t) or, under a hash, unequal syndromes are dropped, and the rest become
-words for one subcode test per block of WORD_BLOCK words.  When the two
-sides have equal sizes, an A entry that meets only its twin in B (the
-same vector) is not expanded.  A rung runs only when its side entries fit
-under MITM_SIDE_CAP and under what is left of the distance budget.
+equal syndromes in index order.  One rung plan (_rung_plan) splits rung t
+into an A side of w positions, first scalar pinned to 1, and a B side of
+the other t - w, and gives both sides' entry counts, which are the rung's
+work.  A B side is built once per position count.  Rungs join their sides
+in one of two ways.  A two-sided rung builds its A side, and the smaller
+side's distinct hashes are binary-searched in the larger side; the A
+entries of each hash met are listed in order.  An unwindowed even rung
+has sides of equal size, so its A side is the part of the B side whose
+tuples start with 1, and those entries meet the runs of equal keys
+around their own positions; an entry that meets only its twin in B (the
+same vector) is not expanded.  Colliding pairs are expanded in bounded
+chunks; pairs with overlapping supports (weight below t) or, under a
+hash, unequal syndromes are dropped, and the rest become words for one
+subcode test per block of WORD_BLOCK words.  A rung runs only when its
+side entries fit under MITM_SIDE_CAP and under what is left of the
+distance budget.
 
-Cyclic and constacyclic codes get windowed rungs instead.  When the code,
-and the subcode if there is one, is verified invariant under one shift
-sigma(c) = (eta c_{n-1}, c_0, ..., c_{n-2}) (_shift_constant), take a
-word of weight t and 1 <= w <= t, and let width = n(w-1) // t + 1.  The n
-cyclic windows of width positions hold t * width > n(w-1) support hits in
-all, so one holds w of them; slid to start at its first support position
-it keeps them, and shifting that position to 0 and scaling to c_0 = 1
-keeps the word in the code and outside the subcode.  So rung t meets a
-window side, {0} and w-1 positions of [1, width) with c_0 = 1, with an
-outer side of t-w positions of [1, n), w chosen for the fewest entries.
-At n = 43 over GF(4) that is 8,973 entries for weight 5 against 335,916.
+Cyclic and constacyclic codes get windowed rungs, all two-sided.  When
+one verified shift keeps the code and its subcode (_shift_constant), a
+word of weight t has a shifted, scaled copy with c_0 = 1 and w - 1 more
+positions in a window [1, width), so rung t meets that window side with
+an outer side of t - w positions of [1, n) (see _mitm_ladder).  At n = 43
+over GF(4) that is 8,973 entries for weight 5 against 335,916.
 
 The information-set search reads its triples of rows in blocks of
 ROW_BLOCK rows gathered by index arrays.  In characteristic 2 a row is
@@ -105,6 +104,7 @@ EXHAUSTIVE_CEILING = 1 << 28
 DP_CAP_CHAR2 = 1 << 24
 DP_CAP_ODD = 1 << 18
 MITM_SIDE_CAP = 1 << 23
+DFS_NODE_CAP = 1 << 22
 # a ladder side's sort key: its index in the low IDX_BITS bits, a hash of
 # its syndrome above them
 IDX_BITS = (MITM_SIDE_CAP - 1).bit_length()
@@ -324,11 +324,13 @@ class WeightDistribution:
             raise ValueError("counts must have length n+1")
 
 
-def weight_distribution(code: LinearCode, budget: int = 1 << 28) -> WeightDistribution:
-    """Exact weight enumerator by message-space enumeration."""
+def weight_distribution(code: LinearCode) -> WeightDistribution:
+    """Exact weight enumerator by message-space enumeration of at most
+    EXHAUSTIVE_CEILING codewords."""
     total = code.field.order ** code.k
-    if total > budget:
-        raise ValueError(f"too large: q^k = {total} exceeds budget {budget}")
+    if total > EXHAUSTIVE_CEILING:
+        raise ValueError(f"too large: q^k = {total} exceeds cap "
+                         f"{EXHAUSTIVE_CEILING}")
     weigh = _row_ops(code.field, code.n)[1]
     counts = sum(np.bincount(weigh(block), minlength=code.n + 1)
                  for block in _codewords(code))
@@ -705,8 +707,9 @@ def _dp_tables(code: LinearCode):
 
 
 def _dp_enumerate(code: LinearCode, t: int, dist, cols, outside,
-                  node_cap: int) -> tuple[tuple[int, ...] | None, bool]:
-    """DFS for a weight-t codeword outside the subcode; returns (word, complete).
+                  node_cap: int) -> tuple[tuple[int, ...] | None, int]:
+    """DFS for a weight-t codeword outside the subcode; returns (word,
+    nodes), the nodes visited, node_cap + 1 when it stopped at the cap.
 
     A syndrome and its negative have the same least weight, so the columns
     still to choose can reach -sidx in dist[sidx] of them.
@@ -743,9 +746,9 @@ def _dp_enumerate(code: LinearCode, t: int, dist, cols, outside,
         return None
 
     try:
-        return rec(0, 0, []), True
+        return rec(0, 0, []), nodes
     except _NodeBudget:
-        return None, False
+        return None, nodes
 
 
 class _NodeBudget(Exception):
@@ -757,10 +760,13 @@ def _syndrome_dp(code: LinearCode, outside, budget: int | None,
     """Exact min weight from the syndrome DP; a DFS fetches the witness.
 
     The DP costs n(q-1)q^r work units; under a smaller budget no table is
-    built and the bounds stay open.  With a subcode, weights from the
-    code's distance up are searched in turn; the budget caps the DFS nodes
-    of each weight.  A table of more than _dp_cap cells is refused before
-    anything is allocated.
+    built and the bounds stay open.  Without a subcode the table proves d
+    and one DFS of at most DFS_NODE_CAP nodes fetches a witness.  With one,
+    weights from the code's distance up are searched in turn under one node
+    cap, the budget left after the table (DFS_NODE_CAP without a budget),
+    and every node counts as work; running out leaves the bounds open.  A
+    table of more than _dp_cap cells is refused before anything is
+    allocated.
     """
     cells, cap = code.field.order ** (code.n - code.k), _dp_cap(code.field)
     if cells > cap:
@@ -772,45 +778,43 @@ def _syndrome_dp(code: LinearCode, outside, budget: int | None,
         return (1, n + 1, None, 0, f"budget {budget} is below the {work} "
                                    f"units of the syndrome dynamic program")
     d0, dist, cols = _dp_tables(code)
-    node_cap = 1 << 22 if outside is None or budget is None else budget
+    note = "exact by syndrome dynamic program"
+    if outside is None:
+        word = _dp_enumerate(code, d0, dist, cols, None, DFS_NODE_CAP)[0]
+        return d0, d0, word, work, note
+    left = DFS_NODE_CAP if budget is None else budget - work
     for t in range(d0, n + 1):
-        word, complete = _dp_enumerate(code, t, dist, cols, outside,
-                                       node_cap)
-        if word is not None or outside is None:
-            return t, t, word, work, "exact by syndrome dynamic program"
-        if not complete:
-            return t, n + 1, None, work, "node budget hit while filtering"
+        word, nodes = _dp_enumerate(code, t, dist, cols, outside, left)
+        if nodes > left:
+            return (t, n + 1, None, work + left,
+                    "node budget hit while filtering")
+        work, left = work + nodes, left - nodes
+        if word is not None:
+            return t, t, word, work, note
     raise AssertionError("no codeword outside a proper subcode")
 
 
-def _rung_sizes(n: int, q: int, t: int,
-                windowed: bool = False) -> tuple[int, int]:
-    """(na, nb): entries of rung t's A side and B side.
+def _rung_plan(n: int, q: int, t: int,
+               windowed: bool) -> tuple[int, int, int, int]:
+    """(w, width, na, nb): how rung t splits a word of weight t.
 
-    A holds t // 2 positions with the first scalar pinned to 1 and B the
-    other t - t // 2; windowed (on a shift-invariant code), they are the
-    window side and the outer side of _window(n, q, t).
+    The A side holds w positions of [0, width), the first scalar pinned to
+    1, and the B side the other t - w positions, with any nonzero scalars;
+    na and nb count their entries.  Unwindowed, w = t // 2, width = n and
+    both sides range over [0, n): na = C(n, w) (q-1)^max(w-1, 0) and nb =
+    C(n, t - w) (q-1)^(t-w).
+
+    Windowed (on a shift-invariant code, see _mitm_ladder), the A side is
+    the window side, {0} and w - 1 positions of [1, width) for width =
+    n(w - 1) // t + 1, and the B side the outer side on [1, n): na =
+    C(width - 1, w - 1) (q-1)^(w-1) and nb = C(n - 1, t - w) (q-1)^(t-w),
+    with the w of the fewest side entries, the least on ties.
     """
-    if windowed:
-        return _window(n, q, t)[2:]
-    ta, tb = t // 2, t - t // 2
-    return (math.comb(n, ta) * (q - 1) ** max(ta - 1, 0),
-            math.comb(n, tb) * (q - 1) ** tb)
+    if not windowed:
+        w = t // 2
+        return (w, n, math.comb(n, w) * (q - 1) ** max(w - 1, 0),
+                math.comb(n, t - w) * (q - 1) ** (t - w))
 
-
-def _window(n: int, q: int, t: int) -> tuple[int, int, int, int]:
-    """(w, width, na, nb): the split of a windowed rung t with the fewest
-    side entries, the least w on ties.
-
-    A word of weight t has t * width > n(w - 1) hits in the n cyclic
-    windows of width = n(w - 1) // t + 1 positions, so one window holds w
-    of its support positions; shifted to start at the first of them and
-    scaled, the word has c_0 = 1 and w - 1 more positions in [1, width).
-    The window side holds {0} and w - 1 positions of [1, width), c_0 = 1:
-    na = C(width - 1, w - 1) (q-1)^(w-1) entries.  The outer side holds
-    t - w positions of [1, n) with any nonzero scalars: nb = C(n - 1,
-    t - w) (q-1)^(t-w) entries.
-    """
     def split(w: int) -> tuple[int, int, int, int]:
         width = n * (w - 1) // t + 1
         return (w, width, math.comb(width - 1, w - 1) * (q - 1) ** (w - 1),
@@ -852,38 +856,36 @@ def _mitm_ladder(code: LinearCode, wmax: int, outside,
     tried in ascending order; the first weight with a verified codeword
     (outside the subcode if given) is the exact minimum of that filtered
     set.  Runs in characteristic 2 with packed syndromes of at most 63
-    bits.  Rung t costs its na + nb side entries (_rung_sizes) in work; a
-    rung with more than MITM_SIDE_CAP entries, or one that would take the
-    work past budget, is not run, and the ladder returns proved_lb = t.
+    bits.  Rung t costs its na + nb side entries in work; a rung with more
+    than MITM_SIDE_CAP entries, or one that would take the work past
+    budget, is not run, and the ladder returns proved_lb = t.
 
-    Without a shift, weight t splits into an A side of t // 2 positions,
-    whose first scalar is pinned to 1, and a B side of the rest.  Each side
-    is one sorted array of keys h(syndrome) << IDX_BITS | index
-    (_mitm_side).  Candidates are the pairs with equal syndromes, A entry
-    ascending, then B entries in index order; see _mitm_first for the
-    filter.  Weights 2j-1 and 2j share the B side of j positions, and
-    weights 2j and 2j+1 the A side of j positions.  Only the B sides and
-    weight 1's empty A side are built.  On odd rungs the A side of j >= 1
-    positions is the pinned part of the B side of j positions
-    (_mitm_pinned), and partners are found by binary search of the smaller
-    side's distinct hashes in the larger side (_collisions).  On even rungs
-    the A side is the B entries below na, so no A key is taken, and an A
-    entry's partners are the run of equal hashes around its own position
-    (_mitm_runs).  Either way only A entries with a partner besides their
-    twin are handed to _mitm_first.
+    _rung_plan is the one split of a rung: an A side of w positions, first
+    scalar pinned to 1, and a B side of the other t - w.  Each side is one
+    sorted array of keys h(syndrome) << IDX_BITS | index (_mitm_side).
+    Candidates are the pairs with equal syndromes, A entry ascending, then
+    B entries in index order; see _mitm_first for the filter.  A B side is
+    built once per position count and kept while the rungs above use the
+    same count (weights 2j-1 and 2j share the one of j positions).  A rung
+    joins its sides in one of two ways.  Two-sided, it builds its A side
+    and binary-searches the smaller side's distinct hashes in the larger
+    side (_collisions).  An unwindowed even rung has w = t - w, so its A
+    side is the B entries below na: no A key is built, and an A entry's
+    partners are the run of equal hashes around its own position
+    (_mitm_runs).  There every A entry meets its twin, the same vector, so
+    only entries in runs of two or more count.
 
     shift is the _shift_constant eta of the code and of the subcode that
-    outside tests, which the caller has verified; it pins the rungs to a
-    window.  Any verified eta serves, as the argument below uses only that
-    sigma rotates supports and keeps both codes.  Let w <= t and width = n(w - 1) // t + 1.  The n cyclic
-    windows of width positions hold t * width > n(w - 1) support hits of a
-    weight-t word, so one of them holds w; sliding it to start at its first
-    support position keeps them.  Shifting that position to 0 and scaling
-    to c_0 = 1 keeps the word in the code and outside the subcode.  So
-    rung t's A side is the window side, {0} and w - 1 positions of
-    [1, width), and its B side the t - w positions of [1, n), with w from
-    _window; partners are found as on odd rungs, and each B side is built
-    once per position count.
+    outside tests, which the caller has verified; it windows the rungs.
+    Any verified eta serves, as the argument below uses only that sigma
+    rotates supports and keeps both codes.  Let w <= t and width =
+    n(w - 1) // t + 1.  The n cyclic windows of width positions hold
+    t * width > n(w - 1) support hits of a weight-t word, so one of them
+    holds w; sliding it to start at its first support position keeps them.
+    Shifting that position to 0 and scaling to c_0 = 1 keeps the word in
+    the code and outside the subcode.  So rung t's A side is the window
+    side, {0} and w - 1 positions of [1, width), and its B side the t - w
+    positions of [1, n); every windowed rung is two-sided.
     """
     F = code.field
     n = code.n
@@ -893,40 +895,32 @@ def _mitm_ladder(code: LinearCode, wmax: int, outside,
     exact = None if _key_hash(packed) is None else packed
     q = F.order
     windowed = shift is not None
+    # windowed, position 0 is the window side's: the rest start at 1
+    start = 1 if windowed else 0
     work = 0
-    side_b = key_b = None
+    side_b = None
     for t in range(1, wmax + 1):
-        na, nb = _rung_sizes(n, q, t, windowed)
+        w, width, na, nb = _rung_plan(n, q, t, windowed)
         if na + nb > MITM_SIDE_CAP or (budget is not None
                                        and work + na + nb > budget):
             return t, None, None, work
-        if windowed:
-            w, width = _window(n, q, t)[:2]
-            if side_b is None or side_b[1].shape[1] != t - w:
-                side_b = key_b = None
-                side_b = _mitm_side(packed, _subsets(n, t - w, 1), False)
-            inner = _subsets(width, w - 1, 1)
-            side_a = _mitm_side(packed, np.hstack(
-                [np.zeros((inner.shape[0], 1), inner.dtype), inner]), True)
-        elif t % 2:
-            # the A side is the pinned part of the B side it replaces, and
-            # that B side is dropped before its successor is built, so the
-            # two never share the peak memory
-            side_a = (_mitm_side(packed, _subsets(n, 0), True)
-                      if side_b is None else _mitm_pinned(side_b, q))
-            side_b = key_b = None
-            side_b = _mitm_side(packed, _subsets(n, t - t // 2), False)
+        if side_b is None or side_b[1].shape[1] != t - w:
+            # the last rung's sides are dropped before this one's are
+            # built, so the two never share the peak memory
+            side_a = side_b = None
+            side_b = _mitm_side(packed, _subsets(n, t - w, start), False)
+        key_b = side_b[0]
         if windowed or t % 2:
-            key_a, key_b = side_a[0], side_b[0]
-            hit, lo, hi = _collisions(key_a, key_b)
-            ia = key_a[hit]
+            sub_a = _subsets(width, w - start, start)
+            if windowed:
+                sub_a = np.hstack([np.zeros((sub_a.shape[0], 1),
+                                            sub_a.dtype), sub_a])
+            side_a = _mitm_side(packed, sub_a, True)
+            hit, lo, hi = _collisions(side_a[0], key_b)
+            ia = side_a[0][hit]
         else:
-            # the A entries are the B entries below na, so the B side's
-            # subsets and tuples serve both.  Every A entry meets its twin
-            # in B, the same vector, which the overlap filter would drop:
-            # only entries in longer runs count
+            # the B side's subsets and tuples serve both sides
             side_a = side_b
-            key_b = side_b[0]
             hit, lo, hi = _mitm_runs(key_b, na)
             ia = key_b[hit]
         ia = (ia & _IDX_MASK).astype(np.intp)
@@ -1028,20 +1022,6 @@ def _subsets(n: int, t: int, start: int = 0) -> np.ndarray:
         out = np.hstack([np.repeat(out, count, axis=0),
                          last.astype(dtype)[:, None]])
     return out
-
-
-def _mitm_pinned(side, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """_mitm_side(packed, subsets, True) taken from side =
-    _mitm_side(packed, subsets, False) for t >= 1 positions.
-
-    The pinned tuples (1, ...) are the first (q-1)^(t-1) in product order,
-    on the same subsets, so the pinned side is the side's entries below
-    (q-1)^(t-1) * C, and filtering the sorted key keeps it sorted.
-    """
-    key, subsets, scalars = side
-    tuples = scalars[:(q - 1) ** (subsets.shape[1] - 1)]
-    keep = (key & _IDX_MASK) < tuples.shape[0] * subsets.shape[0]
-    return key[keep], subsets, tuples
 
 
 def _collisions(key_a: np.ndarray, key_b: np.ndarray
@@ -1321,7 +1301,7 @@ def _ladder_reach(code: LinearCode, shift: int | None = None) -> int:
     budget = code.k * F.m * max(q ** (n - code.k), 256)
     for t in range(1, n + 1):
         budget -= LADDER_RUNG_CELLS + LADDER_ENTRY_CELLS * sum(
-            _rung_sizes(n, q, t, shift is not None))
+            _rung_plan(n, q, t, shift is not None)[2:])
         if budget < 0:
             return t - 1
     return n

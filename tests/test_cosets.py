@@ -68,7 +68,6 @@ def test_defining_set_accepts_unions():
     s = DefiningSet(8, 3, (1, 3, 4))
     assert s.elements == (1, 3, 4)
     assert s.leaders() == (1, 4)
-    assert s.complement().elements == (0, 2, 5, 6, 7)
     assert len(s) == 3 and 3 in s and 2 not in s
 
 
@@ -82,10 +81,8 @@ def test_defining_set_parse_roundtrip():
     s = fam.parse("0,2,7,17,34")
     assert s.leaders() == (0, 2, 7, 17, 34)
     assert len(s) == 11
-    assert fam.parse(s.to_string()) == s
     full = set_family("cyclic", 8, 3).parse("full:1,3")
     assert full.elements == (1, 3)
-    assert full.to_string(full=True) == "full:1,3"
     assert set_family("cyclic", 8, 3).parse("") == DefiningSet(8, 3, ())
 
 

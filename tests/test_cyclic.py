@@ -429,7 +429,7 @@ def test_certify_identity():
 def test_multiplier_certificate_and_codeword_sets():
     C1 = build_cyclic(8, 3, DefiningSet(8, 3, (1, 3)))
     C2 = build_cyclic(8, 3, DefiningSet(8, 3, (5, 7)))
-    certs = certify_equivalence(C1, C2, use_brute=False)
+    certs = certify_equivalence(C1, C2)
     mult = [c for c in certs if c.kind == "multiplier"]
     assert mult and mult[0].verified
     # the induced permutation maps codeword sets onto each other
@@ -443,7 +443,7 @@ def test_certify_sigma_pair_without_affine():
     C1 = build_cyclic(8, 3, DefiningSet(8, 3, (0, 1, 3, 4)))
     C2 = build_cyclic(8, 3, DefiningSet(8, 3, (2, 5, 6, 7)))
     assert apply_monomial(C1.base, half_twist_transform(8, C1.base.field)) == C2.base
-    certs = certify_equivalence(C1, C2, use_brute=False)
+    certs = certify_equivalence(C1, C2)
     kinds = {c.kind for c in certs}
     assert "half_twist" in kinds
     assert "affine" not in kinds and "shift" not in kinds
@@ -473,14 +473,14 @@ def test_shift_certificate_on_isodual_chain():
     D = build_cyclic(8, 3, dual_defining_set(C.defining_set))
     assert D.defining_set.elements == (1, 2, 3, 6)
     mid = build_cyclic(8, 3, DefiningSet(8, 3, (2, 5, 6, 7)))
-    leg1 = [c for c in certify_equivalence(D, mid, use_brute=False)
+    leg1 = [c for c in certify_equivalence(D, mid)
             if c.kind == "shift"]
     assert leg1 and leg1[0].params == (1, 4) and leg1[0].verified
-    leg2 = [c for c in certify_equivalence(mid, C, use_brute=False)
+    leg2 = [c for c in certify_equivalence(mid, C)
             if c.kind == "half_twist"]
     assert leg2 and leg2[0].verified
     # and the one-call route finds a two-step composition
-    chain = certify_equivalence(D, C, use_brute=False)
+    chain = certify_equivalence(D, C)
     assert any(c.kind == "composition" and c.verified for c in chain)
 
 
@@ -494,7 +494,7 @@ def test_generalized_multiplier_certificate():
     assert apply_map(generalized_multiplier(9, 2, 1), A1) == A2.elements
     C1 = build_cyclic(9, 4, A1)
     C2 = build_cyclic(9, 4, A2)
-    certs = certify_equivalence(C1, C2, use_brute=False)
+    certs = certify_equivalence(C1, C2)
     gm = [c for c in certs if c.kind == "generalized_multiplier"]
     assert gm and gm[0].verified  # upgraded by explicit permutation search
     res = brute_force_equivalence(C1.base, C2.base, mode="permutation")
@@ -514,7 +514,7 @@ def test_generalized_multipliers_share_one_permutation_search(monkeypatch):
     monkeypatch.setattr(cyclic, "brute_force_equivalence", spy)
     C1 = build_cyclic(9, 4, DefiningSet(9, 4, (1, 3, 4, 7)))
     C2 = build_cyclic(9, 4, DefiningSet(9, 4, (2, 3, 5, 8)))
-    certs = certify_equivalence(C1, C2, use_brute=False)
+    certs = certify_equivalence(C1, C2)
     gm = [c for c in certs if c.kind == "generalized_multiplier"]
     assert searches == ["permutation"]
     assert len({c.params for c in gm}) == len(gm) == 3
@@ -539,7 +539,7 @@ def test_certificate_completeness_n8_gf3():
             if C1.k != C2.k or C1.k in (0, 8):
                 continue
             bf = brute_force_equivalence(C1.base, C2.base)
-            certs = certify_equivalence(C1, C2, use_brute=False)
+            certs = certify_equivalence(C1, C2)
             assert (bf.status == "equivalent") == bool(certs), (
                 C1.defining_set.elements, C2.defining_set.elements)
             if certs:
@@ -555,7 +555,7 @@ def test_certificates_at_9_2_multiplier_scope():
     dims = [C.k for C in codes]
     assert len(set(dims)) == len(dims)
     for C in codes:
-        certs = certify_equivalence(C, C, use_brute=False)
+        certs = certify_equivalence(C, C)
         assert certs and certs[0].kind == "multiplier"
 
 
@@ -740,7 +740,7 @@ def test_odd_step_map_certifies_where_no_rule_at():
     assert not SET_TRANSFORMS["odd_step"].rule_at(16, 3)
     C1 = build_cyclic(16, 3, DefiningSet(16, 3, (0, 1, 2, 3, 6, 9, 11)))
     C2 = build_cyclic(16, 3, DefiningSet(16, 3, (0, 1, 3, 9, 10, 11, 14)))
-    certs = certify_equivalence(C1, C2, use_brute=False)
+    certs = certify_equivalence(C1, C2)
     assert [(c.kind, c.params, c.verified) for c in certs] == [
         ("composition", ("odd_step", "odd_step"), True)]
 
@@ -759,10 +759,10 @@ def test_certificate_intermediates_are_built_once(monkeypatch):
 
     monkeypatch.setattr(cyclic, "build_cyclic", counting)
     cyclic._intermediate.cache_clear()
-    first = certify_equivalence(C1, C2, use_brute=False)
+    first = certify_equivalence(C1, C2)
     assert built and len(set(built)) == len(built)
     built.clear()
-    assert certify_equivalence(C1, C2, use_brute=False) == first
+    assert certify_equivalence(C1, C2) == first
     assert built == []
 
 

@@ -37,7 +37,7 @@ def test_field_axioms_exhaustive(p, m):
     F = build_field(p, m)
     if F.order > 256:
         pytest.skip("exhaustive triple check limited to 256 elements")
-    els = list(F.elements())
+    els = list(range(F.order))
     for a in els:
         assert F.add(a, 0) == a
         assert F.mul(a, 1) == a
@@ -204,7 +204,7 @@ def test_primitive_nth_root_order():
     K = splitting_field(3, 8)
     r = primitive_nth_root(K, 8)
     for k in range(16):
-        assert (r.power(k) == 1) == (k % 8 == 0)
+        assert (K.pow(r.value, k) == 1) == (k % 8 == 0)
 
 
 def test_primitive_nth_root_missing():
@@ -274,11 +274,11 @@ def test_embedding_is_homomorphism_in_odd_characteristic(sub, sup):
     fwd, inv = embed_subfield(F, K)
     assert fwd[0] == 0 and fwd[1] == 1
     assert len(set(fwd)) == F.order
-    assert all(inv[fwd[a]] == a for a in F.elements())
-    for a in F.elements():
+    assert all(inv[fwd[a]] == a for a in range(F.order))
+    for a in range(F.order):
         # the image is the subfield: roots of x^|F| - x
         assert K.pow(fwd[a], F.order) == fwd[a]
-        for b in F.elements():
+        for b in range(F.order):
             assert fwd[F.add(a, b)] == K.add(fwd[a], fwd[b])
             assert fwd[F.mul(a, b)] == K.mul(fwd[a], fwd[b])
 

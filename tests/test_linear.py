@@ -236,10 +236,11 @@ def test_weight_distribution_zero_and_full():
     assert sum(wd.counts) == 3 ** 5 and wd.counts[0] == 1
 
 
-def test_weight_distribution_budget():
+def test_weight_distribution_budget(monkeypatch):
     C = LinearCode.full(F4, 20)
+    monkeypatch.setattr(linear, "EXHAUSTIVE_CEILING", 1 << 10)
     with pytest.raises(ValueError, match="too large"):
-        weight_distribution(C, budget=1 << 10)
+        weight_distribution(C)
 
 
 def test_weight_distribution_bit_planes_match_bytes():
@@ -360,10 +361,33 @@ def _check_dp_table(C):
     cells = C.field.order ** (C.n - C.k)
     assert dist.dtype == np.uint8 and dist.shape == (cells,)
     assert np.array_equal(dist, _coset_leader_weights(C))
-    word, done = _dp_enumerate(C, d0, dist, packed, None, 1 << 20)
-    assert done and word is not None
+    word, nodes = _dp_enumerate(C, d0, dist, packed, None, 1 << 20)
+    assert nodes <= 1 << 20 and word is not None
     assert C.contains(word)
     assert sum(1 for x in word if x) == d0
+
+
+def test_syndrome_dp_subcode_search_stays_in_budget():
+    # [14,8] over GF(4) outside a [14,7] subcode: d = 3 and the least weight
+    # outside is 5, so the DFS searches weights 3, 4 and 5 under one node
+    # cap, the budget left after the 14 * 3 * 4^6 units of the table, and
+    # counts its nodes as work
+    C = _random_code(F4, 14, 8, 2)
+    S = LinearCode.from_rows(F4, C.generator[:7], 14)
+    table = 14 * 3 * 4 ** 6
+    assert min_distance(C, strategy="syndrome_dp").lb == 3
+    full = min_weight_outside(C, S, strategy="syndrome_dp")
+    assert (full.lb, full.ub) == (5, 5) and not S.contains(full.witness)
+    nodes = full.work - table
+    assert nodes > 1000
+    for budget in (table + 100, table + nodes - 1):
+        got = min_weight_outside(C, S, strategy="syndrome_dp", budget=budget)
+        assert got.work <= budget
+        assert (got.ub, got.witness) == (C.n + 1, None) and got.lb <= 5
+        assert got.note == "node budget hit while filtering"
+    got = min_weight_outside(C, S, strategy="syndrome_dp",
+                             budget=table + nodes)
+    assert (got.lb, got.ub, got.work) == (5, 5, table + nodes)
 
 
 def test_min_distance_exhaustive_matches_dp():
@@ -760,9 +784,9 @@ def _golay():
 
 
 def test_mitm_ladder_builds_each_side_once(monkeypatch):
-    # no witness up to weight 6, so all six rungs run on the B sides of 1,
-    # 2, 3 positions and the A sides of 0, 1, 2, 3; only the empty A side
-    # is built, the others are taken from the B sides
+    # no witness up to weight 6, so all six rungs run: the odd rungs build
+    # B sides of 1, 2, 3 positions, which the even rungs above them reuse,
+    # and A sides of 0, 1, 2 positions with the first scalar pinned
     C = _golay()
     builds = []
     side = linear._mitm_side
@@ -774,7 +798,8 @@ def test_mitm_ladder_builds_each_side_once(monkeypatch):
     monkeypatch.setattr(linear, "_mitm_side", counted)
     got = _mitm_ladder(C, 6, None)
     assert got[:3] == (7, None, None)
-    assert sorted(builds) == [(0, True), (1, False), (2, False), (3, False)]
+    assert sorted(builds) == [(0, True), (1, False), (1, True), (2, False),
+                              (2, True), (3, False)]
     assert got == _reference_ladder(C, 6, None)
 
 
@@ -819,7 +844,7 @@ def test_windowed_ladder_builds_each_outer_side_once(monkeypatch):
 
     monkeypatch.setattr(linear, "_mitm_side", counted)
     monkeypatch.setattr(linear, "_mitm_first", spy)
-    assert [linear._window(23, 2, t)[0] for t in range(1, 7)] == [
+    assert [linear._rung_plan(23, 2, t, True)[0] for t in range(1, 7)] == [
         1, 2, 2, 3, 3, 4]
     assert _mitm_ladder(C, 6, None, shift=1) == (7, None, None, 783)
     assert sorted(builds) == [(0, False), (1, False), (1, True), (2, False),
@@ -966,7 +991,8 @@ def test_mitm_side_order_is_the_stable_argsort():
                 # whole sides, outer sides on [1, n) and window sides
                 # holding position 0
                 inner = linear._subsets(C.n // 2, t - 1, 1)
-                window = np.hstack([np.zeros_like(inner[:, :1]), inner])
+                window = np.hstack([np.zeros((inner.shape[0], 1),
+                                         inner.dtype), inner])
                 for subsets, pinned in (
                         (linear._subsets(C.n, t), False),
                         (linear._subsets(C.n, t), True),
@@ -1005,22 +1031,60 @@ def test_collisions_match_the_pair_list():
             assert got == want
 
 
-def test_mitm_pinned_side_equals_built_side():
-    rng = np.random.default_rng(47)
-    runs = 0
-    for F in (build_field(2, 1), F4, build_field(2, 3)):
-        for C in _ladder_codes(F, rng):
-            packed = _column_syndromes(C)
-            for t in (1, 2, 3):
-                subsets = linear._subsets(C.n, t)
-                side = linear._mitm_side(packed, subsets, False)
-                got = linear._mitm_pinned(side, F.order)
-                want = linear._mitm_side(packed, subsets, True)
-                runs += _check_side_key(packed, want)
-                for a, b in zip(got, want):
-                    assert a.dtype == b.dtype
-                    assert np.array_equal(a, b)
-    assert runs > 0
+@pytest.mark.parametrize("windowed", [False, True])
+def test_rung_plan_sizes_every_rung(monkeypatch, windowed):
+    # a subcode test that rejects every word keeps every rung running over
+    # GF(2), GF(4) and GF(8): rung t adds the na + nb of its plan to the
+    # work, joins keys of exactly na and nb entries, and a B side is built
+    # once per position count
+    from codeq.constacyclic import build_code
+    from codeq.cosets import set_family
+    codes = [(_golay(), 6),
+             (build_code(set_family("cyclic", 15, 4), (1, 2, 4, 8)).base, 5),
+             (build_code(set_family("cyclic", 9, 8), (1, 2, 7, 8)).base, 5)]
+    joins, builds = [], []
+    side, collisions, runs = (linear._mitm_side, linear._collisions,
+                              linear._mitm_runs)
+
+    def built(packed, subsets, normalize_first):
+        if not normalize_first:
+            builds.append(subsets.shape[1])
+        return side(packed, subsets, normalize_first)
+
+    def two_sided(key_a, key_b):
+        joins.append((key_a.size, key_b.size))
+        return collisions(key_a, key_b)
+
+    def self_join(key, na):
+        assert np.count_nonzero((key & linear._IDX_MASK) < na) == na
+        joins.append((na, key.size))
+        return runs(key, na)
+
+    def reject(words):
+        return np.zeros(words.shape[0], dtype=bool)
+
+    monkeypatch.setattr(linear, "_mitm_side", built)
+    monkeypatch.setattr(linear, "_collisions", two_sided)
+    monkeypatch.setattr(linear, "_mitm_runs", self_join)
+    for C, wmax in codes:
+        shift = linear._shift_constant(C, None) if windowed else None
+        assert (shift is not None) == windowed
+        plans = [linear._rung_plan(C.n, C.field.order, t, windowed)
+                 for t in range(1, wmax + 1)]
+        if not windowed:
+            assert [p[:2] for p in plans] == [(t // 2, C.n)
+                                              for t in range(1, wmax + 1)]
+        costs = [na + nb for _, _, na, nb in plans]
+        for t in range(1, wmax + 1):
+            joins.clear()
+            builds.clear()
+            assert _mitm_ladder(C, t, reject, shift=shift) == (
+                t + 1, None, None, sum(costs[:t]))
+        assert joins == [(na, nb) for _, _, na, nb in plans]
+        counts = [t - w for t, (w, *_) in enumerate(plans, start=1)]
+        assert builds == [c for i, c in enumerate(counts)
+                          if i == 0 or c != counts[i - 1]]
+        assert len(set(builds)) == len(builds)
 
 
 def test_subsets_match_itertools():
@@ -1055,7 +1119,7 @@ def _check_budget_stops(C, shift, costs):
     first rung left out is the proved lower bound; the rungs cost `costs`
     entries.  Returns the total work of every rung to weight 3."""
     windowed = shift is not None
-    assert [sum(linear._rung_sizes(C.n, 2, t, windowed))
+    assert [sum(linear._rung_plan(C.n, 2, t, windowed)[2:])
             for t in range(1, 7)] == costs
     spent = list(itertools.accumulate(costs))
     for t, total in enumerate(spent, start=1):
