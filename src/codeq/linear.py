@@ -762,11 +762,11 @@ def _syndrome_dp(code: LinearCode, outside, budget: int | None,
     The DP costs n(q-1)q^r work units; under a smaller budget no table is
     built and the bounds stay open.  Without a subcode the table proves d
     and one DFS of at most DFS_NODE_CAP nodes fetches a witness.  With one,
-    weights from the code's distance up are searched in turn under one node
-    cap, the budget left after the table (DFS_NODE_CAP without a budget),
-    and every node counts as work; running out leaves the bounds open.  A
-    table of more than _dp_cap cells is refused before anything is
-    allocated.
+    weights from the code's distance up are searched in turn, and every
+    node counts as work.  Under a budget the weights share one node cap,
+    the budget left after the table; without one each weight gets
+    DFS_NODE_CAP nodes.  Running out leaves the bounds open.  A table of
+    more than _dp_cap cells is refused before anything is allocated.
     """
     cells, cap = code.field.order ** (code.n - code.k), _dp_cap(code.field)
     if cells > cap:
@@ -782,13 +782,13 @@ def _syndrome_dp(code: LinearCode, outside, budget: int | None,
     if outside is None:
         word = _dp_enumerate(code, d0, dist, cols, None, DFS_NODE_CAP)[0]
         return d0, d0, word, work, note
-    left = DFS_NODE_CAP if budget is None else budget - work
     for t in range(d0, n + 1):
-        word, nodes = _dp_enumerate(code, t, dist, cols, outside, left)
-        if nodes > left:
-            return (t, n + 1, None, work + left,
+        node_cap = DFS_NODE_CAP if budget is None else budget - work
+        word, nodes = _dp_enumerate(code, t, dist, cols, outside, node_cap)
+        if nodes > node_cap:
+            return (t, n + 1, None, work + node_cap,
                     "node budget hit while filtering")
-        work, left = work + nodes, left - nodes
+        work += nodes
         if word is not None:
             return t, t, word, work, note
     raise AssertionError("no codeword outside a proper subcode")
@@ -907,7 +907,7 @@ def _mitm_ladder(code: LinearCode, wmax: int, outside,
         if side_b is None or side_b[1].shape[1] != t - w:
             # the last rung's sides are dropped before this one's are
             # built, so the two never share the peak memory
-            side_a = side_b = None
+            side_a = side_b = key_b = None
             side_b = _mitm_side(packed, _subsets(n, t - w, start), False)
         key_b = side_b[0]
         if windowed or t % 2:

@@ -529,8 +529,9 @@ def test_generalized_multiplier_fixes_z1_at_9_2():
 
 
 def test_certificate_completeness_n8_gf3():
-    # every brute-force monomially equivalent pair is certified, and every
-    # certificate corresponds to a genuinely equivalent pair
+    # every brute-force monomially equivalent pair is certified by the
+    # structured families alone (never by the brute-force fallback), and
+    # every certificate corresponds to a genuinely equivalent pair
     codes = [build_cyclic(8, 3, DefiningSet(8, 3, els))
              for els in all_defining_sets(8, 3)]
     equivalent = 0
@@ -541,6 +542,8 @@ def test_certificate_completeness_n8_gf3():
             bf = brute_force_equivalence(C1.base, C2.base)
             certs = certify_equivalence(C1, C2)
             assert (bf.status == "equivalent") == bool(certs), (
+                C1.defining_set.elements, C2.defining_set.elements)
+            assert all(c.kind != "explicit" for c in certs), (
                 C1.defining_set.elements, C2.defining_set.elements)
             if certs:
                 equivalent += 1

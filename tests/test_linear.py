@@ -367,11 +367,11 @@ def _check_dp_table(C):
     assert sum(1 for x in word if x) == d0
 
 
-def test_syndrome_dp_subcode_search_stays_in_budget():
+def test_syndrome_dp_subcode_search_stays_in_budget(monkeypatch):
     # [14,8] over GF(4) outside a [14,7] subcode: d = 3 and the least weight
-    # outside is 5, so the DFS searches weights 3, 4 and 5 under one node
-    # cap, the budget left after the 14 * 3 * 4^6 units of the table, and
-    # counts its nodes as work
+    # outside is 5, so the DFS searches weights 3, 4 and 5 (874, 9,430 and
+    # 34 nodes) and counts its nodes as work; under a budget they share one
+    # node cap, the budget left after the 14 * 3 * 4^6 units of the table
     C = _random_code(F4, 14, 8, 2)
     S = LinearCode.from_rows(F4, C.generator[:7], 14)
     table = 14 * 3 * 4 ** 6
@@ -388,6 +388,16 @@ def test_syndrome_dp_subcode_search_stays_in_budget():
     got = min_weight_outside(C, S, strategy="syndrome_dp",
                              budget=table + nodes)
     assert (got.lb, got.ub, got.work) == (5, 5, table + nodes)
+    # without a budget each weight gets DFS_NODE_CAP nodes of its own
+    assert nodes == 874 + 9430 + 34
+    monkeypatch.setattr(linear, "DFS_NODE_CAP", 9430)
+    got = min_weight_outside(C, S, strategy="syndrome_dp")
+    assert (got.lb, got.ub, got.work) == (5, 5, table + nodes)
+    monkeypatch.setattr(linear, "DFS_NODE_CAP", 9429)
+    got = min_weight_outside(C, S, strategy="syndrome_dp")
+    assert (got.lb, got.ub, got.witness) == (4, C.n + 1, None)
+    assert got.work == table + 874 + 9429
+    assert got.note == "node budget hit while filtering"
 
 
 def test_min_distance_exhaustive_matches_dp():
