@@ -74,7 +74,7 @@ def _cmd_equiv(args) -> tuple[dict, int]:
     B = fam.parse(args.b)
     C1 = build_cyclic(args.n, args.q, A)
     C2 = build_cyclic(args.n, args.q, B)
-    certs = certify_equivalence(C1, C2, depth=args.depth)
+    certs = certify_equivalence(C1, C2)
     out = []
     for cert in certs:
         d = cert.to_dict()
@@ -229,8 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="first defining set, in the --leaders form")
     p.add_argument("--b", required=True,
                    help="second defining set, in the --leaders form")
-    p.add_argument("--depth", type=int, default=2,
-                   help="composition depth for certificate chains")
 
     p = add("classify", _cmd_classify,
             help="partition all defining sets at (n, q) into "

@@ -54,7 +54,6 @@ from codeq.fields import (
     anchored_root,
     build_field,
     embed_subfield,
-    poly_divmod,
     poly_mul,
     prime_power_split,
     primitive_nth_root,
@@ -179,12 +178,21 @@ def dual_defining_set(A: DefiningSet) -> DefiningSet:
 @lru_cache(maxsize=None)
 def _coset_poly(fam: SetFamily, leader: int) -> tuple[int, ...]:
     """The product of the (x - alpha^a) over the coset of ``leader``, a
-    polynomial over GF(q) (coefficients from lowest degree)."""
+    polynomial over GF(q) (coefficients from lowest degree).
+
+    Each root must satisfy (alpha^a)^n = eta, with eta = 1 for cyclic codes
+    and omega for constacyclic ones, so that a product of distinct cosets'
+    polynomials divides x^n - eta."""
     ctx = canonical_root(fam.modulus, fam.q)
     K = ctx.ext
+    eta = ctx.fwd[1 if fam.family == "cyclic" else GF4_OMEGA]
     g = [1]
     for a in fam.table.coset_of(leader):
-        g = poly_mul(K, g, [K.neg(ctx.alpha_pow(a)), 1])
+        root = K.pow(ctx.alpha, a)
+        if K.pow(root, fam.n) != eta:
+            raise AssertionError(
+                f"alpha^{a} is not a root of x^{fam.n} - eta")
+        g = poly_mul(K, g, [K.neg(root), 1])
     return tuple(ctx.pull_back(c) for c in g)
 
 
@@ -192,22 +200,16 @@ def _build(fam: SetFamily, A) -> CyclicCode:
     """The code of family ``fam`` whose generator has roots alpha^a, a in A.
 
     A is a union of cosets, so the generator is the product over GF(q) of
-    their polynomials (_coset_poly).  It must divide x^n - eta, with eta =
-    1 for cyclic codes and omega for constacyclic ones; its n - |A| shifts
-    are the rows.
+    their polynomials (_coset_poly), which divides x^n - eta; its n - |A|
+    shifts are the rows.
     """
     A = fam.defining_set(A)
     n, ctx = fam.n, canonical_root(fam.modulus, fam.q)
-    eta = 1 if fam.family == "cyclic" else GF4_OMEGA
     F = ctx.base
     g = [1]
     for leader in fam.leaders(A.elements):
         g = poly_mul(F, g, _coset_poly(fam, leader))
     g = tuple(g)
-    _, rem = poly_divmod(F, [F.neg(eta)] + [0] * (n - 1) + [1], list(g))
-    if rem != [0]:
-        raise AssertionError(
-            f"generator polynomial does not divide x^{n} - {eta}")
     k = n - len(g) + 1
     rows = np.zeros((k, n), dtype=np.uint8)
     for i in range(k):
@@ -522,13 +524,13 @@ COMPOSITION_CAP = 2500
 UPGRADE_BUDGET = 1 << 18
 
 
-def certify_equivalence(C1: CyclicCode, C2: CyclicCode,
-                        depth: int = 2) -> list[CyclicCertificate]:
+def certify_equivalence(C1: CyclicCode, C2: CyclicCode
+                        ) -> list[CyclicCertificate]:
     """Ordered list of verified equivalence certificates from C1 to C2.
 
     Search order: multipliers, generalized multipliers (prime-power
     length), affine/shift isometries, the three transform families,
-    depth-2 compositions (matrix pairs and affine/matrix mixtures), then
+    two-step compositions (matrix pairs and affine/matrix mixtures), then
     a budgeted brute-force monomial search when nothing cheaper worked.
     Matrix-backed kinds are verified by code equality; affine kinds by
     the divisibility side condition plus weight-distribution equality
@@ -596,7 +598,7 @@ def certify_equivalence(C1: CyclicCode, C2: CyclicCode,
                 "divisibility condition holds; weight distribution not checked")
         # wd_ok False cannot happen for a genuine witness; skip silently
 
-    # fixed transform matrices, alone and composed to the given depth
+    # fixed transform matrices, alone and composed in pairs
     F = C1.base.field
     matrices = [(t.kind, t.matrix(n, F)) for t in SET_TRANSFORMS.values()
                 if t.matrix_at(n, q)]
@@ -604,7 +606,7 @@ def certify_equivalence(C1: CyclicCode, C2: CyclicCode,
     for (name, M), img in zip(matrices, fwd1):
         if img == C2.base:
             add(name, (), True, M, "direct matrix certificate")
-    if depth >= 2 and matrices:
+    if matrices:
         inverses = [M.inverse(F) for _, M in matrices]
         inv2 = [apply_monomial(C2.base, Mi) for Mi in inverses]
         mults = [(f"multiplier({c})", multiplier_transform(fam, c))

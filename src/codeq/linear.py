@@ -847,6 +847,12 @@ def _shift_constant(code: LinearCode, exclude: LinearCode | None
     return etas[0]
 
 
+def _ladder_runs(code: LinearCode) -> bool:
+    """Whether the ladder can climb: characteristic 2, with syndromes that
+    pack into at most 63 bits."""
+    return code.field.p == 2 and (code.n - code.k) * code.field.m <= 63
+
+
 def _mitm_ladder(code: LinearCode, wmax: int, outside,
                  budget: int | None = None, shift: int | None = None
                  ) -> tuple[int, int | None, tuple[int, ...] | None, int]:
@@ -855,10 +861,10 @@ def _mitm_ladder(code: LinearCode, wmax: int, outside,
     Returns (proved_lb, exact_weight_or_None, witness, work).  Weights are
     tried in ascending order; the first weight with a verified codeword
     (outside the subcode if given) is the exact minimum of that filtered
-    set.  Runs in characteristic 2 with packed syndromes of at most 63
-    bits.  Rung t costs its na + nb side entries in work; a rung with more
-    than MITM_SIDE_CAP entries, or one that would take the work past
-    budget, is not run, and the ladder returns proved_lb = t.
+    set.  Runs only where _ladder_runs holds.  Rung t costs its na + nb
+    side entries in work; a rung with more than MITM_SIDE_CAP entries, or
+    one that would take the work past budget, is not run, and the ladder
+    returns proved_lb = t.
 
     _rung_plan is the one split of a rung: an A side of w positions, first
     scalar pinned to 1, and a B side of the other t - w.  Each side is one
@@ -889,7 +895,7 @@ def _mitm_ladder(code: LinearCode, wmax: int, outside,
     """
     F = code.field
     n = code.n
-    if F.p != 2 or (n - code.k) * F.m > 63:
+    if not _ladder_runs(code):
         return 1, None, None, 0
     packed = _column_syndromes(code)
     exact = None if _key_hash(packed) is None else packed
@@ -1291,11 +1297,11 @@ INFOSET_LADDER_REACH = 6
 def _ladder_reach(code: LinearCode, shift: int | None = None) -> int:
     """Highest ladder rung whose cumulative estimate, LADDER_RUNG_CELLS
     plus LADDER_ENTRY_CELLS per side entry for each rung, fits under the
-    DP's k * m * max(q^r, 256) cell-butterflies; 0 outside characteristic 2.
-    The side entries are those of the rungs that run: windowed when the
-    code has a shift."""
+    DP's k * m * max(q^r, 256) cell-butterflies; 0 where the ladder does
+    not run.  The side entries are those of the rungs that run: windowed
+    when the code has a shift."""
     F = code.field
-    if F.p != 2:
+    if not _ladder_runs(code):
         return 0
     q, n = F.order, code.n
     budget = code.k * F.m * max(q ** (n - code.k), 256)
@@ -1337,9 +1343,9 @@ def _distance_engine(code: LinearCode, exclude: LinearCode | None, strategy: str
     outside = _outside_test(code, exclude)
     climbs = name == "information_set" or (strategy == "auto"
                                            and name == "syndrome_dp")
-    # the ladder, the one reader of the shift, runs in characteristic 2
+    # the ladder is the one reader of the shift
     shift = (_shift_constant(code, exclude)
-             if climbs and code.field.p == 2 else None)
+             if climbs and _ladder_runs(code) else None)
     reach = (INFOSET_LADDER_REACH if name == "information_set"
              else _ladder_reach(code, shift) if climbs else 0)
     floor, exact_w, word, climb = 1, None, None, 0

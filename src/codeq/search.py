@@ -1,10 +1,10 @@
 """Defining-set search with equivalence-based pruning and JSONL persistence.
 
 The search space at a given length is the lattice of coset-closed defining
-sets. Certificate maps (multipliers, admissible shifts, the fixed monomial
-transforms) partition that space into orbits; only one representative per
-orbit needs a distance evaluation, and every other member inherits the
-bounds along a recorded witness chain.
+sets. Certificate maps (multipliers, admissible shifts of cyclic codes, the
+fixed monomial transforms) partition that space into orbits; only one
+representative per orbit needs a distance evaluation, and every other member
+inherits the bounds along a recorded witness chain.
 
 A defining set is held only as its coset mask (bit order: ``SetFamily``),
 and an index map acts on all masks at once through its coset count matrix.
@@ -107,18 +107,12 @@ class Orbit:
 
 @dataclass(frozen=True)
 class EvalGroup:
-    """Orbits sharing one distance evaluation.
-
-    For cyclic jobs each group is a single orbit. For constacyclic jobs,
-    orbits whose members are linked by admissible shifts share parameters
-    (not equivalence), so they share the evaluation while keeping distinct
-    orbit identities.
-    """
+    """The orbits sharing one distance evaluation: one orbit each (see
+    ``group_orbits``)."""
 
     group_id: int
     orbit_ids: tuple[int, ...]
     eval_leaders: tuple[int, ...]
-    links: dict = field(compare=False)
 
 
 @dataclass(frozen=True)
@@ -142,7 +136,6 @@ class SearchRecord:
     complete: bool | None = None
     work: int = 0
     distance_via: tuple[int, ...] | None = None
-    via: dict | None = None
     quantum: dict | None = None
     target_d: int | None = None
     beats_target: bool | None = None
@@ -160,7 +153,7 @@ class SearchRecord:
             "complete": self.complete, "work": self.work,
             "distance_via": (None if self.distance_via is None
                              else list(self.distance_via)),
-            "via": self.via, "quantum": self.quantum,
+            "via": None, "quantum": self.quantum,
             "target_d": self.target_d, "beats_target": self.beats_target,
         }
 
@@ -346,18 +339,20 @@ def enumerate_orbits(job: SearchJob) -> list[Orbit]:
     """All admissible defining sets grouped into certificate orbits.
 
     Returns orbits sorted by their lexicographically-least leader list;
-    every member carries a witness chain back to the representative.
+    every member carries a witness chain back to the representative.  The
+    union phase keeps only the edges that join two classes, so each orbit
+    is a tree and a member's chain is its one path to the representative,
+    whatever order the walk takes.
     """
     space = _Space(job)
     roots, forest = _union_phase(space, job)
     modulus = job.context.modulus
 
-    # each entry is (neighbour, step to it, step back)
-    adjacency: dict[int, list[tuple[int, tuple, tuple]]] = {}
+    # each entry is (neighbour, step from the neighbour back)
+    adjacency: dict[int, list[tuple[int, tuple]]] = {}
     for a, b, step in forest:
-        back = _invert_step(step, modulus)
-        adjacency.setdefault(a, []).append((b, step, back))
-        adjacency.setdefault(b, []).append((a, back, step))
+        adjacency.setdefault(a, []).append((b, _invert_step(step, modulus)))
+        adjacency.setdefault(b, []).append((a, step))
 
     leaders_of = job.context.leaders_of
     masks = space.masks.tolist()
@@ -365,20 +360,16 @@ def enumerate_orbits(job: SearchJob) -> list[Orbit]:
     for members in roots.values():
         by_leaders = sorted((leaders_of(masks[i]), i) for i in members)
         rep_leaders, rep_pos = by_leaders[0]
-        frontier = [rep_pos]
+        stack = [rep_pos]
         chain_at = {rep_pos: ()}
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for v, _, back in sorted(adjacency.get(u, ()),
-                                         key=lambda t: (t[1], t[0])):
-                    if v in chain_at:
-                        continue
-                    # the step maps u's set to v's set; prepend the step
-                    # back so the chain maps v toward the representative
+        while stack:
+            u = stack.pop()
+            for v, back in adjacency.get(u, ()):
+                if v not in chain_at:
+                    # back maps v's set to u's; prepend it so the chain
+                    # maps v toward the representative
                     chain_at[v] = (back,) + chain_at[u]
-                    nxt.append(v)
-            frontier = nxt
+                    stack.append(v)
         assert len(chain_at) == len(members), "witness forest missed a member"
         chains = {leaders: chain_at[i] for leaders, i in by_leaders}
         orbits.append((rep_leaders,
@@ -392,47 +383,23 @@ def enumerate_orbits(job: SearchJob) -> list[Orbit]:
 
 
 def group_orbits(job: SearchJob, orbits: list[Orbit]) -> list[EvalGroup]:
-    """Bundle orbits that share parameters into evaluation groups.
+    """One evaluation group per orbit, evaluated at its representative.
 
     Where admissible shifts are isometries (cyclic jobs) they already join
-    orbits, so each orbit stands alone. Constacyclic orbits joined by an
-    admissible shift have equal weight distributions without being
-    equivalent, so they share an evaluation; the link records the witness
-    shift.
+    orbits.  For constacyclic jobs a shift is no isometry, but every
+    coset-closed shift of a set is a lane multiplier's image, which the
+    orbit already holds.  Let A be a union of 4-cyclotomic cosets in the
+    lane 1 + 3Z of Z/3nZ, and b a multiple of 3 with A + b coset-closed.
+    Then 4(A + b) = A + 4b, so A + 3b = A, and A is a union of cosets of
+    the subgroup generated by d = gcd(3b, 3n).  Every prime dividing d
+    divides b, so 1 + b is a unit mod d; lift it to a unit e mod 3n, with
+    e = 1 (mod 3) since 3 | d.  For x in A, e x = x + b + b(x - 1) +
+    (e - 1 - b)x, where both b(x - 1) (as 3 | x - 1) and (e - 1 - b)x lie
+    in the subgroup of d, so eA = A + b.  The ``affine`` kind thus joins
+    nothing for constacyclic jobs beyond the multipliers.
     """
-    ctx = job.context
-    if ctx.shifts_are_isometries or "affine" not in job.prune:
-        return [EvalGroup(i, (o.orbit_id,), o.representative,
-                          {o.orbit_id: None})
-                for i, o in enumerate(orbits)]
-
-    m = ctx.modulus
-    owner = {leaders: i for i, o in enumerate(orbits) for leaders in o.members}
-    forest = _Forest(len(orbits))
-    for i, o in enumerate(orbits):
-        rep_set = ctx.expand(o.representative)
-        for b in ctx.shifts[1:]:
-            if not ctx.admits_shift(len(rep_set), b):
-                continue
-            T = [(x + b) % m for x in rep_set]
-            if not ctx.table.is_union(T):
-                continue
-            t_leaders = ctx.leaders(T)
-            target = owner.get(t_leaders)
-            if target is not None:
-                forest.union(i, target, {"kind": "shift", "b": b,
-                                         "from": list(o.representative),
-                                         "image": list(t_leaders)})
-
-    links: dict[int, dict | None] = {o.orbit_id: None for o in orbits}
-    for _, target, link in forest.edges:
-        links[orbits[target].orbit_id] = link
-    out = []
-    for gid, members in enumerate(forest.classes().values()):
-        ids = tuple(orbits[i].orbit_id for i in members)
-        out.append(EvalGroup(gid, ids, orbits[members[0]].representative,
-                             {i: links[i] for i in ids}))
-    return out
+    return [EvalGroup(i, (o.orbit_id,), o.representative)
+            for i, o in enumerate(orbits)]
 
 
 def classify_cyclic(n: int, q: int,
@@ -563,27 +530,16 @@ def search(job: SearchJob) -> tuple[list[SearchRecord], dict]:
     groups = group_orbits(job, orbits)
     _spot_check(job, orbits)
 
-    group_of_orbit = {}
-    for g in groups:
-        for oid in g.orbit_ids:
-            group_of_orbit[oid] = g
-
-    evaluations: dict[int, SearchRecord | None] = {}
-    for g in groups:
-        if job.distance_budget is None and not job.quantum:
-            evaluations[g.group_id] = None
-        else:
-            evaluations[g.group_id] = evaluate(job, g.eval_leaders)
-
     lookup = _targets_lookup(job)
     records: list[SearchRecord] = []
-    for o in orbits:
-        g = group_of_orbit[o.orbit_id]
-        ev = evaluations[g.group_id]
+    for o, g in zip(orbits, groups):
+        ev = None
+        if job.distance_budget is not None or job.quantum:
+            ev = evaluate(job, g.eval_leaders)
         k = job.n - len(_expand_leaders(job, o.representative))
+        target = lookup.get((job.n, k, job.q))
         for leaders in o.members:
             evaluated = ev is not None and leaders == g.eval_leaders
-            target = lookup.get((job.n, k, job.q))
             rec = SearchRecord(
                 family=job.family, n=job.n, q=job.q, k=k, leaders=leaders,
                 orbit_id=o.orbit_id, orbit_size=o.size,
@@ -596,7 +552,6 @@ def search(job: SearchJob) -> tuple[list[SearchRecord], dict]:
                 work=ev.work if evaluated else 0,
                 distance_via=(None if ev is None or evaluated
                               else g.eval_leaders),
-                via=g.links.get(o.orbit_id),
                 quantum=ev.quantum if evaluated else None,
                 target_d=target,
                 beats_target=(None if ev is None or target is None
@@ -609,10 +564,10 @@ def search(job: SearchJob) -> tuple[list[SearchRecord], dict]:
                 fh.write(json.dumps(rec.to_json_dict(), sort_keys=True,
                                     separators=(",", ":")) + "\n")
 
-    return records, report(records, job.targets)
+    return records, report(records)
 
 
-def report(records: list[SearchRecord], targets=()) -> dict:
+def report(records: list[SearchRecord]) -> dict:
     """Summarize a record stream; improvements require a lower-bound win."""
     total = len(records)
     orbit_ids = {r.orbit_id for r in records}

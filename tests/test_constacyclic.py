@@ -1,8 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from codeq import cyclic
 from codeq.constacyclic import (
     build_code,
     build_constacyclic,
@@ -64,6 +66,20 @@ def test_root_satisfies_anchor():
     for n in (1, 5, 9, 15):
         C = build_constacyclic(n, ())
         assert C.root.ext.pow(C.root.alpha, n) == C.root.fwd[GF4_OMEGA]
+
+
+def test_unanchored_root_fails_the_generator_check(monkeypatch):
+    # at alpha^-1, (alpha^-1)^n = omega^2, so no lane root solves x^n = omega
+    good = cyclic.canonical_root(15, 4)
+    bad = dataclasses.replace(good, alpha=good.ext.inv(good.alpha))
+    assert bad.ext.pow(bad.alpha, 5) == good.fwd[GF4_OMEGA2]
+    monkeypatch.setattr(cyclic, "canonical_root", lambda m, q: bad)
+    cyclic._coset_poly.cache_clear()
+    try:
+        with pytest.raises(AssertionError):
+            build_constacyclic(5, (1, 4))
+    finally:
+        cyclic._coset_poly.cache_clear()
 
 
 def test_generator_rows_are_multiples():

@@ -280,7 +280,8 @@ def test_criterion_orbit_at_fifty_one():
 
 def test_constacyclic_orbits_match_multiplier_classes():
     for n in (5, 11, 15):
-        # the affine kind only groups constacyclic orbits for evaluation
+        # the affine kind adds nothing to the multipliers: a coset-closed
+        # shift of a lane set is a multiplier's image (see group_orbits)
         for prune in (("multiplier",), None):
             job = SearchJob("constacyclic", n, prune=prune)
             assert engine_classes(job, enumerate_orbits(job)) == \
@@ -296,21 +297,37 @@ def test_consta_111_orbit_of_criterion_set():
                            (37, 49))
 
 
-def test_consta_shift_images_stay_inside_multiplier_orbits():
-    # observed across all enumerable odd lengths: admissible shifts of a
-    # closed lane set land in the same multiplier orbit, so evaluation
-    # groups coincide with orbits
-    for n in (15, 21, 33, 111):
+def test_consta_coset_closed_shifts_are_lane_multipliers():
+    # the lemma in group_orbits: if A and A + b are coset-closed, the least
+    # lane multiplier e = 1 + b (mod gcd(3b, 3n)) carries A onto A + b, so
+    # a shift never leaves a multiplier orbit
+    cases = 0
+    for n in (5, 7, 9, 13, 15, 21, 27, 33, 35, 39, 45, 51, 63):
+        fam = set_family("constacyclic", n, 4)
+        m = fam.modulus
+        for A in fam.unions():
+            for b in fam.shifts[1:]:
+                shifted = frozenset((x + b) % m for x in A)
+                if not fam.table.is_union(shifted):
+                    continue
+                d = math.gcd(3 * b, m)
+                e = next(e for e in fam.multipliers if (e - 1 - b) % d == 0)
+                assert frozenset(e * x % m for x in A) == shifted, (n, A, b)
+                cases += 1
+    assert cases > 2000
+    # a case where the shift moves the set: at n = 21 the shift by 21
+    # carries Z(1) to Z(22), which multiplier 22 also reaches
+    z1 = frozenset({1, 4, 16})
+    shifted = frozenset((x + 21) % 63 for x in z1)
+    assert shifted != z1
+    assert shifted == frozenset(22 * x % 63 for x in z1)
+    for n in (15, 111):
         job = SearchJob("constacyclic", n)
         orbits = enumerate_orbits(job)
         groups = group_orbits(job, orbits)
-        assert len(groups) == len(orbits)
-        assert all(len(g.orbit_ids) == 1 for g in groups)
-    # the scan is not vacuous: at n=21 the shift by 21 moves Z(1) to Z(22),
-    # which multiplier 22 also reaches
-    z1 = frozenset({1, 4, 16})
-    shifted = frozenset((x + 21) % 63 for x in z1)
-    assert shifted == frozenset(22 * x % 63 for x in z1)
+        assert [g.orbit_ids for g in groups] == [(o.orbit_id,) for o in orbits]
+        assert [g.eval_leaders for g in groups] == \
+            [o.representative for o in orbits]
 
 
 def test_chains_verify_for_every_member():
