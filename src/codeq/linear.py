@@ -77,13 +77,16 @@ positions in a window [1, width), so rung t meets that window side with
 an outer side of t - w positions of [1, n) (see _mitm_ladder).  At n = 43
 over GF(4) that is 8,973 entries for weight 5 against 335,916.
 
-The information-set search reads its triples of rows in blocks of
-ROW_BLOCK rows gathered by index arrays.  In characteristic 2 a row is
-held as m bit planes of ceil(n / 64) uint64 words each: rows add by XOR,
-a row's weight is the popcount of the OR of its planes, and only the rows
-at the least weight below the best so far go back to bytes, one level at
-a time, for the subcode filter and the witness.  RREF also adds rows by
-XOR in characteristic 2.
+The information-set search draws all its column permutations first and
+takes every iteration's systematic form from one stacked elimination of
+copies of the generator (_stacked_rref); rref serves single matrices.  It
+reads its triples of rows in blocks of ROW_BLOCK rows gathered by index
+arrays.  In characteristic 2 a row is held as m bit planes of
+ceil(n / 64) uint64 words each: rows add by XOR, a row's weight is the
+popcount of the OR of its planes, and only the rows at the least weight
+below the best so far go back to bytes, one level at a time, for the
+subcode filter and the witness.  Both eliminations also add rows by XOR
+in characteristic 2.
 """
 
 from __future__ import annotations
@@ -197,6 +200,48 @@ def rref(F: GaloisField, mat) -> tuple[np.ndarray, tuple[int, ...]]:
         pivots.append(c)
         r += 1
     return A[:r], tuple(pivots)
+
+
+def _stacked_rref(F: GaloisField, G: np.ndarray,
+                  perms: np.ndarray) -> np.ndarray:
+    """rref(F, G[:, perm])[0][:, np.argsort(perm)] for every row perm of
+    the (s, n) array perms, as one (s, r, n) stack for G of rank r.
+
+    All s copies of G are eliminated together on G's own columns.  At step
+    r each copy's pivot is the first column, in its permutation's order,
+    with a nonzero entry in rows r and below; the columns before it in that
+    order are already zero there, so it comes after the previous pivot.
+    The first row holding that entry is swapped up and scaled to 1, and
+    the column is cleared in every other row by one gather of the pivot
+    row's multiples and one add (XOR in characteristic 2).
+    """
+    T = tables(F)
+    s, n = perms.shape
+    A = np.repeat(G[None], s, axis=0)
+    at = np.arange(s)
+    order = np.empty_like(perms)  # where column c comes in perms[i]
+    order[at[:, None], perms] = np.arange(n)
+    r = 0
+    while r < A.shape[1]:
+        live = A[:, r:].any(axis=1)
+        if not live.any():
+            break
+        c = np.where(live, order, n).argmin(axis=1)
+        i = r + (A[at, r:, c] != 0).argmax(axis=1)
+        top = A[at, i]
+        A[at, i] = A[at, r]
+        top = T.mul[T.inv[top[at, c]][:, None], top]
+        A[at, r] = top
+        col = A[at, :, c]
+        col[:, r] = 0
+        # row j of copy i takes -col[i, j] times its pivot row
+        multiples = T.mul[:, top]
+        if F.p == 2:
+            A ^= multiples[col, at[:, None]]
+        else:
+            A = T.add[A, multiples[T.neg[col], at[:, None]]]
+        r += 1
+    return A[:, :r]
 
 
 def gf_matmul(F: GaloisField, A, B) -> np.ndarray:
@@ -1009,9 +1054,11 @@ def _mitm_side(packed: np.ndarray, subsets: np.ndarray, normalize_first: bool
     return key, subsets, scalars
 
 
+@lru_cache(maxsize=32)
 def _subsets(n: int, t: int, start: int = 0) -> np.ndarray:
-    """The t-subsets of range(start, n) in lexicographic order, as a (C, t)
-    array of the smallest unsigned dtype that holds n - 1.
+    """The t-subsets of range(start, n) in lexicographic order, as a
+    read-only (C, t) array of the smallest unsigned dtype that holds n - 1;
+    the ladders of one search ask for the same few tables again and again.
 
     Built one slot at a time: each subset so far is repeated once for every
     value that may follow its last element, leaving room for the slots
@@ -1027,6 +1074,7 @@ def _subsets(n: int, t: int, start: int = 0) -> np.ndarray:
         last = np.repeat(last + 1 - offset, count) + np.arange(int(count.sum()))
         out = np.hstack([np.repeat(out, count, axis=0),
                          last.astype(dtype)[:, None]])
+    out.setflags(write=False)
     return out
 
 
@@ -1180,14 +1228,17 @@ def _infoset_upper(code: LinearCode, iters: int, seed: int,
                    outside) -> tuple[int, tuple[int, ...] | None, int]:
     """Seeded information-set search for low-weight codewords.
 
-    Each iteration re-draws a systematic form (RREF after a random column
-    permutation), moves its rows R back to code coordinates once and reads
-    every combination of up to three rows: the rows, then for each scalar
-    b the pairs R_i + b R_j (i < j, ordered by j), then for each l and
-    scalar c those pairs with j < l plus c R_l.  The triples of one b are
-    gathered from index arrays built once per call, ROW_BLOCK rows at a
-    time; blocks may cross (l, c) boundaries, and the first row of least
-    weight still wins.
+    Each iteration has its own systematic form, the RREF after a random
+    column permutation moved back to code coordinates.  The permutations
+    are drawn first, and one stacked elimination (_stacked_rref) gives all
+    the forms; their multiples are packed a whole number of iterations at
+    a time, at most ROW_BLOCK rows unless one iteration's q k rows are
+    more.  An iteration reads every combination of up to three rows R of
+    its form: the rows, then for each scalar b the pairs R_i + b R_j
+    (i < j, ordered by j), then for each l and scalar c those pairs with
+    j < l plus c R_l.  The triples of one b are gathered from index arrays
+    built once per call, ROW_BLOCK rows at a time; blocks may cross (l, c)
+    boundaries, and the first row of least weight still wins.
 
     In characteristic 2 rows are held as bit planes (_pack_planes), add by
     XOR and are weighed by popcount; otherwise they are bytes that add by
@@ -1219,19 +1270,23 @@ def _infoset_upper(code: LinearCode, iters: int, seed: int,
         if found is not None:
             best, witness = found
 
-    for _ in range(iters):
-        perm = rng.permutation(n)
-        R = rref(F, code.generator[:, perm])[0][:, np.argsort(perm)]
-        flat = pack(T.mul[:, R].reshape(q * k, n))
-        scaled = flat.reshape(q, k, *flat.shape[1:])
-        scan(scaled[1])
-        for b in range(1, q):
-            P = add(np.take(scaled[1], ii, axis=0),
-                    np.take(scaled[b], jj, axis=0))
-            scan(P)
-            for h in range(0, lc.size, ROW_BLOCK):
-                scan(add(np.take(P, rows[h:h + ROW_BLOCK], axis=0),
-                         np.take(flat, lc[h:h + ROW_BLOCK], axis=0)))
+    perms = np.array([rng.permutation(n) for _ in range(iters)],
+                     dtype=np.intp).reshape(iters, n)
+    forms = _stacked_rref(F, code.generator, perms)
+    group = max(1, ROW_BLOCK // (q * k))  # iterations packed together
+    for g in range(0, iters, group):
+        stack = forms[g:g + group]
+        packed = pack(np.moveaxis(T.mul[:, stack], 0, 1).reshape(-1, n))
+        for flat in packed.reshape(stack.shape[0], q * k, *packed.shape[1:]):
+            scaled = flat.reshape(q, k, *flat.shape[1:])
+            scan(scaled[1])
+            for b in range(1, q):
+                P = add(np.take(scaled[1], ii, axis=0),
+                        np.take(scaled[b], jj, axis=0))
+                scan(P)
+                for h in range(0, lc.size, ROW_BLOCK):
+                    scan(add(np.take(P, rows[h:h + ROW_BLOCK], axis=0),
+                             np.take(flat, lc[h:h + ROW_BLOCK], axis=0)))
     return best, witness, work
 
 

@@ -85,6 +85,36 @@ def test_rref_idempotent_and_unique():
         assert LinearCode.from_rows(F3, C.generator[order]) == C
 
 
+def test_stacked_rref_matches_rref_per_permutation():
+    # each copy of G in the stack ends as the RREF of G under its own
+    # column permutation, moved back to G's columns
+    def check(F, G, s, rng):
+        perms = np.array([rng.permutation(G.shape[1]) for _ in range(s)],
+                         dtype=np.intp).reshape(s, G.shape[1])
+        got = linear._stacked_rref(F, G, perms)
+        assert got.dtype == np.uint8 and got.shape[0] == s
+        for R, perm in zip(got, perms):
+            want = rref(F, G[:, perm])[0][:, np.argsort(perm)]
+            assert np.array_equal(R, want)
+
+    rng = np.random.default_rng(89)
+    for F in (build_field(2, 1), F3, F4, build_field(5, 1),
+              build_field(2, 3), build_field(3, 2)):
+        shapes = [(int(n), int(rng.integers(1, n + 1)))
+                  for n in rng.integers(8, 17, size=4)]
+        shapes += [(n, int(rng.integers(2, 7))) for n in (63, 64, 65, 129)]
+        shapes += [(9, 1), (9, 9)]
+        for n, k in shapes:
+            G = rng.integers(0, F.order, size=(k, n), dtype=np.uint8)
+            while len(rref(F, G)[1]) < k:
+                G = rng.integers(0, F.order, size=(k, n), dtype=np.uint8)
+            check(F, G, 8, rng)
+        # the zero matrix has no pivots, and a budget can pay for no copies
+        check(F, np.zeros((3, 10), dtype=np.uint8), 4, rng)
+        assert linear._stacked_rref(
+            F, G, np.zeros((0, G.shape[1]), dtype=np.intp)).shape[0] == 0
+
+
 def test_rref_rejects_bad_entries():
     with pytest.raises(ValueError, match="not an element"):
         rref(F3, [[0, 3]])
@@ -1113,6 +1143,10 @@ def test_subsets_match_itertools():
     assert linear._subsets(256, 1).dtype == np.uint8
     assert linear._subsets(257, 1).dtype == np.uint16
     assert linear._subsets(257, 1)[-1, 0] == 256
+    # a repeat call hands back the same table, which no caller may change
+    table = linear._subsets(43, 3, 1)
+    assert linear._subsets(43, 3, 1) is table
+    assert not table.flags.writeable
 
 
 def _permuted(C, seed):
@@ -1453,7 +1487,7 @@ def _infoset_codes(rng):
     GF(2), GF(4) and GF(8) of lengths 63, 64 and 65, around the first
     64-coordinate word boundary, and 129, just past the second."""
     for F in (build_field(2, 1), F3, F4, build_field(5, 1),
-              build_field(2, 3)):
+              build_field(2, 3), build_field(3, 2)):
         for _ in range(4):
             n = int(rng.integers(8, 16))
             k = int(rng.integers(3, min(n - 2, 7) + 1))
@@ -1468,11 +1502,20 @@ def _infoset_codes(rng):
 
 def test_infoset_upper_matches_reference_loop(monkeypatch):
     plane_weights, byte_weights = linear._plane_weights, linear._byte_weights
+    row_ops = linear._row_ops
 
-    def read(code, *args):
+    def read(code, iters, *args):
         # the result and every word weighed, in scan order: bit planes are
         # unpacked to bytes, and each characteristic weighs its own form
-        words, forms = [], set()
+        words, forms, packed = [], set(), []
+
+        def ops_spy(F, n):
+            add, weigh, pack, unpack = row_ops(F, n)
+
+            def pack_spy(rows):
+                packed.append(rows.shape[0])
+                return pack(rows)
+            return add, weigh, pack_spy, unpack
 
         def planes_spy(planes):
             forms.add("planes")
@@ -1487,8 +1530,16 @@ def test_infoset_upper_matches_reference_loop(monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(linear, "_plane_weights", planes_spy)
             m.setattr(linear, "_byte_weights", bytes_spy)
-            got = _infoset_upper(code, *args)
+            m.setattr(linear, "_row_ops", ops_spy)
+            got = _infoset_upper(code, iters, *args)
         assert forms == {"planes" if code.field.p == 2 else "bytes"}
+        # the q k multiples of each iteration's rows are packed whole
+        # iterations at a time, at most ROW_BLOCK rows unless one
+        # iteration's are more
+        qk = code.field.order * code.k
+        assert sum(packed) == iters * qk
+        assert all(r % qk == 0 and r <= max(qk, linear.ROW_BLOCK)
+                   for r in packed)
         return got, np.concatenate(words)
 
     rng = np.random.default_rng(61)
@@ -1502,8 +1553,9 @@ def test_infoset_upper_matches_reference_loop(monkeypatch):
             want_words = []
             want = _reference_infoset(C, 3, seed, outside, want_words)
             want_words = np.concatenate(want_words)
-            # blocks of 5 and 7 rows cross (l, c) boundaries
-            for block in (5, 7, linear.ROW_BLOCK):
+            # blocks of 5 and 7 rows cross (l, c) boundaries; blocks of
+            # 2 q k rows pack the 3 iterations' multiples as 2 and 1
+            for block in (5, 7, 2 * C.field.order * C.k, linear.ROW_BLOCK):
                 monkeypatch.setattr(linear, "ROW_BLOCK", block)
                 got, words = read(C, 3, seed, outside)
                 assert got == want
