@@ -298,6 +298,41 @@ class SetFamily:
         return self.defining_set(x for x in range(self.modulus)
                                  if self._in_lane(x) and x not in neg)
 
+    def bch_floor(self, A) -> tuple[int, int, int]:
+        """(length, start, step): the longest run start + step*i, i < length,
+        of defining-set indices mod n over the unit steps; on ties the
+        least step, then the least start; (n, 0, 1) when A is the whole
+        lane and (0, 0, 1) when it is empty.
+
+        The index of a lane element a is (a - 1)/3 mod n for constacyclic
+        codes (c(x) -> c(beta x) with beta^n = omega keeps every weight
+        and sends the root exponent a to that index at an n-th root of
+        unity) and a itself for cyclic ones.  By the BCH bound every
+        nonzero word of the code then weighs at least length + 1.  Only
+        the least step of each class under multiplication by q is walked:
+        A is closed under a -> qa, which acts on indices as j -> qj + c,
+        so a run of step s has the image a run of step qs.
+        """
+        n = self.n
+        index = {a // self.stride for a in self.defining_set(A)}
+        if len(index) == n:
+            return n, 0, 1
+        starts = sorted(index)
+        table = coset_table(n, self.q)
+        best = (0, 0, 1)
+        for s in units(n):
+            if table.leader_of(s) != s:
+                continue
+            for x in starts:
+                if (x - s) % n in index:
+                    continue
+                length, y = 1, (x + s) % n
+                while y in index:
+                    length, y = length + 1, (y + s) % n
+                if length > best[0]:
+                    best = (length, x, s)
+        return best
+
     def admits_shift(self, size, b):
         """Whether x -> x+b keeps the lane and m | size*(q-1)*b.
 

@@ -30,6 +30,11 @@ the information-set search, before a DP that automatic dispatch picked as
 far as the rungs cost less than the DP (_ladder_reach), and not otherwise.
 A word the ladder finds is the exact minimum; else the engine finishes on
 the budget left, and its result keeps the ladder's floor, work and note.
+A caller may pass a floor it has proved, such as the BCH bound that the
+search reads off a defining set.  Then the ladder starts at that rung and
+is skipped before the information-set search when the floor is above
+weight 6, the information-set scan stops at a word of the floor's
+weight, and lb is at least the floor.
 
 The dynamic program keeps one uint8 table of least weights per syndrome
 and builds no index array of table size.  It starts in closed form from
@@ -537,6 +542,8 @@ def _sentinel(code: LinearCode, strategy: str, t0: float) -> DistanceResult:
 # Every engine takes (code, outside, budget, seed), where outside is
 # _outside_test's subcode filter and budget is what the ladder's climb, if
 # _distance_engine made one, left; it returns (lb, ub, witness, work, note).
+# The information-set engine also takes the caller's floor, the weight at
+# which its scan stops.
 _Bounds = tuple[int, int, "tuple[int, ...] | None", int, str]
 
 
@@ -899,12 +906,14 @@ def _ladder_runs(code: LinearCode) -> bool:
 
 
 def _mitm_ladder(code: LinearCode, wmax: int, outside,
-                 budget: int | None = None, shift: int | None = None
+                 budget: int | None = None, shift: int | None = None,
+                 first: int = 1
                  ) -> tuple[int, int | None, tuple[int, ...] | None, int]:
     """Prove lower bounds by meet-in-the-middle over split supports.
 
     Returns (proved_lb, exact_weight_or_None, witness, work).  Weights are
-    tried in ascending order; the first weight with a verified codeword
+    tried in ascending order from first, below which the caller has
+    proved no word lies; the first weight with a verified codeword
     (outside the subcode if given) is the exact minimum of that filtered
     set.  Runs only where _ladder_runs holds.  Rung t costs its na + nb
     side entries in work; a rung with more than MITM_SIDE_CAP entries, or
@@ -950,7 +959,7 @@ def _mitm_ladder(code: LinearCode, wmax: int, outside,
     start = 1 if windowed else 0
     work = 0
     side_b = None
-    for t in range(1, wmax + 1):
+    for t in range(first, wmax + 1):
         w, width, na, nb = _rung_plan(n, q, t, windowed)
         if na + nb > MITM_SIDE_CAP or (budget is not None
                                        and work + na + nb > budget):
@@ -1224,8 +1233,8 @@ def _byte_weights(words: np.ndarray) -> np.ndarray:
     return np.count_nonzero(words, axis=1)
 
 
-def _infoset_upper(code: LinearCode, iters: int, seed: int,
-                   outside) -> tuple[int, tuple[int, ...] | None, int]:
+def _infoset_upper(code: LinearCode, iters: int, seed: int, outside,
+                   floor: int = 1) -> tuple[int, tuple[int, ...] | None, int]:
     """Seeded information-set search for low-weight codewords.
 
     Each iteration has its own systematic form, the RREF after a random
@@ -1244,6 +1253,8 @@ def _infoset_upper(code: LinearCode, iters: int, seed: int,
     XOR and are weighed by popcount; otherwise they are bytes that add by
     the addition table.  Each block keeps its first lightest word outside
     the subcode (_lightest), which unpacks one weight level at a time.
+    The scan stops at the first word that weighs floor, a weight that the
+    caller has proved no word falls below: no later row can beat it.
     """
     F = code.field
     T = tables(F)
@@ -1261,40 +1272,45 @@ def _infoset_upper(code: LinearCode, iters: int, seed: int,
     sizes = prefix[ls - 1]
     lc = np.repeat((cs + 1) * k + ls, sizes)
     rows = np.arange(lc.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    best, witness, work = n + 1, None, 0
-
-    def scan(block: np.ndarray) -> None:
-        nonlocal best, witness, work
-        work += block.shape[0]
-        found = _lightest(block, weigh(block), best, outside, unpack)
-        if found is not None:
-            best, witness = found
-
     perms = np.array([rng.permutation(n) for _ in range(iters)],
                      dtype=np.intp).reshape(iters, n)
     forms = _stacked_rref(F, code.generator, perms)
     group = max(1, ROW_BLOCK // (q * k))  # iterations packed together
-    for g in range(0, iters, group):
-        stack = forms[g:g + group]
-        packed = pack(np.moveaxis(T.mul[:, stack], 0, 1).reshape(-1, n))
-        for flat in packed.reshape(stack.shape[0], q * k, *packed.shape[1:]):
-            scaled = flat.reshape(q, k, *flat.shape[1:])
-            scan(scaled[1])
-            for b in range(1, q):
-                P = add(np.take(scaled[1], ii, axis=0),
-                        np.take(scaled[b], jj, axis=0))
-                scan(P)
-                for h in range(0, lc.size, ROW_BLOCK):
-                    scan(add(np.take(P, rows[h:h + ROW_BLOCK], axis=0),
-                             np.take(flat, lc[h:h + ROW_BLOCK], axis=0)))
+
+    def blocks():
+        for g in range(0, iters, group):
+            stack = forms[g:g + group]
+            packed = pack(np.moveaxis(T.mul[:, stack], 0, 1).reshape(-1, n))
+            for flat in packed.reshape(stack.shape[0], q * k,
+                                       *packed.shape[1:]):
+                scaled = flat.reshape(q, k, *flat.shape[1:])
+                yield scaled[1]
+                for b in range(1, q):
+                    P = add(np.take(scaled[1], ii, axis=0),
+                            np.take(scaled[b], jj, axis=0))
+                    yield P
+                    for h in range(0, lc.size, ROW_BLOCK):
+                        yield add(np.take(P, rows[h:h + ROW_BLOCK], axis=0),
+                                  np.take(flat, lc[h:h + ROW_BLOCK], axis=0))
+
+    best, witness, work = n + 1, None, 0
+    for block in blocks():
+        work += block.shape[0]
+        found = _lightest(block, weigh(block), best, outside, unpack)
+        del block  # freed before blocks() builds the next one
+        if found is not None:
+            best, witness = found
+            if best <= floor:
+                break
     return best, witness, work
 
 
 def _information_set(code: LinearCode, outside, budget: int | None,
-                     seed: int) -> _Bounds:
+                     seed: int, floor: int = 1) -> _Bounds:
     """ub by seeded information-set enumeration: INFOSET_ITERS iterations,
-    or as many as the budget pays for; lb is 1, and the ladder's climb
-    before it proves the floor."""
+    or as many as the budget pays for, stopping at a word of weight floor;
+    lb is 1, and the ladder's climb before it or the caller's floor
+    proves more."""
     runs, note = INFOSET_ITERS, ""
     if budget is not None:
         # an iteration runs only if all the rows it reads fit
@@ -1304,7 +1320,7 @@ def _information_set(code: LinearCode, outside, budget: int | None,
         if runs < INFOSET_ITERS:
             note = (f"budget {budget} paid for {runs} of {INFOSET_ITERS} "
                     f"information-set iterations")
-    ub, witness, work = _infoset_upper(code, runs, seed, outside)
+    ub, witness, work = _infoset_upper(code, runs, seed, outside, floor)
     return 1, ub, witness, work, note
 
 
@@ -1369,9 +1385,16 @@ def _ladder_reach(code: LinearCode, shift: int | None = None) -> int:
 
 
 def min_distance(code: LinearCode, strategy: str = "auto",
-                 budget: int | None = None, seed: int = 1) -> DistanceResult:
-    """Certified (lb, ub) bounds on the minimum distance; equal means exact."""
-    return _distance_engine(code, None, strategy, budget, seed)
+                 budget: int | None = None, seed: int = 1,
+                 floor: tuple[int, str] | None = None) -> DistanceResult:
+    """Certified (lb, ub) bounds on the minimum distance; equal means exact.
+
+    floor is (d, proof): the caller's proof, as text for the note, that no
+    nonzero word weighs less than d, such as a BCH bound read off a
+    defining set.  The engines start from it (see _distance_engine), and a
+    witness lighter than d raises RuntimeError.
+    """
+    return _distance_engine(code, None, strategy, budget, seed, floor)
 
 
 def min_weight_outside(code: LinearCode, subcode: LinearCode,
@@ -1386,41 +1409,57 @@ def min_weight_outside(code: LinearCode, subcode: LinearCode,
 
 
 def _distance_engine(code: LinearCode, exclude: LinearCode | None, strategy: str,
-                     budget: int | None, seed: int) -> DistanceResult:
+                     budget: int | None, seed: int,
+                     floor: tuple[int, str] | None = None) -> DistanceResult:
     """Pick the engine, climb the ladder before it where that pays, and
-    finish on the budget the climb left (see the module docstring)."""
+    finish on the budget the climb left (see the module docstring).
+
+    A caller's floor (d, proof) only removes work.  The ladder starts at
+    rung d; before the information-set search it is not climbed at all,
+    nor the shift sought, when d > INFOSET_LADDER_REACH.  The
+    information-set search stops at its first word of weight d.  lb is
+    the greatest of the engine's, the ladder's and d, and the note names
+    the proof; a witness lighter than d raises, as any lb > ub does.
+    """
     t0 = time.perf_counter()
     if code.k == 0:
         return _sentinel(code, "trivial", t0)
     if strategy != "auto" and strategy not in _ENGINES:
         raise ValueError(f"unknown strategy {strategy!r}")
+    given, proof = (1, "") if floor is None else floor
     name = _auto_engine(code) if strategy == "auto" else strategy
     outside = _outside_test(code, exclude)
-    climbs = name == "information_set" or (strategy == "auto"
-                                           and name == "syndrome_dp")
+    climbs = _ladder_runs(code) and (
+        (name == "information_set" and given <= INFOSET_LADDER_REACH)
+        or (strategy == "auto" and name == "syndrome_dp"))
     # the ladder is the one reader of the shift
-    shift = (_shift_constant(code, exclude)
-             if climbs and _ladder_runs(code) else None)
+    shift = _shift_constant(code, exclude) if climbs else None
     reach = (INFOSET_LADDER_REACH if name == "information_set"
-             else _ladder_reach(code, shift) if climbs else 0)
-    floor, exact_w, word, climb = 1, None, None, 0
-    if reach:
-        floor, exact_w, word, climb = _mitm_ladder(code, reach, outside,
-                                                   budget, shift=shift)
+             else _ladder_reach(code, shift)) if climbs else 0
+    ladder_lb, exact_w, word, climb = 1, None, None, 0
+    if reach >= given:
+        ladder_lb, exact_w, word, climb = _mitm_ladder(
+            code, reach, outside, budget, shift=shift, first=given)
     if exact_w is not None:
         name = "information_set"
         lb = ub = exact_w
         witness, work, note = word, climb, "exact: meet-in-the-middle ladder"
     else:
         left = None if budget is None else budget - climb
-        lb, ub, witness, work, note = _ENGINES[name](code, outside, left, seed)
-        lb, work = max(lb, floor), work + climb
-        if name == "information_set":
+        run = (partial(_information_set, floor=given)
+               if name == "information_set" else _ENGINES[name])
+        lb, ub, witness, work, note = run(code, outside, left, seed)
+        lb, work = max(lb, ladder_lb), work + climb
+        # the note names the ladder only where one of its rungs ran
+        if climb and name == "information_set":
             note = "; ".join(filter(None, (
-                f"lb by meet-in-the-middle ladder to weight {floor - 1}",
+                f"lb by meet-in-the-middle ladder to weight {ladder_lb - 1}",
                 note)))
-        elif reach:
-            note += f"; ladder to weight {floor - 1} first"
+        elif climb:
+            note += f"; ladder to weight {ladder_lb - 1} first"
+    if given > 1:
+        lb = max(lb, given)
+        note = "; ".join(filter(None, (f"floor {given} by {proof}", note)))
     if lb > ub:
         raise RuntimeError(f"{name}: lower bound {lb} exceeds the weight {ub} "
                            f"of a witness")

@@ -479,10 +479,16 @@ def _targets_lookup(job: SearchJob) -> dict[tuple[int, int, int], int]:
 
 
 def evaluate(job: SearchJob, leaders) -> SearchRecord:
-    """Build one representative and compute its distance bounds."""
+    """Build one representative and compute its distance bounds, from the
+    BCH floor of its defining set."""
     leaders = tuple(sorted(int(x) for x in leaders))
-    base = build_code(job.context, _expand_leaders(job, leaders)).base
-    res = min_distance(base, budget=job.distance_budget, seed=job.seed)
+    A = _expand_leaders(job, leaders)
+    base = build_code(job.context, A).base
+    length, start, step = job.context.bch_floor(A)
+    floor = (length + 1, f"BCH bound: indices {start} + {step}i mod {job.n} "
+                         f"for i < {length}")
+    res = min_distance(base, budget=job.distance_budget, seed=job.seed,
+                       floor=floor)
     qdict = None
     if job.quantum:
         _, qp = nearly_self_orthogonal(base, budget=job.distance_budget,

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from codeq.constacyclic import build_code
 from codeq.cosets import (
     CosetTable,
     DefiningSet,
@@ -20,6 +21,7 @@ from codeq.cosets import (
     shift_map,
     units,
 )
+from codeq.linear import min_distance
 
 
 def test_coset_table_8_3():
@@ -416,3 +418,47 @@ def test_constacyclic_affine_maps_match_reference_loops(n):
         for B in sets:
             assert enumerate_affine_witnesses(A, B, mode="constacyclic") == \
                 _reference_witnesses(A, B, "constacyclic")
+
+
+_BCH_CASES = ([("cyclic", n, 2) for n in (7, 9, 15, 17, 21, 23)]
+              + [("cyclic", n, 3) for n in (4, 8, 10, 11, 13)]
+              + [("cyclic", n, 4) for n in (5, 7, 9, 15, 17)]
+              + [("cyclic", n, 5) for n in (4, 6, 8, 12, 13)]
+              + [("constacyclic", n, 4) for n in (5, 7, 11)])
+
+
+def test_bch_floor_never_exceeds_the_exact_distance():
+    # every defining set, so every orbit representative, of each case
+    closed = 0
+    for family, n, q in _BCH_CASES:
+        fam = set_family(family, n, q)
+        for A in fam.unions():
+            length, start, step = fam.bch_floor(A)
+            assert math.gcd(step, n) == 1
+            index = set(A) if family == "cyclic" else {(a - 1) // 3
+                                                        for a in A}
+            assert {(start + i * step) % n
+                    for i in range(length)} <= index
+            code = build_code(fam, A).base
+            if code.k == 0 or length == 0:
+                continue
+            exhaustive = q ** code.k <= 1 << 16
+            got = min_distance(code,
+                               "exhaustive" if exhaustive else "auto")
+            assert got.complete, (family, n, q, A)
+            assert length + 1 <= got.ub, (family, n, q, A, length)
+            closed += got.ub == length + 1 >= 3
+    assert closed
+
+
+def test_bch_floor_picks_the_longest_run():
+    fam = set_family("cyclic", 15, 2)
+    # the [15,7,5] BCH code: 1, 2, 3, 4 in a row
+    assert fam.bch_floor(fam.expand((1, 3))) == (4, 1, 1)
+    # {1, 2, 4, 8} holds no three terms of any unit step
+    assert fam.bch_floor(fam.expand((1,))) == (2, 1, 1)
+    assert fam.bch_floor(()) == (0, 0, 1)
+    assert fam.bch_floor(range(15)) == (15, 0, 1)
+    # a constacyclic set reads lane exponent a at index (a - 1) / 3
+    consta = set_family("constacyclic", 43, 4)
+    assert consta.bch_floor(consta.expand((1, 7, 13, 22, 43))) == (13, 39, 3)

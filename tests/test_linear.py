@@ -1383,8 +1383,9 @@ def test_auto_climbs_windowed_rungs_on_the_cyclic_bch_code():
 def test_distance_climbs_the_ladder_from_one_place(monkeypatch):
     # _distance_engine is the ladder's one caller: each distance call climbs
     # at most once, to weight 6 before information sets and to
-    # _ladder_reach before a DP that auto picked, and not where that reach
-    # is 0 (small tables, odd fields) or on other routes
+    # _ladder_reach before a DP that auto picked, and not in odd
+    # characteristic, where that reach is 0 (small tables) or on other
+    # routes
     climbs = []
     ladder = linear._mitm_ladder
 
@@ -1407,7 +1408,7 @@ def test_distance_climbs_the_ladder_from_one_place(monkeypatch):
         (wide, "auto", None, "information_set", [6]),
         (wide, "auto", LinearCode.from_rows(F4, wide.generator[:7]),
          "information_set", [6]),
-        (_random_code(F3, 30, 15, 7), "auto", None, "information_set", [6]),
+        (_random_code(F3, 30, 15, 7), "auto", None, "information_set", []),
         (bch, "exhaustive", None, "exhaustive", []),
         (bch, "syndrome_dp", None, "syndrome_dp", []),
         (bch, "information_set", None, "information_set", [6]),
@@ -1420,6 +1421,125 @@ def test_distance_climbs_the_ladder_from_one_place(monkeypatch):
         else:
             min_weight_outside(C, S, strategy=strategy)
         assert climbs == want
+
+
+def _consta_43_14():
+    """The [43,14,14] omega-constacyclic code of `consta-43`'s leaders
+    (1, 7, 13, 22, 43) with its BCH floor, as the search passes it."""
+    from codeq.constacyclic import build_code
+    from codeq.cosets import set_family
+    fam = set_family("constacyclic", 43, 4)
+    A = fam.expand((1, 7, 13, 22, 43))
+    length, start, step = fam.bch_floor(A)
+    assert (length, start, step) == (13, 39, 3)
+    return build_code(fam, A).base, (length + 1, "BCH bound: indices 39 + 3i")
+
+
+def test_floor_above_a_witness_raises():
+    # a floor one above the weight of the witness found is refuted by it
+    C, (d, proof) = _consta_43_14()
+    cases = [(C, "information_set", 14), (_bch_31(), "exhaustive", 7),
+             (_bch_31(), "syndrome_dp", 7),
+             (_random_code(F3, 10, 5, 2), "exhaustive", None)]
+    for code, strategy, d in cases:
+        if d is None:
+            d = min_distance(code, strategy=strategy).ub
+        assert min_distance(code, strategy, floor=(d, "sound")).lb == d
+        with pytest.raises(RuntimeError, match="exceeds the weight"):
+            min_distance(code, strategy, floor=(d + 1, "a false floor"))
+
+
+def test_floor_only_removes_work(monkeypatch):
+    # any floor up to d leaves ub and witness as they were, and costs no
+    # more work; a ladder that climbs starts at the floor
+    firsts = []
+    ladder = linear._mitm_ladder
+
+    def spy(*args, first=1, **kwargs):
+        firsts.append(first)
+        return ladder(*args, first=first, **kwargs)
+
+    monkeypatch.setattr(linear, "_mitm_ladder", spy)
+    codes = [(_bch_31(), s) for s in ("auto", "exhaustive", "syndrome_dp",
+                                      "information_set")]
+    codes += [(_golay(), "information_set"), (_golay(), "auto"),
+              (_random_code(F4, 12, 6, 44), "auto"),
+              (_random_code(F4, 24, 17, 5), "auto"),
+              (_random_code(F4, 30, 15, 7), "information_set"),
+              (_random_code(F3, 14, 10, 3), "auto")]
+    for C, strategy in codes:
+        plain = min_distance(C, strategy, budget=1 << 24)
+        assert plain.complete
+        for d in range(1, plain.lb + 1):
+            firsts.clear()
+            got = min_distance(C, strategy, budget=1 << 24,
+                               floor=(d, "test floor"))
+            assert (got.ub, got.witness) == (plain.ub, plain.witness)
+            assert got.work <= plain.work and got.lb == plain.lb
+            assert all(f == d for f in firsts)
+            assert (d > 1) == (f"floor {d} by test floor" in got.note)
+
+
+def test_high_floor_skips_the_ladder(monkeypatch):
+    # the search's [43,14] record: a floor of 14 > INFOSET_LADDER_REACH
+    # runs no rung and seeks no shift, names its progression, and stops
+    # the information-set scan at the first word of weight 14
+    import sys
+    from codeq.search import SearchJob, evaluate
+    search_module = sys.modules["codeq.search"]
+    calls, results = [], []
+    monkeypatch.setattr(linear, "_mitm_ladder",
+                        lambda *a, **k: calls.append("ladder"))
+    monkeypatch.setattr(linear, "_shift_constant",
+                        lambda *a, **k: calls.append("shift"))
+
+    def keep(*args, **kwargs):
+        results.append(min_distance(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(search_module, "min_distance", keep)
+    job = SearchJob("constacyclic", 43, distance_budget=1 << 24)
+    rec = evaluate(job, (1, 7, 13, 22, 43))
+    assert (rec.d_lb, rec.d_ub, rec.strategy) == (14, 14, "information_set")
+    assert calls == []
+    assert results[0].note == ("floor 14 by BCH bound: indices 39 + 3i "
+                               "mod 43 for i < 13")
+    # the first block read, the 14 rows of the first systematic form,
+    # holds a word of weight 14
+    assert results[0].work == 14
+
+
+def test_note_names_only_rungs_that_ran():
+    # a floor at or below weight 6 names itself and no ladder where no rung
+    # runs: in odd characteristic, or where rung d is past the budget
+    from codeq import DefiningSet, build_cyclic
+    assert "ladder" not in min_distance(_random_code(F3, 30, 15, 7)).note
+    # the ternary quadratic-residue code [11,6,5]
+    qr = build_cyclic(11, 3, DefiningSet.from_leaders(11, 3, (1,))).base
+    assert min_distance(qr, strategy="exhaustive").lb == 5
+    for d in (2, 5):
+        got = min_distance(qr, "information_set", floor=(d, "test floor"))
+        assert (got.lb, got.ub) == (d, 5)
+        assert got.note == f"floor {d} by test floor"
+    wide = _random_code(F4, 30, 15, 7)
+    assert linear._auto_engine(wide) == "information_set"
+    got = min_distance(wide, budget=1, floor=(3, "test floor"))
+    assert (got.lb, got.work) == (3, 0)
+    assert got.note == ("floor 3 by test floor; budget 1 paid for 0 of 8 "
+                        "information-set iterations")
+    got = min_distance(wide, floor=(3, "test floor"))
+    assert got.note.startswith("floor 3 by test floor; lb by "
+                               "meet-in-the-middle ladder to weight")
+
+
+def test_floor_bounds_a_search_with_no_iterations():
+    # a budget that pays for no information-set iteration leaves the floor
+    # as lb and no witness: an open interval that still holds d = 14
+    C, floor = _consta_43_14()
+    for budget in (0, 1, 1000):
+        got = min_distance(C, budget=budget, floor=floor)
+        assert (got.lb, got.ub, got.witness) == (14, 44, None)
+        assert "paid for 0 of 8" in got.note
 
 
 def test_infoset_upper_bound_sound():

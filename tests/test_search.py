@@ -437,3 +437,14 @@ def test_targets_reach_search_records():
     assert scored
     assert all(r.target_d == 1 for r in scored)
     assert all(r.beats_target == (r.d_lb > 1) for r in scored)
+
+
+def test_bch_floors_close_the_43_14_record():
+    # the BCH floor of each representative's defining set lifts lb: the
+    # [43,14] record (1, 7, 13, 22, 43) closes at 14, leaving 17 open
+    records, _ = search(SearchJob("constacyclic", 43,
+                                  distance_budget=1 << 24, seed=1))
+    evaluated = [r for r in records if r.evaluated]
+    assert sum(not r.complete for r in evaluated) <= 17
+    (rec,) = [r for r in evaluated if r.leaders == (1, 7, 13, 22, 43)]
+    assert (rec.k, rec.d_lb, rec.d_ub) == (14, 14, 14)
