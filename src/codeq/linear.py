@@ -8,10 +8,9 @@ equal exactly when their generator arrays are equal.
 
 Minimum-distance work picks between three engines: full codeword
 enumeration when q^k is small, a syndrome-space dynamic program when
-q^(n-k) fits in memory (exact distances for things like [54,43] over
-GF(4)), and for the rest a meet-in-the-middle ladder that certifies lower
-bounds plus a seeded information-set search for upper bounds.  The
-engines share one arithmetic layer.  Rows are bit planes in
+q^(n-k) fits in memory, and for the rest a meet-in-the-middle ladder that
+certifies lower bounds plus a seeded information-set search for upper
+bounds.  The engines share one arithmetic layer.  Rows are bit planes in
 characteristic 2 and bytes otherwise, with one add, weigh, pack and
 unpack per field (_row_ops).  Codewords come from one chunked enumerator
 (_codewords) in message order, base-q digits with digit 0 fastest.
@@ -26,15 +25,17 @@ level being read are unpacked and tested.
 
 One dispatcher (_distance_engine) decides whether the meet-in-the-middle
 ladder climbs before the engine it picked, and how far: to weight 6 before
-the information-set search, before a DP that automatic dispatch picked as
-far as the rungs cost less than the DP (_ladder_reach), and not otherwise.
-A word the ladder finds is the exact minimum; else the engine finishes on
+the information-set search, before a DP that automatic dispatch picked
+until a rung passes MITM_SIDE_CAP or the budget, and not otherwise.  A
+word the ladder finds is the exact minimum; else the engine finishes on
 the budget left, and its result keeps the ladder's floor, work and note.
-A caller may pass a floor it has proved, such as the BCH bound that the
-search reads off a defining set.  Then the ladder starts at that rung and
-is skipped before the information-set search when the floor is above
-weight 6, the information-set scan stops at a word of the floor's
-weight, and lb is at least the floor.
+The DP thus decides only the codes whose distance lies past the
+affordable rungs, or whose climb the budget cut short.  A caller may
+pass a floor it has proved, such as the BCH bound that the search reads
+off a defining set.  Then the ladder starts at that rung and is skipped
+before the information-set search when the floor is above weight 6, the
+information-set scan stops at a word of the floor's weight, and lb is at
+least the floor.
 
 The dynamic program keeps one uint8 table of least weights per syndrome
 and builds no index array of table size.  It starts in closed form from
@@ -1125,7 +1126,9 @@ def _mitm_runs(key: np.ndarray, na: int
     are read off the flags that join neighbours of equal hash.
     """
     joined = np.zeros(key.size + 1, dtype=bool)  # entries i-1, i hash alike
-    np.less_equal(key[1:] ^ key[:-1], _IDX_MASK, out=joined[1:-1])
+    for i in range(1, key.size, MITM_CHUNK):
+        j = min(i + MITM_CHUNK, key.size)
+        np.less_equal(key[i:j] ^ key[i - 1:j - 1], _IDX_MASK, out=joined[i:j])
     pos = np.flatnonzero(joined[:-1] | joined[1:])
     first = ~joined[pos]
     run = np.cumsum(first) - 1
@@ -1338,10 +1341,9 @@ def _auto_engine(code: LinearCode) -> str:
     codewords; else enumeration up to EXHAUSTIVE_CAP codewords; else the DP
     when it fits; else information sets.
 
-    Before a DP picked here, _distance_engine climbs the ladder to
-    _ladder_reach(code, shift), whose rungs together cost less than the
-    DP, and runs the DP only if the ladder finds no word.  A failed climb
-    thus costs at most one more DP.
+    Before a DP picked here, _distance_engine climbs the ladder as far
+    as MITM_SIDE_CAP and the budget let it, and runs the DP only if the
+    ladder finds no word.
     """
     F = code.field
     q, r = F.order, code.n - code.k
@@ -1353,35 +1355,8 @@ def _auto_engine(code: LinearCode) -> str:
     return "syndrome_dp" if dp_fits else "information_set"
 
 
-# The cascade's cost model, in DP cell-butterflies.  On a 2-core Xeon with
-# NumPy 2.4 the DP runs 0.83 ns per cell-butterfly on the 4^11-cell tables
-# of [51,40] and [54,43] over GF(4); the ladder to weight 6 on the same
-# codes runs 40-44 ns per side entry (about 50 cells, rounded up here), and
-# each rung adds 50-150 us on sides of a few hundred entries.  A rung of
-# 2^16 cells (55 us) keeps tables of a few thousand cells on the DP.
-LADDER_RUNG_CELLS = 1 << 16
-LADDER_ENTRY_CELLS = 64
 # the ladder's top rung before the information-set search
 INFOSET_LADDER_REACH = 6
-
-
-def _ladder_reach(code: LinearCode, shift: int | None = None) -> int:
-    """Highest ladder rung whose cumulative estimate, LADDER_RUNG_CELLS
-    plus LADDER_ENTRY_CELLS per side entry for each rung, fits under the
-    DP's k * m * max(q^r, 256) cell-butterflies; 0 where the ladder does
-    not run.  The side entries are those of the rungs that run: windowed
-    when the code has a shift."""
-    F = code.field
-    if not _ladder_runs(code):
-        return 0
-    q, n = F.order, code.n
-    budget = code.k * F.m * max(q ** (n - code.k), 256)
-    for t in range(1, n + 1):
-        budget -= LADDER_RUNG_CELLS + LADDER_ENTRY_CELLS * sum(
-            _rung_plan(n, q, t, shift is not None)[2:])
-        if budget < 0:
-            return t - 1
-    return n
 
 
 def min_distance(code: LinearCode, strategy: str = "auto",
@@ -1411,8 +1386,9 @@ def min_weight_outside(code: LinearCode, subcode: LinearCode,
 def _distance_engine(code: LinearCode, exclude: LinearCode | None, strategy: str,
                      budget: int | None, seed: int,
                      floor: tuple[int, str] | None = None) -> DistanceResult:
-    """Pick the engine, climb the ladder before it where that pays, and
-    finish on the budget the climb left (see the module docstring).
+    """Pick the engine, climb the ladder before it on the routes that
+    climb, and finish on the budget the climb left (see the module
+    docstring).
 
     A caller's floor (d, proof) only removes work.  The ladder starts at
     rung d; before the information-set search it is not climbed at all,
@@ -1429,17 +1405,18 @@ def _distance_engine(code: LinearCode, exclude: LinearCode | None, strategy: str
     given, proof = (1, "") if floor is None else floor
     name = _auto_engine(code) if strategy == "auto" else strategy
     outside = _outside_test(code, exclude)
-    climbs = _ladder_runs(code) and (
-        (name == "information_set" and given <= INFOSET_LADDER_REACH)
-        or (strategy == "auto" and name == "syndrome_dp"))
-    # the ladder is the one reader of the shift
-    shift = _shift_constant(code, exclude) if climbs else None
-    reach = (INFOSET_LADDER_REACH if name == "information_set"
-             else _ladder_reach(code, shift)) if climbs else 0
+    # the ladder's top rung: weight 6 before information sets, the whole
+    # code before a DP that auto picked (_mitm_ladder stops at the first
+    # rung past MITM_SIDE_CAP or the budget), none on other routes
+    reach = 0 if not _ladder_runs(code) else (
+        INFOSET_LADDER_REACH if name == "information_set"
+        else code.n if strategy == "auto" and name == "syndrome_dp" else 0)
     ladder_lb, exact_w, word, climb = 1, None, None, 0
     if reach >= given:
+        # the ladder is the one reader of the shift
         ladder_lb, exact_w, word, climb = _mitm_ladder(
-            code, reach, outside, budget, shift=shift, first=given)
+            code, reach, outside, budget,
+            shift=_shift_constant(code, exclude), first=given)
     if exact_w is not None:
         name = "information_set"
         lb = ub = exact_w

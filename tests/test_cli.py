@@ -209,11 +209,26 @@ def test_mindist_exhaustive_out_of_budget_exit_three(capsys):
 def test_mindist_dp_out_of_budget_exit_three(capsys):
     # [15,11] over GF(4): the DP would cost 15 * 3 * 4^4 = 11,520 units
     code, d = run(capsys, ["mindist", "--n", "15", "--q", "4",
-                           "--leaders", "1,3", "--distance-budget", "1000"])
+                           "--leaders", "1,3", "--distance-budget", "1000",
+                           "--strategy", "syndrome_dp"])
     assert code == 3
     assert d["strategy"] == "syndrome_dp" and d["complete"] is False
     assert (d["lb"], d["ub"], d["witness"], d["work"]) == (1, 16, None, 0)
     assert "budget 1000" in d["note"]
+
+
+def test_mindist_ladder_closes_under_the_dp_budget(capsys):
+    # the same code and budget under auto: the ladder climbs before the DP
+    # and meets a word of weight 3 in 81 units
+    code, d = run(capsys, ["mindist", "--n", "15", "--q", "4",
+                           "--leaders", "1,3", "--distance-budget", "1000"])
+    assert code == 0
+    assert d["strategy"] == "information_set" and d["complete"] is True
+    assert (d["lb"], d["ub"], d["work"]) == (3, 3, 81)
+    assert d["note"] == "exact: meet-in-the-middle ladder"
+    C = build_cyclic(15, 4, coset_table(15, 4).closure((1, 3))).base
+    assert C.contains(d["witness"])
+    assert sum(1 for x in d["witness"] if x) == 3
 
 
 def test_mindist_ladder_bound_survives_dp_budget_exit_three(capsys):

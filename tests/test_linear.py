@@ -510,8 +510,13 @@ def test_dp_tables_match_reference_on_large_tables():
 
 
 def test_dp_with_no_parity_rows():
+    # auto picks the DP, whose one-cell table the ladder's first rung
+    # forestalls; forced, the DP decides
     C = LinearCode.full(F4, 12)
-    got = min_distance(C)
+    assert linear._auto_engine(C) == "syndrome_dp"
+    auto = min_distance(C)
+    assert auto.strategy == "information_set" and (auto.lb, auto.ub) == (1, 1)
+    got = min_distance(C, strategy="syndrome_dp")
     assert got.strategy == "syndrome_dp"
     assert (got.lb, got.ub) == (1, 1) and got.complete
     d0, dist, _ = _dp_tables(C)
@@ -521,8 +526,9 @@ def test_dp_with_no_parity_rows():
 def test_auto_picks_the_smaller_of_table_and_codeword_space():
     # [15,11]: a 4^4-cell syndrome table against 4^11 codewords
     C = _random_code(F4, 15, 11, 43)
-    got = min_distance(C)
-    assert got.strategy == "syndrome_dp" and got.complete
+    assert linear._auto_engine(C) == "syndrome_dp"
+    got = min_distance(C, strategy="syndrome_dp")
+    assert got.complete
     assert C.contains(got.witness)
     assert sum(1 for x in got.witness if x) == got.lb
     # a table no smaller than the codeword space keeps enumeration
@@ -1323,9 +1329,12 @@ def _check_cascade(C, S=None):
     return got.strategy
 
 
-def test_auto_climbs_the_ladder_before_the_dp():
+def test_auto_climbs_the_ladder_before_the_dp(monkeypatch):
+    # the ladder climbs until a rung passes MITM_SIDE_CAP: at the default
+    # cap it decides every code here, and capped at 2000 side entries it
+    # stops short on some, which the DP then decides
     rng = np.random.default_rng(79)
-    engines = set()
+    codes = []
     for F, n, k in ((build_field(2, 1), 30, 16), (build_field(2, 1), 36, 20),
                     (F4, 24, 17), (F4, 26, 18), (build_field(2, 3), 16, 12),
                     (build_field(2, 3), 18, 13)):
@@ -1334,11 +1343,12 @@ def test_auto_climbs_the_ladder_before_the_dp():
             if C.k != k:
                 continue
             assert linear._auto_engine(C) == "syndrome_dp"
-            assert linear._ladder_reach(C) > 0
-            engines.add(_check_cascade(C))
             S = LinearCode.from_rows(F, C.generator[:k // 2], n)
-            engines.add(_check_cascade(C, S))
-    assert engines == {"information_set", "syndrome_dp"}
+            codes += [(C, None), (C, S)]
+    assert {_check_cascade(C, S) for C, S in codes} == {"information_set"}
+    monkeypatch.setattr(linear, "MITM_SIDE_CAP", 2000)
+    assert ({_check_cascade(C, S) for C, S in codes}
+            == {"information_set", "syndrome_dp"})
 
 
 def _bch_31():
@@ -1353,7 +1363,6 @@ def _check_dp_after_climb(C, reach, shift):
     """Auto climbs the ladder to `reach`, then the DP decides, and its note
     and work count the climb; under a budget of 1000 units the ladder's
     floor is kept."""
-    assert linear._ladder_reach(C, shift) == reach
     got = min_distance(C)
     assert got.strategy == "syndrome_dp" and (got.lb, got.ub) == (7, 7)
     assert got.note == ("exact by syndrome dynamic program; "
@@ -1364,17 +1373,20 @@ def _check_dp_after_climb(C, reach, shift):
     return min_distance(C, budget=1000)
 
 
-def test_auto_keeps_the_dp_past_the_affordable_rungs():
-    # the BCH code with its columns permuted has no shift: the ladder may
-    # climb to weight 4 only, and 1000 units pay for rungs 1 to 3
+def test_auto_keeps_the_dp_past_the_affordable_rungs(monkeypatch):
+    # the BCH code with its columns permuted has no shift: under a side cap
+    # of 2000 entries the ladder climbs to weight 4 only, and 1000 units
+    # pay for rungs 1 to 3
+    monkeypatch.setattr(linear, "MITM_SIDE_CAP", 2000)
     got = _check_dp_after_climb(_permuted(_bch_31(), 5), 4, None)
     assert (got.lb, got.ub, got.work) == (4, 32, 590)
     assert "budget 410 is below" in got.note
 
 
-def test_auto_climbs_windowed_rungs_on_the_cyclic_bch_code():
-    # windowed, the same climb reaches weight 6, and 1000 units pay for
-    # rungs 1 to 5
+def test_auto_climbs_windowed_rungs_on_the_cyclic_bch_code(monkeypatch):
+    # windowed, the same climb under the same cap reaches weight 6, and
+    # 1000 units pay for rungs 1 to 5
+    monkeypatch.setattr(linear, "MITM_SIDE_CAP", 2000)
     got = _check_dp_after_climb(_bch_31(), 6, 1)
     assert (got.lb, got.ub, got.work) == (6, 32, 694)
     assert "budget 306 is below" in got.note
@@ -1382,10 +1394,9 @@ def test_auto_climbs_windowed_rungs_on_the_cyclic_bch_code():
 
 def test_distance_climbs_the_ladder_from_one_place(monkeypatch):
     # _distance_engine is the ladder's one caller: each distance call climbs
-    # at most once, to weight 6 before information sets and to
-    # _ladder_reach before a DP that auto picked, and not in odd
-    # characteristic, where that reach is 0 (small tables) or on other
-    # routes
+    # at most once, to weight 6 before information sets and to the code's
+    # length before a DP that auto picked (the ladder stops itself at
+    # MITM_SIDE_CAP), and not in odd characteristic or on other routes
     climbs = []
     ladder = linear._mitm_ladder
 
@@ -1396,14 +1407,12 @@ def test_distance_climbs_the_ladder_from_one_place(monkeypatch):
     monkeypatch.setattr(linear, "_mitm_ladder", spy)
     bch = _bch_31()
     climbing = _random_code(F4, 24, 17, 5)
-    reach = linear._ladder_reach(climbing)
-    assert reach > 0
     wide = _random_code(F4, 30, 15, 7)
     routes = [
         (_random_code(F4, 12, 6, 44), "auto", None, "exhaustive", []),
-        (bch, "auto", None, "syndrome_dp", [6]),
-        (climbing, "auto", None, "syndrome_dp", [reach]),
-        (_random_code(F4, 15, 11, 43), "auto", None, "syndrome_dp", []),
+        (bch, "auto", None, "syndrome_dp", [31]),
+        (climbing, "auto", None, "syndrome_dp", [24]),
+        (_random_code(F4, 15, 11, 43), "auto", None, "syndrome_dp", [15]),
         (_random_code(F3, 14, 10, 3), "auto", None, "syndrome_dp", []),
         (wide, "auto", None, "information_set", [6]),
         (wide, "auto", LinearCode.from_rows(F4, wide.generator[:7]),
@@ -1745,18 +1754,22 @@ def test_min_weight_outside_edges():
 
 
 def test_min_weight_outside_dp_filter():
-    # big enough that auto routing uses the syndrome DP
+    # auto picks the DP for this code, and the ladder climbed before it
+    # would decide; forced, the DP's subcode filter decides
     rng = np.random.default_rng(61)
     C = LinearCode.from_rows(F4, rng.integers(0, 4, size=(12, 16)))
     S = LinearCode.from_rows(F4, C.generator[:2], 16)
-    got = min_weight_outside(C, S)
+    assert linear._auto_engine(C) == "syndrome_dp"
+    got = min_weight_outside(C, S, strategy="syndrome_dp")
     assert got.strategy == "syndrome_dp" and got.complete
+    auto = min_weight_outside(C, S)
+    assert auto.strategy == "information_set"
+    assert (auto.lb, auto.ub) == (got.lb, got.ub)
     assert C.contains(got.witness) and not S.contains(got.witness)
     assert sum(1 for x in got.witness if x) == got.lb
     # min over C minus S can never undercut the code's own distance, and when
     # the witness sits at that distance the result is pinned exactly
-    base = min_distance(C)
-    assert base.strategy == "syndrome_dp"
+    base = min_distance(C, strategy="syndrome_dp")
     assert got.lb == base.lb
 
 
