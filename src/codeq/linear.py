@@ -69,12 +69,15 @@ entries of each hash met are listed in order.  An unwindowed even rung
 has sides of equal size, so its A side is the part of the B side whose
 tuples start with 1, and those entries meet the runs of equal keys
 around their own positions; an entry that meets only its twin in B (the
-same vector) is not expanded.  Colliding pairs are expanded in bounded
-chunks; pairs with overlapping supports (weight below t) or, under a
+same vector) is not expanded.  Colliding pairs are expanded in candidate
+order, in chunks that start at FIRST_BLOCK pairs and double up to
+MITM_CHUNK; pairs with overlapping supports (weight below t) or, under a
 hash, unequal syndromes are dropped, and the rest become words for one
-subcode test per block of WORD_BLOCK words.  A rung runs only when its
-side entries fit under MITM_SIDE_CAP and under what is left of the
-distance budget.
+subcode test per block, blocks again doubling from FIRST_BLOCK up to
+WORD_BLOCK words.  So a witness near the front costs only the pairs
+before it, and the first word kept is the same for any sizes.  A rung
+runs only when its side entries fit under MITM_SIDE_CAP and under what
+is left of the distance budget.
 
 Cyclic and constacyclic codes get windowed rungs, all two-sided.  When
 one verified shift keeps the code and its subcode (_shift_constant), a
@@ -121,6 +124,8 @@ _IDX_MASK = np.uint64((1 << IDX_BITS) - 1)
 _HASH_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)  # odd: 2^64 / golden ratio
 MITM_CHUNK = 1 << 20
 WORD_BLOCK = 1 << 12
+# the first pair chunk and word block of a rung; each next one doubles
+FIRST_BLOCK = 1 << 6
 ROW_BLOCK = 1 << 16
 INFOSET_ITERS = 8
 WD_COMPARE_CAP = 1 << 16
@@ -325,7 +330,11 @@ class LinearCode:
         """Entrywise a -> a^2 over GF(4)."""
         if self.field.order != 4:
             raise ValueError("conjugation table is specific to GF(4)")
-        return LinearCode.from_rows(self.field, GF4_CONJ[self.generator], self.n)
+        # conjugation fixes 0 and 1, so the conjugated RREF rows are the
+        # RREF of the conjugate code, with the same pivots
+        G = GF4_CONJ[self.generator]
+        G.setflags(write=False)
+        return LinearCode(self.field, G, self.pivots)
 
     def hermitian_dual(self) -> "LinearCode":
         if self.field.order != 4:
@@ -1146,20 +1155,24 @@ def _mitm_first(n: int, hit: np.ndarray, lo: np.ndarray, hi: np.ndarray,
 
     A entry hit[h], with hit ascending, collides with the B entries at
     positions lo[h]:hi[h] of key_b, whose low IDX_BITS bits are their
-    indices.  Pairs are expanded MITM_CHUNK at a time in that order.
-    Overlapping supports give weight below t, so those pairs are dropped;
-    when the keys hash syndromes, exact holds the packed columns and pairs
-    whose syndromes differ are dropped too.  The rest are scattered into
-    words WORD_BLOCK at a time, one subcode test per block, and the first
-    word outside the subcode ends the search.
+    indices.  Pairs are expanded in that order, in chunks that grow from
+    FIRST_BLOCK up to MITM_CHUNK (_growing).  Overlapping supports give
+    weight below t, so those pairs are dropped; when the keys hash
+    syndromes, exact holds the packed columns and pairs whose syndromes
+    differ are dropped too.  The rest are scattered into words in blocks
+    that grow from FIRST_BLOCK up to WORD_BLOCK, one subcode test per
+    block, and the first word outside the subcode ends the search.  Chunks
+    and blocks keep the candidate order, so the word is the same for any
+    sizes; a witness near the front costs only the pairs before it, and
+    a rung with none reads every pair in chunks no larger than
+    MITM_CHUNK.
     """
     (sub_a, scal_a), (sub_b, scal_b) = side_a, side_b
     ca, cb = sub_a.shape[0], sub_b.shape[0]
     count = hi - lo
     ends = np.cumsum(count)
     total = int(ends[-1]) if ends.size else 0
-    for p0 in range(0, total, MITM_CHUNK):
-        p1 = min(p0 + MITM_CHUNK, total)
+    for p0, p1 in _growing(total, MITM_CHUNK):
         # hits h0 .. h1-1 hold pairs p0 .. p1-1; trim the first and last
         h0 = int(np.searchsorted(ends, p0, side="right"))
         h1 = int(np.searchsorted(ends, p1 - 1, side="right")) + 1
@@ -1184,8 +1197,8 @@ def _mitm_first(n: int, hit: np.ndarray, lo: np.ndarray, hi: np.ndarray,
         rows = np.nonzero(keep)[0]
         if outside is None:
             rows = rows[:1]
-        for b0 in range(0, rows.size, WORD_BLOCK):
-            block = rows[b0:b0 + WORD_BLOCK]
+        for b0, b1 in _growing(rows.size, WORD_BLOCK):
+            block = rows[b0:b1]
             words = np.zeros((block.size, n), dtype=np.uint8)
             at = np.arange(block.size)[:, None]
             words[at, pos_a[block]] = scal_a[ia[block] // ca]
@@ -1195,6 +1208,16 @@ def _mitm_first(n: int, hit: np.ndarray, lo: np.ndarray, hi: np.ndarray,
             if words.shape[0]:
                 return tuple(int(x) for x in words[0])
     return None
+
+
+def _growing(total: int, cap: int):
+    """(start, stop) spans that cover range(total) in order: the first
+    FIRST_BLOCK long, each next one twice the last, none longer than cap."""
+    start, size = 0, min(FIRST_BLOCK, cap)
+    while start < total:
+        stop = min(start + size, total)
+        yield start, stop
+        start, size = stop, min(2 * size, cap)
 
 
 def _pack_planes(words: np.ndarray, m: int) -> np.ndarray:

@@ -153,6 +153,23 @@ def test_hermitian_dual_involution_and_field_guard():
         _random_code(F3, 6, 2, 1).hermitian_dual()
 
 
+def test_conjugate_keeps_the_rref_rows():
+    # conjugation fixes 0 and 1, so the conjugated RREF rows need no
+    # elimination: the same code and pivots as eliminating them again
+    rng = np.random.default_rng(22)
+    codes = [LinearCode.zero(F4, 7), LinearCode.full(F4, 7)]
+    for _ in range(40):
+        n = int(rng.integers(1, 12))
+        k = int(rng.integers(0, n + 1))
+        codes.append(LinearCode.from_rows(F4, rng.integers(0, 4, size=(k, n))))
+    for C in codes:
+        got = C.conjugate()
+        want = LinearCode.from_rows(F4, linear.GF4_CONJ[C.generator], C.n)
+        assert got == want and got.pivots == want.pivots
+        assert not got.generator.flags.writeable
+        assert got.conjugate() == C
+
+
 def test_hull_dim_bounds():
     rng = np.random.default_rng(5)
     for _ in range(10):
@@ -1296,16 +1313,36 @@ def test_mitm_ladder_drops_hash_collisions(monkeypatch):
 
 
 def test_mitm_word_blocks_keep_the_witness(monkeypatch):
-    # blocks of one and of three words test the subcode in candidate order
+    # chunks of one and of three pairs and blocks of one and of three words
+    # test the subcode in candidate order, and so do chunks and blocks that
+    # grow from one: 1, 2, 3, 3, ... under a cap of 3
     rng = np.random.default_rng(73)
+    sizes = [{name: size} for name in ("MITM_CHUNK", "WORD_BLOCK")
+             for size in (1, 3)]
+    sizes.append({"FIRST_BLOCK": 1, "MITM_CHUNK": 3, "WORD_BLOCK": 3})
     for F in (build_field(2, 1), F4, build_field(2, 3)):
         for C in _ladder_codes(F, rng):
             S = LinearCode.from_rows(F, C.generator[:C.k - 1], C.n)
             want = _reference_ladder(C, 6, _outside_test(C, S))
-            for block in (1, 3):
+            for setting in sizes:
                 with monkeypatch.context() as m:
-                    m.setattr(linear, "WORD_BLOCK", block)
+                    for name, size in setting.items():
+                        m.setattr(linear, name, size)
                     assert _mitm_ladder(C, 6, _outside_test(C, S)) == want
+
+
+def test_growing_spans_cover_in_order():
+    for total in (0, 1, 63, 64, 65, 200, 1000):
+        for cap in (1, 3, 64, 100, 1 << 20):
+            spans = list(linear._growing(total, cap))
+            starts = [0] + [b for _, b in spans]
+            assert [a for a, _ in spans] == starts[:-1]
+            assert starts[-1] == total
+            sizes = [b - a for a, b in spans]
+            assert all(0 < s <= cap for s in sizes)
+            want = [min(linear.FIRST_BLOCK << i, cap)
+                    for i in range(len(sizes))]
+            assert sizes[:-1] == want[:-1]
 
 
 def _check_cascade(C, S=None):

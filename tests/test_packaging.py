@@ -197,19 +197,22 @@ def test_every_definition_has_a_reader():
 def test_cold_pass_imports_no_numpy_ma():
     # np.unique, np.setdiff1d and other set routines import numpy.ma on
     # first use, about 10 ms in a fresh process (NumPy 2.4, 2-core Xeon);
-    # a search pass, the exhaustive engine and the ladder must not pay it
+    # a search pass, the exhaustive engine and the ladder, with and without
+    # a subcode filter, must not pay it
     script = textwrap.dedent("""
         import sys
         import numpy as np
         import codeq
         from codeq.fields import gf4
-        from codeq.linear import LinearCode, min_distance
+        from codeq.linear import LinearCode, min_distance, min_weight_outside
         from codeq.search import SearchJob, search
         search(SearchJob("constacyclic", 5, distance_budget=1 << 24))
         rows = np.random.default_rng(1).integers(0, 4, size=(6, 12))
         C = LinearCode.from_rows(gf4(), rows)
         min_distance(C, strategy="exhaustive")
         min_distance(C, strategy="information_set")
+        S = LinearCode.from_rows(gf4(), C.generator[:3])
+        min_weight_outside(C, S, strategy="information_set")
         print("numpy.ma" in sys.modules)
     """)
     env = dict(os.environ)

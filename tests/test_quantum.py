@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from codeq import linear
 from codeq.cosets import DefiningSet
 from codeq.cyclic import build_cyclic
 from codeq.fields import GF4_OMEGA, gf4
@@ -110,6 +111,33 @@ def test_fifty_one_chain_distances():
     assert qp.d_lb == qp.d_ub == 6
     assert qp.exact
     assert qp.construction == "nearly_self_orthogonal"
+
+
+def test_e_search_stops_at_the_first_word_block(monkeypatch):
+    # the [[54,32,6]] derivation's E = [54,43] search finds its witness
+    # among the first words of rung 6, so the subcode filter never tests
+    # more than the first word block
+    C = cyclic_base(51, [0, 2, 7, 17, 34])
+    E, _ = nearly_self_orthogonal(C)
+    Edual = E.hermitian_dual()
+    tested = []
+    outside_test = linear._outside_test
+
+    def spy(code, exclude):
+        outside = outside_test(code, exclude)
+
+        def counted(words):
+            tested.append(words.shape[0])
+            return outside(words)
+        return counted
+
+    monkeypatch.setattr(linear, "_outside_test", spy)
+    res = min_weight_outside(E, Edual)
+    assert (res.lb, res.ub, res.work) == (6, 6, 1597429)
+    assert res.note == "exact: meet-in-the-middle ladder"
+    assert {i: x for i, x in enumerate(res.witness) if x} == {
+        0: 1, 1: 1, 4: 1, 16: 3, 39: 1, 40: 3}
+    assert tested and max(tested) <= linear.FIRST_BLOCK
 
 
 def test_already_dual_containing_is_untouched():
