@@ -6,58 +6,48 @@ works for any field of order <= 256.  Generator matrices are kept in
 reduced row-echelon form, which is unique per row space, so two codes are
 equal exactly when their generator arrays are equal.
 
-Minimum-distance work picks between three engines: full codeword
-enumeration when q^k is small, a syndrome-space dynamic program when
-q^(n-k) fits in memory, and for the rest a meet-in-the-middle ladder that
-certifies lower bounds plus a seeded information-set search for upper
-bounds.  The engines share one arithmetic layer.  Rows are bit planes in
+Minimum-distance work has one exact engine, a Brouwer-Zimmermann
+enumeration of short messages in disjoint systematic forms (strategy
+"exhaustive"; reading all q^k codewords is its one-form case), and for
+codes too large for it a meet-in-the-middle ladder that certifies lower
+bounds plus a seeded information-set search for upper bounds.  The
+engines share one arithmetic layer.  Rows are bit planes in
 characteristic 2 and bytes otherwise, with one add, weigh, pack and
 unpack per field (_row_ops).  Codewords come from one chunked enumerator
 (_codewords) in message order, base-q digits with digit 0 fastest.
-Column syndromes come from one packing: base-q digits, each a field
-element encoded by its base-p digits, so a packed syndrome is a base-p
-number, and two add digit by digit mod p (XOR in characteristic 2).
+The ladder packs column syndromes into integers that add by XOR.
 Each engine returns (lb, ub, witness, work, note) after filtering a
-subcode with one shared test.  Enumeration and the information-set scan
-keep the first lightest word outside the subcode by one rule
+subcode with one shared test.  The enumeration and the information-set
+scan keep the first lightest word outside the subcode by one rule
 (_lightest): weight levels are walked upwards, and only the rows of the
 level being read are unpacked and tested.
 
 One dispatcher (_distance_engine) decides whether the meet-in-the-middle
 ladder climbs before the engine it picked, and how far: to weight 6 before
-the information-set search, before a DP that automatic dispatch picked
-until a rung passes MITM_SIDE_CAP or the budget, and not otherwise.  A
-word the ladder finds is the exact minimum; else the engine finishes on
-the budget left, and its result keeps the ladder's floor, work and note.
-The DP thus decides only the codes whose distance lies past the
-affordable rungs, or whose climb the budget cut short.  A caller may
-pass a floor it has proved, such as the BCH bound that the search reads
-off a defining set.  Then the ladder starts at that rung and is skipped
-before the information-set search when the floor is above weight 6, the
-information-set scan stops at a word of the floor's weight, and lb is at
-least the floor.
+the information-set search, before an enumeration that automatic dispatch
+picked for a code with few syndromes until a rung passes MITM_SIDE_CAP or
+the budget, and not otherwise.  A word the ladder finds is the exact
+minimum; else the engine finishes on the budget left, and its result
+keeps the ladder's floor, work and note.  A caller may pass a floor it has
+proved, such as the BCH bound that the search reads off a defining set.
+Then the ladder starts at that rung and is skipped before the
+information-set search when the floor is above weight 6, lb is at least
+the floor, and the finishing engine stops at a word of that weight, or of
+the ladder's floor when that is higher.
 
-The dynamic program keeps one uint8 table of least weights per syndrome
-and builds no index array of table size.  It starts in closed form from
-the unit columns of the parity check (a syndrome's count of nonzero
-digits) and then adds the pivot columns.  In characteristic 2 the
-multiples of a column span an F2-subspace, so each column costs m
-butterflies min(t[x], t[x ^ s]).  A butterfly gathers no bytes: XOR by
-bits 3..7 of s is one take of each 256-cell block's 32 uint64 words, XOR
-by bits 0..2 is at most three in-place byteswaps (of uint16, uint32 and
-uint64 views, for byte XORs 1, 3 and 7, whose subsets give every XOR
-below 8), and XOR by the higher bits reverses leading axes.  In odd
-characteristic each multiple is a shift by digit arithmetic, one take per
-nonzero digit along that digit's axis.
+The enumeration reads the messages of greedy disjoint systematic forms by
+weight, in blocks built by one broadcast add per position, as the ladder
+builds its keys, and stops once its lightest word is no heavier than a
+word it has not read can be (_brouwer_zimmermann).
 
 The meet-in-the-middle ladder keeps no per-entry metadata: a side is one
 sorted uint64 array of keys h(syndrome) << IDX_BITS | index plus its
 t-subsets and scalar tuples, and entry s*C + i is the i-th subset carrying
 the s-th tuple.  The subsets are built by array expansion, one slot at a
-time, in the smallest unsigned dtype that holds a position (one byte for
-n <= 256), and each slot adds its multiples to every key by one
-broadcast XOR.  h is the identity when syndromes fit above the index
-bits, which holds for every code the DP could take, and a multiplicative
+time, in the smallest unsigned dtype that holds a position (one byte for n
+<= 256), and each slot adds its multiples to every key by one broadcast
+XOR.  h is the identity when syndromes fit above the index bits, which
+holds for every code with at most 2^24 syndromes, and a multiplicative
 hash otherwise; one in-place sort then orders a side by syndrome with
 equal syndromes in index order.  One rung plan (_rung_plan) splits rung t
 into an A side of w positions, first scalar pinned to 1, and a B side of
@@ -65,19 +55,18 @@ the other t - w, and gives both sides' entry counts, which are the rung's
 work.  A B side is built once per position count.  Rungs join their sides
 in one of two ways.  A two-sided rung builds its A side, and the smaller
 side's distinct hashes are binary-searched in the larger side; the A
-entries of each hash met are listed in order.  An unwindowed even rung
-has sides of equal size, so its A side is the part of the B side whose
-tuples start with 1, and those entries meet the runs of equal keys
-around their own positions; an entry that meets only its twin in B (the
-same vector) is not expanded.  Colliding pairs are expanded in candidate
-order, in chunks that start at FIRST_BLOCK pairs and double up to
-MITM_CHUNK; pairs with overlapping supports (weight below t) or, under a
-hash, unequal syndromes are dropped, and the rest become words for one
-subcode test per block, blocks again doubling from FIRST_BLOCK up to
-WORD_BLOCK words.  So a witness near the front costs only the pairs
-before it, and the first word kept is the same for any sizes.  A rung
-runs only when its side entries fit under MITM_SIDE_CAP and under what
-is left of the distance budget.
+entries of each hash met are listed in order.  An unwindowed even rung has
+sides of equal size, so its A side is the part of the B side whose tuples
+start with 1, and those entries meet the runs of equal keys around their
+own positions; an entry that meets only its twin in B (the same vector) is
+not expanded.  Colliding pairs are expanded in candidate order, in chunks
+that start at FIRST_BLOCK pairs and double up to MITM_CHUNK; pairs with
+overlapping supports (weight below t) or, under a hash, unequal syndromes
+are dropped, and the rest become words for one subcode test per block,
+blocks again doubling from FIRST_BLOCK up to WORD_BLOCK words.  So a
+witness near the front costs only the pairs before it, and the first word
+kept is the same for any sizes.  A rung runs only when its side entries
+fit under MITM_SIDE_CAP and under what is left of the distance budget.
 
 Cyclic and constacyclic codes get windowed rungs, all two-sided.  When
 one verified shift keeps the code and its subcode (_shift_constant), a
@@ -113,10 +102,10 @@ from codeq.fields import GaloisField
 _TABLE_CAP = 256
 EXHAUSTIVE_CAP = 1 << 22
 EXHAUSTIVE_CEILING = 1 << 28
-DP_CAP_CHAR2 = 1 << 24
-DP_CAP_ODD = 1 << 18
+# the most syndromes, q^(n-k), of a code that _auto_engine enumerates
+SYNDROME_CAP_CHAR2 = 1 << 24
+SYNDROME_CAP_ODD = 1 << 18
 MITM_SIDE_CAP = 1 << 23
-DFS_NODE_CAP = 1 << 22
 # a ladder side's sort key: its index in the low IDX_BITS bits, a hash of
 # its syndrome above them
 IDX_BITS = (MITM_SIDE_CAP - 1).bit_length()
@@ -397,20 +386,17 @@ def weight_distribution(code: LinearCode) -> WeightDistribution:
     return WeightDistribution(code.n, tuple(int(c) for c in counts))
 
 
-def _codewords(code: LinearCode, stop: int | None = None):
-    """Codewords of messages 0 .. stop-1 (all q^k by default), at most
-    ROW_BLOCK at a time, in message order, as _row_ops rows of the field:
-    bit planes in characteristic 2, bytes otherwise.
+def _codewords(code: LinearCode):
+    """All q^k codewords in message order, at most ROW_BLOCK at a time, as
+    _row_ops rows (bit planes in characteristic 2, bytes otherwise).
 
     A codeword is the sum of one multiple of each generator row.  The
     words of the low message digits, at most ROW_BLOCK of them, form a
     table in message order with digit 0 fastest; block h is that table
-    plus the word of high-digit value h.  Only the digits that some block
-    below stop reads are computed, so q^k may pass any integer width.
+    plus the word of high-digit value h.
     """
     F, k = code.field, code.k
     q = F.order
-    stop = q ** k if stop is None else stop
     add, _, pack, _ = _row_ops(F, code.n)
     rows = pack(tables(F).mul[:, code.generator].reshape(q * k, code.n))
     shape = rows.shape[1:]
@@ -420,16 +406,12 @@ def _codewords(code: LinearCode, stop: int | None = None):
     while low < k and q ** (low + 1) <= ROW_BLOCK:
         block = add(multiples[:, low, None], block[None]).reshape(-1, *shape)
         low += 1
-    size = block.shape[0]
-    h = np.arange(-(-stop // size))
+    h = np.arange(q ** (k - low))
     high = np.zeros((h.size, *shape), dtype=rows.dtype)
     for i in range(low, k):
-        place = q ** (i - low)
-        if place >= h.size:
-            break
-        high = add(high, multiples[h // place % q, i])
-    for j, word in enumerate(high):
-        yield add(block[:stop - j * size], word)
+        high = add(high, multiples[h // q ** (i - low) % q, i])
+    for word in high:
+        yield add(block, word)
 
 
 def weight_distributions_equal(c1: LinearCode, c2: LinearCode) -> bool | None:
@@ -549,11 +531,9 @@ def _sentinel(code: LinearCode, strategy: str, t0: float) -> DistanceResult:
                           note="zero-dimensional: sentinel n+1")
 
 
-# Every engine takes (code, outside, budget, seed), where outside is
-# _outside_test's subcode filter and budget is what the ladder's climb, if
-# _distance_engine made one, left; it returns (lb, ub, witness, work, note).
-# The information-set engine also takes the caller's floor, the weight at
-# which its scan stops.
+# Every engine takes (code, outside, budget, seed, floor, shift): the
+# subcode filter, the budget the ladder left, a proved weight at which it
+# may stop and the _shift_constant; it returns (lb, ub, witness, work, note).
 _Bounds = tuple[int, int, "tuple[int, ...] | None", int, str]
 
 
@@ -602,258 +582,125 @@ def _row_ops(F: GaloisField, n: int):
     return (lambda a, b: T.add[a, b]), _byte_weights, np.asarray, np.asarray
 
 
-def _exhaustive(code: LinearCode, outside, budget: int | None,
-                seed: int) -> _Bounds:
-    """Min weight by codeword enumeration in message order (_codewords);
-    the witness is the first lightest word outside the subcode (_lightest).
+def _brouwer_zimmermann(code: LinearCode, outside, budget: int | None,
+                        seed: int, floor: int = 1,
+                        shift: int | None = None) -> _Bounds:
+    """Exact min weight by enumerating short messages in disjoint
+    systematic forms (Brouwer-Zimmermann: Zimmermann 1996, Grassl 2006).
 
-    With a budget below q^k only the first `budget` codewords are read:
-    the bounds stay open (lb = 1) and ub is the lowest weight seen (n+1
-    when none qualified).
+    Form j is the generator row-reduced on the columns no earlier form
+    pivots on, so its r_j pivots I_j hold [I; 0].  Once form j has read
+    every message of weight at most w_j, a word not seen weighs more than
+    w_j - (k - r_j) on I_j, and at least bound = sum_j max(0, w_j + 1 -
+    (k - r_j)) in all.  Levels w = 1, 2, ... are read form by form, each
+    form from its level 1 once it counts (r_j >= k - w); forms are built
+    when first needed, and as ranks never rise the first form that does
+    not count ends the level.  With shift, the _shift_constant of the
+    code and the subcode, every shift of a least word outside the subcode
+    is one too, and the n shifts of its support meet I_1 d * k times, so
+    unless a multiple of one was read in the first form, d >= ceil(n(w_1
+    + 1) / k) (Chen).  As sum_j r_j <= n, no form sum at the same weight
+    beats that, so only the first form is read.
+
+    Messages carry 1 at their first nonzero position, and each block
+    (_messages) keeps its first lightest word outside the subcode
+    (_lightest), of weight best.  The search is exact once best <=
+    max(bound, floor), floor being a weight the caller proved no word
+    falls below, or once the first form has read all q^k codewords.  Each
+    message is one work unit: after budget messages, or EXHAUSTIVE_CEILING
+    without a budget, the bounds [min(best, bound), best] stay open.
     """
-    F = code.field
-    total = F.order ** code.k
-    if budget is None and total > EXHAUSTIVE_CEILING:
-        raise ValueError(f"too large: {total} codewords exceeds cap "
-                         f"{EXHAUSTIVE_CEILING}")
-    stop = total if budget is None else min(total, budget)
-    _, weigh, _, unpack = _row_ops(F, code.n)
-    best, witness = code.n + 1, None
-    for block in _codewords(code, stop):
-        found = _lightest(block, weigh(block), best, outside, unpack)
-        if found is not None:
-            best, witness = found
-    if stop < total:
-        return (1, best, witness, stop,
-                f"budget ran out after {stop} of {total} codewords")
-    return best, best, witness, stop, ""
+    F, n, k = code.field, code.n, code.k
+    add, weigh, pack, unpack = _row_ops(F, n)
+    limit = EXHAUSTIVE_CEILING if budget is None else budget
+    free = np.ones(n, dtype=bool)  # the columns no form pivots on
+    forms: list[list] = []  # [r_j, the form's multiples as rows, w_j]
+    best, witness, work, bound = n + 1, None, 0, 1
+
+    def result(lb: int, why: str) -> _Bounds:
+        return (lb, best, witness, work, f"{why}: Brouwer-Zimmermann "
+                f"enumeration to message weight {max(f[2] for f in forms)} "
+                f"(forms of rank {', '.join(str(f[0]) for f in forms)})")
+
+    for w in range(1, k + 1):
+        for j in itertools.count():
+            if j == len(forms):
+                if forms and (shift is not None or not free.any()):
+                    break
+                cols = np.flatnonzero(free)
+                order = np.concatenate([cols, np.flatnonzero(~free)])
+                R, pivots = (rref(F, code.generator[:, order]) if forms
+                             else (code.generator, code.pivots))
+                pivots = order[list(pivots)][:np.searchsorted(
+                    pivots, cols.size)]
+                free[pivots if pivots.size else cols] = False
+                if not pivots.size:
+                    break
+                rows = pack(tables(F).mul[:, R[:, np.argsort(order)]]
+                            .reshape(-1, n))
+                forms.append([pivots.size,
+                              rows.reshape(F.order, k, *rows.shape[1:]), 0])
+            if forms[j][0] < k - w:
+                break
+            for level in range(forms[j][2] + 1, w + 1):
+                for block in _messages(forms[j][1], add, level):
+                    cut = block.shape[0] > limit - work
+                    block = block[:limit - work]
+                    work += block.shape[0]
+                    found = _lightest(block, weigh(block), best, outside,
+                                      unpack)
+                    if found is not None:
+                        best, witness = found
+                    if best <= max(bound, floor):
+                        return result(best, "exact")
+                    if cut:
+                        return result(min(best, bound), (
+                            f"budget {budget} ran out" if budget is not None
+                            else f"ceiling of {limit} messages reached"))
+                forms[j][2] = level
+                bound = (-(-n * (level + 1) // k) if shift is not None else
+                         sum(max(0, v + 1 - k + r) for r, _, v in forms))
+                if best <= max(bound, floor) or forms[0][2] == k:
+                    return result(best, "exact")
+    raise AssertionError("the first form reads all q^k codewords")
+
+
+def _messages(rows: np.ndarray, add, w: int, start: int = 0, head=None):
+    """The codewords of one form's weight-w messages, 1 at their first
+    nonzero position, in blocks of at most ROW_BLOCK rows.
+
+    rows holds the form's multiples, c times row i at [c, i], as _row_ops
+    rows.  A block holds the messages on the w-subsets of range(start, k)
+    (_subsets), each position adding its q - 1 multiples along its own
+    leading axis, the first pinned to 1 unless head, the word of positions
+    chosen before start, is given.  Where they pass ROW_BLOCK, the first
+    position and its scalar are chosen here, and the rest recursively.
+    """
+    q, k = rows.shape[:2]
+    pinned = head is None
+    if w and math.comb(k - start, w) * (q - 1) ** (w - pinned) > ROW_BLOCK:
+        for a in range(start, k - w + 1):
+            for c in range(1, 2 if pinned else q):
+                yield from _messages(rows, add, w - 1, a + 1, rows[c, a]
+                                     if pinned else add(head, rows[c, a]))
+        return
+    S = _subsets(k, w, start)
+    block = rows[1, S[:, 0]] if pinned else head
+    for slot in range(pinned, w):
+        axis = (q - 1,) + (1,) * (slot - pinned) + S.shape[:1] + rows.shape[2:]
+        block = add(rows[1:, S[:, slot]].reshape(axis), block)
+    yield block.reshape(-1, *rows.shape[2:])
 
 
 def _column_syndromes(code: LinearCode) -> np.ndarray:
     """(q, n) int64 array: entry [c, j] packs c * H[:, j] as base-q digits,
-    row 0 lowest, for H = parity_check().
-
-    A field element is encoded by its base-p digits, so a packed syndrome
-    is a base-p number, and syndromes add digit by digit mod p
-    (_add_packed); in characteristic 2 that is XOR.  Callers make sure
-    q^(n-k) fits.
-    """
+    row 0 lowest, for H = parity_check(); in characteristic 2 two packed
+    syndromes add by XOR.  Callers make sure q^(n-k) fits."""
     q = code.field.order
     H = code.parity_check()
     place = np.int64(q) ** np.arange(H.shape[0], dtype=np.int64)
     digits = tables(code.field).mul[:, H].astype(np.int64)
     return (digits * place[None, :, None]).sum(axis=1)
-
-
-def _add_packed(a: int, b: int, p: int) -> int:
-    """Sum of two packed syndromes: base-p digits added mod p."""
-    if p == 2:
-        return a ^ b
-    out, place = 0, 1
-    while a or b:
-        out += (a + b) % p * place
-        a, b, place = a // p, b // p, place * p
-    return out
-
-
-def _shifted_gather(dist: np.ndarray, add: np.ndarray, r: int,
-                    s: int) -> np.ndarray:
-    """The q^r table dist re-indexed so entry x reads dist[x + s], for the
-    packed syndrome s and the field's addition table add.
-
-    Odd characteristic only (characteristic 2 uses _XorBlocks): one take
-    along each nonzero digit's axis of the (q,)*r view.
-    """
-    q = add.shape[0]
-    out = dist.reshape((q,) * r)
-    for i in range(r):
-        v = s // q ** i % q
-        if v:
-            out = np.take(out, add[:, v], axis=r - 1 - i)
-    return out.reshape(-1)
-
-
-class _XorBlocks:
-    """Butterflies out[x] = min(src[x], src[x ^ s]) over a 2^bits uint8 table.
-
-    Tables are C-contiguous, at least 256 cells (_dp_tables tiles smaller
-    ones), and viewed as (2,)*(bits-8) + (256,).  XOR by bits 3..7 of s is
-    one take of the block's 32 uint64 words; XOR by bits 0..2 is at most
-    three in-place byteswaps of uint16, uint32 and uint64 views, which swap
-    bytes i <-> i^1, i^3 and i^7 on either endianness, and every b in 1..7
-    is the XOR of a subset of {1, 3, 7}; XOR by the rest reverses the
-    leading axes of its set bits.  No index array of table size is built.
-    """
-
-    def __init__(self, bits: int):
-        self.lead = bits - 8
-        self.shape = (2,) * self.lead + (256,)
-        self.words = np.arange(32, dtype=np.intp)
-        self.tmp = np.empty(self.shape, dtype=np.uint8)
-
-    def butterfly(self, src: np.ndarray, s: int, out: np.ndarray) -> None:
-        """Write min(src[x], src[x ^ s]) into out; out must not alias src."""
-        other = src
-        lo = s & 0xFF
-        if lo:
-            other = self.tmp
-            if lo >> 3:
-                # indices stay below 32; "wrap" only spares the copy of out
-                # that take's default mode makes
-                np.take(src.view(np.uint64), self.words ^ (lo >> 3), axis=-1,
-                        out=other.view(np.uint64), mode="wrap")
-            else:
-                np.copyto(other, src)
-            for view in _BYTE_SWAPS[lo & 7]:
-                other.view(view).byteswap(inplace=True)
-        hi = s >> 8
-        flip = tuple(slice(None, None, -1) if hi >> (self.lead - 1 - a) & 1
-                     else slice(None) for a in range(self.lead))
-        np.minimum(src, other[flip], out=out)
-
-
-# byte XOR b -> the views whose byteswaps (i <-> i^1, i^3, i^7) compose to it
-_BYTE_SWAPS = {
-    x1 ^ x3 ^ x7: tuple(v for x, v in ((x1, np.uint16), (x3, np.uint32),
-                                       (x7, np.uint64)) if x)
-    for x1 in (0, 1) for x3 in (0, 3) for x7 in (0, 7)}
-
-
-def _dp_tables(code: LinearCode):
-    """Column-by-column syndrome DP; returns (d, dist, cols).
-
-    cols is _column_syndromes(code).  The free columns of parity_check()
-    are the unit vectors e_0..e_{r-1}, so after them a syndrome's distance
-    is its number of nonzero digits; the loop then adds the pivot columns
-    one at a time.  Every nonzero codeword has a pivot in its support, so d
-    is read at its last pivot.
-    """
-    F = code.field
-    q = F.order
-    r = code.n - code.k
-    cols = _column_syndromes(code)
-    dist = np.zeros(1, dtype=np.uint8)
-    nonzero = (np.arange(q) != 0).astype(np.uint8)
-    for _ in range(r):
-        dist = np.add.outer(nonzero, dist).reshape(-1)
-    if F.p == 2:
-        # a table under 256 cells is tiled to one block: x ^ s keeps the
-        # tile of x, so the first q^r cells hold the DP
-        xor = _XorBlocks(max(r * F.m, 8))
-        dist = np.resize(dist, xor.shape)
-        pair = (np.empty_like(dist), np.empty_like(dist))
-    flat = dist.reshape(-1)
-    best = code.n + 1
-    for j in code.pivots:
-        best = min(best, 1 + int(flat[cols[1:, j]].min()))
-        if not cols[1, j]:
-            continue  # a zero column reaches no new syndrome
-        if F.p == 2:
-            # {c * h_j : c != 0} is the nonzero part of the F2-span of
-            # the m packed basis multiples, one butterfly each
-            src = dist
-            for i in range(F.m):
-                out = pair[i & 1]
-                xor.butterfly(src, int(cols[1 << i, j]), out)
-                src = out
-            shifted = src
-        else:
-            # min over c of dist[t + c h_j] is min over c of dist[t - c h_j]
-            shifted = None
-            for c in range(1, q):
-                arr = _shifted_gather(flat, tables(F).add, r, int(cols[c, j]))
-                shifted = arr if shifted is None else np.minimum(shifted, arr)
-        np.add(shifted, 1, out=shifted)
-        np.minimum(dist, shifted, out=dist)
-    return best, flat[:q ** r], cols
-
-
-def _dp_enumerate(code: LinearCode, t: int, dist, cols, outside,
-                  node_cap: int) -> tuple[tuple[int, ...] | None, int]:
-    """DFS for a weight-t codeword outside the subcode; returns (word,
-    nodes), the nodes visited, node_cap + 1 when it stopped at the cap.
-
-    A syndrome and its negative have the same least weight, so the columns
-    still to choose can reach -sidx in dist[sidx] of them.
-    """
-    n = code.n
-    q, p = code.field.order, code.field.p
-    packed = cols.tolist()
-    nodes = 0
-
-    def rec(start: int, sidx: int, chosen: list) -> tuple | None:
-        nonlocal nodes
-        nodes += 1
-        if nodes > node_cap:
-            raise _NodeBudget
-        u = len(chosen)
-        if u == t:
-            if sidx == 0:
-                word = [0] * n
-                for j, c in chosen:
-                    word[j] = c
-                if (outside is None
-                        or outside(np.array([word], dtype=np.uint8))[0]):
-                    return tuple(word)
-            return None
-        need = t - u
-        if int(dist[sidx]) > need:
-            return None
-        for j in range(start, n - need + 1):
-            for c in range(1, q):
-                got = rec(j + 1, _add_packed(sidx, packed[c][j], p),
-                          chosen + [(j, c)])
-                if got is not None:
-                    return got
-        return None
-
-    try:
-        return rec(0, 0, []), nodes
-    except _NodeBudget:
-        return None, nodes
-
-
-class _NodeBudget(Exception):
-    pass
-
-
-def _syndrome_dp(code: LinearCode, outside, budget: int | None,
-                 seed: int) -> _Bounds:
-    """Exact min weight from the syndrome DP; a DFS fetches the witness.
-
-    The DP costs n(q-1)q^r work units; under a smaller budget no table is
-    built and the bounds stay open.  Without a subcode the table proves d
-    and one DFS of at most DFS_NODE_CAP nodes fetches a witness.  With one,
-    weights from the code's distance up are searched in turn, and every
-    node counts as work.  Under a budget the weights share one node cap,
-    the budget left after the table; without one each weight gets
-    DFS_NODE_CAP nodes.  Running out leaves the bounds open.  A table of
-    more than _dp_cap cells is refused before anything is allocated.
-    """
-    cells, cap = code.field.order ** (code.n - code.k), _dp_cap(code.field)
-    if cells > cap:
-        raise ValueError(f"too large: syndrome table of {cells} cells "
-                         f"exceeds cap {cap}")
-    n = code.n
-    work = n * (code.field.order - 1) * cells
-    if budget is not None and budget < work:
-        return (1, n + 1, None, 0, f"budget {budget} is below the {work} "
-                                   f"units of the syndrome dynamic program")
-    d0, dist, cols = _dp_tables(code)
-    note = "exact by syndrome dynamic program"
-    if outside is None:
-        word = _dp_enumerate(code, d0, dist, cols, None, DFS_NODE_CAP)[0]
-        return d0, d0, word, work, note
-    for t in range(d0, n + 1):
-        node_cap = DFS_NODE_CAP if budget is None else budget - work
-        word, nodes = _dp_enumerate(code, t, dist, cols, outside, node_cap)
-        if nodes > node_cap:
-            return (t, n + 1, None, work + node_cap,
-                    "node budget hit while filtering")
-        work += nodes
-        if word is not None:
-            return t, t, word, work, note
-    raise AssertionError("no codeword outside a proper subcode")
 
 
 def _rung_plan(n: int, q: int, t: int,
@@ -1008,7 +855,7 @@ def _key_hash(packed: np.ndarray):
 
     None stands for the identity, used when every syndrome fits in the
     key's top 64 - IDX_BITS bits; that holds when r*m + IDX_BITS <= 64, so
-    for every code with a syndrome table of at most 2^24 cells.  Otherwise
+    for every code with at most 2^24 syndromes.  Otherwise
     it is _multiplicative_hash.  Low bits are not simply dropped: the unit
     columns of the parity check make sparse syndromes that agree in their
     high bits by the thousand.
@@ -1332,11 +1179,12 @@ def _infoset_upper(code: LinearCode, iters: int, seed: int, outside,
 
 
 def _information_set(code: LinearCode, outside, budget: int | None,
-                     seed: int, floor: int = 1) -> _Bounds:
+                     seed: int, floor: int = 1,
+                     shift: int | None = None) -> _Bounds:
     """ub by seeded information-set enumeration: INFOSET_ITERS iterations,
     or as many as the budget pays for, stopping at a word of weight floor;
     lb is 1, and the ladder's climb before it or the caller's floor
-    proves more."""
+    proves more.  The scan reads no shift."""
     runs, note = INFOSET_ITERS, ""
     if budget is not None:
         # an iteration runs only if all the rows it reads fit
@@ -1350,36 +1198,30 @@ def _information_set(code: LinearCode, outside, budget: int | None,
     return 1, ub, witness, work, note
 
 
-_ENGINES = {"exhaustive": _exhaustive, "syndrome_dp": _syndrome_dp,
+_ENGINES = {"exhaustive": _brouwer_zimmermann,
             "information_set": _information_set}
-
-
-def _dp_cap(F: GaloisField) -> int:
-    """Most syndrome-table cells the DP may allocate over F."""
-    return DP_CAP_CHAR2 if F.p == 2 else DP_CAP_ODD
-
-
-def _auto_engine(code: LinearCode) -> str:
-    """The DP when its table fits and has fewer cells than the code has
-    codewords; else enumeration up to EXHAUSTIVE_CAP codewords; else the DP
-    when it fits; else information sets.
-
-    Before a DP picked here, _distance_engine climbs the ladder as far
-    as MITM_SIDE_CAP and the budget let it, and runs the DP only if the
-    ladder finds no word.
-    """
-    F = code.field
-    q, r = F.order, code.n - code.k
-    dp_fits = q ** r <= _dp_cap(F)
-    if dp_fits and r < code.k:
-        return "syndrome_dp"
-    if q ** code.k <= EXHAUSTIVE_CAP:
-        return "exhaustive"
-    return "syndrome_dp" if dp_fits else "information_set"
-
 
 # the ladder's top rung before the information-set search
 INFOSET_LADDER_REACH = 6
+
+
+def _auto_engine(code: LinearCode) -> tuple[str, int]:
+    """(engine, reach): the engine automatic dispatch picks and the top
+    rung of the ladder before it.  A code of at most SYNDROME_CAP_*
+    syndromes and fewer syndromes than codewords, or more codewords than
+    EXHAUSTIVE_CAP, is enumerated after a climb of its length (the ladder
+    stops at MITM_SIDE_CAP or the budget); else a code of at most
+    EXHAUSTIVE_CAP codewords with no climb, and any other after rungs up to
+    INFOSET_LADDER_REACH by the information-set search."""
+    F = code.field
+    q, r = F.order, code.n - code.k
+    few = q ** r <= (SYNDROME_CAP_CHAR2 if F.p == 2 else SYNDROME_CAP_ODD)
+    small = q ** code.k <= EXHAUSTIVE_CAP
+    if few and (r < code.k or not small):
+        return "exhaustive", code.n
+    if small:
+        return "exhaustive", 0
+    return "information_set", INFOSET_LADDER_REACH
 
 
 def min_distance(code: LinearCode, strategy: str = "auto",
@@ -1415,40 +1257,40 @@ def _distance_engine(code: LinearCode, exclude: LinearCode | None, strategy: str
 
     A caller's floor (d, proof) only removes work.  The ladder starts at
     rung d; before the information-set search it is not climbed at all,
-    nor the shift sought, when d > INFOSET_LADDER_REACH.  The
-    information-set search stops at its first word of weight d.  lb is
-    the greatest of the engine's, the ladder's and d, and the note names
-    the proof; a witness lighter than d raises, as any lb > ub does.
+    nor the shift sought, when d > INFOSET_LADDER_REACH.  The finishing
+    engine stops at its first word of weight d, or of the ladder's floor
+    when that is higher.  lb is the greatest of the engine's, the
+    ladder's and d, and the note names the proof; a witness lighter than
+    d raises, as any lb > ub does.
     """
     t0 = time.perf_counter()
     if code.k == 0:
         return _sentinel(code, "trivial", t0)
-    if strategy != "auto" and strategy not in _ENGINES:
+    if strategy == "auto":
+        name, reach = _auto_engine(code)
+    elif strategy in _ENGINES:
+        name = strategy
+        reach = INFOSET_LADDER_REACH if name == "information_set" else 0
+    else:
         raise ValueError(f"unknown strategy {strategy!r}")
     given, proof = (1, "") if floor is None else floor
-    name = _auto_engine(code) if strategy == "auto" else strategy
     outside = _outside_test(code, exclude)
-    # the ladder's top rung: weight 6 before information sets, the whole
-    # code before a DP that auto picked (_mitm_ladder stops at the first
-    # rung past MITM_SIDE_CAP or the budget), none on other routes
-    reach = 0 if not _ladder_runs(code) else (
-        INFOSET_LADDER_REACH if name == "information_set"
-        else code.n if strategy == "auto" and name == "syndrome_dp" else 0)
+    climbs = _ladder_runs(code) and reach >= given
+    # the ladder and the enumeration are the readers of the shift
+    shift = (_shift_constant(code, exclude)
+             if climbs or name == "exhaustive" else None)
     ladder_lb, exact_w, word, climb = 1, None, None, 0
-    if reach >= given:
-        # the ladder is the one reader of the shift
+    if climbs:
         ladder_lb, exact_w, word, climb = _mitm_ladder(
-            code, reach, outside, budget,
-            shift=_shift_constant(code, exclude), first=given)
+            code, reach, outside, budget, shift=shift, first=given)
     if exact_w is not None:
         name = "information_set"
         lb = ub = exact_w
         witness, work, note = word, climb, "exact: meet-in-the-middle ladder"
     else:
         left = None if budget is None else budget - climb
-        run = (partial(_information_set, floor=given)
-               if name == "information_set" else _ENGINES[name])
-        lb, ub, witness, work, note = run(code, outside, left, seed)
+        lb, ub, witness, work, note = _ENGINES[name](
+            code, outside, left, seed, max(given, ladder_lb), shift)
         lb, work = max(lb, ladder_lb), work + climb
         # the note names the ladder only where one of its rungs ran
         if climb and name == "information_set":
@@ -1474,14 +1316,6 @@ class EquivalenceResult:
     witness: MonomialTransform | None
     reason: str
     work: int
-
-    @property
-    def equivalent(self) -> bool | None:
-        if self.status == "equivalent":
-            return True
-        if self.status == "not_equivalent":
-            return False
-        return None
 
 
 def _column_profiles(code: LinearCode, words: np.ndarray) -> list[bytes]:
@@ -1515,6 +1349,12 @@ def brute_force_equivalence(code1: LinearCode, code2: LinearCode,
     composing with its powers moves the source of P_0 to column 0, so only
     that source is tried.  Exhausting the leaves certifies non-equivalence;
     budget caps both q^k and the leaves tried.
+
+    When k > n - k the search runs on the Euclidean duals instead, which
+    have fewer codewords and sources to choose: PD takes code1 to code2
+    exactly when PD^-1 takes code1's dual to code2's, so a dual witness
+    keeps its permutation, has its scalars inverted and is re-verified on
+    the codes given.
     """
     if mode not in ("monomial", "permutation"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -1530,6 +1370,15 @@ def brute_force_equivalence(code1: LinearCode, code2: LinearCode,
     if k == 0 or k == n:
         return EquivalenceResult("equivalent", MonomialTransform.identity(n),
                                  "degenerate dimension", 0)
+    if 2 * k > n:
+        res = brute_force_equivalence(code1.euclidean_dual(),
+                                      code2.euclidean_dual(), mode, budget)
+        if res.witness is not None:
+            res.witness = MonomialTransform(res.witness.perm, tuple(
+                F.inv(d) for d in res.witness.diagonal))
+            if apply_monomial(code1, res.witness) != code2:
+                raise RuntimeError("a dual witness failed re-verification")
+        return res
     q = F.order
     if q ** k > budget:
         return EquivalenceResult("unknown", None,

@@ -194,32 +194,40 @@ def test_mindist_open_bounds_exit_three(capsys):
 
 
 def test_mindist_exhaustive_out_of_budget_exit_three(capsys):
+    # [15,11] over GF(4): the enumeration decides d = 3 after the 11
+    # messages of weight 1, and a budget of 5 stops it among them
     code, d = run(capsys, ["mindist", "--n", "15", "--q", "4",
-                           "--leaders", "1,3", "--distance-budget", "1000",
+                           "--leaders", "1,3", "--distance-budget", "5",
                            "--strategy", "exhaustive"])
     assert code == 3
     assert d["strategy"] == "exhaustive" and d["complete"] is False
-    assert d["work"] == 1000
-    assert 1 <= d["lb"] <= d["ub"] <= 15
+    assert (d["lb"], d["ub"], d["work"]) == (1, 3, 5)
+    assert d["note"].startswith("budget 5 ran out")
     C = build_cyclic(15, 4, coset_table(15, 4).closure((1, 3))).base
     assert C.contains(d["witness"])
     assert sum(1 for x in d["witness"] if x) == d["ub"]
 
 
-def test_mindist_dp_out_of_budget_exit_three(capsys):
-    # [15,11] over GF(4): the DP would cost 15 * 3 * 4^4 = 11,520 units
-    code, d = run(capsys, ["mindist", "--n", "15", "--q", "4",
-                           "--leaders", "1,3", "--distance-budget", "1000",
-                           "--strategy", "syndrome_dp"])
+def test_mindist_enumeration_bounds_a_large_code_exit_three(capsys):
+    # [51,25] over GF(4): no code is too large for the enumeration, which
+    # stops at the budget with sound open bounds
+    code, d = run(capsys, ["mindist", "--n", "51", "--q", "4", "--leaders",
+                           "0,1,3,5,7,11,17,19", "--strategy", "exhaustive",
+                           "--distance-budget", "100000"])
     assert code == 3
-    assert d["strategy"] == "syndrome_dp" and d["complete"] is False
-    assert (d["lb"], d["ub"], d["witness"], d["work"]) == (1, 16, None, 0)
-    assert "budget 1000" in d["note"]
+    assert d["strategy"] == "exhaustive" and d["complete"] is False
+    assert (d["k"], d["lb"], d["ub"], d["work"]) == (25, 9, 12, 100000)
+    assert d["note"].startswith("budget 100000 ran out")
+    C = build_cyclic(51, 4, coset_table(51, 4).closure(
+        (0, 1, 3, 5, 7, 11, 17, 19))).base
+    assert C.contains(d["witness"])
+    assert sum(1 for x in d["witness"] if x) == d["ub"]
 
 
 def test_mindist_ladder_closes_under_the_dp_budget(capsys):
-    # the same code and budget under auto: the ladder climbs before the DP
-    # and meets a word of weight 3 in 81 units
+    # [15,11] over GF(4) under auto with a budget of 1000: the ladder
+    # climbs before the enumeration and meets a word of weight 3 in 81
+    # units
     code, d = run(capsys, ["mindist", "--n", "15", "--q", "4",
                            "--leaders", "1,3", "--distance-budget", "1000"])
     assert code == 0
@@ -231,18 +239,20 @@ def test_mindist_ladder_closes_under_the_dp_budget(capsys):
     assert sum(1 for x in d["witness"] if x) == 3
 
 
-def test_mindist_ladder_bound_survives_dp_budget_exit_three(capsys):
+def test_mindist_ladder_bound_survives_enumeration_budget_exit_three(capsys):
     # binary BCH [31,16,7], a cyclic code: the windowed ladder may climb to
-    # weight 6 before the DP, but the budget pays for rungs 1 to 5 only
-    # (694 of 1000 units); the DP refuses the 306 units left, and the
-    # ladder's floor is kept
+    # weight 6 before the enumeration, but the budget pays for rungs 1 to 5
+    # only (694 of 1000 units); the 306 left read messages of weight 1 and
+    # 2, which meet a word of weight 7 while Chen's bound reaches only 6,
+    # and the ladder's floor is kept
     code, d = run(capsys, ["mindist", "--n", "31", "--q", "2",
                            "--leaders", "1,3,5", "--distance-budget", "1000"])
     assert code == 3
-    assert d["strategy"] == "syndrome_dp" and d["complete"] is False
-    assert (d["n"], d["k"], d["lb"], d["ub"]) == (31, 16, 6, 32)
-    assert d["work"] <= 1000
-    assert d["witness"] is None and "budget 306" in d["note"]
+    assert d["strategy"] == "exhaustive" and d["complete"] is False
+    assert (d["n"], d["k"], d["lb"], d["ub"]) == (31, 16, 6, 7)
+    assert d["work"] == 1000
+    assert d["note"].startswith("budget 306 ran out")
+    assert sum(1 for x in d["witness"] if x) == 7
 
 
 def test_mindist_information_set_budget_exit_three(capsys):
@@ -257,22 +267,24 @@ def test_mindist_information_set_budget_exit_three(capsys):
     assert "budget 416 paid for 0 of 8 information-set iterations" in d["note"]
 
 
-def test_mindist_accepts_syndrome_dp_strategy(capsys):
+def test_mindist_accepts_exhaustive_strategy(capsys):
     code, d = run(capsys, ["mindist", "--n", "15", "--q", "4",
-                           "--leaders", "1,3", "--strategy", "syndrome_dp"])
+                           "--leaders", "1,3", "--strategy", "exhaustive"])
     assert code == 0
-    assert d["strategy"] == "syndrome_dp" and d["complete"] is True
-    assert (d["n"], d["k"]) == (15, 11)
+    assert d["strategy"] == "exhaustive" and d["complete"] is True
+    assert (d["n"], d["k"], d["lb"], d["ub"], d["work"]) == (15, 11, 3, 3, 11)
 
 
 def test_mindist_over_cap_syndrome_dp_exits_two(capsys):
-    # [51,25] over GF(4) needs a 4^26-cell table
+    # syndrome_dp names no engine: a usage error with a JSON message,
+    # whatever the code
     code = main(["mindist", "--n", "51", "--q", "4", "--leaders",
                  "0,1,3,5,7,11,17,19", "--strategy", "syndrome_dp"])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert "exceeds cap" in json.loads(captured.err)["error"]
+    assert json.loads(captured.err)["error"] == (
+        "unknown strategy 'syndrome_dp'")
 
 
 def test_closed_stdout_prints_no_traceback():

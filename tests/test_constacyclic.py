@@ -17,6 +17,7 @@ from codeq.linear import (
     MonomialTransform,
     apply_monomial,
     brute_force_equivalence,
+    min_distance,
     weight_distribution,
 )
 from codeq.search import palfy_classify
@@ -306,6 +307,25 @@ def test_palfy_theorem_at_17():
         res = brute_force_equivalence(codes[a], codes[b])
         assert (res.status, res.reason) == ("not_equivalent",
                                             "weight distributions differ")
+
+
+def test_palfy_theorem_at_41():
+    # gcd(123, phi(123)) = 1, and two multiplier orbits share each of the
+    # dimensions k = 20 and 21.  Their codes have 4^20 codewords or more,
+    # past the equivalence search's cap, but the enumeration certifies
+    # distances that differ: 12 against 10 at k = 20, 11 against 9 at 21
+    by_k = {}
+    for o in palfy_classify(41):
+        C = build_constacyclic(41, o.leader).base
+        by_k.setdefault(C.k, []).append(C)
+    shared = {k: codes for k, codes in by_k.items() if len(codes) > 1}
+    assert sorted(shared) == [20, 21]
+    for k, want in ((20, [12, 10]), (21, [11, 9])):
+        got = [min_distance(C, strategy="exhaustive") for C in shared[k]]
+        assert sorted((r.lb for r in got), reverse=True) == want
+        for C, r in zip(shared[k], got):
+            assert r.complete and C.contains(r.witness)
+            assert sum(1 for x in r.witness if x) == r.ub
 
 
 def test_brute_force_n11_pair():

@@ -25,13 +25,10 @@ from codeq.linear import (
 from codeq.linear import (
     _ENGINES,
     _column_syndromes,
-    _dp_enumerate,
-    _dp_tables,
     _infoset_upper,
     _mitm_ladder,
     _outside_test,
     _weight_counts,
-    _XorBlocks,
 )
 
 
@@ -376,193 +373,32 @@ def test_min_distance_zero_dim_sentinel():
     assert (r.lb, r.ub) == (8, 8) and r.complete
 
 
-def _coset_leader_weights(C):
-    """Least weight of a vector with each syndrome, by weight-ordered search."""
-    F, n = C.field, C.n
-    H = C.parity_check()
-    q, r = F.order, H.shape[0]
-    place = np.array([q ** i for i in range(r)], dtype=np.int64)
-    best = np.full(q ** r, -1, dtype=np.int64)
-    best[0] = 0
-    for w in range(1, n + 1):
-        if (best >= 0).all():
-            break
-        supports = np.array(list(itertools.combinations(range(n), w)))
-        scalars = np.array(list(itertools.product(range(1, q), repeat=w)))
-        E = np.zeros((len(supports) * len(scalars), n), dtype=np.uint8)
-        rows = np.arange(E.shape[0])
-        for slot in range(w):
-            E[rows, np.repeat(supports[:, slot], len(scalars))] = \
-                np.tile(scalars[:, slot], len(supports))
-        idx = gf_matmul(F, E, H.T).astype(np.int64) @ place
-        fresh = np.unique(idx[best[idx] < 0])
-        best[fresh] = w
-    return best
-
-
-def _check_dp_table(C):
-    ex = min_distance(C, strategy="exhaustive")
-    assert ex.complete
-    d0, dist, packed = _dp_tables(C)
-    assert d0 == ex.lb
-    cells = C.field.order ** (C.n - C.k)
-    assert dist.dtype == np.uint8 and dist.shape == (cells,)
-    assert np.array_equal(dist, _coset_leader_weights(C))
-    word, nodes = _dp_enumerate(C, d0, dist, packed, None, 1 << 20)
-    assert nodes <= 1 << 20 and word is not None
-    assert C.contains(word)
-    assert sum(1 for x in word if x) == d0
-
-
-def test_syndrome_dp_subcode_search_stays_in_budget(monkeypatch):
-    # [14,8] over GF(4) outside a [14,7] subcode: d = 3 and the least weight
-    # outside is 5, so the DFS searches weights 3, 4 and 5 (874, 9,430 and
-    # 34 nodes) and counts its nodes as work; under a budget they share one
-    # node cap, the budget left after the 14 * 3 * 4^6 units of the table
-    C = _random_code(F4, 14, 8, 2)
-    S = LinearCode.from_rows(F4, C.generator[:7], 14)
-    table = 14 * 3 * 4 ** 6
-    assert min_distance(C, strategy="syndrome_dp").lb == 3
-    full = min_weight_outside(C, S, strategy="syndrome_dp")
-    assert (full.lb, full.ub) == (5, 5) and not S.contains(full.witness)
-    nodes = full.work - table
-    assert nodes > 1000
-    for budget in (table + 100, table + nodes - 1):
-        got = min_weight_outside(C, S, strategy="syndrome_dp", budget=budget)
-        assert got.work <= budget
-        assert (got.ub, got.witness) == (C.n + 1, None) and got.lb <= 5
-        assert got.note == "node budget hit while filtering"
-    got = min_weight_outside(C, S, strategy="syndrome_dp",
-                             budget=table + nodes)
-    assert (got.lb, got.ub, got.work) == (5, 5, table + nodes)
-    # without a budget each weight gets DFS_NODE_CAP nodes of its own
-    assert nodes == 874 + 9430 + 34
-    monkeypatch.setattr(linear, "DFS_NODE_CAP", 9430)
-    got = min_weight_outside(C, S, strategy="syndrome_dp")
-    assert (got.lb, got.ub, got.work) == (5, 5, table + nodes)
-    monkeypatch.setattr(linear, "DFS_NODE_CAP", 9429)
-    got = min_weight_outside(C, S, strategy="syndrome_dp")
-    assert (got.lb, got.ub, got.witness) == (4, C.n + 1, None)
-    assert got.work == table + 874 + 9429
-    assert got.note == "node budget hit while filtering"
-
-
-def test_min_distance_exhaustive_matches_dp():
-    # GF(2), GF(4), GF(8), GF(16) run one to four butterflies per column;
-    # over GF(9) the witness DFS adds packed syndromes by base-3 digits
-    rng = np.random.default_rng(15)
-    for F in (build_field(2, 1), F3, F4, build_field(2, 3), build_field(2, 4),
-              build_field(5, 1), build_field(3, 2)):
-        q = F.order
-        r_max = round(math.log(4096, q))  # tables of at most 4096 cells
-        k_max = min(7, round(math.log(1 << 14, q)))
-        for trial in range(12):
-            n = int(rng.integers(4, min(12, r_max + k_max + 1)))
-            k = int(rng.integers(max(1, n - r_max), min(n, k_max) + 1))
-            rows = rng.integers(0, q, size=(k, n))
-            if trial % 3 == 1:
-                rows[:, 0] = 0  # a zero column: weight-1 word
-            if trial % 3 == 2:
-                rows[:, n - 1] = rows[:, n - 2]  # a repeated column
-            C = LinearCode.from_rows(F, rows)
-            if C.k == 0:
-                continue
-            _check_dp_table(C)
-        # pivot column 0 of the parity check equals the unit column of
-        # free column 2; its weight-2 words must survive
-        C = LinearCode.from_rows(F, [[1, 0, F.neg(1), 0, 0], [0, 1, 0, 1, 1]])
-        H = C.parity_check()
-        assert 0 in C.pivots and np.array_equal(H[:, 0], H[:, 2])
-        _check_dp_table(C)
-
-
-def test_xor_butterfly_matches_index_array():
-    rng = np.random.default_rng(21)
-
-    def check(t, xor, s):
-        # tables under 256 cells are tiled to one block, as in _dp_tables
-        out = np.empty(xor.shape, dtype=np.uint8)
-        xor.butterfly(np.resize(t, xor.shape), s, out)
-        ref = np.minimum(t, t[np.arange(t.size) ^ s])
-        assert np.array_equal(out.reshape(-1)[:t.size], ref), (t.size, s)
-
-    for bits in range(13):
-        t = rng.integers(0, 256, size=1 << bits, dtype=np.uint8)
-        xor = _XorBlocks(max(bits, 8))
-        for s in range(t.size):
-            check(t, xor, s)
-    t = rng.integers(0, 256, size=1 << 16, dtype=np.uint8)
-    xor = _XorBlocks(16)
-    for lo in range(256):
-        check(t, xor, int(rng.integers(1, 256)) << 8 | lo)
-
-
-def _reference_dp(C):
-    """Least weight per syndrome, adding every column of the parity check
-    with one index-array gather per nonzero multiple (characteristic 2)."""
-    F = C.field
-    q = F.order
-    H = C.parity_check()
-    place = q ** np.arange(H.shape[0], dtype=np.int64)
-    mul = linear.tables(F).mul
-    idx = np.arange(q ** H.shape[0])
-    t = np.full(idx.size, C.n + 1, dtype=np.int64)
-    t[0] = 0
-    for j in range(C.n):
-        syn = mul[1:, H[:, j]].astype(np.int64) @ place  # c * h_j, c != 0
-        t = np.minimum(t, 1 + np.min([t[idx ^ s] for s in syn], axis=0))
-    return t
-
-
-def test_dp_tables_match_reference_on_large_tables():
-    # 2^14, 2^16 and 2^15 cells: a [43,36] omega-constacyclic code over
-    # GF(4), a [36,20] binary code and a [16,11] code over GF(8)
-    codes = [build_constacyclic(43, (1, 4, 16, 64, 97, 121, 127)).base,
-             _random_code(build_field(2, 1), 36, 20, 37),
-             _random_code(build_field(2, 3), 16, 11, 38)]
-    for C, cells in zip(codes, (1 << 14, 1 << 16, 1 << 15)):
-        _, dist, _ = _dp_tables(C)
-        assert dist.shape == (cells,)
-        assert np.array_equal(dist, _reference_dp(C))
-
-
-def test_dp_with_no_parity_rows():
-    # auto picks the DP, whose one-cell table the ladder's first rung
-    # forestalls; forced, the DP decides
-    C = LinearCode.full(F4, 12)
-    assert linear._auto_engine(C) == "syndrome_dp"
-    auto = min_distance(C)
-    assert auto.strategy == "information_set" and (auto.lb, auto.ub) == (1, 1)
-    got = min_distance(C, strategy="syndrome_dp")
-    assert got.strategy == "syndrome_dp"
-    assert (got.lb, got.ub) == (1, 1) and got.complete
-    d0, dist, _ = _dp_tables(C)
-    assert d0 == 1 and dist.tolist() == [0]
-
-
 def test_auto_picks_the_smaller_of_table_and_codeword_space():
-    # [15,11]: a 4^4-cell syndrome table against 4^11 codewords
+    # [15,11]: 4^4 syndromes against 4^11 codewords, so the ladder climbs
+    # before the enumeration; the enumeration alone decides it too
     C = _random_code(F4, 15, 11, 43)
-    assert linear._auto_engine(C) == "syndrome_dp"
-    got = min_distance(C, strategy="syndrome_dp")
+    assert linear._auto_engine(C) == ("exhaustive", 15)
+    got = min_distance(C, strategy="exhaustive")
     assert got.complete
     assert C.contains(got.witness)
     assert sum(1 for x in got.witness if x) == got.lb
-    # a table no smaller than the codeword space keeps enumeration
-    assert min_distance(_random_code(F4, 12, 6, 44)).strategy == "exhaustive"
+    # a syndrome space no smaller than the codeword space is enumerated
+    # with no climb
+    C = _random_code(F4, 12, 6, 44)
+    assert linear._auto_engine(C) == ("exhaustive", 0)
+    assert min_distance(C).strategy == "exhaustive"
 
 
 def test_every_engine_name_is_a_strategy():
     C = _random_code(F4, 12, 8, 43)
     got = {name: min_distance(C, strategy=name) for name in _ENGINES}
-    assert got["syndrome_dp"].strategy == "syndrome_dp"
-    assert got["syndrome_dp"].complete
-    assert got["syndrome_dp"].lb == got["exhaustive"].lb
-    with pytest.raises(ValueError, match="unknown strategy"):
-        min_distance(C, strategy="dp")
-    # [30,11] over GF(4): a 4^19-cell table is refused, not allocated
-    with pytest.raises(ValueError, match="exceeds cap"):
-        min_distance(_random_code(F4, 30, 11, 45), strategy="syndrome_dp")
+    assert sorted(got) == ["exhaustive", "information_set"]
+    assert all(res.strategy == name for name, res in got.items())
+    assert got["exhaustive"].complete
+    assert got["information_set"].ub >= got["exhaustive"].lb
+    for name in ("dp", "syndrome_dp"):
+        with pytest.raises(ValueError, match="unknown strategy"):
+            min_distance(C, strategy=name)
 
 
 def test_lower_bound_above_witness_weight_raises(monkeypatch):
@@ -572,39 +408,77 @@ def test_lower_bound_above_witness_weight_raises(monkeypatch):
         min_distance(_random_code(F4, 8, 3, 5), strategy="exhaustive")
 
 
-def test_exhaustive_without_budget_keeps_its_cap():
-    with pytest.raises(ValueError, match="too large"):
-        min_distance(LinearCode.full(F4, 15), strategy="exhaustive")
+def test_exhaustive_without_budget_keeps_its_cap(monkeypatch):
+    # without a budget the enumeration reads at most EXHAUSTIVE_CEILING
+    # messages and then returns open bounds; no code is too large for it
+    C = _random_code(F4, 20, 10, 45)
+    full = min_distance(C, strategy="exhaustive")
+    assert full.complete and full.work > 100
+    monkeypatch.setattr(linear, "EXHAUSTIVE_CEILING", 100)
+    got = min_distance(C, strategy="exhaustive")
+    assert (got.work, got.complete) == (100, False)
+    assert got.lb <= full.lb <= got.ub
+    assert got.note.startswith("ceiling of 100 messages reached: "
+                               "Brouwer-Zimmermann enumeration")
+
+
+def _check_budget_cuts(C, S, d, want, budgets, shift=None):
+    """Every budget gives sound bounds around the least weight d outside
+    S, and no more work than it pays for: open bounds after exactly
+    `budget` messages, or d with the unbudgeted witness `want`."""
+    outside = _outside_test(C, S)
+    for budget in budgets:
+        lb, ub, witness, work, note = linear._brouwer_zimmermann(
+            C, outside, budget, 1, 1, shift)
+        assert lb <= d <= ub and work <= budget
+        if lb == ub:
+            assert (lb, witness) == (d, want)
+        else:
+            assert work == budget
+            assert note.startswith(f"budget {budget} ran out: ")
+        if witness is None:
+            assert ub == C.n + 1
+        else:
+            assert C.contains(witness) and sum(map(bool, witness)) == ub
+            assert S is None or not S.contains(witness)
 
 
 def test_exhaustive_budget_gives_open_bounds():
     C = _random_code(F4, 10, 6, 41)
     full = min_distance(C, strategy="exhaustive")
-    cut = min_distance(C, strategy="exhaustive", budget=100)
-    assert cut.work == 100 and not cut.complete and cut.lb == 1
-    assert full.lb <= cut.ub <= C.n and C.contains(cut.witness)
-    assert sum(1 for x in cut.witness if x) == cut.ub
-    none_seen = min_distance(C, strategy="exhaustive", budget=1)
-    assert (none_seen.lb, none_seen.ub, none_seen.witness) == (1, 11, None)
-    again = min_distance(C, strategy="exhaustive", budget=4 ** 6)
+    assert full.complete and full.work > 2
+    _check_budget_cuts(C, None, full.lb, full.witness, range(full.work + 1))
+    again = min_distance(C, strategy="exhaustive", budget=full.work)
     assert again.complete and (again.lb, again.ub) == (full.lb, full.ub)
+    none_seen = min_distance(C, strategy="exhaustive", budget=0)
+    assert (none_seen.lb, none_seen.ub, none_seen.witness) == (1, 11, None)
 
 
-def _reference_exhaustive(code, outside, budget, words):
-    """_exhaustive on words, the _reference_codewords of every message,
-    every lighter row filtered at once."""
-    total = code.field.order ** code.k
-    stop = total if budget is None else min(total, budget)
-    best, witness = code.n + 1, None
-    words = words[:stop]
+def _reference_distance(C, S, words):
+    """Least weight of a nonzero row of words, the _reference_codewords of
+    C, outside S, every row weighed and tested at once."""
     w = np.count_nonzero(words, axis=1)
-    x = _first_lightest(words, w, best, outside)
-    if x is not None:
-        best, witness = int(w[x]), tuple(int(v) for v in words[x])
-    if stop < total:
-        return (1, best, witness, stop,
-                f"budget ran out after {stop} of {total} codewords")
-    return best, best, witness, stop, ""
+    keep = w > 0
+    if S is not None:
+        keep &= _outside_test(C, S)(words)
+    return int(w[keep].min())
+
+
+def _check_enumeration(C, S, words, budgets, shift=None):
+    """_brouwer_zimmermann against the reference: the exact least weight
+    outside S, a witness of that weight in C and outside S, and sound
+    open bounds under each budget."""
+    d = _reference_distance(C, S, words)
+    outside = _outside_test(C, S)
+    lb, ub, witness, work, note = linear._brouwer_zimmermann(
+        C, outside, None, 1, 1, shift)
+    assert (lb, ub) == (d, d), note
+    assert note.startswith("exact: Brouwer-Zimmermann enumeration")
+    assert C.contains(witness) and sum(map(bool, witness)) == d
+    assert S is None or not S.contains(witness)
+    _check_budget_cuts(C, S, d, witness, [b for b in budgets if b < work],
+                       shift)
+    return work
 
 
 def _light_level_code(F, n, k, rng):
@@ -622,11 +496,12 @@ def _light_level_code(F, n, k, rng):
     return LinearCode.from_rows(F, G, n)
 
 
-def _check_exhaustive_levels(monkeypatch, F, k, rng):
-    """_exhaustive against _reference_exhaustive, which filters every
-    lighter byte row at once: the same (lb, ub, witness, work, note), with
-    and without a subcode, on budgets that stop inside a block, on a
-    k-dimensional code past one ROW_BLOCK and then on blocks of 48 rows."""
+def _check_enumeration_levels(monkeypatch, F, k, rng):
+    """The enumeration against the reference with and without a subcode,
+    on a k-dimensional code past one ROW_BLOCK, on smaller random codes
+    with one form or several, and then on blocks of 48 rows, which split
+    the levels' subsets and loop over the scalars of their last
+    positions."""
     q = F.order
 
     def check(C, budgets):
@@ -634,55 +509,93 @@ def _check_exhaustive_levels(monkeypatch, F, k, rng):
         half = LinearCode.from_rows(F, C.generator[:C.k // 2], C.n)
         words = _reference_codewords(C)
         for S in (None, light, half):
-            outside = None if S is None else _outside_test(C, S)
-            for budget in budgets:
-                got = linear._exhaustive(C, outside, budget, 1)
-                assert got == _reference_exhaustive(C, outside, budget, words)
-                if S is light and budget is None:
-                    # every weight-1 word is in the subcode: the walk
-                    # rejects level 1 and finds e_1 + e_k at level 2
-                    assert got[:2] == (2, 2)
+            if S is not None and S.k == C.k:
+                continue
+            _check_enumeration(C, S, words, budgets)
 
     C = _light_level_code(F, k + 5, k, rng)
     assert q ** C.k > linear.ROW_BLOCK
-    check(C, (None, linear.ROW_BLOCK + 1000))
-    # the low-digit table then holds q^low <= 48 rows
+    # every weight-1 word lies in the first row's span, so outside it the
+    # search passes level 1 and finds e_1 + e_k at level 2
+    light = LinearCode.from_rows(F, C.generator[:1], C.n)
+    assert linear._brouwer_zimmermann(
+        C, _outside_test(C, light), None, 1)[:2] == (2, 2)
+    check(C, (0, 1, 2, 1000))
+    # random codes of at most 2^12 codewords, some with several forms
+    small = max(2, int(12 / math.log2(q)))
+    for _ in range(4):
+        n = int(rng.integers(small + 2, 3 * small + 2))
+        check(_random_code(F, n, small, int(rng.integers(1 << 16))),
+              (1, 2, 100))
     monkeypatch.setattr(linear, "ROW_BLOCK", 48)
     for _ in range(6):
-        n = int(rng.integers(7, 14))
-        k = int(rng.integers(2, 6))
-        C = _light_level_code(F, n, k, rng)
-        total = q ** C.k
-        check(C, (None, 1, 2, int(rng.integers(3, total)), total - 1))
+        n = int(rng.integers(7, 16))
+        C = _random_code(F, n, int(rng.integers(2, 6)), int(rng.integers(99)))
+        if C.k > 1:
+            check(C, (1, int(rng.integers(2, 60)), 200))
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_exhaustive_bit_planes_match_byte_path(monkeypatch, m):
-    # characteristic 2 enumerates bit planes and walks weight levels
+    # characteristic 2 enumerates bit planes: GF(2), GF(4) and GF(8)
     F = build_field(2, m)
     k = {1: 17, 2: 9, 3: 6}[m]
-    _check_exhaustive_levels(monkeypatch, F, k, np.random.default_rng(70 + m))
+    _check_enumeration_levels(monkeypatch, F, k,
+                              np.random.default_rng(70 + m))
 
 
 @pytest.mark.parametrize("p,m,k", [(3, 1, 11), (5, 1, 7), (3, 2, 6)])
 def test_exhaustive_odd_fields_match_byte_path(monkeypatch, p, m, k):
-    # odd fields enumerate table-added bytes from the same low-digit
-    # table; k spans several ROW_BLOCK blocks
+    # odd fields enumerate table-added bytes: GF(3), GF(5) and GF(9)
     F = build_field(p, m)
-    _check_exhaustive_levels(monkeypatch, F, k,
-                             np.random.default_rng(80 + p + m))
+    _check_enumeration_levels(monkeypatch, F, k,
+                              np.random.default_rng(80 + p + m))
+
+
+@pytest.mark.parametrize("family, n, q, leaders", [
+    ("cyclic", 23, 2, (1,)), ("cyclic", 21, 2, (1, 3)),
+    ("cyclic", 13, 3, (1, 2)), ("cyclic", 20, 3, (1, 2, 11)),
+    ("cyclic", 15, 4, (1, 2, 3, 6)), ("cyclic", 13, 5, (1, 2)),
+    ("cyclic", 9, 8, (1, 2)), ("cyclic", 10, 9, (1, 2, 3)),
+    ("constacyclic", 13, 4, (1,)), ("constacyclic", 11, 4, (1,))])
+def test_enumeration_with_a_shift_matches_the_reference(family, n, q,
+                                                        leaders):
+    # cyclic and constacyclic codes over GF(2), GF(3), GF(4), GF(5), GF(8)
+    # and GF(9), alone and outside a subcode that the shift also keeps:
+    # the first form under Chen's bound finds the same least weight as the
+    # forms without it, and as every codeword weighed, in no more work
+    from codeq.constacyclic import build_code
+    from codeq.cosets import set_family
+    fam = set_family(family, n, q)
+    A = fam.expand(leaders)
+    C = build_code(fam, A).base
+    words = _reference_codewords(C)
+    subcodes = [None]
+    for extra in fam.unions():
+        B = tuple(sorted(set(A) | set(extra)))
+        if len(B) > len(A) and len(B) < n:
+            subcodes.append(build_code(fam, B).base)
+            break
+    for S in subcodes:
+        shift = linear._shift_constant(C, S)
+        assert shift is not None
+        with_shift = _check_enumeration(C, S, words, (1, 5, 50), shift)
+        without = _check_enumeration(C, S, words, (), None)
+        assert with_shift <= without
 
 
 def test_exhaustive_budget_past_int64_gives_open_bounds():
-    # [I_41 | all-ones] over GF(3) has 3^41 > 2^63 codewords; a budget of
-    # 100 reads only the first block's low digits
+    # [I_41 | all-ones] over GF(3) has 3^41 > 2^63 codewords; its rows
+    # weigh 2, and after level 1 the first form proves no word lighter
     G = np.hstack([np.eye(41, dtype=np.uint8), np.ones((41, 1), np.uint8)])
     C = LinearCode.from_rows(F3, G)
-    got = min_distance(C, strategy="exhaustive", budget=100)
-    assert (got.lb, got.complete, got.work) == (1, False, 100)
-    assert got.note == ("budget ran out after 100 of 36472996377170786403 "
-                        "codewords")
-    assert got.ub == 2 and C.contains(got.witness)
+    got = min_distance(C, strategy="exhaustive")
+    assert (got.lb, got.ub, got.work) == (2, 2, 41)
+    got = min_distance(C, strategy="exhaustive", budget=20)
+    assert (got.lb, got.ub, got.complete, got.work) == (1, 2, False, 20)
+    assert got.note == ("budget 20 ran out: Brouwer-Zimmermann enumeration "
+                        "to message weight 0 (forms of rank 41)")
+    assert C.contains(got.witness)
 
 
 def test_min_distance_witness_is_codeword():
@@ -946,16 +859,14 @@ def _dual_pairs(fam):
 def test_windowed_ladder_matches_exact_engines(monkeypatch, family, n, q):
     # every word of weight up to 6 has a shifted, scaled copy in some
     # window split, so the windowed ladder finds the least weight outside
-    # the subcode that exhaustive search or the syndrome DP finds
+    # the subcode that the enumeration finds
     from codeq.cosets import set_family
     cases = 0
     for C, D in _dual_pairs(set_family(family, n, q)):
         shift = linear._shift_constant(C, D)
         assert shift is not None
-        engine = ("syndrome_dp" if q ** (C.n - C.k) <= 1 << 10
-                  else "exhaustive")
-        want = (min_distance(C, strategy=engine) if D is None
-                else min_weight_outside(C, D, strategy=engine))
+        want = (min_distance(C, strategy="exhaustive") if D is None
+                else min_weight_outside(C, D, strategy="exhaustive"))
         outside = _outside_test(C, D)
         got = _mitm_ladder(C, 6, outside, shift=shift)
         if want.lb <= 6:
@@ -1346,30 +1257,30 @@ def test_growing_spans_cover_in_order():
 
 
 def _check_cascade(C, S=None):
-    """Auto against the forced DP: the same bounds, and a witness of weight
-    lb outside S; returns the engine that decided."""
+    """Auto against the forced enumeration: the same bounds, and a witness
+    of weight lb outside S; returns the engine that decided."""
     if S is None:
-        got, dp = min_distance(C), min_distance(C, strategy="syndrome_dp")
+        got, alone = min_distance(C), min_distance(C, strategy="exhaustive")
     else:
         got = min_weight_outside(C, S)
-        dp = min_weight_outside(C, S, strategy="syndrome_dp")
-    assert (got.lb, got.ub, got.complete) == (dp.lb, dp.ub, dp.complete)
+        alone = min_weight_outside(C, S, strategy="exhaustive")
+    assert (got.lb, got.ub, got.complete) == (alone.lb, alone.ub, True)
     assert C.contains(got.witness)
     assert S is None or not S.contains(got.witness)
     assert sum(1 for x in got.witness if x) == got.lb
     if got.strategy == "information_set":
         assert got.note == "exact: meet-in-the-middle ladder"
     else:
-        assert got.strategy == "syndrome_dp"
-        assert got.note.startswith(dp.note + "; ladder to weight")
-        assert got.work > dp.work
+        assert got.strategy == "exhaustive"
+        assert got.note.startswith("exact: Brouwer-Zimmermann enumeration")
+        assert "; ladder to weight" in got.note
     return got.strategy
 
 
-def test_auto_climbs_the_ladder_before_the_dp(monkeypatch):
+def test_auto_climbs_the_ladder_before_the_enumeration(monkeypatch):
     # the ladder climbs until a rung passes MITM_SIDE_CAP: at the default
     # cap it decides every code here, and capped at 2000 side entries it
-    # stops short on some, which the DP then decides
+    # stops short on some, which the enumeration then decides
     rng = np.random.default_rng(79)
     codes = []
     for F, n, k in ((build_field(2, 1), 30, 16), (build_field(2, 1), 36, 20),
@@ -1379,13 +1290,13 @@ def test_auto_climbs_the_ladder_before_the_dp(monkeypatch):
             C = _random_code(F, n, k, int(rng.integers(1 << 16)))
             if C.k != k:
                 continue
-            assert linear._auto_engine(C) == "syndrome_dp"
+            assert linear._auto_engine(C) == ("exhaustive", n)
             S = LinearCode.from_rows(F, C.generator[:k // 2], n)
             codes += [(C, None), (C, S)]
     assert {_check_cascade(C, S) for C, S in codes} == {"information_set"}
     monkeypatch.setattr(linear, "MITM_SIDE_CAP", 2000)
     assert ({_check_cascade(C, S) for C, S in codes}
-            == {"information_set", "syndrome_dp"})
+            == {"information_set", "exhaustive"})
 
 
 def _bch_31():
@@ -1396,44 +1307,71 @@ def _bch_31():
     return C
 
 
-def _check_dp_after_climb(C, reach, shift):
-    """Auto climbs the ladder to `reach`, then the DP decides, and its note
-    and work count the climb; under a budget of 1000 units the ladder's
-    floor is kept."""
+def _check_enumeration_after_climb(C, reach, shift):
+    """Auto climbs the ladder to `reach`, then the enumeration decides from
+    the ladder's floor, and its note and work count the climb; returns the
+    result under a budget of 1000 units."""
     got = min_distance(C)
-    assert got.strategy == "syndrome_dp" and (got.lb, got.ub) == (7, 7)
-    assert got.note == ("exact by syndrome dynamic program; "
-                        f"ladder to weight {reach} first")
+    assert got.strategy == "exhaustive" and (got.lb, got.ub) == (7, 7)
+    assert got.note.startswith("exact: Brouwer-Zimmermann enumeration")
+    assert got.note.endswith(f"; ladder to weight {reach} first")
     climb = _mitm_ladder(C, reach, None, shift=shift)[3]
-    assert got.work == min_distance(C, strategy="syndrome_dp").work + climb
-    assert _check_cascade(C) == "syndrome_dp"
+    rest = linear._brouwer_zimmermann(C, None, None, 1, reach + 1, shift)
+    assert got.work == rest[3] + climb
+    assert _check_cascade(C) == "exhaustive"
     return min_distance(C, budget=1000)
 
 
-def test_auto_keeps_the_dp_past_the_affordable_rungs(monkeypatch):
+def test_auto_enumerates_past_the_affordable_rungs(monkeypatch):
     # the BCH code with its columns permuted has no shift: under a side cap
     # of 2000 entries the ladder climbs to weight 4 only, and 1000 units
-    # pay for rungs 1 to 3
+    # pay for rungs 1 to 3 (590 units).  The 410 left read levels 1 and 2
+    # of both forms, of ranks 16 and 15 (31 + 240 messages), which prove 5,
+    # and part of level 3
     monkeypatch.setattr(linear, "MITM_SIDE_CAP", 2000)
-    got = _check_dp_after_climb(_permuted(_bch_31(), 5), 4, None)
-    assert (got.lb, got.ub, got.work) == (4, 32, 590)
-    assert "budget 410 is below" in got.note
+    got = _check_enumeration_after_climb(_permuted(_bch_31(), 5), 4, None)
+    assert (got.lb, got.work) == (5, 1000) and got.ub < 32
+    assert got.note.startswith("budget 410 ran out: Brouwer-Zimmermann "
+                               "enumeration to message weight 2 (forms of "
+                               "rank 16, 15)")
 
 
 def test_auto_climbs_windowed_rungs_on_the_cyclic_bch_code(monkeypatch):
     # windowed, the same climb under the same cap reaches weight 6, and
-    # 1000 units pay for rungs 1 to 5
+    # 1000 units pay for rungs 1 to 5 (694 units); the 306 left read levels
+    # 1 and 2 of the first form (16 + 120 messages), where Chen's bound
+    # ceil(31 * 3 / 16) = 6 proves no more than the ladder
     monkeypatch.setattr(linear, "MITM_SIDE_CAP", 2000)
-    got = _check_dp_after_climb(_bch_31(), 6, 1)
-    assert (got.lb, got.ub, got.work) == (6, 32, 694)
-    assert "budget 306 is below" in got.note
+    got = _check_enumeration_after_climb(_bch_31(), 6, 1)
+    assert (got.lb, got.work) == (6, 1000) and got.ub < 32
+    assert got.note.startswith("budget 306 ran out: Brouwer-Zimmermann "
+                               "enumeration to message weight 2 (forms of "
+                               "rank 16)")
+
+
+def test_auto_decides_the_extended_qr_code():
+    # the extended binary QR code [48,24,12] has no shift, and the ladder
+    # stops at weight 10, its next rung over MITM_SIDE_CAP; two forms of
+    # rank 24 read to message weight 5 prove 12
+    from codeq import DefiningSet, build_cyclic
+    qr = build_cyclic(47, 2, DefiningSet.from_leaders(47, 2, (1,))).base
+    G = np.hstack([qr.generator, qr.generator.sum(axis=1, keepdims=True) % 2])
+    C = LinearCode.from_rows(qr.field, G.astype(np.uint8))
+    assert (C.n, C.k) == (48, 24) and linear._shift_constant(C, None) is None
+    got = min_distance(C)
+    assert (got.lb, got.ub, got.strategy) == (12, 12, "exhaustive")
+    assert got.note == ("exact: Brouwer-Zimmermann enumeration to message "
+                        "weight 5 (forms of rank 24, 24); ladder to weight "
+                        "10 first")
+    assert C.contains(got.witness) and sum(map(bool, got.witness)) == 12
 
 
 def test_distance_climbs_the_ladder_from_one_place(monkeypatch):
     # _distance_engine is the ladder's one caller: each distance call climbs
     # at most once, to weight 6 before information sets and to the code's
-    # length before a DP that auto picked (the ladder stops itself at
-    # MITM_SIDE_CAP), and not in odd characteristic or on other routes
+    # length before an enumeration that auto picked for its few syndromes
+    # (the ladder stops itself at MITM_SIDE_CAP), and not in odd
+    # characteristic or on other routes
     climbs = []
     ladder = linear._mitm_ladder
 
@@ -1447,20 +1385,19 @@ def test_distance_climbs_the_ladder_from_one_place(monkeypatch):
     wide = _random_code(F4, 30, 15, 7)
     routes = [
         (_random_code(F4, 12, 6, 44), "auto", None, "exhaustive", []),
-        (bch, "auto", None, "syndrome_dp", [31]),
-        (climbing, "auto", None, "syndrome_dp", [24]),
-        (_random_code(F4, 15, 11, 43), "auto", None, "syndrome_dp", [15]),
-        (_random_code(F3, 14, 10, 3), "auto", None, "syndrome_dp", []),
+        (bch, "auto", None, "exhaustive", [31]),
+        (climbing, "auto", None, "exhaustive", [24]),
+        (_random_code(F4, 15, 11, 43), "auto", None, "exhaustive", [15]),
+        (_random_code(F3, 14, 10, 3), "auto", None, "exhaustive", []),
         (wide, "auto", None, "information_set", [6]),
         (wide, "auto", LinearCode.from_rows(F4, wide.generator[:7]),
          "information_set", [6]),
         (_random_code(F3, 30, 15, 7), "auto", None, "information_set", []),
         (bch, "exhaustive", None, "exhaustive", []),
-        (bch, "syndrome_dp", None, "syndrome_dp", []),
         (bch, "information_set", None, "information_set", [6]),
     ]
     for C, strategy, S, engine, want in routes:
-        assert strategy != "auto" or linear._auto_engine(C) == engine
+        assert strategy != "auto" or linear._auto_engine(C)[0] == engine
         climbs.clear()
         if S is None:
             min_distance(C, strategy=strategy)
@@ -1485,7 +1422,7 @@ def test_floor_above_a_witness_raises():
     # a floor one above the weight of the witness found is refuted by it
     C, (d, proof) = _consta_43_14()
     cases = [(C, "information_set", 14), (_bch_31(), "exhaustive", 7),
-             (_bch_31(), "syndrome_dp", 7),
+             (_permuted(_bch_31(), 5), "exhaustive", 7),
              (_random_code(F3, 10, 5, 2), "exhaustive", None)]
     for code, strategy, d in cases:
         if d is None:
@@ -1506,8 +1443,9 @@ def test_floor_only_removes_work(monkeypatch):
         return ladder(*args, first=first, **kwargs)
 
     monkeypatch.setattr(linear, "_mitm_ladder", spy)
-    codes = [(_bch_31(), s) for s in ("auto", "exhaustive", "syndrome_dp",
+    codes = [(_bch_31(), s) for s in ("auto", "exhaustive",
                                       "information_set")]
+    codes += [(_permuted(_bch_31(), 5), "exhaustive")]
     codes += [(_golay(), "information_set"), (_golay(), "auto"),
               (_random_code(F4, 12, 6, 44), "auto"),
               (_random_code(F4, 24, 17, 5), "auto"),
@@ -1568,7 +1506,7 @@ def test_note_names_only_rungs_that_ran():
         assert (got.lb, got.ub) == (d, 5)
         assert got.note == f"floor {d} by test floor"
     wide = _random_code(F4, 30, 15, 7)
-    assert linear._auto_engine(wide) == "information_set"
+    assert linear._auto_engine(wide)[0] == "information_set"
     got = min_distance(wide, budget=1, floor=(3, "test floor"))
     assert (got.lb, got.work) == (3, 0)
     assert got.note == ("floor 3 by test floor; budget 1 paid for 0 of 8 "
@@ -1790,15 +1728,15 @@ def test_min_weight_outside_edges():
             min_weight_outside(C, other)
 
 
-def test_min_weight_outside_dp_filter():
-    # auto picks the DP for this code, and the ladder climbed before it
-    # would decide; forced, the DP's subcode filter decides
+def test_min_weight_outside_enumeration_filter():
+    # auto climbs the ladder before enumerating this code, and the ladder
+    # decides; forced, the enumeration's subcode filter decides
     rng = np.random.default_rng(61)
     C = LinearCode.from_rows(F4, rng.integers(0, 4, size=(12, 16)))
     S = LinearCode.from_rows(F4, C.generator[:2], 16)
-    assert linear._auto_engine(C) == "syndrome_dp"
-    got = min_weight_outside(C, S, strategy="syndrome_dp")
-    assert got.strategy == "syndrome_dp" and got.complete
+    assert linear._auto_engine(C) == ("exhaustive", 16)
+    got = min_weight_outside(C, S, strategy="exhaustive")
+    assert got.strategy == "exhaustive" and got.complete
     auto = min_weight_outside(C, S)
     assert auto.strategy == "information_set"
     assert (auto.lb, auto.ub) == (got.lb, got.ub)
@@ -1806,7 +1744,7 @@ def test_min_weight_outside_dp_filter():
     assert sum(1 for x in got.witness if x) == got.lb
     # min over C minus S can never undercut the code's own distance, and when
     # the witness sits at that distance the result is pinned exactly
-    base = min_distance(C, strategy="syndrome_dp")
+    base = min_distance(C, strategy="exhaustive")
     assert got.lb == base.lb
 
 
@@ -1858,6 +1796,23 @@ def test_brute_force_permutation_mode():
     res = brute_force_equivalence(C, C2, mode="permutation")
     assert res.status == "equivalent" and res.witness.is_permutation()
     assert apply_monomial(C, res.witness) == C2
+
+
+def test_brute_force_searches_the_smaller_dual():
+    # cyclic (10,3) with zeros {0} and {5}: the [10,9] codes have 3^9
+    # codewords, over a budget of 1000, and up to 9! leaves; their duals,
+    # spanned by (1, 1, ..., 1) and (1, 2, 1, 2, ...), have 3 codewords and
+    # at most 10 leaves.  No permutation joins them, and a monomial map
+    # does, mapped back from the duals and re-verified
+    A = build_cyclic(10, 3, DefiningSet.from_leaders(10, 3, (0,))).base
+    B = build_cyclic(10, 3, DefiningSet.from_leaders(10, 3, (5,))).base
+    assert (A.k, B.k) == (9, 9)
+    res = brute_force_equivalence(A, B, mode="permutation", budget=1000)
+    assert res.status == "not_equivalent" and res.work < 20
+    res = brute_force_equivalence(A, B, mode="monomial", budget=1000)
+    assert res.status == "equivalent" and res.work < 20
+    assert not res.witness.is_permutation()
+    assert apply_monomial(A, res.witness) == B
 
 
 def test_brute_force_forces_columns_past_a_wide_diagonal():
