@@ -11,9 +11,11 @@ enumeration of short messages in disjoint systematic forms (strategy
 "exhaustive"; reading all q^k codewords is its one-form case), and for
 codes too large for it a meet-in-the-middle ladder that certifies lower
 bounds plus a seeded information-set search for upper bounds.  The
-engines share one arithmetic layer.  Rows are bit planes in
-characteristic 2 and bytes otherwise, with one add, weigh, pack and
-unpack per field (_row_ops).  Codewords come from one chunked enumerator
+engines share one arithmetic layer.  Field elements add by one add
+(FieldTables.plus): XOR in characteristic 2, else one gather from the
+flattened addition table.  Rows are bit planes in characteristic 2 and
+bytes otherwise, with one add, weigh, pack and unpack per field
+(_row_ops).  Codewords come from one chunked enumerator
 (_codewords) in message order, base-q digits with digit 0 fastest.
 The ladder packs column syndromes into integers that add by XOR.
 Each engine returns (lb, ub, witness, work, note) after filtering a
@@ -35,10 +37,12 @@ information-set search when the floor is above weight 6, lb is at least
 the floor, and the finishing engine stops at a word of that weight, or of
 the ladder's floor when that is higher.
 
-The enumeration reads the messages of greedy disjoint systematic forms by
-weight, in blocks built by one broadcast add per position, as the ladder
-builds its keys, and stops once its lightest word is no heavier than a
-word it has not read can be (_brouwer_zimmermann).
+Short messages of a systematic form have one reader (_messages): blocks
+of at most ROW_BLOCK words, each built by one flat gather of multiples
+and one broadcast add per position, as the ladder builds its keys.  The
+enumeration reads greedy disjoint forms by weight through it and stops
+once its lightest word is no heavier than a word it has not read can be
+(_brouwer_zimmermann).
 
 The meet-in-the-middle ladder keeps no per-entry metadata: a side is one
 sorted uint64 array of keys h(syndrome) << IDX_BITS | index plus its
@@ -78,13 +82,13 @@ over GF(4) that is 8,973 entries for weight 5 against 335,916.
 The information-set search draws all its column permutations first and
 takes every iteration's systematic form from one stacked elimination of
 copies of the generator (_stacked_rref); rref serves single matrices.  It
-reads its triples of rows in blocks of ROW_BLOCK rows gathered by index
-arrays.  In characteristic 2 a row is held as m bit planes of
+reads each form's messages of weight 1, 2 and 3 through _messages, as
+the enumeration reads its forms, but it stops at weight 3 and proves no
+lower bound.  In characteristic 2 a row is held as m bit planes of
 ceil(n / 64) uint64 words each: rows add by XOR, a row's weight is the
 popcount of the OR of its planes, and only the rows at the least weight
 below the best so far go back to bytes, one level at a time, for the
-subcode filter and the witness.  Both eliminations also add rows by XOR
-in characteristic 2.
+subcode filter and the witness.
 """
 
 from __future__ import annotations
@@ -124,7 +128,7 @@ GF4_CONJ = np.array([0, 1, 3, 2], dtype=np.uint8)
 class FieldTables:
     """Dense numpy operation tables for one field of order <= 256."""
 
-    __slots__ = ("field", "order", "add", "mul", "neg", "inv")
+    __slots__ = ("field", "order", "add", "mul", "neg", "inv", "plus")
 
     def __init__(self, F: GaloisField):
         if F.order > _TABLE_CAP:
@@ -142,6 +146,16 @@ class FieldTables:
         self.mul = mul
         self.neg = np.array([F.neg(a) for a in range(o)], dtype=np.uint8)
         self.inv = np.array([0] + [F.inv(a) for a in range(1, o)], dtype=np.uint8)
+        # the one elementwise add of arrays, broadcast like a ufunc
+        self.plus = (np.bitwise_xor if F.p == 2 else partial(
+            _table_add, add.ravel(), o, np.uint8 if o <= 16 else np.uint16))
+
+
+def _table_add(flat: np.ndarray, q: int, dtype, a, b) -> np.ndarray:
+    """a + b over an odd field: one gather from the flattened addition
+    table at a * q + b, whose indices fit dtype (uint8 while q <= 16)."""
+    return np.take(flat, np.add(np.multiply(a, q, dtype=dtype), b,
+                                dtype=dtype))
 
 
 _TABLES: dict[tuple, FieldTables] = {}
@@ -194,9 +208,7 @@ def rref(F: GaloisField, mat) -> tuple[np.ndarray, tuple[int, ...]]:
         col[r] = 0
         hit = np.nonzero(col)[0]
         if hit.size:
-            scaled = T.mul[T.neg[col[hit]][:, None], A[r][None, :]]
-            A[hit] = (A[hit] ^ scaled if F.p == 2
-                      else T.add[A[hit], scaled])
+            A[hit] = T.plus(A[hit], T.mul[T.neg[col[hit]][:, None], A[r]])
         pivots.append(c)
         r += 1
     return A[:r], tuple(pivots)
@@ -213,7 +225,7 @@ def _stacked_rref(F: GaloisField, G: np.ndarray,
     order are already zero there, so it comes after the previous pivot.
     The first row holding that entry is swapped up and scaled to 1, and
     the column is cleared in every other row by one gather of the pivot
-    row's multiples and one add (XOR in characteristic 2).
+    row's multiples and one add.
     """
     T = tables(F)
     s, n = perms.shape
@@ -235,18 +247,14 @@ def _stacked_rref(F: GaloisField, G: np.ndarray,
         col = A[at, :, c]
         col[:, r] = 0
         # row j of copy i takes -col[i, j] times its pivot row
-        multiples = T.mul[:, top]
-        if F.p == 2:
-            A ^= multiples[col, at[:, None]]
-        else:
-            A = T.add[A, multiples[T.neg[col], at[:, None]]]
+        A = T.plus(A, T.mul[:, top][T.neg[col], at[:, None]])
         r += 1
     return A[:, :r]
 
 
 def gf_matmul(F: GaloisField, A, B) -> np.ndarray:
     """Matrix product over F: for each l, gather the multiples of row B[l]
-    by column A[:, l] and add them up (XOR in characteristic 2)."""
+    by column A[:, l] and add them up."""
     T = tables(F)
     A = as_matrix(F, A)
     B = as_matrix(F, B)
@@ -254,11 +262,7 @@ def gf_matmul(F: GaloisField, A, B) -> np.ndarray:
         raise ValueError(f"shape mismatch {A.shape} x {B.shape}")
     out = np.zeros((A.shape[0], B.shape[1]), dtype=np.uint8)
     for l in range(A.shape[1]):
-        rows = T.mul[:, B[l]][A[:, l]]
-        if F.p == 2:
-            np.bitwise_xor(out, rows, out=out)
-        else:
-            out = T.add[out, rows]
+        out = T.plus(out, T.mul[:, B[l]][A[:, l]])
     return out
 
 
@@ -573,13 +577,13 @@ def _lightest(block: np.ndarray, w: np.ndarray, best: int, outside,
 
 
 def _row_ops(F: GaloisField, n: int):
-    """(add, weigh, pack, unpack) for rows over F: bit planes that add by
-    XOR in characteristic 2, bytes that add by the table otherwise."""
+    """(add, weigh, pack, unpack) for rows over F: bit planes in
+    characteristic 2, bytes otherwise, added by the field's one add."""
+    add = tables(F).plus
     if F.p == 2:
-        return (np.bitwise_xor, _plane_weights, partial(_pack_planes, m=F.m),
+        return (add, _plane_weights, partial(_pack_planes, m=F.m),
                 partial(_unpack_planes, n=n))
-    T = tables(F)
-    return (lambda a, b: T.add[a, b]), _byte_weights, np.asarray, np.asarray
+    return add, _byte_weights, np.asarray, np.asarray
 
 
 def _brouwer_zimmermann(code: LinearCode, outside, budget: int | None,
@@ -667,29 +671,52 @@ def _brouwer_zimmermann(code: LinearCode, outside, budget: int | None,
 
 def _messages(rows: np.ndarray, add, w: int, start: int = 0, head=None):
     """The codewords of one form's weight-w messages, 1 at their first
-    nonzero position, in blocks of at most ROW_BLOCK rows.
+    nonzero position, in blocks of at most ROW_BLOCK rows: the one reader
+    of short messages, for the enumeration and the information-set scan.
 
     rows holds the form's multiples, c times row i at [c, i], as _row_ops
     rows.  A block holds the messages on the w-subsets of range(start, k)
-    (_subsets), each position adding its q - 1 multiples along its own
-    leading axis, the first pinned to 1 unless head, the word of positions
-    chosen before start, is given.  Where they pass ROW_BLOCK, the first
-    position and its scalar are chosen here, and the rest recursively.
+    in lexicographic order, the first position's scalar pinned to 1 unless
+    head, the word of the positions chosen before start, is given.  Each
+    other position takes its q - 1 multiples, one flat gather of rows
+    c * k + position, on an axis of its own added in front, so the last
+    position's scalar varies slowest and the subset fastest.  Where a block
+    would pass ROW_BLOCK, the first position a and its scalar c are chosen
+    here, in that order, and the messages after them read recursively with
+    head c R_a, or head + c R_a.
     """
     q, k = rows.shape[:2]
     pinned = head is None
-    if w and math.comb(k - start, w) * (q - 1) ** (w - pinned) > ROW_BLOCK:
+    scalars = (q - 1) ** (w - pinned)
+    if w and math.comb(k - start, w) * scalars > ROW_BLOCK:
         for a in range(start, k - w + 1):
             for c in range(1, 2 if pinned else q):
                 yield from _messages(rows, add, w - 1, a + 1, rows[c, a]
                                      if pinned else add(head, rows[c, a]))
         return
-    S = _subsets(k, w, start)
-    block = rows[1, S[:, 0]] if pinned else head
+    S = _message_subsets(k, w, scalars, ROW_BLOCK)
+    S = S[S.shape[0] - math.comb(k - start, w):]
+    flat = rows.reshape(q * k, -1)
+    at = k * np.arange(1, q)  # the first row of each nonzero multiple
+    block = (np.take(flat, S[:, 0] + at[0], axis=0) if pinned
+             else head.reshape(-1))
     for slot in range(pinned, w):
-        axis = (q - 1,) + (1,) * (slot - pinned) + S.shape[:1] + rows.shape[2:]
-        block = add(rows[1:, S[:, slot]].reshape(axis), block)
+        axis = (q - 1,) + (1,) * (slot - pinned + 1)
+        block = add(np.take(flat, S[:, slot] + at.reshape(axis), axis=0),
+                    block)
     yield block.reshape(-1, *rows.shape[2:])
+
+
+@lru_cache(maxsize=32)
+def _message_subsets(k: int, w: int, scalars: int, cap: int) -> np.ndarray:
+    """_subsets(k, w, s) for the least s whose C(k - s, w) subsets times
+    scalars fit in cap.  _messages reads every later start's subsets as a
+    suffix of it, so the forms of a code share one table per weight, and
+    no table is larger than the first block it serves."""
+    s = 0
+    while math.comb(k - s, w) * scalars > cap:
+        s += 1
+    return _subsets(k, w, s)
 
 
 def _column_syndromes(code: LinearCode) -> np.ndarray:
@@ -1108,73 +1135,39 @@ def _byte_weights(words: np.ndarray) -> np.ndarray:
 
 def _infoset_upper(code: LinearCode, iters: int, seed: int, outside,
                    floor: int = 1) -> tuple[int, tuple[int, ...] | None, int]:
-    """Seeded information-set search for low-weight codewords.
+    """Seeded information-set search for low-weight codewords (Lee and
+    Brickell 1988).
 
     Each iteration has its own systematic form, the RREF after a random
     column permutation moved back to code coordinates.  The permutations
     are drawn first, and one stacked elimination (_stacked_rref) gives all
-    the forms; their multiples are packed a whole number of iterations at
-    a time, at most ROW_BLOCK rows unless one iteration's q k rows are
-    more.  An iteration reads every combination of up to three rows R of
-    its form: the rows, then for each scalar b the pairs R_i + b R_j
-    (i < j, ordered by j), then for each l and scalar c those pairs with
-    j < l plus c R_l.  The triples of one b are gathered from index arrays
-    built once per call, ROW_BLOCK rows at a time; blocks may cross (l, c)
-    boundaries, and the first row of least weight still wins.
-
-    In characteristic 2 rows are held as bit planes (_pack_planes), add by
-    XOR and are weighed by popcount; otherwise they are bytes that add by
-    the addition table.  Each block keeps its first lightest word outside
-    the subcode (_lightest), which unpacks one weight level at a time.
-    The scan stops at the first word that weighs floor, a weight that the
-    caller has proved no word falls below: no later row can beat it.
+    the forms.  Form by form, the scan reads every message of weight 1, 2
+    and 3 with first nonzero scalar 1 through _messages, one weight after
+    the other, and each block keeps its first lightest word outside the
+    subcode (_lightest).  So the first lightest word in that order wins,
+    whatever ROW_BLOCK is.  The scan stops at the first block with a word
+    of weight floor, a weight that the caller has proved no word falls
+    below: no later row can beat it.
     """
     F = code.field
-    T = tables(F)
     rng = np.random.default_rng(seed)
     n, k, q = code.n, code.k, F.order
     add, weigh, pack, unpack = _row_ops(F, n)
-    ii, jj = np.triu_indices(k, 1)
-    blocks = np.argsort(jj, kind="stable")
-    ii, jj = ii[blocks], jj[blocks]
-    # the triples in scan order: for l = 2 .. k-1 and c = 1 .. q-1, the
-    # pairs with j < l plus c R_l.  Triple h adds pair rows[h] and row lc[h]
-    # of the multiples c R_l, flattened to q k rows.
-    prefix = np.cumsum(np.bincount(jj, minlength=k + 1))
-    ls, cs = np.divmod(np.arange(2 * (q - 1), k * (q - 1)), q - 1)
-    sizes = prefix[ls - 1]
-    lc = np.repeat((cs + 1) * k + ls, sizes)
-    rows = np.arange(lc.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
     perms = np.array([rng.permutation(n) for _ in range(iters)],
                      dtype=np.intp).reshape(iters, n)
-    forms = _stacked_rref(F, code.generator, perms)
-    group = max(1, ROW_BLOCK // (q * k))  # iterations packed together
-
-    def blocks():
-        for g in range(0, iters, group):
-            stack = forms[g:g + group]
-            packed = pack(np.moveaxis(T.mul[:, stack], 0, 1).reshape(-1, n))
-            for flat in packed.reshape(stack.shape[0], q * k,
-                                       *packed.shape[1:]):
-                scaled = flat.reshape(q, k, *flat.shape[1:])
-                yield scaled[1]
-                for b in range(1, q):
-                    P = add(np.take(scaled[1], ii, axis=0),
-                            np.take(scaled[b], jj, axis=0))
-                    yield P
-                    for h in range(0, lc.size, ROW_BLOCK):
-                        yield add(np.take(P, rows[h:h + ROW_BLOCK], axis=0),
-                                  np.take(flat, lc[h:h + ROW_BLOCK], axis=0))
-
     best, witness, work = n + 1, None, 0
-    for block in blocks():
-        work += block.shape[0]
-        found = _lightest(block, weigh(block), best, outside, unpack)
-        del block  # freed before blocks() builds the next one
-        if found is not None:
-            best, witness = found
-            if best <= floor:
-                break
+    for form in _stacked_rref(F, code.generator, perms):
+        rows = pack(tables(F).mul[:, form].reshape(q * k, n))
+        rows = rows.reshape(q, k, *rows.shape[1:])
+        for block in itertools.chain.from_iterable(
+                _messages(rows, add, w) for w in (1, 2, 3)):
+            work += block.shape[0]
+            found = _lightest(block, weigh(block), best, outside, unpack)
+            del block  # freed before _messages builds the next one
+            if found is not None:
+                best, witness = found
+                if best <= floor:
+                    return best, witness, work
     return best, witness, work
 
 

@@ -223,7 +223,7 @@ def test_parity_check_is_nullspace_of_redundant_rows():
 
 
 @pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3),
-                                 (3, 2)])
+                                 (3, 2), (3, 3)])
 def test_gf_matmul_matches_scalar_arithmetic(p, m):
     F = build_field(p, m)
     rng = np.random.default_rng(p * 10 + m)
@@ -239,6 +239,26 @@ def test_gf_matmul_matches_scalar_arithmetic(p, m):
         got = gf_matmul(F, A, B)
         assert got.dtype == np.uint8 and got.shape == (rows, cols)
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("p,m", [(3, 1), (5, 1), (13, 1), (5, 2), (3, 3)])
+def test_field_add_matches_table(p, m):
+    # GF(3), GF(5) and GF(13) index the flat table in uint8, GF(25) and
+    # GF(27) in uint16; a narrower index would wrap and read wrong sums
+    F = build_field(p, m)
+    T = linear.tables(F)
+    q = F.order
+    a, b = np.divmod(np.arange(q * q), q)
+    a, b = a.astype(np.uint8), b.astype(np.uint8)
+    got = T.plus(a, b)
+    assert got.dtype == np.uint8
+    assert np.array_equal(got, T.add[a, b])
+    assert np.array_equal(got, [F.add(int(x), int(y)) for x, y in zip(a, b)])
+    # broadcast like a ufunc, either operand the wider
+    col = np.arange(q, dtype=np.uint8)[:, None]
+    row = col.T
+    assert np.array_equal(T.plus(col, row), T.add)
+    assert np.array_equal(T.plus(row, col), T.add.T)
 
 
 def test_intersection_and_sum_dims():
@@ -420,6 +440,73 @@ def test_exhaustive_without_budget_keeps_its_cap(monkeypatch):
     assert got.lb <= full.lb <= got.ub
     assert got.note.startswith("ceiling of 100 messages reached: "
                                "Brouwer-Zimmermann enumeration")
+
+
+def _reference_messages(q, k, w, row_block, start=0, head=None):
+    """The weight-w messages _messages reads, block by block, from
+    itertools: in a block the subsets of range(start, k) run fastest, in
+    lexicographic order, and the last position's scalar slowest; the first
+    scalar is 1 unless head, a message on the positions before start, is
+    given.  A block past row_block rows is split on its first position,
+    then that position's scalar."""
+    pinned = head is None
+    base = (0,) * k if pinned else head
+    if w and math.comb(k - start, w) * (q - 1) ** (w - pinned) > row_block:
+        for a in range(start, k - w + 1):
+            for c in range(1, 2 if pinned else q):
+                yield from _reference_messages(q, k, w - 1, row_block, a + 1,
+                                               base[:a] + (c,) + base[a + 1:])
+        return
+    block = []
+    for tail in itertools.product(range(1, q), repeat=w - pinned):
+        scalars = (1,) * pinned + tail[::-1]
+        for subset in itertools.combinations(range(start, k), w):
+            message = list(base)
+            for i, c in zip(subset, scalars):
+                message[i] = c
+            block.append(message)
+    yield block
+
+
+def test_messages_match_itertools_reference(monkeypatch):
+    # on a generator [I | X] the first k coordinates of a word are its
+    # message; n = 70 puts the bit planes past one 64-bit word
+    rng = np.random.default_rng(67)
+    k, n = 5, 70
+    for F in (build_field(2, 1), F3, F4, build_field(5, 1),
+              build_field(2, 3), build_field(3, 2)):
+        q = F.order
+        G = np.hstack([np.eye(k, dtype=np.uint8),
+                       rng.integers(0, q, size=(k, n - k), dtype=np.uint8)])
+        add, _, pack, unpack = linear._row_ops(F, n)
+        rows = pack(linear.tables(F).mul[:, G].reshape(q * k, n))
+        rows = rows.reshape(q, k, *rows.shape[1:])
+        # head: 2 R_0 + R_1 where the field has a 2, read from start 2
+        c0 = min(2, q - 1)
+        heads = ((0, None, None),
+                 (2, add(rows[c0, 0], rows[1, 1]), (c0, 1, 0, 0, 0)))
+        everything = {w: [] for w in range(k + 1)}
+        for m in itertools.product(range(q), repeat=k):
+            if next((x for x in m if x), 1) == 1:
+                everything[sum(map(bool, m))].append(m)
+        for row_block in (5, 7, linear.ROW_BLOCK):
+            monkeypatch.setattr(linear, "ROW_BLOCK", row_block)
+            for start, head, message in heads:
+                for w in range(1, k - start + 1):
+                    want = list(_reference_messages(q, k, w, row_block,
+                                                     start, message))
+                    got = [unpack(b) for b in
+                           linear._messages(rows, add, w, start, head)]
+                    assert [b.shape[0] for b in got] == list(map(len, want))
+                    assert all(len(b) <= max(1, row_block) for b in want)
+                    for block, msgs in zip(got, want):
+                        msgs = np.array(msgs, dtype=np.uint8).reshape(-1, k)
+                        assert np.array_equal(block, gf_matmul(F, msgs, G))
+            # every weight-w message with first nonzero scalar 1 comes once
+            for w in range(1, k + 1):
+                seen = [tuple(m) for block in _reference_messages(
+                    q, k, w, row_block) for m in block]
+                assert sorted(seen) == everything[w]
 
 
 def _check_budget_cuts(C, S, d, want, budgets, shift=None):
@@ -1549,40 +1636,31 @@ def test_infoset_upper_bound_sound():
                                 + (q - 1) ** 2 * math.comb(k, 3))
 
 
-def _reference_infoset(code, iters, seed, outside, seen):
-    """_infoset_upper on bytes, with one scan per block of pairs plus c R_l,
-    for each (l, c) in turn; every word scanned is appended to seen."""
+def _reference_infoset(code, iters, seed, outside, floor, seen):
+    """_infoset_upper on bytes: form by form, the blocks of
+    _reference_messages of weight 1, 2 and 3 at the current ROW_BLOCK, made
+    into words by gf_matmul, each block weighed and filtered at once, up to
+    the first block with a word of weight floor; every word scanned is
+    appended to seen."""
     F = code.field
-    T = linear.tables(F)
     rng = np.random.default_rng(seed)
     n, k = code.n, code.k
-    add = np.bitwise_xor if F.p == 2 else (lambda a, b: T.add[a, b])
-    ii, jj = np.triu_indices(k, 1)
-    blocks = np.argsort(jj, kind="stable")
-    ii, jj = ii[blocks], jj[blocks]
-    prefix = np.cumsum(np.bincount(jj, minlength=k + 1))
     best, witness, work = n + 1, None, 0
-
-    def scan(words):
-        nonlocal best, witness, work
-        seen.append(words.copy())
-        w = np.count_nonzero(words, axis=1)
-        work += w.size
-        x = _first_lightest(words, w, best, outside)
-        if x is not None:
-            best, witness = int(w[x]), tuple(int(v) for v in words[x])
-
     for _ in range(iters):
         perm = rng.permutation(n)
         R = rref(F, code.generator[:, perm])[0][:, np.argsort(perm)]
-        scaled = T.mul[:, R]
-        scan(R)
-        for b in range(1, F.order):
-            P = add(R[ii], scaled[b][jj])
-            scan(P)
-            for l in range(2, k):
-                for c in range(1, F.order):
-                    scan(add(P[:prefix[l - 1]], scaled[c][l]))
+        for w in (1, 2, 3):
+            for block in _reference_messages(F.order, k, w, linear.ROW_BLOCK):
+                msgs = np.array(block, dtype=np.uint8).reshape(-1, k)
+                words = gf_matmul(F, msgs, R)
+                seen.append(words)
+                weights = np.count_nonzero(words, axis=1)
+                work += weights.size
+                x = _first_lightest(words, weights, best, outside)
+                if x is not None:
+                    best, witness = int(weights[x]), tuple(map(int, words[x]))
+                    if best <= floor:
+                        return best, witness, work
     return best, witness, work
 
 
@@ -1606,20 +1684,11 @@ def _infoset_codes(rng):
 
 def test_infoset_upper_matches_reference_loop(monkeypatch):
     plane_weights, byte_weights = linear._plane_weights, linear._byte_weights
-    row_ops = linear._row_ops
 
     def read(code, iters, *args):
         # the result and every word weighed, in scan order: bit planes are
         # unpacked to bytes, and each characteristic weighs its own form
-        words, forms, packed = [], set(), []
-
-        def ops_spy(F, n):
-            add, weigh, pack, unpack = row_ops(F, n)
-
-            def pack_spy(rows):
-                packed.append(rows.shape[0])
-                return pack(rows)
-            return add, weigh, pack_spy, unpack
+        words, forms = [], set()
 
         def planes_spy(planes):
             forms.add("planes")
@@ -1634,16 +1703,8 @@ def test_infoset_upper_matches_reference_loop(monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(linear, "_plane_weights", planes_spy)
             m.setattr(linear, "_byte_weights", bytes_spy)
-            m.setattr(linear, "_row_ops", ops_spy)
             got = _infoset_upper(code, iters, *args)
         assert forms == {"planes" if code.field.p == 2 else "bytes"}
-        # the q k multiples of each iteration's rows are packed whole
-        # iterations at a time, at most ROW_BLOCK rows unless one
-        # iteration's are more
-        qk = code.field.order * code.k
-        assert sum(packed) == iters * qk
-        assert all(r % qk == 0 and r <= max(qk, linear.ROW_BLOCK)
-                   for r in packed)
         return got, np.concatenate(words)
 
     rng = np.random.default_rng(61)
@@ -1654,16 +1715,19 @@ def test_infoset_upper_matches_reference_loop(monkeypatch):
             filters.append(_outside_test(C, S))
         for outside in filters:
             seed = int(rng.integers(1 << 16))
-            want_words = []
-            want = _reference_infoset(C, 3, seed, outside, want_words)
-            want_words = np.concatenate(want_words)
-            # blocks of 5 and 7 rows cross (l, c) boundaries; blocks of
-            # 2 q k rows pack the 3 iterations' multiples as 2 and 1
-            for block in (5, 7, 2 * C.field.order * C.k, linear.ROW_BLOCK):
+            ub = _reference_infoset(C, 3, seed, outside, 1, [])[0]
+            # blocks of 7 (q - 1) rows split weights 2 and 3 on their
+            # first positions and scalars; a floor at the weight found
+            # stops the scan at the first block that holds such a word
+            for block in (7 * (C.field.order - 1), linear.ROW_BLOCK):
                 monkeypatch.setattr(linear, "ROW_BLOCK", block)
-                got, words = read(C, 3, seed, outside)
-                assert got == want
-                assert np.array_equal(words, want_words)
+                for floor in (1, ub):
+                    want_words = []
+                    want = _reference_infoset(C, 3, seed, outside, floor,
+                                              want_words)
+                    got, words = read(C, 3, seed, outside, floor)
+                    assert got == want
+                    assert np.array_equal(words, np.concatenate(want_words))
 
 
 def test_bit_planes_hold_each_coordinate_bit():
