@@ -44,40 +44,27 @@ enumeration reads greedy disjoint forms by weight through it and stops
 once its lightest word is no heavier than a word it has not read can be
 (_brouwer_zimmermann).
 
-The meet-in-the-middle ladder keeps no per-entry metadata: a side is one
-sorted uint64 array of keys h(syndrome) << IDX_BITS | index plus its
-t-subsets and scalar tuples, and entry s*C + i is the i-th subset carrying
-the s-th tuple.  The subsets are built by array expansion, one slot at a
-time, in the smallest unsigned dtype that holds a position (one byte for n
-<= 256), and each slot adds its multiples to every key by one broadcast
-XOR.  h is the identity when syndromes fit above the index bits, which
-holds for every code with at most 2^24 syndromes, and a multiplicative
-hash otherwise; one in-place sort then orders a side by syndrome with
-equal syndromes in index order.  One rung plan (_rung_plan) splits rung t
-into an A side of w positions, first scalar pinned to 1, and a B side of
-the other t - w, and gives both sides' entry counts, which are the rung's
-work.  A B side is built once per position count.  Rungs join their sides
-in one of two ways.  A two-sided rung builds its A side, and the smaller
-side's distinct hashes are binary-searched in the larger side; the A
-entries of each hash met are listed in order.  An unwindowed even rung has
-sides of equal size, so its A side is the part of the B side whose tuples
-start with 1, and those entries meet the runs of equal keys around their
-own positions; an entry that meets only its twin in B (the same vector) is
-not expanded.  Colliding pairs are expanded in candidate order, in chunks
-that start at FIRST_BLOCK pairs and double up to MITM_CHUNK; pairs with
-overlapping supports (weight below t) or, under a hash, unequal syndromes
-are dropped, and the rest become words for one subcode test per block,
-blocks again doubling from FIRST_BLOCK up to WORD_BLOCK words.  So a
-witness near the front costs only the pairs before it, and the first word
-kept is the same for any sizes.  A rung runs only when its side entries
-fit under MITM_SIDE_CAP and under what is left of the distance budget.
+The meet-in-the-middle ladder (Stern 1988; over GF(q) after Peters 2010)
+splits rung t into an A side of w positions and a B side of the other
+t - w (_rung_plan), both with the first scalar pinned to 1, so a word of
+weight t is a + beta b for entries a and b with syn(a) = beta syn(b).  A
+side is one sorted uint64 array of keys h(form) << IDX_BITS | index, form
+being the syndrome scaled to lowest nonzero base-q digit 1 (_canonical),
+one for all its GF(q)* multiples, and h a hash where forms do not fit
+above the index bits.  Each side is built once per position count.  A
+two-sided rung binary-searches one side's hashes in the other; an
+unwindowed even rung joins its one side with itself.  Pairs are expanded
+in order, in chunks that double from FIRST_BLOCK, so a witness near the
+front costs only the pairs before it, and each pair's beta comes from its
+exact syndromes, which also drop hash collisions.  A rung runs only when
+its side entries, its work, fit under MITM_SIDE_CAP and the budget left.
 
 Cyclic and constacyclic codes get windowed rungs, all two-sided.  When
 one verified shift keeps the code and its subcode (_shift_constant), a
 word of weight t has a shifted, scaled copy with c_0 = 1 and w - 1 more
 positions in a window [1, width), so rung t meets that window side with
 an outer side of t - w positions of [1, n) (see _mitm_ladder).  At n = 43
-over GF(4) that is 8,973 entries for weight 5 against 335,916.
+over GF(4) that is 3,807 entries for weight 5 against 113,778.
 
 The information-set search draws all its column permutations first and
 takes every iteration's systematic form from one stacked elimination of
@@ -732,29 +719,28 @@ def _column_syndromes(code: LinearCode) -> np.ndarray:
 
 def _rung_plan(n: int, q: int, t: int,
                windowed: bool) -> tuple[int, int, int, int]:
-    """(w, width, na, nb): how rung t splits a word of weight t.
+    """(w, width, na, nb): how rung t splits a word of weight t into an A
+    side of w positions of [0, width) and a B side of the other t - w.
+    Both pin their first scalar to 1, so a side of s positions on p places
+    has C(p, s) (q-1)^max(s-1, 0) entries; na and nb count them.
 
-    The A side holds w positions of [0, width), the first scalar pinned to
-    1, and the B side the other t - w positions, with any nonzero scalars;
-    na and nb count their entries.  Unwindowed, w = t // 2, width = n and
-    both sides range over [0, n): na = C(n, w) (q-1)^max(w-1, 0) and nb =
-    C(n, t - w) (q-1)^(t-w).
-
-    Windowed (on a shift-invariant code, see _mitm_ladder), the A side is
-    the window side, {0} and w - 1 positions of [1, width) for width =
-    n(w - 1) // t + 1, and the B side the outer side on [1, n): na =
-    C(width - 1, w - 1) (q-1)^(w-1) and nb = C(n - 1, t - w) (q-1)^(t-w),
-    with the w of the fewest side entries, the least on ties.
+    Unwindowed, w = t // 2 and both sides range over [0, n) (width = n),
+    so an even rung's two sides are one side, counted twice.  Windowed (on
+    a shift-invariant code, see _mitm_ladder), the A side is {0} and w - 1
+    positions of [1, width) for width = n(w - 1) // t + 1, with na =
+    C(width - 1, w - 1) (q-1)^(w-1), and the B side ranges over [1, n); w
+    is the one of the fewest entries, the least on ties.
     """
+    def entries(places: int, s: int) -> int:
+        return math.comb(places, s) * (q - 1) ** max(s - 1, 0)
+
     if not windowed:
-        w = t // 2
-        return (w, n, math.comb(n, w) * (q - 1) ** max(w - 1, 0),
-                math.comb(n, t - w) * (q - 1) ** (t - w))
+        return t // 2, n, entries(n, t // 2), entries(n, t - t // 2)
 
     def split(w: int) -> tuple[int, int, int, int]:
         width = n * (w - 1) // t + 1
         return (w, width, math.comb(width - 1, w - 1) * (q - 1) ** (w - 1),
-                math.comb(n - 1, t - w) * (q - 1) ** (t - w))
+                entries(n - 1, t - w))
     return min((split(w) for w in range(1, t + 1)),
                key=lambda s: s[2] + s[3])
 
@@ -795,29 +781,21 @@ def _mitm_ladder(code: LinearCode, wmax: int, outside,
                  ) -> tuple[int, int | None, tuple[int, ...] | None, int]:
     """Prove lower bounds by meet-in-the-middle over split supports.
 
-    Returns (proved_lb, exact_weight_or_None, witness, work).  Weights are
-    tried in ascending order from first, below which the caller has
-    proved no word lies; the first weight with a verified codeword
-    (outside the subcode if given) is the exact minimum of that filtered
-    set.  Runs only where _ladder_runs holds.  Rung t costs its na + nb
-    side entries in work; a rung with more than MITM_SIDE_CAP entries, or
-    one that would take the work past budget, is not run, and the ladder
-    returns proved_lb = t.
+    Returns (proved_lb, exact_weight_or_None, witness, work).  Rungs t =
+    first, first + 1, ... run in turn where _ladder_runs holds (the caller
+    has proved no word below first), and the first with a verified word
+    (outside the subcode if given) gives the exact minimum.  Rung t costs
+    its na + nb side entries in work; a rung past MITM_SIDE_CAP or past
+    the budget is not run, and the ladder returns proved_lb = t.
 
-    _rung_plan is the one split of a rung: an A side of w positions, first
-    scalar pinned to 1, and a B side of the other t - w.  Each side is one
-    sorted array of keys h(syndrome) << IDX_BITS | index (_mitm_side).
-    Candidates are the pairs with equal syndromes, A entry ascending, then
-    B entries in index order; see _mitm_first for the filter.  A B side is
-    built once per position count and kept while the rungs above use the
-    same count (weights 2j-1 and 2j share the one of j positions).  A rung
-    joins its sides in one of two ways.  Two-sided, it builds its A side
-    and binary-searches the smaller side's distinct hashes in the larger
-    side (_collisions).  An unwindowed even rung has w = t - w, so its A
-    side is the B entries below na: no A key is built, and an A entry's
-    partners are the run of equal hashes around its own position
-    (_mitm_runs).  There every A entry meets its twin, the same vector, so
-    only entries in runs of two or more count.
+    Rung t joins the sides of its _rung_plan (_mitm_side).  A word of
+    weight t, scaled to first scalar 1 on its A half, is a + beta b with
+    b's first scalar 1 and syn(a) = beta syn(b), so a and b share a key;
+    _mitm_first finds beta.  Candidates are the pairs of equal keys, A
+    entry ascending, then B entries in index order.  Unwindowed, rung 2j-1
+    joins the sides of j-1 and j positions (_collisions), rung 2j the side
+    of j with itself (_mitm_runs: pair (b, a) would give a multiple of the
+    word of (a, b)) and rung 2j+1 reuses it as its A side.
 
     shift is the _shift_constant eta of the code and of the subcode that
     outside tests, which the caller has verified; it windows the rungs.
@@ -831,62 +809,51 @@ def _mitm_ladder(code: LinearCode, wmax: int, outside,
     side, {0} and w - 1 positions of [1, width), and its B side the t - w
     positions of [1, n); every windowed rung is two-sided.
     """
-    F = code.field
-    n = code.n
+    F, n = code.field, code.n
     if not _ladder_runs(code):
         return 1, None, None, 0
-    packed = _column_syndromes(code)
-    exact = None if _key_hash(packed) is None else packed
-    q = F.order
+    T = tables(F)
+    packed = _column_syndromes(code).view(np.uint64)
     windowed = shift is not None
-    # windowed, position 0 is the window side's: the rest start at 1
-    start = 1 if windowed else 0
-    work = 0
-    side_b = None
+    start = int(windowed)  # windowed, position 0 is the window side's
+    work, sides = 0, {}
     for t in range(first, wmax + 1):
-        w, width, na, nb = _rung_plan(n, q, t, windowed)
+        w, width, na, nb = _rung_plan(n, F.order, t, windowed)
         if na + nb > MITM_SIDE_CAP or (budget is not None
                                        and work + na + nb > budget):
             return t, None, None, work
-        if side_b is None or side_b[1].shape[1] != t - w:
-            # the last rung's sides are dropped before this one's are
-            # built, so the two never share the peak memory
-            side_a = side_b = key_b = None
-            side_b = _mitm_side(packed, _subsets(n, t - w, start), False)
-        key_b = side_b[0]
-        if windowed or t % 2:
-            sub_a = _subsets(width, w - start, start)
-            if windowed:
-                sub_a = np.hstack([np.zeros((sub_a.shape[0], 1),
-                                            sub_a.dtype), sub_a])
-            side_a = _mitm_side(packed, sub_a, True)
-            hit, lo, hi = _collisions(side_a[0], key_b)
-            ia = side_a[0][hit]
-        else:
-            # the B side's subsets and tuples serve both sides
-            side_a = side_b
-            hit, lo, hi = _mitm_runs(key_b, na)
-            ia = key_b[hit]
-        ia = (ia & _IDX_MASK).astype(np.intp)
+        counts = (t - w,) if windowed else (w, t - w)
+        # sides that no rung reads again are dropped before this one's are
+        # built, so the two never share the peak memory
+        side_a = side_b = None
+        sides = {c: sides[c] for c in counts if c in sides}
+        for c in counts:
+            sides[c] = sides.get(c) or _mitm_side(
+                packed, _subsets(n, c, start), T)
+        side_a, side_b = sides.get(w), sides[t - w]
+        if windowed:  # position 0, then w - 1 positions of [1, width)
+            sub_a = _subsets(width, w - 1, 1)
+            side_a = _mitm_side(packed, np.hstack(
+                [np.zeros((len(sub_a), 1), sub_a.dtype), sub_a]), T)
+        hit, lo, hi = (_mitm_runs(side_b[0]) if side_a is side_b
+                       else _collisions(side_a[0], side_b[0]))
+        ia = (side_a[0][hit] & _IDX_MASK).astype(np.intp)
         order = np.argsort(ia)
         work += na + nb
-        word = _mitm_first(n, ia[order], lo[order], hi[order], key_b,
-                           side_a[1:], side_b[1:], outside, exact)
+        word = _mitm_first(n, ia[order], lo[order], hi[order], side_b[0],
+                           side_a[1:], side_b[1:], outside, packed, T)
         if word is not None:
             return t, t, word, work
     return wmax + 1, None, None, work
 
 
 def _key_hash(packed: np.ndarray):
-    """The map h of the sort keys of syndromes XORed from packed columns.
-
-    None stands for the identity, used when every syndrome fits in the
-    key's top 64 - IDX_BITS bits; that holds when r*m + IDX_BITS <= 64, so
-    for every code with at most 2^24 syndromes.  Otherwise
-    it is _multiplicative_hash.  Low bits are not simply dropped: the unit
+    """The map h of the sort keys of packed syndromes: None, the identity,
+    when every syndrome fits in the key's top 64 - IDX_BITS bits (r*m +
+    IDX_BITS <= 64, so every code with at most 2^24 syndromes), else
+    _multiplicative_hash.  Low bits are not simply dropped: the unit
     columns of the parity check make sparse syndromes that agree in their
-    high bits by the thousand.
-    """
+    high bits by the thousand."""
     if int(packed.max()) >> (64 - IDX_BITS) == 0:
         return None
     return _multiplicative_hash
@@ -899,41 +866,35 @@ def _multiplicative_hash(syn: np.ndarray) -> None:
     syn &= ~_IDX_MASK
 
 
-def _mitm_side(packed: np.ndarray, subsets: np.ndarray, normalize_first: bool
+def _mitm_side(packed: np.ndarray, subsets: np.ndarray, T: FieldTables
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sorted keys of the given (C, t) position subsets with nonzero scalars.
+    """Sorted keys of the given (C, t) position subsets, first scalar 1.
 
-    Returns (key, subsets, scalars): the subsets as given (from _subsets,
-    one byte per position for n <= 256), the (S, t) scalar tuples in
-    product order, and one sorted uint64 array holding
-    h(syn) << IDX_BITS | e for each entry e, where entry
-    s*C + i is subsets[i] carrying scalars[s], syn is its syndrome and h is
-    _key_hash(packed).  One in-place sort orders the side by h(syn) with
-    equal hashes in index order.  When normalize_first is set the scalar in
-    the subsets' first column is pinned to 1, cutting the scalar space by
-    q-1.  For t = 0 the side is one empty entry with syndrome 0.
+    Returns (key, subsets, scalars): the subsets as given (from _subsets),
+    the (S, t) scalar tuples in product order, each starting with 1, and
+    one sorted uint64 array of h(_canonical(syn)) << IDX_BITS | e for each
+    entry e, where entry s*C + i is subsets[i] carrying scalars[s], syn is
+    its syndrome and h is _key_hash(packed): all GF(q)* multiples of syn
+    have one key, and equal keys come in index order.  For t = 0 the side
+    is one empty entry with syndrome 0.
     """
     q = packed.shape[0]
     count, t = subsets.shape
-    free = t - 1 if normalize_first and t else t
-    tuples = list(itertools.product(range(1, q), repeat=free))
-    scalars = np.array(tuples, dtype=np.uint8).reshape(len(tuples), free)
-    if free < t:
-        scalars = np.hstack([np.ones((len(tuples), 1), dtype=np.uint8),
-                             scalars])
+    free = max(t - 1, 0)
+    scalars = np.array([(1,) * min(t, 1) + s for s in itertools.product(
+        range(1, q), repeat=free)], dtype=np.uint8)
     cols = packed.view(np.uint64)
-    key = np.zeros(len(tuples) * count, dtype=np.uint64)
+    key = np.zeros(scalars.shape[0] * count, dtype=np.uint64)
     # key viewed as (q-1,) * free + (count,): a free slot's axis runs over
     # its scalar, so each slot adds its multiples by one broadcast XOR
     grid = key.reshape((q - 1,) * free + (count,))
     for slot in range(t):
-        axis = slot - (t - free)
-        if axis < 0:
-            grid ^= cols[1][subsets[:, slot]]
-        else:
-            shape = [1] * free + [count]
-            shape[axis] = q - 1
-            grid ^= cols[1:, subsets[:, slot]].reshape(shape)
+        shape = [1] * free + [count]
+        if slot:
+            shape[slot - 1] = q - 1
+        # row 1 alone for the pinned first slot, rows 1 .. q-1 otherwise
+        grid ^= cols[1:q if slot else 2, subsets[:, slot]].reshape(shape)
+    _canonical(key, T)
     h = _key_hash(packed)
     if h is None:
         key <<= IDX_BITS
@@ -945,6 +906,51 @@ def _mitm_side(packed: np.ndarray, subsets: np.ndarray, normalize_first: bool
         index += np.uint64(count)
     key.sort()
     return key, subsets, scalars
+
+
+def _canonical(syn: np.ndarray, T: FieldTables) -> np.ndarray:
+    """Scale each packed syndrome of syn (uint64, in place) by the inverse
+    of its lowest nonzero base-q digit, q = 2^m, so that all GF(q)*
+    multiples of a syndrome take one form, and return those digits as
+    uint8 (0 for syndrome 0, which stays 0).  A digit x times g is the XOR
+    of g x^i over the bits i of x, so each bit plane of syn, moved to bit 0
+    of every digit, is multiplied as an integer by g x^i < 2^m, which
+    carries into no other digit.  Chunks of ROW_BLOCK entries reuse scratch
+    arrays made once; over GF(2) every syndrome is already in form."""
+    if T.order == 2:
+        return (syn != 0).view(np.uint8)
+    m = T.field.m
+    ones = np.uint64(sum(1 << j for j in range(0, 64, m)))
+    # scale[i, d] = x^i / d, and 0 for d = 0
+    scale = T.mul[T.inv[:, None], 1 << np.arange(m)].T.astype(np.uint64)
+    low = np.empty(syn.size, dtype=np.uint8)
+    span = min(syn.size, ROW_BLOCK) or 1
+    scratch = [np.empty(span, dt) for dt in (np.uint64,) * 3 + (np.intp,)]
+    for a in range(0, syn.size, span):
+        s, d = syn[a:a + span], low[a:a + span]
+        b, p, acc, e = (x[:s.size] for x in scratch)
+        # bit 0 of every nonzero digit, then the bits below the lowest one
+        b[...] = s
+        for i in range(1, m):
+            np.right_shift(s, np.uint64(i), out=p)
+            b |= p
+        b &= ones
+        np.negative(b, out=p)
+        b &= p
+        b -= np.uint64(1)
+        np.bitwise_count(b, out=p, casting="unsafe")
+        np.right_shift(s, p, out=b)
+        np.bitwise_and(b, np.uint64(T.order - 1), out=e, casting="unsafe")
+        d[...] = e
+        acc.fill(0)
+        for i in range(m):
+            np.take(scale[i], e, out=b)
+            np.right_shift(s, np.uint64(i), out=p)
+            p &= ones
+            p *= b
+            acc ^= p
+        s[...] = acc
+    return low
 
 
 @lru_cache(maxsize=32)
@@ -999,47 +1005,42 @@ def _collisions(key_a: np.ndarray, key_b: np.ndarray
     return hit, np.repeat(b_lo[met], count), np.repeat(b_hi[met], count)
 
 
-def _mitm_runs(key: np.ndarray, na: int
-               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(pos, lo, hi): the positions in the sorted key of the entries with
-    index below na that share their hash with another entry, and the
-    bounds [lo, hi) of the run of equal hashes around each.
-
-    Only the runs of two or more entries are listed, and each one's ends
-    are read off the flags that join neighbours of equal hash.
-    """
+def _mitm_runs(key: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(pos, lo, hi): the positions in the sorted key of the entries that
+    share their hash with a later entry, and the bounds [lo, hi) = [pos +
+    1, end of run) of those later entries, read off the flags that join
+    neighbours of equal hash in the runs of two or more entries."""
     joined = np.zeros(key.size + 1, dtype=bool)  # entries i-1, i hash alike
     for i in range(1, key.size, MITM_CHUNK):
         j = min(i + MITM_CHUNK, key.size)
         np.less_equal(key[i:j] ^ key[i - 1:j - 1], _IDX_MASK, out=joined[i:j])
     pos = np.flatnonzero(joined[:-1] | joined[1:])
-    first = ~joined[pos]
-    run = np.cumsum(first) - 1
-    lo = pos[first]
-    hi = pos[~joined[pos + 1]] + 1
-    mine = (key[pos] & _IDX_MASK) < na
-    return pos[mine], lo[run[mine]], hi[run[mine]]
+    later = joined[pos + 1]
+    run = np.cumsum(~joined[pos]) - 1
+    pos, hi = pos[later], (pos[~later] + 1)[run[later]]
+    return pos, pos + 1, hi
 
 
 def _mitm_first(n: int, hit: np.ndarray, lo: np.ndarray, hi: np.ndarray,
                 key_b: np.ndarray, side_a, side_b, outside,
-                exact: np.ndarray | None) -> tuple[int, ...] | None:
+                packed: np.ndarray, T: FieldTables) -> tuple[int, ...] | None:
     """First colliding pair whose supports are disjoint and whose word is
     outside the subcode, as a word; None when there is none.
 
     A entry hit[h], with hit ascending, collides with the B entries at
     positions lo[h]:hi[h] of key_b, whose low IDX_BITS bits are their
     indices.  Pairs are expanded in that order, in chunks that grow from
-    FIRST_BLOCK up to MITM_CHUNK (_growing).  Overlapping supports give
-    weight below t, so those pairs are dropped; when the keys hash
-    syndromes, exact holds the packed columns and pairs whose syndromes
-    differ are dropped too.  The rest are scattered into words in blocks
-    that grow from FIRST_BLOCK up to WORD_BLOCK, one subcode test per
-    block, and the first word outside the subcode ends the search.  Chunks
-    and blocks keep the candidate order, so the word is the same for any
-    sizes; a witness near the front costs only the pairs before it, and
-    a rung with none reads every pair in chunks no larger than
-    MITM_CHUNK.
+    FIRST_BLOCK up to MITM_CHUNK (_growing), and pairs of overlapping
+    supports (weight below t) are dropped.  Both halves' syndromes are
+    put in form (_canonical): forms that differ met on a hash collision,
+    and equal ones give syn_a = beta syn_b, beta the ratio of the lowest
+    digits, and the word a + beta b.  When both syndromes are 0, beta = 1:
+    an empty half is the zero word, or both halves are codewords lighter
+    than t, in the subcode once the rungs below t (or the caller's floor)
+    are proved, and so is their sum.  The words meet the subcode test in
+    blocks that grow from FIRST_BLOCK up to WORD_BLOCK, and the first word
+    outside it ends the search; chunks and blocks keep the candidate
+    order, so the word is the same for any sizes.
     """
     (sub_a, scal_a), (sub_b, scal_b) = side_a, side_b
     ca, cb = sub_a.shape[0], sub_b.shape[0]
@@ -1050,24 +1051,23 @@ def _mitm_first(n: int, hit: np.ndarray, lo: np.ndarray, hi: np.ndarray,
         # hits h0 .. h1-1 hold pairs p0 .. p1-1; trim the first and last
         h0 = int(np.searchsorted(ends, p0, side="right"))
         h1 = int(np.searchsorted(ends, p1 - 1, side="right")) + 1
-        first = lo[h0:h1].copy()
-        last = hi[h0:h1].copy()
+        first, last = lo[h0:h1].copy(), hi[h0:h1].copy()
         first[0] += p0 - (ends[h0] - count[h0])
         last[-1] -= ends[h1 - 1] - p1
         lens = last - first
         ia = np.repeat(hit[h0:h1], lens)
         ib = (key_b[np.repeat(first - (np.cumsum(lens) - lens), lens)
                     + np.arange(p1 - p0)] & _IDX_MASK).astype(np.intp)
-        pos_a = sub_a[ia % ca]
-        pos_b = sub_b[ib % cb]
+        pos_a, pos_b = sub_a[ia % ca], sub_b[ib % cb]
+        val_a, val_b = scal_a[ia // ca], scal_b[ib // cb]
         keep = ~(pos_a[:, :, None] == pos_b[:, None, :]).any(axis=(1, 2))
-        if exact is not None:
-            syn = np.zeros(keep.size, dtype=exact.dtype)
-            for pos, val in ((pos_a, scal_a[ia // ca]),
-                             (pos_b, scal_b[ib // cb])):
-                for slot in range(pos.shape[1]):
-                    syn ^= exact[val[:, slot], pos[:, slot]]
-            keep &= syn == 0
+        syn = np.zeros((2, keep.size), dtype=np.uint64)
+        for s, pos, val in ((syn[0], pos_a, val_a), (syn[1], pos_b, val_b)):
+            for slot in range(pos.shape[1]):
+                s ^= packed[val[:, slot], pos[:, slot]]
+        digits = _canonical(syn.reshape(-1), T).reshape(2, -1)
+        keep &= syn[0] == syn[1]
+        beta = np.maximum(T.mul[digits[0], T.inv[digits[1]]], 1)
         rows = np.nonzero(keep)[0]
         if outside is None:
             rows = rows[:1]
@@ -1075,8 +1075,8 @@ def _mitm_first(n: int, hit: np.ndarray, lo: np.ndarray, hi: np.ndarray,
             block = rows[b0:b1]
             words = np.zeros((block.size, n), dtype=np.uint8)
             at = np.arange(block.size)[:, None]
-            words[at, pos_a[block]] = scal_a[ia[block] // ca]
-            words[at, pos_b[block]] = scal_b[ib[block] // cb]
+            words[at, pos_a[block]] = val_a[block]
+            words[at, pos_b[block]] = T.mul[beta[block, None], val_b[block]]
             if outside is not None:
                 words = words[outside(words)]
             if words.shape[0]:

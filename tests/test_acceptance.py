@@ -395,6 +395,9 @@ def test_criterion_12_quantum_114_72(capfd):
         # is past desk scale, so soundness rests on the three checks above
         assert qp.d_lb >= 7
         assert qp.d_ub <= 9
+        # E's own ladder runs rung 6, one side of C(114,3) 3^2 = 2,164,176
+        # entries, so its lb is 7 without the floor from C and C + C^perp_h
+        assert qp.d_lb == 7 and "floor" not in qp.note
         assert c.elapsed < 1800
 
 

@@ -226,13 +226,13 @@ def test_mindist_enumeration_bounds_a_large_code_exit_three(capsys):
 
 def test_mindist_ladder_closes_under_the_dp_budget(capsys):
     # [15,11] over GF(4) under auto with a budget of 1000: the ladder
-    # climbs before the enumeration and meets a word of weight 3 in 81
-    # units
+    # climbs before the enumeration and meets a word of weight 3 in 46
+    # units, windowed rungs of 2, 15 and 29 side entries
     code, d = run(capsys, ["mindist", "--n", "15", "--q", "4",
                            "--leaders", "1,3", "--distance-budget", "1000"])
     assert code == 0
     assert d["strategy"] == "information_set" and d["complete"] is True
-    assert (d["lb"], d["ub"], d["work"]) == (3, 3, 81)
+    assert (d["lb"], d["ub"], d["work"]) == (3, 3, 46)
     assert d["note"] == "exact: meet-in-the-middle ladder"
     C = build_cyclic(15, 4, coset_table(15, 4).closure((1, 3))).base
     assert C.contains(d["witness"])

@@ -1,5 +1,6 @@
 """Linear-code engine: RREF, duals, distances, monomial maps, equivalence."""
 
+import functools
 import itertools
 import math
 
@@ -724,23 +725,39 @@ def test_mitm_ladder_agrees_with_exhaustive():
                 assert lb == 7 and exact is None
 
 
+def _reference_forms(F, r, syn):
+    """(form, digit) of packed syndromes by per-digit table arithmetic: the
+    lowest nonzero base-q digit d of each (0 for syndrome 0), and the
+    syndrome with every digit times 1/d."""
+    T = linear.tables(F)
+    place = np.uint64(F.m) * np.arange(max(r, 1), dtype=np.uint64)
+    digits = (syn.astype(np.uint64)[:, None] >> place) & np.uint64(F.order - 1)
+    d = digits[np.arange(syn.size), np.argmax(digits != 0, axis=1)]
+    scaled = T.mul[T.inv[d][:, None], digits].astype(np.uint64) << place
+    return np.bitwise_xor.reduce(scaled, axis=1), d.astype(np.intp)
+
+
 def _reference_ladder(code, wmax, outside):
     """The ladder as a Python loop over candidates: sides carry one
-    (j_0, c_0, ..., j_{t-1}, c_{t-1}) metadata row per entry, and every
-    colliding pair is rebuilt and weighed before the subcode test."""
+    (j_0, c_0, ..., j_{t-1}, c_{t-1}) metadata row per entry, c_0 = 1, and
+    are grouped by the form of their syndromes under scaling; A entries go
+    in index order, each meeting the B entries of its group in index order
+    (only the later ones when the rung's two sides are one), and every pair
+    a, b with syn(a) = beta syn(b) gives a + beta b, which is rebuilt and
+    weighed before the subcode test."""
     F, n = code.field, code.n
     if F.p != 2 or (n - code.k) * F.m > 63:
         return 1, None, None, 0
     packed = _column_syndromes(code)
     q = F.order
 
-    def side(t, normalize_first):
+    @functools.lru_cache(maxsize=None)
+    def side(t):
         combos = np.array(list(itertools.combinations(range(n), t)),
-                          dtype=np.int64).reshape(-1, t)
-        free = t - 1 if normalize_first else t
+                          dtype=np.int64).reshape(math.comb(n, t), t)
         syn_parts, meta_parts = [], []
-        for scalars in itertools.product(range(1, q), repeat=free):
-            cs = (1,) + scalars if normalize_first else scalars
+        for scalars in itertools.product(range(1, q), repeat=max(t - 1, 0)):
+            cs = (1,) * min(t, 1) + scalars
             syn = np.zeros(combos.shape[0], dtype=np.int64)
             meta = np.empty((combos.shape[0], 2 * t), dtype=np.int64)
             for slot in range(t):
@@ -749,47 +766,45 @@ def _reference_ladder(code, wmax, outside):
                 meta[:, 2 * slot + 1] = cs[slot]
             syn_parts.append(syn)
             meta_parts.append(meta)
-        return np.concatenate(syn_parts), np.vstack(meta_parts)
+        form, digit = _reference_forms(F, n - code.k,
+                                       np.concatenate(syn_parts))
+        groups = {}
+        for e, f in enumerate(form.tolist()):
+            groups.setdefault(f, []).append(e)
+        return form.tolist(), digit.tolist(), np.vstack(meta_parts), groups
 
     work = 0
     for t in range(1, wmax + 1):
         ta, tb = t // 2, t - t // 2
-        nb = math.comb(n, tb) * (q - 1) ** tb
         na = math.comb(n, ta) * (q - 1) ** max(ta - 1, 0)
+        nb = math.comb(n, tb) * (q - 1) ** max(tb - 1, 0)
         if na + nb > linear.MITM_SIDE_CAP:
             return t, None, None, work
-        syn_b, meta_b = side(tb, False)
-        order = np.argsort(syn_b, kind="stable")
-        syn_b = syn_b[order]
-        meta_b = meta_b[order]
-        if ta == 0:
-            cand = [([], meta_b[h]) for h in np.nonzero(syn_b == 0)[0]]
-        else:
-            syn_a, meta_a = side(ta, True)
-            lo = np.searchsorted(syn_b, syn_a, side="left")
-            hi = np.searchsorted(syn_b, syn_a, side="right")
-            cand = [(meta_a[ia], meta_b[ib])
-                    for ia in np.nonzero(hi > lo)[0]
-                    for ib in range(int(lo[ia]), int(hi[ia]))]
+        form_a, digit_a, meta_a, _ = side(ta)
+        _, digit_b, meta_b, groups = side(tb)
         work += int(na + nb)
-        for ma, mb in cand:
-            word = [0] * n
-            for m in (ma, mb):
-                for j, c in np.asarray(m).reshape(-1, 2).tolist():
-                    word[j] = F.add(word[j], c)
-            if sum(1 for x in word if x) < t:
-                continue
-            if (outside is not None
-                    and not outside(np.array([word], dtype=np.uint8))[0]):
-                continue
-            return t, t, tuple(word), work
+        for ia, f in enumerate(form_a):
+            for ib in groups.get(f, ()):
+                if ta == tb and ib <= ia:
+                    continue
+                beta = F.mul(digit_a[ia], F.inv(digit_b[ib])) if f else 1
+                word = [0] * n
+                for m, scale in ((meta_a[ia], 1), (meta_b[ib], beta)):
+                    for j, c in np.asarray(m).reshape(-1, 2).tolist():
+                        word[j] = F.add(word[j], F.mul(scale, c))
+                if sum(1 for x in word if x) < t:
+                    continue
+                if (outside is not None
+                        and not outside(np.array([word], dtype=np.uint8))[0]):
+                    continue
+                return t, t, tuple(word), work
     return wmax + 1, None, None, work
 
 
 def _ladder_codes(F, rng):
     """Random codes plus duals of parity checks with zero columns (weight-1
     words, the t = 1 path with an empty A side) and with repeated or scaled
-    columns (weight-2 words, whose A entries also meet their own copies)."""
+    columns (weight-2 words, whose halves' syndromes are multiples)."""
     q = F.order
     for _ in range(6):
         n = int(rng.integers(6, 12))
@@ -847,29 +862,35 @@ def _golay():
 
 
 def test_mitm_ladder_builds_each_side_once(monkeypatch):
-    # no witness up to weight 6, so all six rungs run: the odd rungs build
-    # B sides of 1, 2, 3 positions, which the even rungs above them reuse,
-    # and A sides of 0, 1, 2 positions with the first scalar pinned
-    C = _golay()
+    # all six rungs run: on the Golay code no word weighs up to 6, and on a
+    # GF(4) code a subcode test rejects every word.  Rung 2j-1 joins sides
+    # of j-1 and j positions, rung 2j joins the side of j positions with
+    # itself and rung 2j+1 reuses it, so the sides of 0, 1, 2 and 3
+    # positions are built once each, in that order
     builds = []
     side = linear._mitm_side
 
-    def counted(packed, subsets, normalize_first):
-        builds.append((subsets.shape[1], normalize_first))
-        return side(packed, subsets, normalize_first)
+    def counted(packed, subsets, T):
+        builds.append(subsets.shape[1])
+        return side(packed, subsets, T)
+
+    def reject(words):
+        return np.zeros(words.shape[0], dtype=bool)
 
     monkeypatch.setattr(linear, "_mitm_side", counted)
-    got = _mitm_ladder(C, 6, None)
-    assert got[:3] == (7, None, None)
-    assert sorted(builds) == [(0, True), (1, False), (1, True), (2, False),
-                              (2, True), (3, False)]
-    assert got == _reference_ladder(C, 6, None)
+    for C, outside in ((_golay(), None), (_random_code(F4, 12, 6, 5), reject)):
+        builds.clear()
+        got = _mitm_ladder(C, 6, outside)
+        assert got[:3] == (7, None, None)
+        assert builds == [0, 1, 2, 3]
+        assert got == _reference_ladder(C, 6, outside)
 
 
 def test_mitm_ladder_expands_no_twin_on_golay(monkeypatch):
-    # at d = 7 every collision up to weight 6 is an A entry meeting its own
-    # copy in B, so no pair is expanded: every rung hands _mitm_first
-    # colliding runs that hold no pair
+    # at d = 7 no two entries of up to three positions share a syndrome, so
+    # no pair is expanded: an entry of an even rung's one side meets only
+    # later entries of its run, and every rung hands _mitm_first colliding
+    # runs that hold no pair
     C = _golay()
     first = linear._mitm_first
     pairs = []
@@ -893,13 +914,11 @@ def test_windowed_ladder_builds_each_outer_side_once(monkeypatch):
     builds, pairs = [], []
     side, first = linear._mitm_side, linear._mitm_first
 
-    def counted(packed, subsets, normalize_first):
-        builds.append((subsets.shape[1], normalize_first))
-        if normalize_first:
-            assert not subsets[:, 0].any()
-        else:
-            assert subsets.size == 0 or subsets.min() >= 1
-        return side(packed, subsets, normalize_first)
+    def counted(packed, subsets, T):
+        window = subsets.size > 0 and not subsets[:, 0].any()
+        builds.append((subsets.shape[1], window))
+        assert window or subsets.size == 0 or subsets.min() >= 1
+        return side(packed, subsets, T)
 
     def spy(n, hit, lo, hi, *args):
         pairs.append(int((hi - lo).sum()))
@@ -1022,45 +1041,47 @@ def _side_syndromes(packed, side):
     return syn
 
 
-def _check_side_key(packed, side):
-    """The key is sorted, its low IDX_BITS bits list the entries in the
-    stable argsort order of their syndromes and its high bits hold those
-    syndromes; returns whether the side has a run of equal syndromes."""
-    key = side[0]
-    syn = _side_syndromes(packed, side)
-    order = np.argsort(syn, kind="stable")
+def _check_side_key(code, side):
+    """The side's tuples start with 1, the key is sorted, its low IDX_BITS
+    bits list the entries in the stable argsort order of the forms of
+    their syndromes under scaling and its high bits hold those forms;
+    returns whether the side has a run of equal forms."""
+    key, _, scalars = side
+    assert scalars.size == 0 or np.all(scalars[:, 0] == 1)
+    form, _ = _reference_forms(code.field, code.n - code.k, _side_syndromes(
+        _column_syndromes(code), side))
+    order = np.argsort(form, kind="stable")
     assert key.dtype == np.uint64 and np.all(key[1:] > key[:-1])
     assert np.array_equal(key & linear._IDX_MASK, order)
-    assert np.array_equal(key >> linear.IDX_BITS, syn[order])
-    return bool(np.any(syn[order][1:] == syn[order][:-1]))
+    assert np.array_equal(key >> linear.IDX_BITS, form[order])
+    return bool(np.any(form[order][1:] == form[order][:-1]))
 
 
 def test_mitm_side_order_is_the_stable_argsort():
-    # one sort of the key gives equal syndromes in index order, whether the
-    # syndromes are distinct or form runs
+    # one sort of the key gives equal forms in index order, whether the
+    # forms are distinct or form runs
     golay = _golay()
     packed = _column_syndromes(golay)
+    T = linear.tables(golay.field)
     for t in (1, 2, 3):
-        assert not _check_side_key(packed, linear._mitm_side(
-            packed, linear._subsets(golay.n, t), False))
+        assert not _check_side_key(golay, linear._mitm_side(
+            packed, linear._subsets(golay.n, t), T))
     runs = 0
     rng = np.random.default_rng(59)
-    for F in (build_field(2, 1), F4, build_field(2, 3)):
+    for F in (build_field(2, 1), F4, build_field(2, 3), build_field(2, 4)):
+        T = linear.tables(F)
         for C in _ladder_codes(F, rng):
             packed = _column_syndromes(C)
-            for t in (1, 2):
+            for t in (1, 2, 3):
                 # whole sides, outer sides on [1, n) and window sides
                 # holding position 0
                 inner = linear._subsets(C.n // 2, t - 1, 1)
                 window = np.hstack([np.zeros((inner.shape[0], 1),
-                                         inner.dtype), inner])
-                for subsets, pinned in (
-                        (linear._subsets(C.n, t), False),
-                        (linear._subsets(C.n, t), True),
-                        (linear._subsets(C.n, t, 1), False),
-                        (window, True)):
+                                             inner.dtype), inner])
+                for subsets in (linear._subsets(C.n, t),
+                                linear._subsets(C.n, t, 1), window):
                     runs += _check_side_key(
-                        packed, linear._mitm_side(packed, subsets, pinned))
+                        C, linear._mitm_side(packed, subsets, T))
     assert runs > 0
 
 
@@ -1096,8 +1117,10 @@ def test_collisions_match_the_pair_list():
 def test_rung_plan_sizes_every_rung(monkeypatch, windowed):
     # a subcode test that rejects every word keeps every rung running over
     # GF(2), GF(4) and GF(8): rung t adds the na + nb of its plan to the
-    # work, joins keys of exactly na and nb entries, and a B side is built
-    # once per position count
+    # work and joins keys of exactly na and nb entries (an even unwindowed
+    # rung one side of na = nb entries with itself), each rung builds one
+    # window side when windowed, and a side on [start, n) is built once per
+    # position count
     from codeq.constacyclic import build_code
     from codeq.cosets import set_family
     codes = [(_golay(), 6),
@@ -1107,19 +1130,18 @@ def test_rung_plan_sizes_every_rung(monkeypatch, windowed):
     side, collisions, runs = (linear._mitm_side, linear._collisions,
                               linear._mitm_runs)
 
-    def built(packed, subsets, normalize_first):
-        if not normalize_first:
-            builds.append(subsets.shape[1])
-        return side(packed, subsets, normalize_first)
+    def built(packed, subsets, T):
+        window = subsets.size > 0 and not subsets[:, 0].any() and windowed
+        builds.append(("window" if window else "side", subsets.shape[1]))
+        return side(packed, subsets, T)
 
     def two_sided(key_a, key_b):
         joins.append((key_a.size, key_b.size))
         return collisions(key_a, key_b)
 
-    def self_join(key, na):
-        assert np.count_nonzero((key & linear._IDX_MASK) < na) == na
-        joins.append((na, key.size))
-        return runs(key, na)
+    def self_join(key):
+        joins.append((key.size, key.size))
+        return runs(key)
 
     def reject(words):
         return np.zeros(words.shape[0], dtype=bool)
@@ -1142,10 +1164,14 @@ def test_rung_plan_sizes_every_rung(monkeypatch, windowed):
             assert _mitm_ladder(C, t, reject, shift=shift) == (
                 t + 1, None, None, sum(costs[:t]))
         assert joins == [(na, nb) for _, _, na, nb in plans]
-        counts = [t - w for t, (w, *_) in enumerate(plans, start=1)]
-        assert builds == [c for i, c in enumerate(counts)
-                          if i == 0 or c != counts[i - 1]]
-        assert len(set(builds)) == len(builds)
+        want = []
+        for t, (w, *_) in enumerate(plans, start=1):
+            for c in (t - w,) if windowed else (w, t - w):
+                if ("side", c) not in want:
+                    want.append(("side", c))
+            if windowed:
+                want.append(("window", w))
+        assert builds == want
 
 
 def test_subsets_match_itertools():
@@ -1229,8 +1255,8 @@ def test_windowed_ladder_stops_before_a_rung_past_the_budget():
 
 def test_mitm_ladder_keeps_index_order_in_long_runs(monkeypatch):
     # a parity check with one column repeated and scaled ten times: its
-    # multiples are syndromes of runs of ten or more B entries, which chunks
-    # of 3 pairs cut in the middle
+    # multiples share one form, so they make runs of ten or more entries,
+    # which chunks of 3 pairs cut in the middle
     rng = np.random.default_rng(53)
     for F in (build_field(2, 1), F4, build_field(2, 3)):
         q = F.order
@@ -1244,9 +1270,9 @@ def test_mitm_ladder_keeps_index_order_in_long_runs(monkeypatch):
             pairs[j - 1, [0, j]] = c, 1
         C = LinearCode.from_rows(F, H, n).euclidean_dual()
         key = linear._mitm_side(_column_syndromes(C), linear._subsets(n, 1),
-                                False)[0]
-        syn = key >> linear.IDX_BITS
-        assert np.unique(syn, return_counts=True)[1].max() >= 10
+                                linear.tables(F))[0]
+        form = key >> linear.IDX_BITS
+        assert np.unique(form, return_counts=True)[1].max() >= 10
         filters = [None]
         for split in (1, C.k // 2, C.k - 1):
             S = LinearCode.from_rows(F, C.generator[:split], n)
@@ -1261,22 +1287,27 @@ def test_mitm_ladder_keeps_index_order_in_long_runs(monkeypatch):
                         == _reference_ladder(C, 6, outside))
 
 
+def _planted_codes(F, n, r, rng):
+    """Duals of random r x n parity checks over F whose last column is a
+    multiple of the sum of the first j, for a word of weight j + 1 (none
+    for j = 0), for j = 0, 1, 3 and 4."""
+    T = linear.tables(F)
+    for j in (0, 1, 3, 4):
+        H = rng.integers(0, F.order, size=(r, n))
+        total = np.zeros(r, dtype=np.uint8)
+        for col in range(j):
+            total = T.add[total, H[:, col]]
+        if j:
+            H[:, n - 1] = T.mul[int(rng.integers(1, F.order)), total]
+        yield LinearCode.from_rows(F, H, n).euclidean_dual()
+
+
 def _wide_codes(rng):
     """Codes whose syndromes need more than 64 - IDX_BITS bits, so the
-    ladder's keys hash them: r = 21 over GF(4) and r = 14 over GF(8), as
-    duals of random parity checks whose last column is a multiple of the
-    sum of the first j, for a word of weight j + 1 (none for j = 0)."""
+    ladder's keys hash them: r = 21 over GF(4) and r = 14 over GF(8)."""
     for F, r, n in ((F4, 21, 24), (build_field(2, 3), 14, 16)):
         assert r * F.m + linear.IDX_BITS > 64
-        T = linear.tables(F)
-        for j in (0, 1, 3, 4):
-            H = rng.integers(0, F.order, size=(r, n))
-            total = np.zeros(r, dtype=np.uint8)
-            for col in range(j):
-                total = T.add[total, H[:, col]]
-            if j:
-                H[:, n - 1] = T.mul[int(rng.integers(1, F.order)), total]
-            C = LinearCode.from_rows(F, H, n).euclidean_dual()
+        for C in _planted_codes(F, n, r, rng):
             assert C.n - C.k == r
             yield C
 
@@ -1295,8 +1326,9 @@ def test_mitm_ladder_hashes_wide_syndromes():
 
 
 def test_mitm_ladder_drops_hash_collisions(monkeypatch):
-    # a hash that sends every syndrome to 0: every A entry meets the whole
-    # B side, and only the exact syndrome test keeps true pairs
+    # a hash that sends every form to 0: every A entry meets the whole B
+    # side (every later entry, on an even rung), and only the exact forms
+    # of the pairs' syndromes keep true pairs
     monkeypatch.setattr(linear, "_key_hash",
                         lambda packed: lambda syn: syn.fill(0))
     rng = np.random.default_rng(71)
@@ -1327,6 +1359,103 @@ def test_mitm_word_blocks_keep_the_witness(monkeypatch):
                     for name, size in setting.items():
                         m.setattr(linear, name, size)
                     assert _mitm_ladder(C, 6, _outside_test(C, S)) == want
+
+
+def _field_cases(F, rng):
+    """(code, subcode or None, shift) over F = GF(2^m): random and planted
+    codes with unwindowed rungs, planted codes whose syndromes pass
+    64 - IDX_BITS bits (hashed keys), and cyclic codes with a cyclic
+    subcode for windowed rungs; every code also once without a subcode."""
+    from codeq.constacyclic import build_code
+    from codeq.cosets import set_family
+    q = F.order
+    short, wide, lengths = {4: ((10, 5), (24, 21), (9, 15)),
+                            8: ((8, 4), (17, 14), (7, 9)),
+                            16: ((7, 4), (14, 11), (5, 15)),
+                            256: ((7, 5), (8, 6), (5, 7))}[q]
+    codes = [(C, None) for C in _planted_codes(F, *short, rng)]
+    codes += [(C, None) for C in _planted_codes(F, *wide, rng)]
+    for C, _ in list(codes):
+        if C.k >= 2:
+            codes.append((C, LinearCode.from_rows(F, C.generator[:1], C.n)))
+    for C, S in codes:
+        yield C, S, None
+    for n in lengths:
+        # the largest code of at most 2^16 words, with the cyclic subcode
+        # of the next larger defining set when that is not zero
+        fam = set_family("cyclic", n, q)
+        unions = sorted(fam.unions(), key=len)
+        A = next(set(els) for els in unions if q ** (n - len(els)) <= 1 << 16)
+        B = next(set(els) for els in unions if set(els) > A)
+        C = build_code(fam, tuple(sorted(A))).base
+        S = build_code(fam, tuple(sorted(B))).base
+        yield C, None, linear._shift_constant(C, None)
+        if S.k:
+            yield C, S, linear._shift_constant(C, S)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 8])
+def test_mitm_ladder_is_sound_over_every_field(m):
+    # against all codewords (_reference_codewords), over GF(4), GF(8),
+    # GF(16) and GF(256), where x has order 51 of 255, so forms under
+    # scaling by powers of x alone would miss pairs: a word lighter than
+    # the proved lb is the ladder's exact weight, and its witness is one of
+    # the lightest words outside the subcode
+    F = build_field(2, m)
+    rng = np.random.default_rng(101 + m)
+    kinds = set()
+    for C, S, shift in _field_cases(F, rng):
+        outside = _outside_test(C, S)
+        words = _reference_codewords(C)
+        w = np.count_nonzero(words, axis=1)
+        out = (w > 0) & (True if S is None else outside(words))
+        d = int(w[out].min())
+        lb, exact, word, _ = _mitm_ladder(C, 6, outside, 1 << 18,
+                                          shift=shift)
+        if exact is None:
+            assert word is None and d >= lb
+        else:
+            assert exact == lb == d
+            lightest = {row.tobytes() for row in words[out & (w == d)]}
+            assert bytes(word) in lightest
+        kinds.add((shift is not None, S is not None, linear._key_hash(
+            _column_syndromes(C)) is not None, exact is not None))
+    assert {(False, False, True, True), (False, True, True, True),
+            (False, False, False, True), (False, True, False, True),
+            (True, False, False, True), (True, True, False, True)} <= kinds
+
+
+def test_mitm_zero_syndromes_meet_in_the_subcode(monkeypatch):
+    # light words of the subcode have syndrome 0, so pairs of them meet
+    # under every beta: their sums lie in the subcode and are rejected, and
+    # the ladder climbs to the least weight outside it
+    first = linear._mitm_first
+    zero_pairs = []
+
+    def spy(n, hit, lo, hi, key_b, *args):
+        zero = (key_b >> np.uint64(linear.IDX_BITS)) == 0
+        zero_pairs.append(sum(int(zero[a:b].sum()) for a, b in zip(lo, hi)))
+        return first(n, hit, lo, hi, key_b, *args)
+
+    monkeypatch.setattr(linear, "_mitm_first", spy)
+    rng = np.random.default_rng(103)
+    for F in (F4, build_field(2, 3)):
+        n, q = 11, F.order
+        light = np.zeros((3, n), dtype=np.uint8)
+        for row, support in enumerate(((0, 1), (2, 3), (4, 5, 6))):
+            light[row, list(support)] = rng.integers(1, q, len(support))
+        S = LinearCode.from_rows(F, light, n)
+        C = LinearCode.from_rows(F, np.vstack(
+            [light, rng.integers(0, q, size=(2, n))]), n)
+        assert C.k == 5 and C.contains_code(S)
+        zero_pairs.clear()
+        got = _mitm_ladder(C, 6, _outside_test(C, S))
+        want = min_weight_outside(C, S, strategy="exhaustive")
+        assert want.lb >= 5 and got[:2] == (want.lb, want.lb)
+        assert C.contains(got[2]) and not S.contains(got[2])
+        assert sum(1 for x in got[2] if x) == want.lb
+        # rung 4 pairs the two weight-2 words, rung 5 one with the weight-3
+        assert zero_pairs[3] > 0 and zero_pairs[4] > 0
 
 
 def test_growing_spans_cover_in_order():
